@@ -137,12 +137,16 @@ def cmd_sweep(args) -> int:
     rows = run_sweep(cfg, jobs=args.jobs)
     if args.out is None and args.summary is None:
         sys.stdout.write(rows_to_csv(rows))
-        return 0
-    emit_report(rows, csv_path=args.out, summary_path=args.summary)
-    if args.out:
-        print(f"wrote {args.out}")
-    if args.summary:
-        print(f"wrote {args.summary}")
+    else:
+        emit_report(rows, csv_path=args.out, summary_path=args.summary)
+        if args.out:
+            print(f"wrote {args.out}")
+        if args.summary:
+            print(f"wrote {args.summary}")
+    failed = sum(1 for row in rows if row.error)
+    if failed:
+        print(f"{failed} of {len(rows)} cells failed", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -27,7 +27,8 @@ VERIFY_THRESHOLD = 1.0 - 1e-9
 
 EVENT_KINDS = ("delay", "hard_pulse", "soft_gate_half")
 
-DEFAULT_KDD_PHASES = (math.pi / 6, 0.0, math.pi / 2, 0.0, math.pi / 6)
+# Phase offsets of the five-pulse composite that replaces each XY-4 pulse in KDD.
+KDD_PHASES = (math.pi / 6, 0.0, math.pi / 2, 0.0, math.pi / 6)
 
 _FOUR_PI = 4 * math.pi
 
@@ -103,25 +104,20 @@ class Schedule:
 
 @dataclass(frozen=True)
 class DDKind:
-    """Decoupling cycle family plus the composite-pulse phase offsets for kdd."""
+    """Decoupling cycle family: xy4, xy8 or kdd."""
 
     name: str
-    kdd_phases: tuple[float, ...] = DEFAULT_KDD_PHASES
 
     def __post_init__(self):
-        if self.name not in ("xy4", "xy8", "kdd", "pdd"):
+        if self.name not in ("xy4", "xy8", "kdd"):
             raise ValueError(f"unknown DD kind {self.name!r}")
-        object.__setattr__(self, "kdd_phases", tuple(float(p) for p in self.kdd_phases))
-        if len(self.kdd_phases) != 5:
-            raise ValueError("kdd_phases must have exactly 5 entries")
 
 
 XY4 = DDKind("xy4")
 XY8 = DDKind("xy8")
 KDD = DDKind("kdd")
-PDD = DDKind("pdd")
 
-DD_KINDS = {"xy4": XY4, "xy8": XY8, "kdd": KDD, "pdd": PDD}
+DD_KINDS = {"xy4": XY4, "xy8": XY8, "kdd": KDD}
 
 _PI = math.pi
 _HALF_PI = math.pi / 2
@@ -194,12 +190,12 @@ def _check_tau(tau: float) -> None:
 
 def _cycle_pulse_phases(kind: DDKind) -> list[float]:
     xy4 = [0.0, _HALF_PI, 0.0, _HALF_PI]
-    if kind.name in ("xy4", "pdd"):
+    if kind.name == "xy4":
         return xy4
     if kind.name == "xy8":
         return xy4 + xy4[::-1]
     # kdd: each skeleton pulse becomes a five-pulse composite.
-    return [skel + chi for skel in xy4 for chi in kind.kdd_phases]
+    return [skel + chi for skel in xy4 for chi in KDD_PHASES]
 
 
 def cycle_pulse_count(kind: DDKind) -> int:
@@ -218,21 +214,14 @@ def _verified(schedule: Schedule) -> Schedule:
 def dd_cycle(kind: DDKind, tau: float) -> Schedule:
     """One decoupling cycle of pi pulses with identity target.
 
-    Symmetric kinds place half delays at both ends (duration = pulses * tau);
-    pdd is the asymmetric variant [tau, pi_x, tau, pi_y] repeated twice.
+    Half delays sit at both ends, so the duration is pulses * tau.
     """
     _check_tau(tau)
     phases = _cycle_pulse_phases(kind)
-    events: list[PulseEvent] = []
-    if kind.name == "pdd":
-        for p in phases:
-            events.append(PulseEvent("delay", tau))
-            events.append(PulseEvent("hard_pulse", 0.0, RotationSpec(p, _PI)))
-    else:
-        events.append(PulseEvent("delay", tau / 2))
-        for i, p in enumerate(phases):
-            events.append(PulseEvent("hard_pulse", 0.0, RotationSpec(p, _PI)))
-            events.append(PulseEvent("delay", tau if i < len(phases) - 1 else tau / 2))
+    events: list[PulseEvent] = [PulseEvent("delay", tau / 2)]
+    for i, p in enumerate(phases):
+        events.append(PulseEvent("hard_pulse", 0.0, RotationSpec(p, _PI)))
+        events.append(PulseEvent("delay", tau if i < len(phases) - 1 else tau / 2))
     cycle_time = len(phases) * tau
     schedule = Schedule(
         events=tuple(events),
@@ -252,8 +241,6 @@ def protected_rotation(r: RotationSpec, kind: DDKind, tau: float) -> Schedule:
     angle/2 each, so the gate accumulates while the drift is refocused.  Total
     duration equals the bare cycle duration.
     """
-    if kind.name == "pdd":
-        raise CompileError("pdd has no symmetric half-delays to host the gate halves")
     if r.angle == 0.0:
         return dd_cycle(kind, tau)
     base = dd_cycle(kind, tau)

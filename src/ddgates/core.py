@@ -2,15 +2,11 @@
 
 Operators are plain complex ndarrays on a Hilbert space of one system qubit
 optionally tensored with a register of bath spins (system factor first).
-Time evolution is piecewise-constant: a list of (Hamiltonian, duration)
-segments multiplied in time order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -44,15 +40,15 @@ def rotation_unitary(phase: float, angle: float) -> np.ndarray:
     return np.array([[c, off], [-1j * s * np.exp(1j * phase), c]])
 
 
-def embed_system(op: np.ndarray, n_bath: int, max_spins: int = DEFAULT_MAX_SPINS) -> np.ndarray:
+def embed_system(op: np.ndarray, n_bath: int) -> np.ndarray:
     """Lift a 2x2 system operator to the system (x) bath space: op (x) I."""
     op = np.asarray(op, dtype=complex)
     if op.shape != (2, 2):
         raise ValueError(f"expected a 2x2 system operator, got shape {op.shape}")
     if n_bath < 0:
         raise ValueError("n_bath must be non-negative")
-    if 1 + n_bath > max_spins:
-        raise ValueError(f"{1 + n_bath} total spins exceeds the maximum of {max_spins}")
+    if 1 + n_bath > DEFAULT_MAX_SPINS:
+        raise ValueError(f"{1 + n_bath} total spins exceeds the maximum of {DEFAULT_MAX_SPINS}")
     return np.kron(op, np.eye(2**n_bath, dtype=complex))
 
 
@@ -66,35 +62,6 @@ def hermitian_expm(h: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-@dataclass(frozen=True, eq=False)
-class EvolutionSegment:
-    """One piecewise-constant slice of an evolution: Hermitian generator and duration."""
-
-    hamiltonian: np.ndarray
-    duration: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.duration) or self.duration < 0:
-            raise ValueError("duration must be finite and non-negative")
-
-
-def evolve(segments: list[EvolutionSegment]) -> np.ndarray:
-    """Time-ordered propagator of the segment list (earliest first).
-
-    Later segments multiply on the left: U = U_n ... U_2 U_1.
-    """
-    if not segments:
-        raise ValueError("segment list must be non-empty")
-    dim = np.asarray(segments[0].hamiltonian).shape[0]
-    u = np.eye(dim, dtype=complex)
-    for seg in segments:
-        h = np.asarray(seg.hamiltonian)
-        if h.shape != (dim, dim):
-            raise ValueError(f"segment dimension {h.shape} does not match {dim}")
-        u = hermitian_expm(h, seg.duration) @ u
-    return u
-
-
 def partial_trace_bath(rho: np.ndarray) -> np.ndarray:
     """Reduce a system (x) bath density matrix to the 2x2 system state."""
     rho = np.asarray(rho, dtype=complex)
@@ -104,26 +71,3 @@ def partial_trace_bath(rho: np.ndarray) -> np.ndarray:
     d_bath = dim // 2
     return np.trace(rho.reshape(2, d_bath, 2, d_bath), axis1=1, axis2=3)
 
-
-def assert_hermitian(a: np.ndarray, tol: float = 1e-12) -> None:
-    defect = np.max(np.abs(a - np.asarray(a).conj().T))
-    if defect > tol:
-        raise AssertionError(f"not Hermitian within {tol}: defect {defect:.3g}")
-
-
-def assert_unitary(u: np.ndarray, tol: float = 1e-10) -> None:
-    u = np.asarray(u)
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if defect > tol:
-        raise AssertionError(f"not unitary within {tol}: defect {defect:.3g}")
-
-
-def assert_density_matrix(rho: np.ndarray, tol: float = 1e-9) -> None:
-    rho = np.asarray(rho)
-    assert_hermitian(rho, max(tol, 1e-12))
-    trace_defect = abs(np.trace(rho) - 1.0)
-    if trace_defect > max(tol, 1e-10):
-        raise AssertionError(f"trace differs from 1 by {trace_defect:.3g}")
-    min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
-    if min_eig < -tol:
-        raise AssertionError(f"negative eigenvalue {min_eig:.3g}")

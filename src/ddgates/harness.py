@@ -59,15 +59,8 @@ from .noise import (
     SpinBathSpec,
     calibrate_to_targets,
 )
-from .simulate import average_channel_output, ou_propagators
-from .tomography import (
-    TOMO_INPUT_STATES,
-    ChannelSamples,
-    chi_reconstruct,
-    gate_fidelity,
-    ideal_channel_samples,
-    process_fidelity,
-)
+from .simulate import channel_operators
+from .tomography import chi_from_operators, gate_fidelity
 
 GATES = ("H", "NOT", "PI8", "NOOP")
 SCHEMES = ("simple", "simple_padded", "bb1", "xy4", "xy8", "kdd")
@@ -315,28 +308,18 @@ def simulate_cell(
         schedule = build_schedule(gate, scheme, tau)
         if epsilon:
             schedule = apply_amplitude_error(schedule, epsilon)
-        if isinstance(noise_model, OUNoiseSpec):
-            props = ou_propagators(schedule, noise_model, realizations, seed)
-            chi_ideal = chi_reconstruct(ideal_channel_samples(schedule.target_gate))
-
-            def chi_of(batch):
-                outs = tuple(average_channel_output(batch, rho) for rho in TOMO_INPUT_STATES)
-                return chi_reconstruct(ChannelSamples(outs))
-
-            fidelity = gate_fidelity(chi_of(props), chi_ideal)
-            n_batches = min(_STDERR_BATCHES, realizations)
-            if n_batches > 1:
-                batch_f = [
-                    gate_fidelity(chi_of(props[idx]), chi_ideal)
-                    for idx in np.array_split(np.arange(realizations), n_batches)
-                ]
-                stderr = float(np.std(batch_f, ddof=1) / math.sqrt(n_batches))
-            else:
-                stderr = 0.0
-        else:
-            # Noiseless and quantum-bath channels are exact: no sampling error.
-            fidelity = process_fidelity(schedule, noise_model, realizations, seed)
-            stderr = 0.0
+        ops = channel_operators(schedule, noise_model, realizations, seed)
+        chi_ideal = chi_from_operators(schedule.target_gate[None])
+        fidelity = gate_fidelity(chi_from_operators(ops), chi_ideal)
+        stderr = 0.0
+        n_batches = min(_STDERR_BATCHES, realizations)
+        # Noiseless and quantum-bath channels are exact: no sampling error.
+        if isinstance(noise_model, OUNoiseSpec) and n_batches > 1:
+            batch_f = [
+                gate_fidelity(chi_from_operators(batch), chi_ideal)
+                for batch in np.array_split(ops, n_batches)
+            ]
+            stderr = float(np.std(batch_f, ddof=1) / math.sqrt(n_batches))
         return ResultRow(
             gate=gate,
             scheme=scheme,
@@ -396,14 +379,13 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
         return list(pool.map(_cell_worker, tasks, chunksize=1))
 
 
-def run_table1(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[ResultRow], dict]:
+def run_table1(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
     """Benchmark the rotation gates at their reference times with XY-8.
 
     tau is chosen so the protected schedule duration equals the reference gate
     time: tau = duration / (rotations * 5 * 8).  Returns the rows plus a report
     placing simulated fidelities beside the reference values.
     """
-    del jobs  # three cells; parallelism is not worth the determinism burden
     noise_model = resolve_noise(cfg)
     gates = [g for g in sorted(dict.fromkeys(cfg.gates)) if g in REFERENCE_GATE_TIMES_S]
     if not gates:

@@ -41,6 +41,9 @@ class SpinBathSpec:
         d = np.array(self.bath_couplings, dtype=float)
         if d.shape != (self.n_bath, self.n_bath):
             raise ValueError(f"bath_couplings must be {self.n_bath}x{self.n_bath}")
+        if not (np.all(np.isfinite(self.couplings)) and np.all(np.isfinite(d))
+                and math.isfinite(self.system_offset)):
+            raise ValueError("couplings, bath_couplings and system_offset must be finite")
         if self.n_bath and (np.any(d != d.T) or np.any(np.diag(d) != 0.0)):
             raise ValueError("bath_couplings must be symmetric with zero diagonal")
         d.setflags(write=False)
@@ -57,31 +60,14 @@ class OUNoiseSpec:
     sigma_static: float = 0.0  # std of the per-realization static offset, rad/s
 
     def __post_init__(self):
-        if self.sigma < 0 or self.sigma_static < 0:
-            raise ValueError("sigma and sigma_static must be non-negative")
-        if self.tau_c <= 0:
-            raise ValueError("tau_c must be positive")
+        # Chained comparisons are False for NaN, so these also reject NaN and inf.
+        if not (0 <= self.sigma < math.inf and 0 <= self.sigma_static < math.inf):
+            raise ValueError("sigma and sigma_static must be finite and non-negative")
+        if not 0 < self.tau_c < math.inf:
+            raise ValueError("tau_c must be positive and finite")
         # dt must resolve the correlation time.
         if not 0 < self.dt <= self.tau_c / 10 * (1 + 1e-12):
             raise ValueError("dt must satisfy 0 < dt <= tau_c / 10")
-
-
-@dataclass(frozen=True, eq=False)
-class NoiseTrajectory:
-    """Sampled dephasing frequency delta(t), piecewise-constant on the grid."""
-
-    times: np.ndarray
-    delta: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        delta = np.asarray(self.delta, dtype=float)
-        if times.shape != delta.shape:
-            raise ValueError("times and delta must have equal length")
-        if times.size == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
-            raise ValueError("times must start at 0 and increase")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "delta", delta)
 
 
 class CalibrationError(RuntimeError):
@@ -116,17 +102,15 @@ def _bath_site_operator(n_bath: int, site: int, component: np.ndarray) -> np.nda
     return op
 
 
-def build_bath_hamiltonians(
-    spec: SpinBathSpec, max_spins: int = DEFAULT_MAX_SPINS
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def build_bath_hamiltonians(spec: SpinBathSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (H_S, H_SE, H_E) on the full system (x) bath space.
 
     H_S is the system offset, H_SE the Ising system-bath dephasing coupling,
     H_E the secular dipolar intra-bath coupling (flip-flop terms included).
     """
     n = spec.n_bath
-    if 1 + n > max_spins:
-        raise ValueError(f"{1 + n} total spins exceeds the maximum of {max_spins}")
+    if 1 + n > DEFAULT_MAX_SPINS:
+        raise ValueError(f"{1 + n} total spins exceeds the maximum of {DEFAULT_MAX_SPINS}")
     sx, sy, sz = spin_half_operators()
     dim_b = 2**n
     eye_b = np.eye(dim_b, dtype=complex)
@@ -148,8 +132,8 @@ def build_bath_hamiltonians(
     return h_s, h_se, h_e
 
 
-def total_hamiltonian(spec: SpinBathSpec, max_spins: int = DEFAULT_MAX_SPINS) -> np.ndarray:
-    h_s, h_se, h_e = build_bath_hamiltonians(spec, max_spins)
+def total_hamiltonian(spec: SpinBathSpec) -> np.ndarray:
+    h_s, h_se, h_e = build_bath_hamiltonians(spec)
     return h_s + h_se + h_e
 
 
@@ -207,16 +191,6 @@ def sample_ou_ensemble(
     if spec.sigma_static:
         delta += spec.sigma_static * g[:, -1][:, None]
     return delta
-
-
-def sample_ou_trajectory(spec: OUNoiseSpec, total_time: float, seed: int) -> NoiseTrajectory:
-    """One trajectory covering total_time; bit-identical per (seed, spec, total_time)."""
-    if total_time <= 0:
-        raise ValueError("total_time must be positive")
-    n_steps = _step_count(total_time, spec.dt)
-    delta = sample_ou_ensemble(spec, n_steps, 1, seed)[0]
-    times = np.arange(n_steps + 1) * spec.dt
-    return NoiseTrajectory(times, delta)
 
 
 def _step_count(total_time: float, dt: float) -> int:

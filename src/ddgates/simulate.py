@@ -4,7 +4,8 @@ Schedules are consumed structurally: an ordered event list where each event
 is a delay, an instantaneous hard pulse, or a finite-duration weak rotation
 during which the noise acts concurrently.  Three engines: ideal (no noise),
 quantum spin bath (exact, dense), and classical OU trajectory ensembles
-(vectorized over realizations).
+(vectorized over realizations).  `channel_operators` turns any of them into
+the operator ensemble whose average is the simulated system channel.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 import numpy as np
 
 from .core import (
-    DEFAULT_MAX_SPINS,
     embed_system,
     hermitian_expm,
     partial_trace_bath,
@@ -32,10 +32,6 @@ from .noise import (
 )
 
 
-def schedule_duration(schedule) -> float:
-    return float(sum(ev.duration for ev in schedule.events))
-
-
 def ideal_propagator(schedule, honor_amplitude: bool = False) -> np.ndarray:
     """Zero-noise system propagator; amplitude scales applied only on request."""
     u = np.eye(2, dtype=complex)
@@ -47,11 +43,9 @@ def ideal_propagator(schedule, honor_amplitude: bool = False) -> np.ndarray:
     return u
 
 
-def bath_propagator(
-    schedule, spec: SpinBathSpec, max_spins: int = DEFAULT_MAX_SPINS
-) -> np.ndarray:
+def bath_propagator(schedule, spec: SpinBathSpec) -> np.ndarray:
     """Exact propagator on the system (x) bath space, amplitude scales applied."""
-    h_noise = total_hamiltonian(spec, max_spins)
+    h_noise = total_hamiltonian(spec)
     w, v = np.linalg.eigh(h_noise)
     v_dag = v.conj().T
     sx, sy, _ = spin_half_operators()
@@ -63,14 +57,14 @@ def bath_propagator(
             continue
         angle = ev.rotation.angle * ev.amplitude_scale
         if ev.duration == 0.0:
-            u = embed_system(rotation_unitary(ev.rotation.phase, angle), spec.n_bath, max_spins) @ u
+            u = embed_system(rotation_unitary(ev.rotation.phase, angle), spec.n_bath) @ u
         else:
             # Finite-duration drive: drift stays active during the rotation.
             omega = angle / ev.duration
             h_ctrl = omega * (
                 math.cos(ev.rotation.phase) * sx + math.sin(ev.rotation.phase) * sy
             )
-            h_seg = embed_system(h_ctrl, spec.n_bath, max_spins) + h_noise
+            h_seg = embed_system(h_ctrl, spec.n_bath) + h_noise
             u = hermitian_expm(h_seg, ev.duration) @ u
     return u
 
@@ -101,7 +95,7 @@ def ou_propagators(schedule, spec: OUNoiseSpec, n_realizations: int, seed: int) 
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
-    total = schedule_duration(schedule)
+    total = schedule.total_duration
     n_steps = _step_count(total, spec.dt) if total > 0 else 1
     delta = sample_ou_ensemble(spec, n_steps, n_realizations, seed)
     phi = ou_phase_rows(delta, spec.dt)
@@ -134,11 +128,31 @@ def ou_propagators(schedule, spec: OUNoiseSpec, n_realizations: int, seed: int) 
     return u
 
 
+def channel_operators(schedule, noise_model, n_realizations: int, seed: int) -> np.ndarray:
+    """Operators K, shape (k, 2, 2), whose mean of K rho K^dag is the system channel.
+
+    noise_model None gives the ideal propagator with amplitude scales applied;
+    an OUNoiseSpec gives the n_realizations trajectory propagators keyed by
+    seed; a SpinBathSpec gives the d^2 system blocks of the exact propagator
+    times sqrt(d), d = 2**n_bath, which average the maximally mixed bath
+    exactly (n_realizations and seed are unused for both).
+    """
+    if noise_model is None:
+        return ideal_propagator(schedule, honor_amplitude=True)[None]
+    if isinstance(noise_model, OUNoiseSpec):
+        return ou_propagators(schedule, noise_model, n_realizations, seed)
+    if isinstance(noise_model, SpinBathSpec):
+        d = 2**noise_model.n_bath
+        # Block (j, k) is <j|_bath U |k>_bath; Tr_bath[U (rho x I/d) U^dag] sums
+        # its conjugations over (j, k) with weight 1/d.
+        blocks = bath_propagator(schedule, noise_model).reshape(2, d, 2, d)
+        return math.sqrt(d) * blocks.transpose(1, 3, 0, 2).reshape(d * d, 2, 2)
+    raise TypeError(f"unsupported noise model {type(noise_model).__name__}")
+
+
 def average_channel_output(propagators: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Ensemble-averaged U rho U^dag over a batch of 2x2 propagators."""
+    """Ensemble-averaged U rho U^dag over a batch of 2x2 propagators, shape (n, 2, 2)."""
     u = np.asarray(propagators)
-    if u.ndim == 2:
-        return u @ rho @ u.conj().T
     return np.einsum("rij,jk,rlk->il", u, rho, u.conj()) / u.shape[0]
 
 

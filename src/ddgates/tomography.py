@@ -1,10 +1,13 @@
 """Single-qubit process tomography and the propagator/process fidelity metric.
 
-Channels are probed on the four input states |0>, |1>, |+>, |+i>, expanded in
-the operator basis (I, sigma_x, i*sigma_y, sigma_z), and reconstructed by
-plain linear inversion of the resulting 16x16 system.  No positivity
-projection is applied; defects of Monte-Carlo reconstructions are reported,
-not repaired.
+Chi matrices are expanded in the operator basis (I, sigma_x, i*sigma_y,
+sigma_z).  A simulated channel is an average of K rho K^dag over an operator
+ensemble, so its chi is computed directly from the operators' basis
+coefficients.  Measured output states on the four inputs |0>, |1>, |+>, |+i>
+are reconstructed by plain linear inversion of the resulting 16x16 system,
+which also serves as the independent check of the direct route.  No
+positivity projection is applied; defects of Monte-Carlo reconstructions are
+reported, not repaired.
 """
 
 from __future__ import annotations
@@ -15,14 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
-from .noise import OUNoiseSpec, SpinBathSpec
-from .simulate import (
-    average_channel_output,
-    bath_channel_output,
-    bath_propagator,
-    ideal_propagator,
-    ou_propagators,
-)
+from .simulate import average_channel_output, channel_operators
 
 CHI_BASIS: tuple[np.ndarray, ...] = (IDENTITY_2, SIGMA_X, 1j * SIGMA_Y, SIGMA_Z)
 CHI_BASIS_LABELS = ("I", "X", "iY", "Z")
@@ -118,6 +114,16 @@ def chi_reconstruct(samples: ChannelSamples) -> ChiMatrix:
     return ChiMatrix(chi)
 
 
+def chi_from_operators(ops: np.ndarray) -> ChiMatrix:
+    """Chi matrix of the channel rho -> mean over k of K_k rho K_k^dag, ops shape (n, 2, 2).
+
+    With K = sum_m c_m B_m over the orthogonal basis (Tr(B_m^dag B_n) = 2 delta_mn),
+    chi_mn is the ensemble mean of c_m conj(c_n).
+    """
+    c = np.einsum("mij,kij->km", np.conj(CHI_BASIS), ops) / 2
+    return ChiMatrix(c.T @ c.conj() / len(c))
+
+
 def _as_matrix(x) -> np.ndarray:
     if isinstance(x, ChiMatrix):
         return x.entries
@@ -146,29 +152,14 @@ def ideal_channel_samples(target: np.ndarray) -> ChannelSamples:
 def simulate_channel(schedule, noise_model, n_realizations: int, seed: int) -> ChannelSamples:
     """Ensemble-averaged output states of a schedule on the tomography inputs.
 
-    noise_model may be None (noiseless), an OUNoiseSpec (Monte-Carlo ensemble
-    of n_realizations trajectories keyed by seed), or a SpinBathSpec (exact
-    maximally mixed bath average; n_realizations and seed are unused).
-    Amplitude scales stored on the schedule are part of the simulated physics.
+    The noise models are those of `channel_operators`; amplitude scales stored
+    on the schedule are part of the simulated physics.
     """
-    if noise_model is None:
-        u = ideal_propagator(schedule, honor_amplitude=True)
-        outs = tuple(u @ rho @ u.conj().T for rho in TOMO_INPUT_STATES)
-    elif isinstance(noise_model, OUNoiseSpec):
-        props = ou_propagators(schedule, noise_model, n_realizations, seed)
-        outs = tuple(average_channel_output(props, rho) for rho in TOMO_INPUT_STATES)
-    elif isinstance(noise_model, SpinBathSpec):
-        u_full = bath_propagator(schedule, noise_model)
-        outs = tuple(
-            bath_channel_output(u_full, rho, noise_model.n_bath) for rho in TOMO_INPUT_STATES
-        )
-    else:
-        raise TypeError(f"unsupported noise model {type(noise_model).__name__}")
-    return ChannelSamples(outs)
+    ops = channel_operators(schedule, noise_model, n_realizations, seed)
+    return ChannelSamples(tuple(average_channel_output(ops, rho) for rho in TOMO_INPUT_STATES))
 
 
 def process_fidelity(schedule, noise_model, n_realizations: int, seed: int) -> float:
-    """Fidelity between the reconstructed chi of the simulated channel and its target."""
-    chi_actual = chi_reconstruct(simulate_channel(schedule, noise_model, n_realizations, seed))
-    chi_ideal = chi_reconstruct(ideal_channel_samples(schedule.target_gate))
-    return gate_fidelity(chi_actual, chi_ideal)
+    """Fidelity between the chi of the simulated channel and that of its target gate."""
+    chi_actual = chi_from_operators(channel_operators(schedule, noise_model, n_realizations, seed))
+    return gate_fidelity(chi_actual, chi_from_operators(schedule.target_gate[None]))

@@ -8,7 +8,6 @@ import pytest
 from ddgates.compiler import (
     DD_KINDS,
     KDD,
-    PDD,
     TAU_MAX,
     TAU_MIN,
     XY4,
@@ -135,7 +134,6 @@ def test_dd_cycle_pulse_counts():
     assert cycle_pulse_count(XY4) == 4
     assert cycle_pulse_count(XY8) == 8
     assert cycle_pulse_count(KDD) == 20
-    assert cycle_pulse_count(PDD) == 4
     for name, kind in DD_KINDS.items():
         assert pulse_count(dd_cycle(kind, 1e-5)) == cycle_pulse_count(kind), name
 
@@ -143,14 +141,6 @@ def test_dd_cycle_pulse_counts():
 def test_dd_cycle_xy8_is_mirrored_xy4():
     phases = [ev.rotation.phase for ev in dd_cycle(XY8, 1e-5).events if ev.kind == "hard_pulse"]
     assert phases == [0.0, math.pi / 2, 0.0, math.pi / 2, math.pi / 2, 0.0, math.pi / 2, 0.0]
-
-
-def test_pdd_cycle_is_asymmetric():
-    tau = 1e-5
-    sched = dd_cycle(PDD, tau)
-    kinds = [ev.kind for ev in sched.events]
-    assert kinds == ["delay", "hard_pulse"] * 4
-    assert all(ev.duration == pytest.approx(tau) for ev in sched.events if ev.kind == "delay")
 
 
 def test_cycle_propagator_identities():
@@ -186,11 +176,6 @@ def test_protected_rotation_structure():
 def test_protected_rotation_zero_angle_is_plain_cycle():
     sched = protected_rotation(RotationSpec(0.0, 0.0), XY8, 1e-5)
     assert sched.events == dd_cycle(XY8, 1e-5).events
-
-
-def test_protected_rotation_rejects_pdd():
-    with pytest.raises(CompileError):
-        protected_rotation(RotationSpec(0.0, math.pi), PDD, 1e-5)
 
 
 def test_protected_gate_counts_and_targets():

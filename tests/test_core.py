@@ -7,9 +7,7 @@ from ddgates.core import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    EvolutionSegment,
     embed_system,
-    evolve,
     hermitian_expm,
     partial_trace_bath,
     rotation_unitary,
@@ -93,21 +91,6 @@ def test_embed_system_structure():
 def test_embed_system_rejects_oversized_bath():
     with pytest.raises(ValueError):
         embed_system(SIGMA_X, 8)
-
-
-def test_evolve_orders_later_segments_on_the_left():
-    # sx then sz: segments listed in time order, product applies sz last
-    seg1 = EvolutionSegment(SIGMA_X, 0.3)
-    seg2 = EvolutionSegment(SIGMA_Z, 0.5)
-    u = evolve([seg1, seg2])
-    expected = scipy.linalg.expm(-1j * SIGMA_Z * 0.5) @ scipy.linalg.expm(-1j * SIGMA_X * 0.3)
-    assert np.allclose(u, expected, atol=1e-12)
-    assert not np.allclose(u, scipy.linalg.expm(-1j * SIGMA_X * 0.3) @ scipy.linalg.expm(-1j * SIGMA_Z * 0.5))
-
-
-def test_evolution_segment_rejects_negative_duration():
-    with pytest.raises(ValueError):
-        EvolutionSegment(SIGMA_X, -1e-9)
 
 
 def test_partial_trace_recovers_product_state():

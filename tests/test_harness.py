@@ -330,6 +330,44 @@ def test_cli_exit_codes(tmp_path):
     assert cli_main(["bogus-subcommand"]) == 1
 
 
+@pytest.mark.parametrize(
+    "noise",
+    [
+        {"kind": "ou", "sigma": math.nan, "tau_c_s": 1.5e-4, "dt_s": 1.5e-5},
+        {"kind": "ou", "sigma": 4e3, "tau_c_s": 1.5e-4, "dt_s": 1.5e-5, "sigma_static": math.inf},
+        {"kind": "spin_bath", "couplings": [1e4, math.nan], "bath_couplings": [[0.0, 0.0], [0.0, 0.0]]},
+        {"kind": "spin_bath", "couplings": [1e4, 2e4],
+         "bath_couplings": [[0.0, math.nan], [math.nan, 0.0]]},
+        {"kind": "spin_bath", "couplings": [1e4, 2e4], "bath_couplings": [[0.0, 0.0], [0.0, 0.0]],
+         "system_offset": math.nan},
+    ],
+    ids=["sigma", "sigma_static", "couplings", "bath_couplings", "system_offset"],
+)
+def test_cli_rejects_non_finite_noise_parameters(tmp_path, capsys, noise):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(BASE_CONFIG, noise=noise)), encoding="utf-8")
+    with pytest.raises(ConfigError):
+        load_config(str(cfg_path))
+    assert cli_main(["simulate", "--config", str(cfg_path), "--gate", "NOT",
+                     "--scheme", "xy8", "--tau", "1.5e-5"]) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_cli_sweep_reports_failed_cells(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(BASE_CONFIG, tau_grid_s=[1.5e-5, 2e-3])), encoding="utf-8")
+    sweep_csv = tmp_path / "sweep.csv"
+    sweep_sum = tmp_path / "sweep.json"
+    code = cli_main(["sweep", "--config", str(cfg_path), "--realizations", "20",
+                     "--out", str(sweep_csv), "--summary", str(sweep_sum)])
+    assert code == 2
+    rows = rows_from_csv(sweep_csv.read_text(encoding="utf-8"))
+    # simple ignores tau; xy8 rejects a tau above TAU_MAX
+    assert [bool(row.error) for row in rows] == [False, False, False, True]
+    assert "NOT" in json.loads(sweep_sum.read_text(encoding="utf-8"))
+    assert "1 of 4 cells failed" in capsys.readouterr().err
+
+
 def test_cli_simulate_and_sweep(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")

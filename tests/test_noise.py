@@ -17,7 +17,6 @@ from ddgates.noise import (
     fid_decay_curve,
     hahn_decay_curve,
     sample_ou_ensemble,
-    sample_ou_trajectory,
     total_hamiltonian,
 )
 
@@ -45,6 +44,28 @@ def test_spin_bath_spec_validation():
         SpinBathSpec(n_bath=2, couplings=(1.0, 2.0), bath_couplings=np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(ValueError):
         SpinBathSpec(n_bath=2, couplings=(1.0, 2.0), bath_couplings=np.eye(2))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: OUNoiseSpec(sigma=v, tau_c=1e-4, dt=1e-5),
+        lambda v: OUNoiseSpec(sigma=1.0, tau_c=1e-4, dt=1e-5, sigma_static=v),
+        lambda v: OUNoiseSpec(sigma=1.0, tau_c=v, dt=1e-5),
+        lambda v: SpinBathSpec(n_bath=2, couplings=(1.0, v), bath_couplings=np.zeros((2, 2))),
+        lambda v: SpinBathSpec(
+            n_bath=2, couplings=(1.0, 2.0), bath_couplings=np.array([[0.0, v], [v, 0.0]])
+        ),
+        lambda v: SpinBathSpec(
+            n_bath=2, couplings=(1.0, 2.0), bath_couplings=np.zeros((2, 2)), system_offset=v
+        ),
+    ],
+    ids=["sigma", "sigma_static", "tau_c", "couplings", "bath_couplings", "system_offset"],
+)
+def test_noise_specs_reject_non_finite_parameters(build, value):
+    with pytest.raises(ValueError, match="finite"):
+        build(value)
 
 
 def test_bath_hamiltonians_are_hermitian_and_dephasing():
@@ -108,14 +129,6 @@ def test_ou_ensemble_rows_do_not_depend_on_batch_layout():
     assert np.array_equal(full[5:], tail)
     again = sample_ou_ensemble(spec, n_steps=12, n_realizations=9, seed=104)
     assert np.array_equal(full, again)
-
-
-def test_ou_trajectory_grid():
-    spec = make_ou(dt=1e-5)
-    traj = sample_ou_trajectory(spec, total_time=9.5e-5, seed=3)
-    assert traj.times[0] == 0.0
-    assert traj.times[-1] >= 9.5e-5 - 1e-12
-    assert np.allclose(np.diff(traj.times), spec.dt)
 
 
 def test_fid_curve_static_gaussian_oracle():

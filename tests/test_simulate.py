@@ -13,7 +13,7 @@ from ddgates.compiler import (
     hard_pulse_schedule,
     protected_bb1_gate,
 )
-from ddgates.core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, embed_system
+from ddgates.core import DEFAULT_MAX_SPINS, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, embed_system
 from ddgates.noise import OUNoiseSpec, SpinBathSpec, sample_ou_ensemble, total_hamiltonian
 from ddgates.simulate import (
     _segment_unitaries,
@@ -22,7 +22,6 @@ from ddgates.simulate import (
     bath_propagator,
     ideal_propagator,
     ou_propagators,
-    schedule_duration,
 )
 
 
@@ -95,7 +94,7 @@ def test_ou_propagators_match_stepwise_oracle():
     props = ou_propagators(sched, spec, n, seed=606)
     from ddgates.noise import _step_count
 
-    n_steps = _step_count(schedule_duration(sched), spec.dt)
+    n_steps = _step_count(sched.total_duration, spec.dt)
     delta = sample_ou_ensemble(spec, n_steps, n, seed=606)
     for r in range(n):
         expected = _oracle_ou_propagator(sched, spec, delta[r])
@@ -179,11 +178,10 @@ def test_bath_propagator_matches_expm_oracle():
 
 
 def test_bath_propagator_rejects_oversized_bath():
-    spec = SpinBathSpec(
-        n_bath=2, couplings=(1.0, 2.0), bath_couplings=np.zeros((2, 2))
-    )
+    n = DEFAULT_MAX_SPINS  # one more spin than the limit, counting the system
+    spec = SpinBathSpec(n_bath=n, couplings=(1.0,) * n, bath_couplings=np.zeros((n, n)))
     with pytest.raises(ValueError):
-        bath_propagator(dd_cycle(XY4, 1e-5), spec, max_spins=2)
+        bath_propagator(dd_cycle(XY4, 1e-5), spec)
 
 
 def test_average_channel_output_identity_and_tp():
@@ -212,9 +210,3 @@ def test_bath_channel_output_reduces_correctly():
     # refocused cycle acts as the identity channel on any input
     u_cycle = bath_propagator(dd_cycle(XY4, 4e-6), spec)
     assert np.allclose(bath_channel_output(u_cycle, rho, 2), rho, atol=1e-12)
-
-
-def test_schedule_duration_sums_events():
-    sched = dd_cycle(XY4, 1e-5)
-    assert schedule_duration(sched) == pytest.approx(4e-5, rel=1e-12)
-    assert sched.total_duration == pytest.approx(4e-5, rel=1e-12)

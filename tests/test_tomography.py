@@ -2,16 +2,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ddgates.compiler import apply_amplitude_error, decompose_gate, gate_target, hard_pulse_schedule
+from ddgates.compiler import (
+    XY8,
+    apply_amplitude_error,
+    decompose_gate,
+    gate_target,
+    hard_pulse_schedule,
+    protected_bb1_gate,
+)
 from ddgates.core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, rotation_unitary
-from ddgates.noise import OUNoiseSpec
-from ddgates.simulate import ideal_propagator
+from ddgates.noise import OUNoiseSpec, SpinBathSpec
+from ddgates.simulate import (
+    average_channel_output,
+    bath_channel_output,
+    bath_propagator,
+    channel_operators,
+    ideal_propagator,
+    ou_propagators,
+)
 from ddgates.tomography import (
     CHI_BASIS,
     TOMO_INPUT_STATES,
     ChannelSamples,
     ChiMatrix,
+    chi_from_operators,
     chi_reconstruct,
     gate_fidelity,
     ideal_channel_samples,
@@ -184,3 +201,47 @@ def test_simulate_channel_dispatches_models():
     assert np.allclose(chi_reconstruct(samples).entries, chi_of_unitary(-1j * SIGMA_X), atol=1e-10)
     with pytest.raises(TypeError):
         simulate_channel(sched, object(), 1, 0)
+
+
+def _oracle_cases():
+    h = hard_pulse_schedule(decompose_gate("H"), gate_target("H"), "h")
+    u = ideal_propagator(h, honor_amplitude=True)
+    yield "noiseless_H", h, None, [u @ rho @ u.conj().T for rho in TOMO_INPUT_STATES]
+
+    ou = OUNoiseSpec(sigma=4e3, tau_c=1.5e-4, dt=1.5e-5, sigma_static=2e3)
+    not_xy8 = apply_amplitude_error(protected_bb1_gate(decompose_gate("NOT"), XY8, 1.5e-5), 0.01)
+    props = ou_propagators(not_xy8, ou, 200, seed=17)
+    yield "ou_NOT_xy8", not_xy8, ou, [average_channel_output(props, rho) for rho in TOMO_INPUT_STATES]
+
+    bath = SpinBathSpec(
+        n_bath=2, couplings=(2.5e4, 1.5e4),
+        bath_couplings=np.array([[0.0, 2.0e4], [2.0e4, 0.0]]), system_offset=1.0e3,
+    )
+    u_full = bath_propagator(not_xy8, bath)
+    yield "bath_NOT_xy8", not_xy8, bath, [bath_channel_output(u_full, rho, 2) for rho in TOMO_INPUT_STATES]
+
+
+@pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda c: c[0])
+def test_chi_from_operators_matches_linear_inversion(case):
+    _, sched, noise, outputs = case
+    direct = chi_from_operators(channel_operators(sched, noise, 200, seed=17))
+    oracle = chi_reconstruct(ChannelSamples(tuple(outputs)))
+    assert np.max(np.abs(direct.entries - oracle.entries)) < 1e-12
+
+
+def _u2(gphase, t, x, y):
+    a = math.cos(t) * np.exp(1j * x)
+    b = math.sin(t) * np.exp(1j * y)
+    return np.exp(1j * gphase) * np.array([[a, -np.conj(b)], [b, np.conj(a)]])
+
+
+_ANGLE = st.floats(-math.pi, math.pi, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_ANGLE, _ANGLE, _ANGLE, _ANGLE), min_size=1, max_size=50))
+def test_chi_from_operators_is_a_channel_for_any_unitary_ensemble(params):
+    chi = chi_from_operators(np.array([_u2(*p) for p in params]))
+    assert chi.hermiticity_defect() <= 1e-12
+    assert chi.trace_preservation_residual() <= 1e-12
+    assert chi.min_eigenvalue() >= -1e-12
