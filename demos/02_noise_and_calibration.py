@@ -14,8 +14,8 @@ from ddgates.noise import coherence_1e_time
 print("Quantum bath (4 spins, exact average):")
 bath = default_spin_bath(n_bath=4, seed=2024)
 delays = np.linspace(0.0, 4e-4, 81)
-fid = fid_decay_curve(bath, delays, 1, seed=0)
-hahn = hahn_decay_curve(bath, delays, 1, seed=0)
+fid = fid_decay_curve(bath, delays)
+hahn = hahn_decay_curve(bath, delays)
 for (t, cf), (_, ch) in list(zip(fid, hahn))[::20]:
     print(f"  t={t * 1e6:6.1f} us  FID={cf:.4f}  echo={ch:.4f}")
 # A four-spin bath is too small to dephase an echo: the flip-flop dynamics
@@ -25,7 +25,7 @@ print(f"  FID 1/e time: {coherence_1e_time(fid) * 1e6:.1f} us; "
       f"echo floor on this window: {echo_floor:.3f} (never below 1/e)")
 
 print("\nCalibrating the classical model to T2* = 370 us, T2 = 750 us ...")
-result = calibrate_to_targets(370e-6, 750e-6, seed=7)
+result = calibrate_to_targets(370e-6, 750e-6)
 p = result.params
 print(f"  sigma        = {p.sigma:9.1f} rad/s   (fluctuating part)")
 print(f"  tau_c        = {p.tau_c * 1e6:9.1f} us      (correlation time)")
@@ -35,7 +35,7 @@ print(f"  fitted T2    = {result.fitted_t2_hahn * 1e6:9.1f} us      (target 750)
 
 print("\nThe echo outlives free induction because the static part refocuses:")
 grid = np.linspace(0.0, 1.2e-3, 49)
-fid_c = fid_decay_curve(p, grid, 4000, seed=1)
-hahn_c = hahn_decay_curve(p, grid, 4000, seed=1)
+fid_c = fid_decay_curve(p, grid)
+hahn_c = hahn_decay_curve(p, grid)
 for (t, cf), (_, ch) in list(zip(fid_c, hahn_c))[::12]:
     print(f"  t={t * 1e6:7.1f} us   FID={cf:.3f}   echo={ch:.3f}")

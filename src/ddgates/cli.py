@@ -39,7 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     cal = sub.add_parser("calibrate", help="fit noise parameters to decay-time targets")
     cal.add_argument("--config", required=True, help="experiment config JSON")
     cal.add_argument("--out", help="path for the calibration artifact JSON")
-    cal.add_argument("--seed", type=int, help="override the config seed")
     cal.set_defaults(func=cmd_calibrate)
 
     comp = sub.add_parser("compile", help="compile one gate schedule to JSON")
@@ -98,8 +97,7 @@ def _write_or_print(text: str, out_path: str | None) -> None:
 
 
 def cmd_calibrate(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    result = run_calibration(cfg, args.out)
+    result = run_calibration(load_config(args.config), args.out)
     print(f"sigma = {result.params.sigma!r} rad/s")
     print(f"tau_c = {result.params.tau_c!r} s")
     print(f"sigma_static = {result.params.sigma_static!r} rad/s")

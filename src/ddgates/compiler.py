@@ -181,7 +181,8 @@ def bb1_expand(r: RotationSpec) -> list[RotationSpec]:
     ]
 
 
-def _check_tau(tau: float) -> None:
+def check_tau(tau: float) -> None:
+    """Reject a tau outside [TAU_MIN, TAU_MAX] with a CompileError."""
     if not tau > 0:
         raise CompileError("tau must be positive")
     if not TAU_MIN <= tau <= TAU_MAX:
@@ -216,7 +217,7 @@ def dd_cycle(kind: DDKind, tau: float) -> Schedule:
 
     Half delays sit at both ends, so the duration is pulses * tau.
     """
-    _check_tau(tau)
+    check_tau(tau)
     phases = _cycle_pulse_phases(kind)
     events: list[PulseEvent] = [PulseEvent("delay", tau / 2)]
     for i, p in enumerate(phases):

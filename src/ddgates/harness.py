@@ -45,6 +45,7 @@ from .compiler import (
     CompileError,
     apply_amplitude_error,
     bb1_expand,
+    check_tau,
     cycle_pulse_count,
     dd_cycle,
     decompose_gate,
@@ -203,10 +204,14 @@ def load_config(path: str) -> ExperimentConfig:
     return config_from_dict(doc)
 
 
-def calibration_artifact_text(cfg_seed: int, targets: CalibrationTargets, result: CalibrationResult) -> str:
+# Schema 1 also held the seed of the Monte-Carlo fit; both schemas load alike.
+CALIBRATION_SCHEMA = 2
+
+
+def calibration_artifact_text(targets: CalibrationTargets, result: CalibrationResult) -> str:
     doc = {
+        "schema": CALIBRATION_SCHEMA,
         "targets": {"t2_star_s": targets.t2_star_s, "t2_hahn_s": targets.t2_hahn_s},
-        "seed": cfg_seed,
         "params": {
             "kind": "ou",
             "sigma": result.params.sigma,
@@ -225,21 +230,24 @@ def calibration_artifact_text(cfg_seed: int, targets: CalibrationTargets, result
 def load_calibration(path: str) -> OUNoiseSpec:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        schema = doc.get("schema", 1)
+        if schema not in (1, CALIBRATION_SCHEMA):
+            raise ValueError(f"unknown schema {schema!r}")
         return _parse_noise(doc["params"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot load calibration artifact {path}: {exc}") from exc
 
 
 def run_calibration(cfg: ExperimentConfig, out_path: str | None = None) -> CalibrationResult:
     """Calibrate the configured targets; persist the artifact when out_path is given.
 
-    Deterministic per (targets, seed): reruns write byte-identical artifacts.
+    Deterministic per targets: reruns write byte-identical artifacts.
     """
     if not isinstance(cfg.noise, CalibrationTargets):
         raise ConfigError("run_calibration requires noise of kind 'targets'")
-    result = calibrate_to_targets(cfg.noise.t2_star_s, cfg.noise.t2_hahn_s, seed=cfg.seed)
+    result = calibrate_to_targets(cfg.noise.t2_star_s, cfg.noise.t2_hahn_s)
     if out_path is not None:
-        text = calibration_artifact_text(cfg.seed, cfg.noise, result)
+        text = calibration_artifact_text(cfg.noise, result)
         Path(out_path).write_text(text, encoding="utf-8")
     return result
 
@@ -249,7 +257,7 @@ def resolve_noise(cfg: ExperimentConfig):
     if isinstance(cfg.noise, (OUNoiseSpec, SpinBathSpec)):
         return cfg.noise
     if isinstance(cfg.noise, CalibrationTargets):
-        return calibrate_to_targets(cfg.noise.t2_star_s, cfg.noise.t2_hahn_s, seed=cfg.seed).params
+        return calibrate_to_targets(cfg.noise.t2_star_s, cfg.noise.t2_hahn_s).params
     if isinstance(cfg.noise, CalibrationFileRef):
         return load_calibration(cfg.noise.path)
     raise ConfigError(f"unsupported noise entry {type(cfg.noise).__name__}")
@@ -265,7 +273,9 @@ def build_schedule(gate: str, scheme: str, tau: float):
     if scheme == "simple":
         return hard_pulse_schedule(rotations, target, label)
     if scheme == "simple_padded":
-        # Pad to the XY-8 protected duration so gate times compare like for like.
+        # Pad to the XY-8 protected duration so gate times compare like for like;
+        # tau sets that duration, so it gets the decoupling schemes' range check.
+        check_tau(tau)
         pad_to = len(rotations) * 5 * 8 * tau if rotations else 8 * tau
         return hard_pulse_schedule(rotations, target, label, pad_to=pad_to)
     if scheme == "bb1":

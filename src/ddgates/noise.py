@@ -13,14 +13,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import DEFAULT_MAX_SPINS, IDENTITY_2, rotation_unitary, spin_half_operators
 
 ONE_OVER_E = 1.0 / math.e
 
-# Row chunking keeps ensemble memory bounded for long trajectories.
-_CHUNK_BUDGET = 4_000_000
+# The calibration skips the static offset when the OU part alone puts the FID
+# time within this relative distance of its target (the equal-target case).
+EQUAL_TARGET_RTOL = 0.01
+# Bisection tolerance on log10(sigma): about 2e-6 relative in sigma.
+LOG_SIGMA_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,11 +78,10 @@ class CalibrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Measured 1/e decay times and the noise spec that produced them.
+    """Exact 1/e decay times of a fitted noise spec, and the spec.
 
-    For near-equal targets the two Monte-Carlo estimates are statistically
-    tied; the calibration orders the reported pair in that case, so the
-    refocusing inequality fitted_t2_star <= fitted_t2_hahn always holds.
+    An echo never has more phase variance than free induction of the same
+    length, so fitted_t2_star <= fitted_t2_hahn always holds.
     """
 
     fitted_t2_star: float
@@ -212,30 +213,49 @@ def ou_phase_at(phi: np.ndarray, delta: np.ndarray, dt: float, t: float) -> np.n
     return phi[:, k] + delta[:, k] * frac
 
 
-def _ou_coherences(
-    spec: OUNoiseSpec, delays: np.ndarray, n_realizations: int, seed: int, echo: bool
-) -> np.ndarray:
-    n_steps = _step_count(float(delays[-1]), spec.dt) if delays[-1] > 0 else 1
-    acc = np.zeros(len(delays), dtype=complex)
-    chunk = max(1, _CHUNK_BUDGET // (n_steps + 2))
-    for r0 in range(0, n_realizations, chunk):
-        rows = min(chunk, n_realizations - r0)
-        delta = sample_ou_ensemble(spec, n_steps, rows, seed, row_offset=r0)
-        phi = ou_phase_rows(delta, spec.dt)
-        for i, t in enumerate(delays):
-            p = ou_phase_at(phi, delta, spec.dt, float(t))
-            if echo:
-                p = p - 2.0 * ou_phase_at(phi, delta, spec.dt, float(t) / 2.0)
-            acc[i] += np.exp(1j * p).sum()
-    return np.abs(acc) / n_realizations
+def _ou_coherences(spec: OUNoiseSpec, delays: np.ndarray, echo: bool) -> np.ndarray:
+    """Exact ensemble coherence |<exp(i phi)>| = exp(-Var(phi) / 2) of the grid model.
+
+    The OU-plus-static trajectory is Gaussian, so each FID phase phi(t) and
+    echo phase phi(t) - 2 phi(t/2) is Gaussian too (Klauder & Anderson,
+    Phys. Rev. 125, 912 (1962); Cywinski et al., PRB 77, 174509 (2008)).
+    Cost and memory are O(len(delays)), whatever the trajectory length.
+    """
+    dt, x = spec.dt, spec.dt / spec.tau_c
+    n_steps = _step_count(float(delays[-1]), dt) if delays[-1] > 0 else 1
+    a, om = math.exp(-x), -math.expm1(-x)  # om = 1 - a
+
+    def rise(n):  # 1 - a^n
+        return -np.expm1(-n * x)
+
+    def grid_point(t):  # step index k and remainder f of t, as ou_phase_at splits it
+        k = np.minimum(np.floor(t / dt), n_steps)
+        return k, np.maximum(t - k * dt, 0.0)
+
+    def covariance(s, t):
+        # Cov(phi(s), phi(t)) / sigma^2 for grid points s <= t, where phi at (k, f)
+        # is dt * sum_{j<k} delta_j + f * delta_k and Cov(delta_i, delta_j) =
+        # sigma^2 a^|i-j|: each double sum is a geometric series.
+        (ks, fs), (kt, ft) = s, t
+        m = kt - ks
+        blocks = (ks * (1 + a) * om - a * rise(ks) * (2 - rise(m))) / om**2
+        point_t = np.exp(-(m + 1) * x) * rise(ks) / om
+        point_s = (rise(ks + 1) + a * rise(m - 1)) / om
+        return dt * dt * blocks + dt * (ft * point_t + fs * point_s) + fs * ft * np.exp(-m * x)
+
+    end = grid_point(delays)
+    var_ou = covariance(end, end)
+    area = end[0] * dt + end[1]  # sum of the phase weights, seen by the static offset
+    if echo:
+        mid = grid_point(delays / 2.0)
+        var_ou = var_ou + 4.0 * (covariance(mid, mid) - covariance(mid, end))
+        area = area - 2.0 * (mid[0] * dt + mid[1])
+    return np.exp(-0.5 * (spec.sigma**2 * var_ou + spec.sigma_static**2 * area**2))
 
 
 def _bath_coherences(spec: SpinBathSpec, delays: np.ndarray, echo: bool) -> np.ndarray:
-    h = total_hamiltonian(spec)
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(total_hamiltonian(spec))
     dim_b = 2**spec.n_bath
-    plus = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
-    rho0 = np.kron(plus, np.eye(dim_b, dtype=complex) / dim_b)
     pi_x = np.kron(rotation_unitary(0.0, math.pi), np.eye(dim_b, dtype=complex))
 
     def propagator(t):
@@ -247,19 +267,19 @@ def _bath_coherences(spec: SpinBathSpec, delays: np.ndarray, echo: bool) -> np.n
         if echo:
             half = propagator(float(t) / 2.0)
             u = half @ pi_x @ half
-        rho_s = np.trace((u @ rho0 @ u.conj().T).reshape(2, dim_b, 2, dim_b), axis1=1, axis2=3)
-        out[i] = 2.0 * abs(rho_s[0, 1])
+        # U (|+> (x) |b>) over the system blocks; the bath average is the trace over b.
+        blocks = u.reshape(2, dim_b, 2, dim_b)
+        up, down = blocks[0, :, 0] + blocks[0, :, 1], blocks[1, :, 0] + blocks[1, :, 1]
+        out[i] = abs(np.vdot(down, up)) / dim_b
     return out
 
 
-def _decay_curve(noise, delays, n_realizations: int, seed: int, echo: bool):
+def _decay_curve(noise, delays, echo: bool):
     delays = np.asarray(delays, dtype=float)
     if delays.size == 0 or delays[0] < 0 or np.any(np.diff(delays) <= 0):
         raise ValueError("delays must be non-negative and increasing")
-    if n_realizations < 1:
-        raise ValueError("n_realizations must be >= 1")
     if isinstance(noise, OUNoiseSpec):
-        coh = _ou_coherences(noise, delays, n_realizations, seed, echo)
+        coh = _ou_coherences(noise, delays, echo)
     elif isinstance(noise, SpinBathSpec):
         # The maximally mixed bath average is exact; no sampling involved.
         coh = _bath_coherences(noise, delays, echo)
@@ -268,14 +288,14 @@ def _decay_curve(noise, delays, n_realizations: int, seed: int, echo: bool):
     return list(zip(delays.tolist(), coh.tolist()))
 
 
-def fid_decay_curve(noise, delays, n_realizations: int, seed: int):
-    """Free-induction coherence of an initial +x state at each delay."""
-    return _decay_curve(noise, delays, n_realizations, seed, echo=False)
+def fid_decay_curve(noise, delays):
+    """Exact free-induction coherence of an initial +x state at each delay."""
+    return _decay_curve(noise, delays, echo=False)
 
 
-def hahn_decay_curve(noise, delays, n_realizations: int, seed: int):
-    """Coherence at each delay with an ideal pi_x refocusing pulse at delay/2."""
-    return _decay_curve(noise, delays, n_realizations, seed, echo=True)
+def hahn_decay_curve(noise, delays):
+    """Exact coherence at each delay with an ideal pi_x refocusing pulse at delay/2."""
+    return _decay_curve(noise, delays, echo=True)
 
 
 def coherence_1e_time(curve) -> float:
@@ -292,69 +312,50 @@ def coherence_1e_time(curve) -> float:
     return float(times[i - 1] + f * (times[i] - times[i - 1]))
 
 
-def _derived_seed(seed: int, stream: int) -> int:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+def _bisect_decreasing(f, lo: float, hi: float, what: str) -> float:
+    """Root of a decreasing f on [lo, hi] to LOG_SIGMA_TOL, after checking the bracket."""
+    if not f(lo) > 0 > f(hi):
+        raise CalibrationError(f"{what} not bracketed in [1e{lo:.1f}, 1e{hi:.1f}] rad/s")
+    while hi - lo > LOG_SIGMA_TOL:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) > 0 else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def calibrate_to_targets(
     target_t2_star: float,
     target_t2_hahn: float,
-    seed: int = 7,
-    n_realizations: int = 10000,
-    search_realizations: int = 2500,
     max_halvings: int = 12,
 ) -> CalibrationResult:
     """Fit an OU-plus-static model to FID and Hahn 1/e time targets.
 
-    The OU amplitude is solved against the Hahn target by bracketed 1-D root
-    finding (static offsets refocus exactly, so they drop out of the echo);
-    tau_c is halved until the OU part alone leaves the FID at or above its
-    target; the static width is then solved against the FID target.  Fitted
-    times are re-measured at n_realizations with an independent stream.
+    The OU amplitude is solved against the Hahn target by bisection on
+    log10(sigma) (static offsets refocus exactly, so they drop out of the
+    echo); tau_c is halved until the OU part alone brings the FID time above
+    (1 - EQUAL_TARGET_RTOL) x its target; unless it is then within that
+    tolerance, the static width is solved against the FID target.  All times
+    come from the exact curves: the fit is deterministic and needs no seed.
     """
-    if not 0 < target_t2_star <= target_t2_hahn:
-        raise ValueError("targets must satisfy 0 < target_t2_star <= target_t2_hahn")
+    if not 0 < target_t2_star <= target_t2_hahn < math.inf:
+        raise ValueError("targets must satisfy 0 < target_t2_star <= target_t2_hahn < inf")
     delays = np.linspace(0.0, 3.0 * target_t2_hahn, 181)
-    seed_hahn = _derived_seed(seed, 1)
-    seed_fid = _derived_seed(seed, 2)
-    seed_verify = _derived_seed(seed, 3)
 
-    def time_or_inf(curve_fn, spec, curve_seed, n_real):
+    def decay_time(curve_fn, sigma, tau_c, sigma_static=0.0):
         try:
-            return coherence_1e_time(curve_fn(spec, delays, n_real, curve_seed))
+            return coherence_1e_time(curve_fn(OUNoiseSpec(sigma, tau_c, tau_c / 10, sigma_static), delays))
         except ValueError:
             return math.inf
 
-    def hahn_time(log_sigma, tau_c):
-        spec = OUNoiseSpec(10.0**log_sigma, tau_c, tau_c / 10)
-        return time_or_inf(hahn_decay_curve, spec, seed_hahn, search_realizations)
-
-    def fid_time(sigma, tau_c, sigma_static, curve_seed, n_real):
-        spec = OUNoiseSpec(sigma, tau_c, tau_c / 10, sigma_static)
-        return time_or_inf(fid_decay_curve, spec, curve_seed, n_real)
-
-    lo, hi = 2.0, 7.5
     tau_c = target_t2_hahn / 5.0
-    sigma = math.nan
     fid_ou = math.nan
     for _ in range(max_halvings + 1):
-        f_lo = hahn_time(lo, tau_c) - target_t2_hahn
-        f_hi = hahn_time(hi, tau_c) - target_t2_hahn
-        if not (f_lo > 0 > f_hi):
-            raise CalibrationError(
-                f"Hahn target {target_t2_hahn:.3g} s not bracketed by sigma in "
-                f"[1e{lo:.1f}, 1e{hi:.1f}] rad/s at tau_c={tau_c:.3g} s"
-            )
-        log_sigma = brentq(
-            lambda ls: hahn_time(ls, tau_c) - target_t2_hahn, lo, hi, xtol=5e-4
+        sigma = 10.0 ** _bisect_decreasing(
+            lambda ls: decay_time(hahn_decay_curve, 10.0**ls, tau_c) - target_t2_hahn,
+            2.0, 7.5, f"Hahn target {target_t2_hahn:.3g} s by sigma at tau_c={tau_c:.3g} s",
         )
-        sigma = 10.0**log_sigma
-        fid_ou = fid_time(sigma, tau_c, 0.0, seed_fid, search_realizations)
-        # Stop short of the static-skip band: anything in [0.97, 1.04] x target
-        # skips the static stage with at most a 3% FID shortfall, and each
-        # halving doubles the trajectory step count.
-        if fid_ou >= 0.97 * target_t2_star:
+        fid_ou = decay_time(fid_decay_curve, sigma, tau_c)
+        # Each halving doubles the trajectory step count of the fitted model.
+        if fid_ou >= (1.0 - EQUAL_TARGET_RTOL) * target_t2_star:
             break
         tau_c /= 2.0
     else:
@@ -363,31 +364,16 @@ def calibrate_to_targets(
             f"target after {max_halvings} tau_c halvings"
         )
 
-    if fid_ou <= 1.04 * target_t2_star:
-        sigma_static = 0.0
-    else:
-        lo_s, hi_s = 0.5, 6.5
+    sigma_static = 0.0
+    if fid_ou > (1.0 + EQUAL_TARGET_RTOL) * target_t2_star:
+        sigma_static = 10.0 ** _bisect_decreasing(
+            lambda ls: decay_time(fid_decay_curve, sigma, tau_c, 10.0**ls) - target_t2_star,
+            0.5, 6.5, f"FID target {target_t2_star:.3g} s by sigma_static",
+        )
 
-        def fid_objective(log_ss):
-            return fid_time(sigma, tau_c, 10.0**log_ss, seed_fid, search_realizations) - target_t2_star
-
-        if not (fid_objective(lo_s) > 0 > fid_objective(hi_s)):
-            raise CalibrationError(
-                f"FID target {target_t2_star:.3g} s not bracketed by sigma_static in "
-                f"[1e{lo_s:.1f}, 1e{hi_s:.1f}] rad/s"
-            )
-        sigma_static = 10.0 ** brentq(fid_objective, lo_s, hi_s, xtol=5e-4)
-
-    params = OUNoiseSpec(sigma, tau_c, tau_c / 10, sigma_static)
-    m_star = time_or_inf(fid_decay_curve, params, seed_verify, n_realizations)
-    m_hahn = time_or_inf(hahn_decay_curve, params, seed_verify, n_realizations)
-    if not (math.isfinite(m_star) and math.isfinite(m_hahn)):
-        raise CalibrationError("fitted model has no 1/e crossing within the delay grid")
-    if m_star > m_hahn:
-        if m_star > 1.02 * m_hahn:
-            raise CalibrationError(
-                f"measured FID time {m_star:.3g} s exceeds Hahn time {m_hahn:.3g} s "
-                "beyond Monte-Carlo tolerance"
-            )
-        m_star, m_hahn = m_hahn, m_star
-    return CalibrationResult(m_star, m_hahn, params)
+    # Both times are finite: the echo was solved to its target, and FID decays faster.
+    return CalibrationResult(
+        decay_time(fid_decay_curve, sigma, tau_c, sigma_static),
+        decay_time(hahn_decay_curve, sigma, tau_c, sigma_static),
+        OUNoiseSpec(sigma, tau_c, tau_c / 10, sigma_static),
+    )

@@ -49,7 +49,7 @@ CALIBRATION_TARGETS = (370e-6, 750e-6)
 @pytest.fixture(scope="module")
 def calibrated():
     t0 = time.perf_counter()
-    result = calibrate_to_targets(*CALIBRATION_TARGETS, seed=7)
+    result = calibrate_to_targets(*CALIBRATION_TARGETS)
     return result, time.perf_counter() - t0
 
 
@@ -136,8 +136,8 @@ def test_criterion_06_calibration_hits_decay_targets(calibrated, tmp_path):
     # round trip: persisted artifact reloads to the identical noise spec
     from ddgates.harness import CalibrationTargets, calibration_artifact_text, load_calibration
 
-    text = calibration_artifact_text(7, CalibrationTargets(*CALIBRATION_TARGETS), result)
-    again = calibration_artifact_text(7, CalibrationTargets(*CALIBRATION_TARGETS), result)
+    text = calibration_artifact_text(CalibrationTargets(*CALIBRATION_TARGETS), result)
+    again = calibration_artifact_text(CalibrationTargets(*CALIBRATION_TARGETS), result)
     assert text == again
     path = tmp_path / "calibration.json"
     path.write_text(text, encoding="utf-8")

@@ -108,7 +108,7 @@ def test_resolve_noise_passthrough_and_artifact(tmp_path):
     assert resolve_noise(cfg) is cfg.noise
 
     result = CalibrationResult(3.6e-4, 7.4e-4, PINNED_NOISE)
-    text = calibration_artifact_text(9, CalibrationTargets(3.7e-4, 7.5e-4), result)
+    text = calibration_artifact_text(CalibrationTargets(3.7e-4, 7.5e-4), result)
     path = tmp_path / "cal.json"
     path.write_text(text, encoding="utf-8")
     loaded = load_calibration(str(path))
@@ -120,6 +120,62 @@ def test_resolve_noise_passthrough_and_artifact(tmp_path):
     d["noise"] = {"kind": "calibration", "path": str(tmp_path / "nope.json")}
     with pytest.raises(ConfigError):
         resolve_noise(config_from_dict(d))
+
+
+SCHEMA_1_ARTIFACT = {
+    "fitted": {"t2_hahn_s": 0.0007844619461963245, "t2_star_s": 0.00036534292361199645},
+    "params": {"dt_s": 1.5000000000000002e-05, "kind": "ou", "sigma": 4290.147255348526,
+               "sigma_static": 2294.366740901942, "tau_c_s": 0.00015000000000000001},
+    "seed": 1,
+    "targets": {"t2_hahn_s": 0.00075, "t2_star_s": 0.00037},
+}
+
+
+def test_calibration_artifact_schema_2_and_schema_1_both_load(tmp_path):
+    result = CalibrationResult(3.6e-4, 7.4e-4, PINNED_NOISE)
+    doc = json.loads(calibration_artifact_text(CalibrationTargets(3.7e-4, 7.5e-4), result))
+    assert doc["schema"] == 2
+    assert "seed" not in doc
+
+    old = tmp_path / "schema1.json"
+    old.write_text(json.dumps(SCHEMA_1_ARTIFACT), encoding="utf-8")
+    assert load_calibration(str(old)) == OUNoiseSpec(
+        sigma=4290.147255348526, tau_c=0.00015000000000000001,
+        dt=1.5000000000000002e-05, sigma_static=2294.366740901942,
+    )
+    for bad_doc in (dict(SCHEMA_1_ARTIFACT, schema=3), [SCHEMA_1_ARTIFACT]):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(bad_doc), encoding="utf-8")
+        with pytest.raises(ConfigError):
+            load_calibration(str(bad))
+
+
+def test_cli_calibrate_writes_a_seed_free_artifact(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    targets = {"kind": "targets", "t2_star_s": 3.7e-4, "t2_hahn_s": 7.5e-4}
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for seed, out in zip((1, 2), outs):
+        cfg_path.write_text(json.dumps(dict(BASE_CONFIG, noise=targets, seed=seed)), encoding="utf-8")
+        assert cli_main(["calibrate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    # The fit is exact, so the config seed does not change a byte.
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    doc = json.loads(outs[0].read_text(encoding="utf-8"))
+    for key in ("t2_star_s", "t2_hahn_s"):
+        assert doc["fitted"][key] == pytest.approx(targets[key], rel=1e-3)
+    assert load_calibration(str(outs[0])).sigma == doc["params"]["sigma"]
+    assert cli_main(["calibrate", "--config", str(cfg_path), "--seed", "3"]) == 1
+
+
+def test_simple_padded_rejects_tau_outside_the_supported_range():
+    # tau sets the padded duration: PI8 at 2e-3 s would pad to 0.24 s.
+    with pytest.raises(CompileError, match="tau"):
+        build_schedule("PI8", "simple_padded", 2e-3)
+    row = simulate_cell("PI8", "simple_padded", 2e-3, PINNED_NOISE, 0.01, 10000, 1)
+    assert "tau" in row.error
+    assert math.isnan(row.fidelity)
+    # simple and bb1 have no delays, so they keep ignoring tau.
+    for scheme in ("simple", "bb1"):
+        assert build_schedule("PI8", scheme, 2e-3).total_duration == 0.0
 
 
 def test_build_schedule_scheme_dispatch():
