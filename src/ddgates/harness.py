@@ -267,6 +267,8 @@ def build_schedule(gate: str, scheme: str, tau: float):
     """Compile one (gate, scheme) cell at inter-pulse delay tau."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    if not 0 < tau < math.inf:  # every scheme writes tau into its label
+        raise CompileError(f"tau must be positive and finite, got {tau!r}")
     rotations = decompose_gate(gate)
     target = gate_target(gate)
     label = f"{gate}:{scheme}:tau={tau:.6g}"

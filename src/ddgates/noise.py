@@ -159,12 +159,6 @@ def default_spin_bath(
     return SpinBathSpec(n_bath, tuple(b), d, system_offset)
 
 
-def _realization_normals(seed: int, realization: int, count: int) -> np.ndarray:
-    """Standard normals from a counter-based stream keyed by (seed, realization)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(realization,))
-    return np.random.Generator(np.random.Philox(ss)).standard_normal(count)
-
-
 def sample_ou_ensemble(
     spec: OUNoiseSpec,
     n_steps: int,
@@ -174,24 +168,33 @@ def sample_ou_ensemble(
 ) -> np.ndarray:
     """Dephasing-frequency rows, shape (n_realizations, n_steps + 1).
 
-    Row r is the exact-discretization OU recursion driven by the stream keyed
-    by (seed, row_offset + r), started from the stationary distribution, plus
-    that realization's static offset.  Independent of evaluation order.
+    All rows come from one Philox stream keyed by seed.  Row r owns the m =
+    ceil((n_steps + 2) / 4) counter blocks from (row_offset + r) * m, reached by
+    `advance`; Box-Muller turns each consecutive pair of their 4m raw words into
+    two normals.  Normal 0 starts the exact-discretization OU recursion from the
+    stationary distribution, normals 1..n_steps drive it and normal n_steps + 1
+    is the static offset.  So row r depends only on (seed, row_offset + r,
+    n_steps), however the rows are split into calls.  The result is a
+    transposed view: each time step is contiguous over realizations.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
+    blocks = -(-(n_steps + 2) // 4)  # Philox yields 4 words per counter block
+    bitgen = np.random.Philox(np.random.SeedSequence(seed))
+    bitgen.advance(row_offset * blocks)
+    u = ((bitgen.random_raw(n_realizations * 4 * blocks) >> np.uint64(11)) + 0.5) * 2.0**-53
+    u = u.reshape(n_realizations, 2 * blocks, 2)  # uniform on (0, 1)
+    radius, turn = np.sqrt(-2.0 * np.log(u[..., 0])), 2.0 * math.pi * u[..., 1]
+    np.multiply(radius, np.cos(turn), out=u[..., 0])
+    np.multiply(radius, np.sin(turn), out=u[..., 1])
+    g = u.reshape(n_realizations, 4 * blocks).T
     a = math.exp(-spec.dt / spec.tau_c)
-    s = spec.sigma * math.sqrt(1 - a * a)
-    g = np.empty((n_realizations, n_steps + 2))
-    for r in range(n_realizations):
-        g[r] = _realization_normals(seed, row_offset + r, n_steps + 2)
-    delta = np.empty((n_realizations, n_steps + 1))
-    delta[:, 0] = spec.sigma * g[:, 0]
+    delta = np.multiply(spec.sigma * math.sqrt(1 - a * a), g[: n_steps + 1], order="C")
+    delta[0] = spec.sigma * g[0]
     for k in range(n_steps):
-        delta[:, k + 1] = delta[:, k] * a + s * g[:, k + 1]
-    if spec.sigma_static:
-        delta += spec.sigma_static * g[:, -1][:, None]
-    return delta
+        delta[k + 1] += a * delta[k]
+    delta += spec.sigma_static * g[n_steps + 1]
+    return delta.T
 
 
 def _step_count(total_time: float, dt: float) -> int:

@@ -69,63 +69,67 @@ def bath_propagator(schedule, spec: SpinBathSpec) -> np.ndarray:
     return u
 
 
-def _segment_unitaries(omega_x: float, omega_y: float, delta: np.ndarray, duration: float) -> np.ndarray:
-    """Batch 2x2 propagators of H = (omega_x, omega_y, delta) . sigma / 2."""
-    a = np.sqrt(omega_x**2 + omega_y**2 + delta**2) * duration
-    safe = np.where(a > 0, a, 1.0)
-    nx = np.where(a > 0, omega_x * duration / safe, 0.0)
-    ny = np.where(a > 0, omega_y * duration / safe, 0.0)
-    nz = np.where(a > 0, delta * duration / safe, 0.0)
-    c = np.cos(a / 2)
-    s = np.sin(a / 2)
-    m = np.empty(delta.shape + (2, 2), dtype=complex)
-    m[..., 0, 0] = c - 1j * s * nz
-    m[..., 1, 1] = c + 1j * s * nz
-    m[..., 0, 1] = -1j * s * (nx - 1j * ny)
-    m[..., 1, 0] = -1j * s * (nx + 1j * ny)
-    return m
+def _pulse_cayley_klein(ev, delta: np.ndarray):
+    """(alpha, beta) of a pulse's U = [[alpha, -beta*], [beta, alpha*]] at detunings delta:
+    exp(-i d (w cos phase, w sin phase, delta) . sigma / 2), w = angle / d, over duration d > 0."""
+    angle = ev.rotation.angle * ev.amplitude_scale
+    if ev.duration == 0.0:
+        return rotation_unitary(ev.rotation.phase, angle)[:, 0]
+    half, omega = 0.5 * ev.duration, angle / ev.duration
+    rate = np.sqrt(omega**2 + delta**2)
+    f = half * np.sinc(half * rate / math.pi)  # sin(half * rate) / rate, finite at 0
+    return np.cos(half * rate) - 1j * f * delta, -1j * f * omega * np.exp(1j * ev.rotation.phase)
+
+
+# Trajectory elements per chunk of realizations (8 MB per float64 array), whatever the schedule.
+_CHUNK_BUDGET = 1 << 20
 
 
 def ou_propagators(schedule, spec: OUNoiseSpec, n_realizations: int, seed: int) -> np.ndarray:
     """System propagators under the OU trajectory ensemble, shape (n, 2, 2).
 
-    Delays accumulate the exact phase integral of the piecewise-constant
-    trajectory; finite-duration pulses hold the trajectory at its segment
-    midpoint value.  Realization r consumes the stream keyed by (seed, r).
+    Each U = [[a, -b*], [b, a*]] is held as two complex vectors (Cayley-Klein
+    form).  A delay multiplies a by e^{-i phi/2} and b by e^{+i phi/2}, phi the
+    exact phase integral of the piecewise-constant trajectory; a pulse [[alpha,
+    -beta*], [beta, alpha*]] maps (a, b) to (alpha a - beta* b, beta a + alpha* b).
+    Realization r is row r of `sample_ou_ensemble` at this seed.  Chunks of at
+    most _CHUNK_BUDGET trajectory elements are sampled at their row offsets, so
+    the bytes do not depend on the chunk size.  A zero-duration schedule samples
+    nothing: every row is the ideal propagator, amplitude scales applied.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
-    total = schedule.total_duration
-    n_steps = _step_count(total, spec.dt) if total > 0 else 1
-    delta = sample_ou_ensemble(spec, n_steps, n_realizations, seed)
-    phi = ou_phase_rows(delta, spec.dt)
-    u = np.broadcast_to(np.eye(2, dtype=complex), (n_realizations, 2, 2)).copy()
+    if schedule.total_duration == 0:
+        return np.tile(ideal_propagator(schedule, honor_amplitude=True), (n_realizations, 1, 1))
+    n_steps = _step_count(schedule.total_duration, spec.dt)
+    chunk = max(1, _CHUNK_BUDGET // (n_steps + 2))
+    a, b = np.hstack([
+        _ou_cayley_klein(schedule, spec, n_steps, min(chunk, n_realizations - start), seed, start)
+        for start in range(0, n_realizations, chunk)
+    ])
+    return np.stack((a, -b.conj(), b, a.conj()), axis=-1).reshape(n_realizations, 2, 2)
+
+
+def _ou_cayley_klein(schedule, spec: OUNoiseSpec, n_steps: int, rows: int, seed: int, offset: int):
+    """Cayley-Klein vectors (a, b) of trajectory rows offset .. offset + rows - 1."""
+    dt = spec.dt
+    delta = sample_ou_ensemble(spec, n_steps, rows, seed, offset)
+    phi = ou_phase_rows(delta, dt)
+    a, b = np.ones(rows, dtype=complex), np.zeros(rows, dtype=complex)
     t = 0.0
     for ev in schedule.events:
-        if ev.kind == "delay":
-            if ev.duration:
-                phase = ou_phase_at(phi, delta, spec.dt, t + ev.duration) - ou_phase_at(
-                    phi, delta, spec.dt, t
-                )
-                u[:, 0, :] *= np.exp(-0.5j * phase)[:, None]
-                u[:, 1, :] *= np.exp(+0.5j * phase)[:, None]
-        else:
-            angle = ev.rotation.angle * ev.amplitude_scale
-            if ev.duration == 0.0:
-                m = rotation_unitary(ev.rotation.phase, angle)
-                u = np.einsum("ij,rjk->rik", m, u)
-            else:
-                k_mid = min(int((t + ev.duration / 2) / spec.dt), n_steps)
-                omega = angle / ev.duration
-                m = _segment_unitaries(
-                    omega * math.cos(ev.rotation.phase),
-                    omega * math.sin(ev.rotation.phase),
-                    delta[:, k_mid],
-                    ev.duration,
-                )
-                u = np.matmul(m, u)
+        if ev.kind != "delay":
+            # A soft half holds the trajectory at its segment midpoint value.
+            k_mid = min(int((t + ev.duration / 2) / dt), n_steps)
+            alpha, beta = _pulse_cayley_klein(ev, delta[:, k_mid])
+            a, b = alpha * a - np.conj(beta) * b, beta * a + np.conj(alpha) * b
+        elif ev.duration:
+            end = ou_phase_at(phi, delta, dt, t + ev.duration)
+            e = np.exp(-0.5j * (end - ou_phase_at(phi, delta, dt, t)))
+            # Not `a *= e`: numpy rounds in-place complex products of short arrays differently.
+            a, b = a * e, b * e.conj()
         t += ev.duration
-    return u
+    return a, b
 
 
 def channel_operators(schedule, noise_model, n_realizations: int, seed: int) -> np.ndarray:

@@ -386,6 +386,27 @@ def test_cli_exit_codes(tmp_path):
     assert cli_main(["bogus-subcommand"]) == 1
 
 
+@pytest.mark.parametrize("scheme", ["simple", "simple_padded", "bb1", "xy8"])
+@pytest.mark.parametrize("tau", ["nan", "inf", "-inf", "0", "-1e-5"])
+def test_cli_rejects_invalid_tau_for_every_scheme(tmp_path, capsys, scheme, tau):
+    with pytest.raises(CompileError, match="tau"):
+        build_schedule("NOT", scheme, float(tau))
+    out = tmp_path / "sched.json"
+    # --tau=VALUE, so argparse takes "-inf" as a value rather than an option
+    assert cli_main(["compile", "--gate", "NOT", "--scheme", scheme, f"--tau={tau}",
+                     "--out", str(out)]) == 1
+    assert "tau" in capsys.readouterr().err
+    assert not out.exists()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")
+    row_csv = tmp_path / "row.csv"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--gate", "NOT", "--scheme", scheme,
+                     f"--tau={tau}", "--realizations", "5", "--out", str(row_csv)]) == 2
+    (row,) = rows_from_csv(row_csv.read_text(encoding="utf-8"))
+    assert "tau" in row.error
+    assert math.isnan(row.fidelity)
+
+
 @pytest.mark.parametrize(
     "noise",
     [

@@ -1,11 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ddgates.simulate as simulate
 
 from ddgates.compiler import (
     XY4,
+    PulseEvent,
+    RotationSpec,
     apply_amplitude_error,
     dd_cycle,
     decompose_gate,
@@ -14,9 +21,10 @@ from ddgates.compiler import (
     protected_bb1_gate,
 )
 from ddgates.core import DEFAULT_MAX_SPINS, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, embed_system
+from ddgates.harness import GATES, SCHEMES, build_schedule
 from ddgates.noise import OUNoiseSpec, SpinBathSpec, sample_ou_ensemble, total_hamiltonian
 from ddgates.simulate import (
-    _segment_unitaries,
+    _pulse_cayley_klein,
     average_channel_output,
     bath_channel_output,
     bath_propagator,
@@ -40,16 +48,28 @@ def test_ideal_propagator_amplitude_flag():
     assert np.allclose(u_honor, expected, atol=1e-12)
 
 
-def test_segment_unitaries_match_expm():
+def test_pulse_cayley_klein_matches_expm():
     rng = np.random.default_rng(55)
-    delta = rng.normal(scale=5e3, size=6)
-    wx, wy, dur = 2.1e4, -1.3e4, 3.7e-5
-    batch = _segment_unitaries(wx, wy, delta, dur)
-    for i, d in enumerate(delta):
-        h = 0.5 * (wx * SIGMA_X + wy * SIGMA_Y + d * SIGMA_Z)
-        assert np.allclose(batch[i], scipy.linalg.expm(-1j * h * dur), atol=1e-11)
-    # zero generator edge case
-    assert np.allclose(_segment_unitaries(0.0, 0.0, np.zeros(2), 1e-5), np.eye(2), atol=1e-15)
+    # ordinary detunings, detunings far above the drive, and an exact zero
+    delta = np.concatenate([rng.normal(scale=5e3, size=6), [3e7, -8e8, 0.0]])
+    for phase, angle, dur in ((-0.55, 0.91, 3.7e-5), (2.3, 0.0, 1e-5)):
+        soft = PulseEvent("soft_gate_half", dur, RotationSpec(phase, angle / 1.03), 1.03)
+        alpha, beta = _pulse_cayley_klein(soft, delta)
+        axis = math.cos(phase) * SIGMA_X + math.sin(phase) * SIGMA_Y
+        for i, d in enumerate(delta):
+            h = 0.5 * (angle / dur * axis + d * SIGMA_Z)
+            u = np.array([[alpha[i], -np.conj(beta[i])], [beta[i], np.conj(alpha[i])]])
+            assert np.allclose(u, scipy.linalg.expm(-1j * h * dur), atol=1e-11)
+    # zero drive and zero detuning: the identity, exactly
+    idle_drive = PulseEvent("soft_gate_half", 1e-5, RotationSpec(0.4, 0.0))
+    alpha, beta = _pulse_cayley_klein(idle_drive, np.zeros(2))
+    assert np.array_equal(alpha, np.ones(2)) and np.array_equal(beta, np.zeros(2))
+    # a hard pulse is instantaneous: no detuning reaches it
+    hard = PulseEvent("hard_pulse", 0.0, RotationSpec(0.7, math.pi), 0.98)
+    alpha, beta = _pulse_cayley_klein(hard, delta)
+    axis = math.cos(0.7) * SIGMA_X + math.sin(0.7) * SIGMA_Y
+    expected = scipy.linalg.expm(-0.5j * 0.98 * math.pi * axis)
+    assert np.allclose([[alpha, -np.conj(beta)], [beta, np.conj(alpha)]], expected, atol=1e-12)
 
 
 def _oracle_ou_propagator(schedule, spec, delta_row):
@@ -142,6 +162,59 @@ def test_ou_propagators_deterministic_per_seed():
     c = ou_propagators(sched, spec, 6, seed=78)
     assert np.array_equal(a, b)
     assert not np.allclose(a, c)
+
+
+@pytest.mark.parametrize("budget", [1, 3 * 9, 7 * 9 + 5, 20 * 9, 1 << 20])
+def test_ou_propagators_bytes_do_not_depend_on_the_chunk_size(monkeypatch, budget):
+    # 7 idle steps, so 9 trajectory elements per realization: chunks of 1, 3, 7 and
+    # 20 rows (3 and 7 do not divide 20) and the default single chunk.
+    spec = OUNoiseSpec(sigma=5e3, tau_c=1.5e-4, dt=1.5e-5, sigma_static=2e3)
+    sched = apply_amplitude_error(protected_bb1_gate(decompose_gate("H"), XY4, 1.3e-5), 0.02)
+    idle = hard_pulse_schedule([], np.eye(2, dtype=complex), "idle", pad_to=1.0e-4)
+    from ddgates.noise import _step_count
+
+    assert _step_count(idle.total_duration, spec.dt) + 2 == 9
+    reference = [ou_propagators(s, spec, 20, seed=41).tobytes() for s in (sched, idle)]
+    monkeypatch.setattr(simulate, "_CHUNK_BUDGET", budget)
+    assert [ou_propagators(s, spec, 20, seed=41).tobytes() for s in (sched, idle)] == reference
+
+
+def test_ou_propagators_memory_does_not_scale_with_steps_times_realizations():
+    spec = OUNoiseSpec(sigma=4e3, tau_c=1.5e-4, dt=1.5e-5)
+    n_steps, n = 10_000, 500
+    idle = hard_pulse_schedule([], np.eye(2, dtype=complex), "idle", pad_to=n_steps * spec.dt)
+    one_array = 8 * (n_steps + 2) * n  # 40 MB: a single unchunked float64 trajectory array
+    tracemalloc.start()
+    try:
+        props = ou_propagators(idle, spec, n, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert props.shape == (n, 2, 2)
+    assert peak < one_array
+
+
+GATE_CELLS = st.tuples(
+    st.sampled_from(GATES),
+    st.sampled_from(SCHEMES),
+    st.floats(1e-6, 1e-3),
+    st.floats(-0.2, 0.2),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cell=GATE_CELLS, seed=st.integers(0, 2**32 - 1))
+def test_ou_propagators_are_special_unitary_and_exact_without_duration(cell, seed):
+    gate, scheme, tau, epsilon = cell
+    spec = OUNoiseSpec(sigma=4.4e3, tau_c=1.5e-4, dt=1.5e-5, sigma_static=2.2e3)
+    sched = apply_amplitude_error(build_schedule(gate, scheme, tau), epsilon)
+    props = ou_propagators(sched, spec, 3, seed)
+    assert props.shape == (3, 2, 2)
+    assert np.allclose(props @ props.conj().transpose(0, 2, 1), np.eye(2), atol=1e-10)
+    assert np.allclose(np.linalg.det(props), 1.0, atol=1e-10)
+    if sched.total_duration == 0:
+        ideal = ideal_propagator(sched, honor_amplitude=True)
+        assert all(np.array_equal(u, ideal) for u in props)
 
 
 def _oracle_bath_propagator(schedule, spec):
