@@ -9,6 +9,7 @@ hit measured targets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -95,14 +96,6 @@ class CalibrationResult:
             raise ValueError("fitted_t2_star must not exceed fitted_t2_hahn")
 
 
-def _bath_site_operator(n_bath: int, site: int, component: np.ndarray) -> np.ndarray:
-    """Spin-1/2 `component` on one bath site, identity elsewhere (bath space only)."""
-    op = np.eye(1, dtype=complex)
-    for k in range(n_bath):
-        op = np.kron(op, component if k == site else IDENTITY_2)
-    return op
-
-
 def build_bath_hamiltonians(spec: SpinBathSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (H_S, H_SE, H_E) on the full system (x) bath space.
 
@@ -112,30 +105,67 @@ def build_bath_hamiltonians(spec: SpinBathSpec) -> tuple[np.ndarray, np.ndarray,
     n = spec.n_bath
     if 1 + n > DEFAULT_MAX_SPINS:
         raise ValueError(f"{1 + n} total spins exceeds the maximum of {DEFAULT_MAX_SPINS}")
-    sx, sy, sz = spin_half_operators()
-    dim_b = 2**n
-    eye_b = np.eye(dim_b, dtype=complex)
-    h_s = spec.system_offset * np.kron(sz, eye_b)
-    h_se = np.zeros((2 * dim_b, 2 * dim_b), dtype=complex)
+    # site[k] = (S_x, S_y, S_z) on bath site k, identity elsewhere (bath space only).
+    site = [[functools.reduce(np.kron, [c if j == k else IDENTITY_2 for j in range(n)], np.eye(1))
+             for c in spin_half_operators()] for k in range(n)]
+    sz, eye_b = spin_half_operators()[2], np.eye(2**n, dtype=complex)
+    h_se, h_e_bath = np.zeros((2 * len(eye_b),) * 2, dtype=complex), np.zeros_like(eye_b)
     for k, b in enumerate(spec.couplings):
-        h_se += b * np.kron(sz, _bath_site_operator(n, k, sz))
-    h_e_bath = np.zeros((dim_b, dim_b), dtype=complex)
+        h_se += b * np.kron(sz, site[k][2])
     for j in range(n):
         for k in range(j + 1, n):
-            d = spec.bath_couplings[j, k]
-            if d == 0.0:
-                continue
-            zz = _bath_site_operator(n, j, sz) @ _bath_site_operator(n, k, sz)
-            xx = _bath_site_operator(n, j, sx) @ _bath_site_operator(n, k, sx)
-            yy = _bath_site_operator(n, j, sy) @ _bath_site_operator(n, k, sy)
-            h_e_bath += d * (2 * zz - xx - yy)
-    h_e = np.kron(IDENTITY_2, h_e_bath)
-    return h_s, h_se, h_e
+            (xj, yj, zj), (xk, yk, zk) = site[j], site[k]
+            h_e_bath += spec.bath_couplings[j, k] * (2 * zj @ zk - xj @ xk - yj @ yk)
+    return spec.system_offset * np.kron(sz, eye_b), h_se, np.kron(IDENTITY_2, h_e_bath)
 
 
 def total_hamiltonian(spec: SpinBathSpec) -> np.ndarray:
-    h_s, h_se, h_e = build_bath_hamiltonians(spec)
-    return h_s + h_se + h_e
+    return functools.reduce(np.add, build_bath_hamiltonians(spec))  # H_S + H_SE + H_E
+
+
+@dataclass(frozen=True, eq=False)
+class BathFrame:
+    """Eigenframe of H_noise = diag(h0, h1), its blocks over the system's |0>, |1>.
+
+    w: the eigenvalues of h0 then h1; v0, v1: their eigenvectors; link = v0^dag v1.
+    An X on the system (x) bath space is held as Xt = diag(v0^dag, v1^dag) X.
+    """
+
+    w: np.ndarray
+    v0: np.ndarray
+    v1: np.ndarray
+    link: np.ndarray
+
+    def delay(self, xt: np.ndarray, t: float) -> np.ndarray:
+        return np.exp(-1j * t * self.w)[:, None] * xt
+
+    def rotate(self, xt: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """(r (x) I) X in the frame, for a 2x2 r: two d x d products, no kron."""
+        x0, x1 = np.split(xt, 2)
+        return np.vstack((r[0, 0] * x0 + r[0, 1] * (self.link @ x1),
+                          r[1, 0] * (self.link.conj().T @ x0) + r[1, 1] * x1))
+
+    def from_frame(self, xt: np.ndarray) -> np.ndarray:
+        x0, x1 = np.split(xt, 2)
+        return np.vstack((self.v0 @ x0, self.v1 @ x1))
+
+
+_FRAMES: dict = {}  # the last 4 specs' frames, keyed by every SpinBathSpec field
+
+
+def bath_frame(spec: SpinBathSpec) -> BathFrame:
+    """The spec's BathFrame: one eigh per d x d block, built once per distinct spec."""
+    key = (spec.n_bath, spec.couplings, spec.bath_couplings.tobytes(), spec.system_offset)
+    if key not in _FRAMES:
+        h, d = total_hamiltonian(spec), 2**spec.n_bath
+        (w0, v0), (w1, v1) = np.linalg.eigh(h[:d, :d]), np.linalg.eigh(h[d:, d:])
+        frame = BathFrame(np.concatenate((w0, w1)), v0, v1, v0.conj().T @ v1)
+        for a in vars(frame).values():
+            a.setflags(write=False)
+        if len(_FRAMES) == 4:
+            del _FRAMES[next(iter(_FRAMES))]
+        _FRAMES[key] = frame
+    return _FRAMES[key]
 
 
 def default_spin_bath(
@@ -257,23 +287,16 @@ def _ou_coherences(spec: OUNoiseSpec, delays: np.ndarray, echo: bool) -> np.ndar
 
 
 def _bath_coherences(spec: SpinBathSpec, delays: np.ndarray, echo: bool) -> np.ndarray:
-    w, v = np.linalg.eigh(total_hamiltonian(spec))
-    dim_b = 2**spec.n_bath
-    pi_x = np.kron(rotation_unitary(0.0, math.pi), np.eye(dim_b, dtype=complex))
-
-    def propagator(t):
-        return (v * np.exp(-1j * w * t)) @ v.conj().T
-
+    frame, dim_b = bath_frame(spec), 2**spec.n_bath
+    # The columns |+> (x) |b> (unnormalised) over the bath basis b, in the frame.
+    start = np.vstack((frame.v0.conj().T, frame.v1.conj().T))
     out = np.empty(len(delays))
     for i, t in enumerate(delays):
-        u = propagator(float(t))
-        if echo:
-            half = propagator(float(t) / 2.0)
-            u = half @ pi_x @ half
-        # U (|+> (x) |b>) over the system blocks; the bath average is the trace over b.
-        blocks = u.reshape(2, dim_b, 2, dim_b)
-        up, down = blocks[0, :, 0] + blocks[0, :, 1], blocks[1, :, 0] + blocks[1, :, 1]
-        out[i] = abs(np.vdot(down, up)) / dim_b
+        xt = frame.delay(start, t / 2.0)
+        xt = frame.rotate(xt, rotation_unitary(0.0, math.pi)) if echo else xt
+        y = frame.from_frame(frame.delay(xt, t / 2.0))
+        # The bath average of <1|rho|0> is the trace over b of the two system rows.
+        out[i] = abs(np.vdot(y[dim_b:], y[:dim_b])) / dim_b
     return out
 
 

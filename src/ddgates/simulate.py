@@ -14,21 +14,9 @@ import math
 
 import numpy as np
 
-from .core import (
-    embed_system,
-    hermitian_expm,
-    partial_trace_bath,
-    rotation_unitary,
-    spin_half_operators,
-)
+from .core import hermitian_expm, partial_trace_bath, rotation_unitary, spin_half_operators
 from .noise import (
-    OUNoiseSpec,
-    SpinBathSpec,
-    _step_count,
-    ou_phase_at,
-    ou_phase_rows,
-    sample_ou_ensemble,
-    total_hamiltonian,
+    OUNoiseSpec, SpinBathSpec, _step_count, bath_frame, ou_phase_at, ou_phase_rows, sample_ou_ensemble,
 )
 
 
@@ -44,29 +32,37 @@ def ideal_propagator(schedule, honor_amplitude: bool = False) -> np.ndarray:
 
 
 def bath_propagator(schedule, spec: SpinBathSpec) -> np.ndarray:
-    """Exact propagator on the system (x) bath space, amplitude scales applied."""
-    h_noise = total_hamiltonian(spec)
-    w, v = np.linalg.eigh(h_noise)
-    v_dag = v.conj().T
+    """Exact propagator on the system (x) bath space, amplitude scales applied.
+
+    H_noise has no term that flips the system's sigma_z, so it is block diagonal
+    over the system's |0>, |1>; `bath_frame` diagonalises its two d x d blocks
+    once per spec.  U is propagated as Ut = diag(v0^dag, v1^dag) U: a delay
+    multiplies the rows of Ut by e^{-i w t}, a hard pulse mixes the two row
+    blocks through link = v0^dag v1, and a soft half multiplies by the
+    exponential of the framed drift-plus-drive generator, computed once per
+    distinct (phase, scaled angle, duration) within the schedule.
+    """
+    frame, d = bath_frame(spec), 2**spec.n_bath
+    ut = frame.from_frame(np.eye(2 * d)).conj().T  # diag(v0^dag, v1^dag)
     sx, sy, _ = spin_half_operators()
-    u = np.eye(h_noise.shape[0], dtype=complex)
+    soft = {}
     for ev in schedule.events:
         if ev.kind == "delay":
-            if ev.duration:
-                u = (v * np.exp(-1j * w * ev.duration)) @ v_dag @ u
+            ut = frame.delay(ut, ev.duration)
             continue
-        angle = ev.rotation.angle * ev.amplitude_scale
+        phase, angle = ev.rotation.phase, ev.rotation.angle * ev.amplitude_scale
         if ev.duration == 0.0:
-            u = embed_system(rotation_unitary(ev.rotation.phase, angle), spec.n_bath) @ u
-        else:
-            # Finite-duration drive: drift stays active during the rotation.
-            omega = angle / ev.duration
-            h_ctrl = omega * (
-                math.cos(ev.rotation.phase) * sx + math.sin(ev.rotation.phase) * sy
-            )
-            h_seg = embed_system(h_ctrl, spec.n_bath) + h_noise
-            u = hermitian_expm(h_seg, ev.duration) @ u
-    return u
+            ut = frame.rotate(ut, rotation_unitary(phase, angle))
+            continue
+        key = (phase, angle, ev.duration)
+        if key not in soft:
+            # The drift stays on during the drive h, whose diagonal is zero: H_noise + h (x) I.
+            h = angle / ev.duration * (math.cos(phase) * sx + math.sin(phase) * sy)
+            g = np.diag(frame.w).astype(complex)
+            g[:d, d:], g[d:, :d] = h[0, 1] * frame.link, h[1, 0] * frame.link.conj().T
+            soft[key] = hermitian_expm(g, ev.duration)
+        ut = soft[key] @ ut
+    return frame.from_frame(ut)
 
 
 def _pulse_cayley_klein(ev, delta: np.ndarray):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ from ddgates.compiler import (
     XY4,
     PulseEvent,
     RotationSpec,
+    Schedule,
     apply_amplitude_error,
     dd_cycle,
     decompose_gate,
@@ -22,7 +24,13 @@ from ddgates.compiler import (
 )
 from ddgates.core import DEFAULT_MAX_SPINS, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, embed_system
 from ddgates.harness import GATES, SCHEMES, build_schedule
-from ddgates.noise import OUNoiseSpec, SpinBathSpec, sample_ou_ensemble, total_hamiltonian
+from ddgates.noise import (
+    OUNoiseSpec,
+    SpinBathSpec,
+    default_spin_bath,
+    sample_ou_ensemble,
+    total_hamiltonian,
+)
 from ddgates.simulate import (
     _pulse_cayley_klein,
     average_channel_output,
@@ -237,17 +245,56 @@ def _oracle_bath_propagator(schedule, spec):
     return u
 
 
-def test_bath_propagator_matches_expm_oracle():
-    spec = SpinBathSpec(
-        n_bath=2, couplings=(2.5e4, 1.5e4),
-        bath_couplings=np.array([[0.0, 2.0e4], [2.0e4, 0.0]]),
-        system_offset=1.0e3,
+def _two_spin_bath(couplings=(2.5e4, 1.5e4), d=2.0e4, system_offset=1.0e3):
+    return SpinBathSpec(
+        n_bath=2, couplings=couplings,
+        bath_couplings=np.array([[0.0, d], [d, 0.0]]),
+        system_offset=system_offset,
     )
-    sched = apply_amplitude_error(protected_bb1_gate(decompose_gate("NOT"), XY4, 5e-6), -0.04)
+
+
+def _assert_matches_oracle(sched, spec):
     u = bath_propagator(sched, spec)
-    expected = _oracle_bath_propagator(sched, spec)
-    assert np.allclose(u, expected, atol=1e-9)
-    assert np.allclose(u @ u.conj().T, np.eye(8), atol=1e-10)
+    assert np.allclose(u, _oracle_bath_propagator(sched, spec), atol=1e-9)
+    assert np.allclose(u @ u.conj().T, np.eye(u.shape[0]), atol=1e-10)
+
+
+def test_bath_propagator_matches_expm_oracle():
+    not_xy4 = apply_amplitude_error(protected_bb1_gate(decompose_gate("NOT"), XY4, 5e-6), -0.04)
+    _assert_matches_oracle(not_xy4, _two_spin_bath())
+    # KDD puts hard pulses at many phases, and the BB1 halves repeat their soft keys.
+    pi8_kdd = apply_amplitude_error(build_schedule("PI8", "kdd", 4e-6), 0.03)
+    _assert_matches_oracle(pi8_kdd, default_spin_bath(n_bath=3, seed=11, system_offset=3.0e3))
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (_two_spin_bath(couplings=(2.5e4, 1.5e4)), _two_spin_bath(couplings=(2.5e4, 1.7e4))),
+        (_two_spin_bath(system_offset=1.0e3), _two_spin_bath(system_offset=4.0e3)),
+        (_two_spin_bath(d=2.0e4), _two_spin_bath(d=-1.0e4)),
+    ],
+    ids=["couplings", "system_offset", "bath_couplings"],
+)
+def test_bath_propagator_frames_follow_every_spec_field(first, second):
+    # Back-to-back specs that differ in one field must not reuse each other's frame.
+    sched = apply_amplitude_error(protected_bb1_gate(decompose_gate("H"), XY4, 5e-6), 0.02)
+    _assert_matches_oracle(sched, first)
+    _assert_matches_oracle(sched, second)
+
+
+def test_bath_soft_halves_differing_in_amplitude_or_duration_do_not_share_an_exponential():
+    soft = PulseEvent("soft_gate_half", 4e-6, RotationSpec(0.3, math.pi / 2))
+    events = (
+        soft,
+        PulseEvent("delay", 3e-6),
+        PulseEvent("hard_pulse", 0.0, RotationSpec(0.0, math.pi)),
+        PulseEvent("delay", 3e-6),
+        dataclasses.replace(soft, amplitude_scale=0.9),
+        dataclasses.replace(soft, duration=6e-6),
+    )
+    sched = Schedule(events, cycle_time=0.0, target_gate=IDENTITY_2, label="soft-halves")
+    _assert_matches_oracle(sched, _two_spin_bath())
 
 
 def test_bath_propagator_rejects_oversized_bath():
