@@ -4,7 +4,8 @@ Named gates decompose into in-plane rotations; each rotation can be expanded
 into a five-component composite pulse robust to amplitude miscalibration, and
 each component can be wrapped in a decoupling cycle whose first and last free
 periods carry the two gate halves as weak finite-duration rotations.  Every
-compiled schedule is checked against its target by a zero-noise simulation.
+schedule, whether compiled or loaded from JSON, is checked once against its
+target by a zero-noise simulation.
 """
 
 from __future__ import annotations
@@ -27,10 +28,18 @@ VERIFY_THRESHOLD = 1.0 - 1e-9
 
 EVENT_KINDS = ("delay", "hard_pulse", "soft_gate_half")
 
-# Phase offsets of the five-pulse composite that replaces each XY-4 pulse in KDD.
-KDD_PHASES = (math.pi / 6, 0.0, math.pi / 2, 0.0, math.pi / 6)
-
+_PI = math.pi
+_HALF_PI = math.pi / 2
 _FOUR_PI = 4 * math.pi
+
+# Pi-pulse phases of one cycle of each decoupling kind.  XY-8 is XY-4 and its
+# mirror; KDD replaces each XY-4 pulse by a five-pulse composite.
+_XY4 = (0.0, _HALF_PI, 0.0, _HALF_PI)
+_CYCLE_PHASES: dict[str, tuple[float, ...]] = {
+    "xy4": _XY4,
+    "xy8": _XY4 + _XY4[::-1],
+    "kdd": tuple(skel + chi for skel in _XY4 for chi in (_PI / 6, 0.0, _HALF_PI, 0.0, _PI / 6)),
+}
 
 
 class CompileError(RuntimeError):
@@ -73,17 +82,19 @@ class PulseEvent:
         else:
             if self.rotation is None:
                 raise ValueError(f"{self.kind} events require a rotation")
-            # Soft halves realize a finite control amplitude angle/duration.
+            # Engines tell the two apart by duration: a hard pulse is instantaneous,
+            # a soft half realizes a finite control amplitude angle/duration.
+            if self.kind == "hard_pulse" and self.duration != 0:
+                raise ValueError("hard_pulse events take zero duration")
             if self.kind == "soft_gate_half" and self.duration <= 0:
                 raise ValueError("soft_gate_half events require positive duration")
 
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
-    """Compiled event list with its decoupling cycle time and target gate."""
+    """Compiled event list with its target gate and, if protected, its cycle kind and tau."""
 
     events: tuple[PulseEvent, ...]
-    cycle_time: float
     target_gate: np.ndarray
     label: str
     dd_kind: str | None = None
@@ -96,6 +107,13 @@ class Schedule:
             raise ValueError(f"target_gate must be 2x2, got {target.shape}")
         target.setflags(write=False)
         object.__setattr__(self, "target_gate", target)
+        if self.dd_kind is not None and (self.dd_kind not in _CYCLE_PHASES or self.tau is None):
+            raise ValueError(f"dd_kind {self.dd_kind!r} must be one of {sorted(_CYCLE_PHASES)}, with a tau")
+
+    @property
+    def cycle_time(self) -> float:
+        """Duration of one decoupling cycle; 0 for a schedule without one."""
+        return len(_CYCLE_PHASES[self.dd_kind]) * self.tau if self.dd_kind else 0.0
 
     @property
     def total_duration(self) -> float:
@@ -109,18 +127,12 @@ class DDKind:
     name: str
 
     def __post_init__(self):
-        if self.name not in ("xy4", "xy8", "kdd"):
+        if self.name not in _CYCLE_PHASES:
             raise ValueError(f"unknown DD kind {self.name!r}")
 
 
-XY4 = DDKind("xy4")
-XY8 = DDKind("xy8")
-KDD = DDKind("kdd")
-
-DD_KINDS = {"xy4": XY4, "xy8": XY8, "kdd": KDD}
-
-_PI = math.pi
-_HALF_PI = math.pi / 2
+DD_KINDS = {name: DDKind(name) for name in _CYCLE_PHASES}
+XY4, XY8, KDD = DD_KINDS["xy4"], DD_KINDS["xy8"], DD_KINDS["kdd"]
 
 GATE_ROTATIONS: dict[str, tuple[RotationSpec, ...]] = {
     "H": (RotationSpec(_HALF_PI, _HALF_PI), RotationSpec(0.0, _PI)),
@@ -169,8 +181,6 @@ def rotation_product(rotations) -> np.ndarray:
 
 def bb1_expand(r: RotationSpec) -> list[RotationSpec]:
     """Five-component composite pulse equivalent to r, robust to amplitude errors."""
-    if abs(r.angle) > _FOUR_PI:
-        raise ValueError(f"angle {r.angle} outside [-4*pi, 4*pi]")
     psi = math.acos(-r.angle / _FOUR_PI)
     return [
         RotationSpec(r.phase, r.angle / 2),
@@ -189,18 +199,8 @@ def check_tau(tau: float) -> None:
         raise CompileError(f"tau {tau:.3g} s outside the supported range [{TAU_MIN}, {TAU_MAX}] s")
 
 
-def _cycle_pulse_phases(kind: DDKind) -> list[float]:
-    xy4 = [0.0, _HALF_PI, 0.0, _HALF_PI]
-    if kind.name == "xy4":
-        return xy4
-    if kind.name == "xy8":
-        return xy4 + xy4[::-1]
-    # kdd: each skeleton pulse becomes a five-pulse composite.
-    return [skel + chi for skel in xy4 for chi in KDD_PHASES]
-
-
 def cycle_pulse_count(kind: DDKind) -> int:
-    return len(_cycle_pulse_phases(kind))
+    return len(_CYCLE_PHASES[kind.name])
 
 
 def _verified(schedule: Schedule) -> Schedule:
@@ -212,50 +212,42 @@ def _verified(schedule: Schedule) -> Schedule:
     return schedule
 
 
-def dd_cycle(kind: DDKind, tau: float) -> Schedule:
-    """One decoupling cycle of pi pulses with identity target.
+def _cycle_events(kind: DDKind, tau: float, rotation: RotationSpec | None = None) -> list[PulseEvent]:
+    """Events of one decoupling cycle: pi pulses tau apart, tau/2 free at both ends.
 
-    Half delays sit at both ends, so the duration is pulses * tau.
+    Given a non-zero rotation, the two end periods become soft halves of
+    angle/2 each, so the gate accumulates while the drift is refocused.
     """
     check_tau(tau)
-    phases = _cycle_pulse_phases(kind)
-    events: list[PulseEvent] = [PulseEvent("delay", tau / 2)]
-    for i, p in enumerate(phases):
-        events.append(PulseEvent("hard_pulse", 0.0, RotationSpec(p, _PI)))
-        events.append(PulseEvent("delay", tau if i < len(phases) - 1 else tau / 2))
-    cycle_time = len(phases) * tau
-    schedule = Schedule(
-        events=tuple(events),
-        cycle_time=cycle_time,
-        target_gate=IDENTITY_2,
-        label=f"dd:{kind.name}:tau={tau:.6g}",
-        dd_kind=kind.name,
-        tau=tau,
-    )
-    return _verified(schedule)
+    if rotation is None or rotation.angle == 0.0:
+        end = PulseEvent("delay", tau / 2)
+    else:
+        end = PulseEvent("soft_gate_half", tau / 2, RotationSpec(rotation.phase, rotation.angle / 2))
+    events = [end]
+    for p in _CYCLE_PHASES[kind.name]:
+        events += [PulseEvent("hard_pulse", 0.0, RotationSpec(p, _PI)), PulseEvent("delay", tau)]
+    events[-1] = end
+    return events
+
+
+def dd_cycle(kind: DDKind, tau: float) -> Schedule:
+    """One decoupling cycle of pi pulses with identity target; its duration is pulses * tau."""
+    return _verified(Schedule(
+        _cycle_events(kind, tau), IDENTITY_2, f"dd:{kind.name}:tau={tau:.6g}", kind.name, tau
+    ))
 
 
 def protected_rotation(r: RotationSpec, kind: DDKind, tau: float) -> Schedule:
-    """A rotation split into two soft halves hosted by a decoupling cycle.
+    """A rotation split into two soft halves hosted by one decoupling cycle.
 
-    The cycle's initial and final tau/2 free periods become weak rotations of
-    angle/2 each, so the gate accumulates while the drift is refocused.  Total
-    duration equals the bare cycle duration.
+    Total duration equals the bare cycle duration.
     """
     if r.angle == 0.0:
         return dd_cycle(kind, tau)
-    base = dd_cycle(kind, tau)
-    half = PulseEvent("soft_gate_half", tau / 2, RotationSpec(r.phase, r.angle / 2))
-    events = (half,) + base.events[1:-1] + (half,)
-    schedule = Schedule(
-        events=events,
-        cycle_time=base.cycle_time,
-        target_gate=rotation_unitary(r.phase, r.angle),
-        label=f"protected:{kind.name}:phase={r.phase:.6g}:angle={r.angle:.6g}:tau={tau:.6g}",
-        dd_kind=kind.name,
-        tau=tau,
-    )
-    return _verified(schedule)
+    label = f"protected:{kind.name}:phase={r.phase:.6g}:angle={r.angle:.6g}:tau={tau:.6g}"
+    return _verified(Schedule(
+        _cycle_events(kind, tau, r), rotation_unitary(r.phase, r.angle), label, kind.name, tau
+    ))
 
 
 def protected_bb1_gate(rotations, kind: DDKind, tau: float) -> Schedule:
@@ -266,22 +258,9 @@ def protected_bb1_gate(rotations, kind: DDKind, tau: float) -> Schedule:
     rotations = list(rotations)
     if not rotations:
         return dd_cycle(kind, tau)
-    events: list[PulseEvent] = []
-    cycle_time = 0.0
-    for r in rotations:
-        for component in bb1_expand(r):
-            part = protected_rotation(component, kind, tau)
-            events.extend(part.events)
-            cycle_time = part.cycle_time
-    schedule = Schedule(
-        events=tuple(events),
-        cycle_time=cycle_time,
-        target_gate=rotation_product(rotations),
-        label=f"protected-bb1:{kind.name}:components={5 * len(rotations)}:tau={tau:.6g}",
-        dd_kind=kind.name,
-        tau=tau,
-    )
-    return _verified(schedule)
+    events = [ev for r in rotations for c in bb1_expand(r) for ev in _cycle_events(kind, tau, c)]
+    label = f"protected-bb1:{kind.name}:components={5 * len(rotations)}:tau={tau:.6g}"
+    return _verified(Schedule(events, rotation_product(rotations), label, kind.name, tau))
 
 
 def hard_pulse_schedule(rotations, target_gate, label: str, pad_to: float = 0.0) -> Schedule:
@@ -294,13 +273,7 @@ def hard_pulse_schedule(rotations, target_gate, label: str, pad_to: float = 0.0)
     events.extend(PulseEvent("hard_pulse", 0.0, r) for r in rotations)
     if pad_to:
         events.append(PulseEvent("delay", pad_to / 2))
-    schedule = Schedule(
-        events=tuple(events),
-        cycle_time=0.0,
-        target_gate=target_gate,
-        label=label,
-    )
-    return _verified(schedule)
+    return _verified(Schedule(events, target_gate, label))
 
 
 def apply_amplitude_error(schedule: Schedule, epsilon: float) -> Schedule:
@@ -359,7 +332,7 @@ def schedule_to_json(schedule: Schedule) -> str:
 
 
 def schedule_from_json(text: str) -> Schedule:
-    """Rebuild a schedule from its JSON form; structural errors raise CompileError."""
+    """Rebuild and verify a schedule from its JSON form; every error raises CompileError."""
     try:
         doc = json.loads(text)
         reals = doc["target_gate"]
@@ -379,23 +352,11 @@ def schedule_from_json(text: str) -> Schedule:
             events.append(
                 PulseEvent(kind, rec["duration_s"], rotation, rec["amplitude_scale"])
             )
-        dd_kind = doc["dd_kind"]
-        tau = doc["tau_s"]
-        cycle_time = 0.0
-        if dd_kind is not None and tau is not None:
-            cycle_time = cycle_pulse_count(DD_KINDS[dd_kind]) * tau
-        schedule = Schedule(
-            events=tuple(events),
-            cycle_time=cycle_time,
-            target_gate=target,
-            label=doc["label"],
-            dd_kind=dd_kind,
-            tau=tau,
-        )
+        schedule = Schedule(events, target, doc["label"], doc["dd_kind"], doc["tau_s"])
         if pulse_count(schedule) != doc["pulse_count"]:
             raise ValueError(
                 f"pulse_count {doc['pulse_count']} does not match events ({pulse_count(schedule)})"
             )
-        return schedule
+        return _verified(schedule)
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise CompileError(f"malformed schedule JSON: {exc}") from exc

@@ -47,7 +47,6 @@ from .compiler import (
     bb1_expand,
     check_tau,
     cycle_pulse_count,
-    dd_cycle,
     decompose_gate,
     gate_target,
     hard_pulse_schedule,
@@ -283,11 +282,7 @@ def build_schedule(gate: str, scheme: str, tau: float):
     if scheme == "bb1":
         expanded = [c for r in rotations for c in bb1_expand(r)]
         return hard_pulse_schedule(expanded, target, label)
-    kind = DD_KINDS[scheme]
-    if not rotations:
-        schedule = dd_cycle(kind, tau)
-    else:
-        schedule = protected_bb1_gate(rotations, kind, tau)
+    schedule = protected_bb1_gate(rotations, DD_KINDS[scheme], tau)
     return dataclasses.replace(schedule, label=label)
 
 

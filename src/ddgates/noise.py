@@ -24,6 +24,8 @@ ONE_OVER_E = 1.0 / math.e
 EQUAL_TARGET_RTOL = 0.01
 # Bisection tolerance on log10(sigma): about 2e-6 relative in sigma.
 LOG_SIGMA_TOL = 1e-6
+# The calibration gives up after this many halvings of tau_c.
+MAX_TAU_C_HALVINGS = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,21 +173,17 @@ def bath_frame(spec: SpinBathSpec) -> BathFrame:
 def default_spin_bath(
     n_bath: int = 4,
     seed: int = 2024,
-    coupling_band: tuple[float, float] = (1e4, 8e4),
-    dipolar_scale: float = 2.5e4,
     system_offset: float = 0.0,
 ) -> SpinBathSpec:
-    """Reproducible desk-scale bath: log-uniform b_k, random-orientation d_jk."""
+    """Reproducible desk-scale bath: b_k log-uniform in [1e4, 8e4] rad/s, and
+    d_jk = 2.5e4 rad/s x (3 cos^2 theta - 1) / 2 at random orientations theta."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
-    lo, hi = coupling_band
-    if not 0 < lo <= hi:
-        raise ValueError("coupling_band must be 0 < low <= high")
-    b = 10 ** rng.uniform(math.log10(lo), math.log10(hi), n_bath)
+    b = 10 ** rng.uniform(math.log10(1e4), math.log10(8e4), n_bath)
     d = np.zeros((n_bath, n_bath))
     for j in range(n_bath):
         for k in range(j + 1, n_bath):
             cos_t = rng.uniform(-1.0, 1.0)
-            d[j, k] = d[k, j] = dipolar_scale * (3 * cos_t**2 - 1) / 2
+            d[j, k] = d[k, j] = 2.5e4 * (3 * cos_t**2 - 1) / 2
     return SpinBathSpec(n_bath, tuple(b), d, system_offset)
 
 
@@ -348,11 +346,7 @@ def _bisect_decreasing(f, lo: float, hi: float, what: str) -> float:
     return 0.5 * (lo + hi)
 
 
-def calibrate_to_targets(
-    target_t2_star: float,
-    target_t2_hahn: float,
-    max_halvings: int = 12,
-) -> CalibrationResult:
+def calibrate_to_targets(target_t2_star: float, target_t2_hahn: float) -> CalibrationResult:
     """Fit an OU-plus-static model to FID and Hahn 1/e time targets.
 
     The OU amplitude is solved against the Hahn target by bisection on
@@ -374,7 +368,7 @@ def calibrate_to_targets(
 
     tau_c = target_t2_hahn / 5.0
     fid_ou = math.nan
-    for _ in range(max_halvings + 1):
+    for _ in range(MAX_TAU_C_HALVINGS + 1):
         sigma = 10.0 ** _bisect_decreasing(
             lambda ls: decay_time(hahn_decay_curve, 10.0**ls, tau_c) - target_t2_hahn,
             2.0, 7.5, f"Hahn target {target_t2_hahn:.3g} s by sigma at tau_c={tau_c:.3g} s",
@@ -387,7 +381,7 @@ def calibrate_to_targets(
     else:
         raise CalibrationError(
             f"OU-only FID time {fid_ou:.3g} s stayed below the {target_t2_star:.3g} s "
-            f"target after {max_halvings} tau_c halvings"
+            f"target after {MAX_TAU_C_HALVINGS} tau_c halvings"
         )
 
     sigma_static = 0.0

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddgates.compiler import (
     DD_KINDS,
@@ -31,6 +33,7 @@ from ddgates.compiler import (
     verify_schedule,
 )
 from ddgates.core import IDENTITY_2, SIGMA_X, rotation_unitary
+from ddgates.harness import expected_pulse_count
 from ddgates.simulate import ideal_propagator
 from ddgates.tomography import gate_fidelity
 
@@ -56,6 +59,21 @@ def test_pulse_event_validation():
         PulseEvent("soft_gate_half", 0.0, RotationSpec(0.0, 1.0))  # needs duration
     with pytest.raises(ValueError):
         PulseEvent("wiggle", 0.0, RotationSpec(0.0, 1.0))
+
+
+def test_hard_pulses_are_instantaneous_and_soft_halves_take_time():
+    with pytest.raises(ValueError):
+        PulseEvent("hard_pulse", 5e-6, RotationSpec(0.0, math.pi))
+    doc = json.loads(schedule_to_json(dd_cycle(XY4, 1e-5)))
+    assert doc["events"][1]["kind"] == "hard_pulse"
+    doc["events"][1]["duration_s"] = 2e-6
+    with pytest.raises(CompileError):
+        schedule_from_json(json.dumps(doc))
+    doc = json.loads(schedule_to_json(protected_rotation(RotationSpec(0.0, 1.0), XY4, 1e-5)))
+    assert doc["events"][0]["kind"] == "soft_gate_half"
+    doc["events"][0]["duration_s"] = 0.0
+    with pytest.raises(CompileError):
+        schedule_from_json(json.dumps(doc))
 
 
 def test_gate_decompositions_hit_their_targets():
@@ -267,5 +285,36 @@ def test_serialization_rejects_tampering():
     doc["dd_kind"] = "zz99"
     with pytest.raises(CompileError):
         schedule_from_json(json.dumps(doc))
+    doc = json.loads(text)
+    doc["events"][1]["angle_rad"] = 1.0  # one pi pulse of the cycle, now off target
+    with pytest.raises(CompileError):
+        schedule_from_json(json.dumps(doc))
     with pytest.raises(CompileError):
         schedule_from_json("{not json")
+
+
+# Non-zero angles: a zero rotation compiles to bare cycles without soft halves,
+# which expected_pulse_count does not count.
+_ROTATIONS = st.builds(
+    RotationSpec,
+    st.floats(0.0, 2 * math.pi),
+    st.floats(-4 * math.pi, 4 * math.pi, exclude_min=True).filter(bool),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rotations=st.lists(_ROTATIONS, min_size=1, max_size=3),
+    kind=st.sampled_from((XY4, XY8, KDD)),
+    tau=st.floats(TAU_MIN, TAU_MAX),
+)
+def test_protected_bb1_gate_of_random_rotations(rotations, kind, tau):
+    sched = protected_bb1_gate(rotations, kind, tau)
+    assert verify_schedule(sched) > 1 - 1e-9
+    assert gate_fidelity(sched.target_gate, rotation_product(rotations)) > 1 - 1e-12
+    # expected_pulse_count depends only on the rotation count: NOT, H, PI8 have 1, 2, 3.
+    gate = ("NOT", "H", "PI8")[len(rotations) - 1]
+    assert pulse_count(sched) == expected_pulse_count(gate, kind.name)
+    assert sched.events == tuple(
+        ev for r in rotations for c in bb1_expand(r) for ev in protected_rotation(c, kind, tau).events
+    )

@@ -206,6 +206,19 @@ def test_expected_pulse_counts_match_compiled_schedules():
             assert pulse_count(sched) == expected_pulse_count(gate, scheme), (gate, scheme)
 
 
+def test_build_schedule_verifies_each_cell_once(monkeypatch):
+    from ddgates import compiler
+
+    calls = []
+    verify = compiler.verify_schedule
+    monkeypatch.setattr(compiler, "verify_schedule", lambda sched: calls.append(sched) or verify(sched))
+    for gate in GATES:
+        for scheme in SCHEMES:
+            calls.clear()
+            build_schedule(gate, scheme, 1e-5)
+            assert len(calls) == 1, (gate, scheme, len(calls))
+
+
 def test_simulate_cell_noiseless_limit():
     quiet = OUNoiseSpec(sigma=0.0, tau_c=1e-4, dt=1e-5, sigma_static=0.0)
     row = simulate_cell("H", "xy8", 1e-5, quiet, 0.0, 20, 3)

@@ -180,7 +180,7 @@ def _decay_schedule(t, echo):
                   PulseEvent("delay", t / 2))
     else:
         events = (PulseEvent("delay", t),)
-    return Schedule(events, cycle_time=t, target_gate=IDENTITY_2, label="decay")
+    return Schedule(events, target_gate=IDENTITY_2, label="decay")
 
 
 @pytest.mark.parametrize(

@@ -293,7 +293,7 @@ def test_bath_soft_halves_differing_in_amplitude_or_duration_do_not_share_an_exp
         dataclasses.replace(soft, amplitude_scale=0.9),
         dataclasses.replace(soft, duration=6e-6),
     )
-    sched = Schedule(events, cycle_time=0.0, target_gate=IDENTITY_2, label="soft-halves")
+    sched = Schedule(events, target_gate=IDENTITY_2, label="soft-halves")
     _assert_matches_oracle(sched, _two_spin_bath())
 
 
