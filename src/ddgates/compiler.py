@@ -92,7 +92,11 @@ class PulseEvent:
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
-    """Compiled event list with its target gate and, if protected, its cycle kind and tau."""
+    """Compiled event list with its target gate and, if protected, its cycle kind and tau.
+
+    A protected schedule's hard pulses are its kind's cycle phases repeated
+    whole, and it lasts that many cycles.
+    """
 
     events: tuple[PulseEvent, ...]
     target_gate: np.ndarray
@@ -107,8 +111,17 @@ class Schedule:
             raise ValueError(f"target_gate must be 2x2, got {target.shape}")
         target.setflags(write=False)
         object.__setattr__(self, "target_gate", target)
-        if self.dd_kind is not None and (self.dd_kind not in _CYCLE_PHASES or self.tau is None):
-            raise ValueError(f"dd_kind {self.dd_kind!r} must be one of {sorted(_CYCLE_PHASES)}, with a tau")
+        if self.dd_kind is not None:
+            if self.dd_kind not in _CYCLE_PHASES or self.tau is None:
+                raise ValueError(f"dd_kind {self.dd_kind!r} must be one of {sorted(_CYCLE_PHASES)}, with a tau")
+            # The events must be whole cycles of that kind and tau.
+            table = _CYCLE_PHASES[self.dd_kind]
+            phases = tuple(ev.rotation.phase for ev in self.events if ev.kind == "hard_pulse")
+            cycles = len(phases) // len(table)
+            if not cycles or phases != table * cycles or not math.isclose(
+                self.total_duration, cycles * self.cycle_time, rel_tol=1e-9
+            ):
+                raise ValueError(f"events are not whole {self.dd_kind} cycles at tau {self.tau:.6g} s")
 
     @property
     def cycle_time(self) -> float:

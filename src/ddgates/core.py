@@ -17,7 +17,7 @@ for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2):
     _m.setflags(write=False)
 
 # Largest register (dim 128, a 6-spin bath): its frame takes ~25 ms once, then its
-# heaviest cell (PI8/kdd, 615 events) ~0.14 s on a 2-core x86 box.
+# heaviest cell (PI8/kdd, 615 events) ~0.025 s on one core of a 2-core x86 box.
 DEFAULT_MAX_SPINS = 7
 
 HERMITICITY_TOL = 1e-9

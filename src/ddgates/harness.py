@@ -29,11 +29,13 @@ Config JSON schema (all times in seconds)::
 from __future__ import annotations
 
 import csv
+import ctypes
 import dataclasses
 import io
 import json
 import math
 import multiprocessing
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -373,17 +375,48 @@ def _cell_worker(args) -> ResultRow:
     return simulate_cell(gate, scheme, tau, noise_model, epsilon, realizations, seed)
 
 
+def _set_blas_threads(n: int) -> int | None:
+    """Set the thread count of the OpenBLAS bundled with numpy; return the old
+    count, or None if this numpy build exposes no thread control."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        before = get()
+        set_(n)
+        return before
+    return None
+
+
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
-    """Simulate the full (gate, scheme, tau) cross product, sorted, deterministic."""
+    """Simulate the full (gate, scheme, tau) cross product, sorted, deterministic.
+
+    Cells run with one BLAS thread, here and in every pool worker, and the
+    caller's count is restored afterwards.  Threaded LAPACK rounds the dense
+    bath algebra differently, so this gives bath rows the same bytes on any
+    machine; it also keeps workers from running more BLAS threads than cores.
+    """
     noise_model = resolve_noise(cfg)
     tasks = [
         (gate, scheme, tau, seed, noise_model, cfg.epsilon, cfg.realizations)
         for gate, scheme, tau, seed in _sweep_cells(cfg)
     ]
-    if jobs <= 1 or len(tasks) <= 1:
-        return [_cell_worker(t) for t in tasks]
-    with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
-        return list(pool.map(_cell_worker, tasks, chunksize=1))
+    before = _set_blas_threads(1)
+    if before is None:
+        print("warning: cannot set numpy's OpenBLAS thread count; bath rows may differ "
+              "in the last digits between machines", file=sys.stderr)
+    try:
+        if jobs <= 1 or len(tasks) <= 1:
+            return [_cell_worker(t) for t in tasks]
+        with multiprocessing.Pool(min(jobs, len(tasks)), initializer=_set_blas_threads, initargs=(1,)) as pool:
+            return list(pool.map(_cell_worker, tasks, chunksize=1))
+    finally:
+        if before is not None:
+            _set_blas_threads(before)
 
 
 def run_table1(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:

@@ -10,11 +10,14 @@ the operator ensemble whose average is the simulated system channel.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
+from collections import Counter
 
 import numpy as np
 
-from .core import hermitian_expm, partial_trace_bath, rotation_unitary, spin_half_operators
+from .core import hermitian_expm, partial_trace_bath, rotation_unitary
 from .noise import (
     OUNoiseSpec, SpinBathSpec, _step_count, bath_frame, ou_phase_at, ou_phase_rows, sample_ou_ensemble,
 )
@@ -39,30 +42,66 @@ def bath_propagator(schedule, spec: SpinBathSpec) -> np.ndarray:
     once per spec.  U is propagated as Ut = diag(v0^dag, v1^dag) U: a delay
     multiplies the rows of Ut by e^{-i w t}, a hard pulse mixes the two row
     blocks through link = v0^dag v1, and a soft half multiplies by the
-    exponential of the framed drift-plus-drive generator, computed once per
-    distinct (phase, scaled angle, duration) within the schedule.
+    exponential of the framed drift-plus-drive generator.  The soft halves cut
+    the events into runs of delays and hard pulses; a run that recurs within
+    the schedule (the interior of every decoupling cycle) and holds more than
+    one hard pulse is multiplied out once and then applied as one product.
+    Each soft half's exponential is shared across phases and across calls
+    (`_soft_exponential`).
     """
     frame, d = bath_frame(spec), 2**spec.n_bath
     ut = frame.from_frame(np.eye(2 * d)).conj().T  # diag(v0^dag, v1^dag)
-    sx, sy, _ = spin_half_operators()
-    soft = {}
+    runs, softs, run = [], [], []
     for ev in schedule.events:
-        if ev.kind == "delay":
-            ut = frame.delay(ut, ev.duration)
-            continue
-        phase, angle = ev.rotation.phase, ev.rotation.angle * ev.amplitude_scale
-        if ev.duration == 0.0:
-            ut = frame.rotate(ut, rotation_unitary(phase, angle))
-            continue
-        key = (phase, angle, ev.duration)
-        if key not in soft:
-            # The drift stays on during the drive h, whose diagonal is zero: H_noise + h (x) I.
-            h = angle / ev.duration * (math.cos(phase) * sx + math.sin(phase) * sy)
-            g = np.diag(frame.w).astype(complex)
-            g[:d, d:], g[d:, :d] = h[0, 1] * frame.link, h[1, 0] * frame.link.conj().T
-            soft[key] = hermitian_expm(g, ev.duration)
-        ut = soft[key] @ ut
+        if ev.kind == "soft_gate_half":
+            runs.append(tuple(run))
+            softs.append(ev)
+            run = []
+        else:
+            run.append(ev)
+    runs.append(tuple(run))
+    softs.append(None)
+    repeats, products = Counter(runs), {}
+    for run, soft in zip(runs, softs):
+        # One 2d x 2d product costs as much as two hard pulses.
+        if repeats[run] > 1 and sum(ev.kind == "hard_pulse" for ev in run) > 1:
+            if run not in products:
+                products[run] = _apply_run(frame, run, np.eye(2 * d, dtype=complex))
+            ut = products[run] @ ut
+        else:
+            ut = _apply_run(frame, run, ut)
+        if soft is not None:
+            # The drive at phase p is P (drive at 0) P^dag with P = diag(I, e^{ip} I),
+            # which commutes with the block-diagonal drift.
+            p = cmath.exp(1j * soft.rotation.phase)
+            ut[d:] *= p.conjugate()
+            ut = _soft_exponential(frame, soft.rotation.angle * soft.amplitude_scale, soft.duration) @ ut
+            ut[d:] *= p
     return frame.from_frame(ut)
+
+
+def _apply_run(frame, run, xt: np.ndarray) -> np.ndarray:
+    """Delays and hard pulses of a run applied in order to a framed Xt."""
+    for ev in run:
+        if ev.kind == "delay":
+            xt = frame.delay(xt, ev.duration)
+        else:
+            xt = frame.rotate(xt, rotation_unitary(ev.rotation.phase, ev.rotation.angle * ev.amplitude_scale))
+    return xt
+
+
+@functools.lru_cache(maxsize=16)  # 16 x 256 KB at a 6-spin bath
+def _soft_exponential(frame, angle: float, duration: float) -> np.ndarray:
+    """exp(-i G t), t = duration, of the framed drift diag(w) plus the phase-0 drive
+    (angle / t) S_x (x) I, whose framed off-diagonal blocks are angle / 2t times
+    link and link^dag."""
+    d = len(frame.link)
+    g = np.diag(frame.w).astype(complex)
+    half_rate = 0.5 * angle / duration
+    g[:d, d:], g[d:, :d] = half_rate * frame.link, half_rate * frame.link.conj().T
+    u = hermitian_expm(g, duration)
+    u.setflags(write=False)
+    return u
 
 
 def _pulse_cayley_klein(ev, delta: np.ndarray):

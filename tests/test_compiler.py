@@ -289,6 +289,13 @@ def test_serialization_rejects_tampering():
     doc["events"][1]["angle_rad"] = 1.0  # one pi pulse of the cycle, now off target
     with pytest.raises(CompileError):
         schedule_from_json(json.dumps(doc))
+    doc = json.loads(text)
+    doc["dd_kind"], doc["tau_s"] = "kdd", 1e-3  # xy4 pulses 10 us apart, relabelled
+    with pytest.raises(CompileError):
+        schedule_from_json(json.dumps(doc))
+    doc["dd_kind"] = "xy4"  # right kind, but the schedule lasts 5 cycles of 40 us
+    with pytest.raises(CompileError):
+        schedule_from_json(json.dumps(doc))
     with pytest.raises(CompileError):
         schedule_from_json("{not json")
 

@@ -1,9 +1,15 @@
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ddgates.harness as harness
 from ddgates.cli import main as cli_main
 from ddgates.compiler import CompileError
 from ddgates.harness import (
@@ -33,7 +39,7 @@ from ddgates.harness import (
     simulate_cell,
     summarize_rows,
 )
-from ddgates.noise import CalibrationResult, OUNoiseSpec, SpinBathSpec
+from ddgates.noise import CalibrationResult, OUNoiseSpec, SpinBathSpec, default_spin_bath
 
 PINNED_NOISE = OUNoiseSpec(sigma=4335.354, tau_c=1.5e-4, dt=1.5e-5, sigma_static=2361.947)
 
@@ -275,6 +281,37 @@ def test_run_sweep_grid_is_sorted_and_complete():
 def test_run_sweep_parallel_equals_serial():
     cfg = config_from_dict(BASE_CONFIG)
     assert run_sweep(cfg, jobs=1) == run_sweep(cfg, jobs=3)
+
+
+def test_run_sweep_runs_cells_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    before = harness._set_blas_threads(2)
+    seen = []  # each cell reads the count by setting it to 1 again
+    monkeypatch.setattr(harness, "_cell_worker", lambda task: seen.append(harness._set_blas_threads(1)))
+    try:
+        run_sweep(config_from_dict(BASE_CONFIG), jobs=1)
+    finally:
+        restored = harness._set_blas_threads(before)
+    assert seen == [1, 1, 1, 1]
+    assert restored == 2
+
+
+def test_bath_sweep_bytes_do_not_depend_on_blas_threads_or_jobs(tmp_path):
+    bath = default_spin_bath(6)
+    noise = {"kind": "spin_bath", "couplings": list(bath.couplings),
+             "bath_couplings": bath.bath_couplings.tolist()}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(BASE_CONFIG, noise=noise, gates=["NOOP", "PI8"], schemes=["kdd"],
+                                        tau_grid_s=[1e-5])), encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = set()
+    for threads, jobs in itertools.product(("1", "2"), ("1", "2")):
+        out = tmp_path / f"t{threads}-j{jobs}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        subprocess.run([sys.executable, "-m", "ddgates", "sweep", "--config", str(cfg_path), "--out", str(out),
+                        "--jobs", jobs], env=env, check=True, capture_output=True, timeout=120)
+        outputs.add(out.read_bytes())
+    assert len(outputs) == 1
 
 
 def test_run_sweep_survives_failed_cells():

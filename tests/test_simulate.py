@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import ddgates.simulate as simulate
 
 from ddgates.compiler import (
+    DD_KINDS,
     XY4,
     PulseEvent,
     RotationSpec,
@@ -22,7 +23,7 @@ from ddgates.compiler import (
     hard_pulse_schedule,
     protected_bb1_gate,
 )
-from ddgates.core import DEFAULT_MAX_SPINS, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, embed_system
+from ddgates.core import DEFAULT_MAX_SPINS, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, embed_system, hermitian_expm
 from ddgates.harness import GATES, SCHEMES, build_schedule
 from ddgates.noise import (
     OUNoiseSpec,
@@ -294,6 +295,55 @@ def test_bath_soft_halves_differing_in_amplitude_or_duration_do_not_share_an_exp
         dataclasses.replace(soft, duration=6e-6),
     )
     sched = Schedule(events, target_gate=IDENTITY_2, label="soft-halves")
+    _assert_matches_oracle(sched, _two_spin_bath())
+
+
+_BATH_ROTATIONS = st.builds(
+    RotationSpec, st.floats(-10.0, 10.0), st.floats(-4 * math.pi, 4 * math.pi, exclude_min=True)
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rotations=st.lists(_BATH_ROTATIONS, min_size=1, max_size=2),
+    kind=st.sampled_from(("xy4", "xy8", "kdd")),
+    tau=st.floats(1e-6, 3e-5),
+    epsilon=st.floats(-0.2, 0.2),
+)
+def test_bath_propagator_of_random_protected_gates_matches_oracle(rotations, kind, tau, epsilon):
+    sched = apply_amplitude_error(protected_bb1_gate(rotations, DD_KINDS[kind], tau), epsilon)
+    _assert_matches_oracle(sched, _two_spin_bath())
+
+
+def test_bath_soft_halves_exponentiate_once_per_scaled_angle(monkeypatch):
+    calls = []
+
+    def counting_expm(h, t):
+        calls.append(t)
+        return hermitian_expm(h, t)
+
+    simulate._soft_exponential.cache_clear()
+    monkeypatch.setattr(simulate, "hermitian_expm", counting_expm)
+    spec = default_spin_bath(n_bath=3, seed=5)
+    angles = set()
+    for kind in ("xy4", "xy8", "kdd"):
+        sched = apply_amplitude_error(build_schedule("PI8", kind, 1e-5), 0.01)
+        bath_propagator(sched, spec)
+        angles |= {ev.rotation.angle * ev.amplitude_scale for ev in sched.events if ev.kind == "soft_gate_half"}
+    # -pi/8, pi/16 and pi/8, a quarter of each rotation, and the halves of the pi and 2 pi components,
+    # shared by the three cycle kinds.
+    assert len(angles) == 5
+    assert len(calls) == 5
+
+
+def test_bath_repeated_runs_differing_in_one_amplitude_scale_stay_apart():
+    tau = 5e-6
+    hard = [PulseEvent("hard_pulse", 0.0, RotationSpec(p, math.pi)) for p in (0.0, math.pi / 2, 0.0)]
+    run = (hard[0], PulseEvent("delay", tau), hard[1], PulseEvent("delay", tau), hard[2])
+    scaled = (run[0], run[1], dataclasses.replace(hard[1], amplitude_scale=1.05), run[3], run[4])
+    soft = PulseEvent("soft_gate_half", tau / 2, RotationSpec(0.4, math.pi / 4))
+    events = (*run, soft, *scaled, soft, *run, soft, *scaled)
+    sched = Schedule(events, target_gate=IDENTITY_2, label="repeated-runs")
     _assert_matches_oracle(sched, _two_spin_bath())
 
 
