@@ -19,12 +19,12 @@ from .harness import (
     build_schedule,
     emit_report,
     load_config,
-    resolve_noise,
+    resolve_noise,  # unused here; perfbench/setup_probe.py times cli.resolve_noise
     rows_to_csv,
     run_calibration,
+    run_cells,
     run_sweep,
     run_table1,
-    simulate_cell,
 )
 from .noise import CalibrationError
 
@@ -96,6 +96,15 @@ def _write_or_print(text: str, out_path: str | None) -> None:
         Path(out_path).write_text(text, encoding="utf-8")
 
 
+def _exit_code(rows) -> int:
+    """2 after reporting the failed cells on stderr, 0 if every cell ran."""
+    failed = [row for row in rows if row.error]
+    if not failed:
+        return 0
+    print(f"{len(failed)} of {len(rows)} cells failed; first: {failed[0].error}", file=sys.stderr)
+    return 2
+
+
 def cmd_calibrate(args) -> int:
     result = run_calibration(load_config(args.config), args.out)
     print(f"sigma = {result.params.sigma!r} rad/s")
@@ -118,16 +127,9 @@ def cmd_compile(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    noise_model = resolve_noise(cfg)
-    row = simulate_cell(
-        args.gate, args.scheme, args.tau, noise_model,
-        cfg.epsilon, cfg.realizations, cfg.seed,
-    )
-    _write_or_print(rows_to_csv([row]), args.out)
-    if row.error:
-        print(f"cell failed: {row.error}", file=sys.stderr)
-        return 2
-    return 0
+    rows = run_cells(cfg, [(args.gate, args.scheme, args.tau, cfg.seed)])
+    _write_or_print(rows_to_csv(rows), args.out)
+    return _exit_code(rows)
 
 
 def cmd_sweep(args) -> int:
@@ -141,11 +143,7 @@ def cmd_sweep(args) -> int:
             print(f"wrote {args.out}")
         if args.summary:
             print(f"wrote {args.summary}")
-    failed = sum(1 for row in rows if row.error)
-    if failed:
-        print(f"{failed} of {len(rows)} cells failed", file=sys.stderr)
-        return 2
-    return 0
+    return _exit_code(rows)
 
 
 def cmd_table1(args) -> int:
@@ -154,10 +152,7 @@ def cmd_table1(args) -> int:
     if args.csv:
         Path(args.csv).write_text(rows_to_csv(rows), encoding="utf-8")
     _write_or_print(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
-    if any(row.error for row in rows):
-        print("one or more benchmark cells failed", file=sys.stderr)
-        return 2
-    return 0
+    return _exit_code(rows)
 
 
 def main(argv=None) -> int:

@@ -32,10 +32,14 @@ import csv
 import ctypes
 import dataclasses
 import io
+import itertools
 import json
 import math
 import multiprocessing
+import numbers
+import os
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,18 +74,6 @@ SCHEMES = ("simple", "simple_padded", "bb1", "xy4", "xy8", "kdd")
 # Published reference gate times and fidelities for the XY-8 benchmark.
 REFERENCE_GATE_TIMES_S = {"H": 1.6e-3, "NOT": 0.6e-3, "PI8": 2.2e-3}
 REFERENCE_FIDELITIES = {"H": 0.985, "NOT": 0.995, "PI8": 0.955}
-
-CSV_FIELDS = (
-    "gate",
-    "scheme",
-    "tau_s",
-    "gate_time_s",
-    "pulse_count",
-    "fidelity",
-    "fidelity_stderr",
-    "seed",
-    "error",
-)
 
 _STDERR_BATCHES = 10
 
@@ -119,6 +111,12 @@ class ExperimentConfig:
         object.__setattr__(self, "gates", tuple(self.gates))
         object.__setattr__(self, "schemes", tuple(self.schemes))
         object.__setattr__(self, "tau_grid", tuple(float(t) for t in self.tau_grid))
+        object.__setattr__(self, "epsilon", float(self.epsilon))
+        for name in ("realizations", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not self.gates or not self.schemes or not self.tau_grid:
             raise ConfigError("gates, schemes, and tau_grid must be non-empty")
         for g in self.gates:
@@ -131,23 +129,32 @@ class ExperimentConfig:
             raise ConfigError("tau_grid entries must be positive and finite")
         if self.realizations < 1:
             raise ConfigError("realizations must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not abs(self.epsilon) < 0.5:
             raise ConfigError("epsilon must lie in (-0.5, 0.5)")
 
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One CSV record of a simulated (gate, scheme, tau) cell."""
+    """One simulated (gate, scheme, tau) cell.  Its fields, in order, are the
+    CSV columns; a field in seconds is written as <name>_s."""
 
     gate: str
     scheme: str
-    tau: float
-    gate_time: float
+    tau: float = dataclasses.field(metadata={"unit": "s"})
+    gate_time: float = dataclasses.field(metadata={"unit": "s"})
     pulse_count: int
     fidelity: float
     fidelity_stderr: float
     seed: int
     error: str = ""
+
+
+_COLUMN_TYPES = tuple(typing.get_type_hints(ResultRow).values())
+CSV_FIELDS = tuple(
+    f"{f.name}_{f.metadata['unit']}" if f.metadata else f.name for f in dataclasses.fields(ResultRow)
+)
 
 
 def _parse_noise(d: dict):
@@ -176,14 +183,13 @@ def _parse_noise(d: dict):
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     try:
+        optional = {key: d[key] for key in ("epsilon", "realizations", "seed") if key in d}
         return ExperimentConfig(
             noise=_parse_noise(d["noise"]),
-            gates=tuple(d["gates"]),
-            schemes=tuple(d["schemes"]),
-            tau_grid=tuple(d["tau_grid_s"]),
-            epsilon=float(d.get("epsilon", 0.01)),
-            realizations=int(d.get("realizations", 10000)),
-            seed=int(d.get("seed", 0)),
+            gates=d["gates"],
+            schemes=d["schemes"],
+            tau_grid=d["tau_grid_s"],
+            **optional,
         )
     except ConfigError:
         raise
@@ -329,28 +335,12 @@ def simulate_cell(
                 for batch in np.array_split(ops, n_batches)
             ]
             stderr = float(np.std(batch_f, ddof=1) / math.sqrt(n_batches))
-        return ResultRow(
-            gate=gate,
-            scheme=scheme,
-            tau=tau,
-            gate_time=schedule.total_duration,
-            pulse_count=pulse_count(schedule),
-            fidelity=fidelity,
-            fidelity_stderr=stderr,
-            seed=seed,
-        )
+        return ResultRow(gate=gate, scheme=scheme, tau=tau, gate_time=schedule.total_duration,
+                         pulse_count=pulse_count(schedule), fidelity=fidelity,
+                         fidelity_stderr=stderr, seed=seed)
     except (CompileError, ValueError) as exc:
-        return ResultRow(
-            gate=gate,
-            scheme=scheme,
-            tau=tau,
-            gate_time=math.nan,
-            pulse_count=0,
-            fidelity=math.nan,
-            fidelity_stderr=math.nan,
-            seed=seed,
-            error=str(exc),
-        )
+        return ResultRow(gate=gate, scheme=scheme, tau=tau, gate_time=math.nan, pulse_count=0,
+                         fidelity=math.nan, fidelity_stderr=math.nan, seed=seed, error=str(exc))
 
 
 def _cell_seed(root_seed: int, gate_index: int, scheme_index: int, tau_index: int) -> int:
@@ -358,21 +348,6 @@ def _cell_seed(root_seed: int, gate_index: int, scheme_index: int, tau_index: in
         entropy=root_seed, spawn_key=(gate_index, scheme_index, tau_index)
     )
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def _sweep_cells(cfg: ExperimentConfig):
-    gates = sorted(dict.fromkeys(cfg.gates))
-    schemes = sorted(dict.fromkeys(cfg.schemes))
-    taus = sorted(dict.fromkeys(cfg.tau_grid))
-    for gi, gate in enumerate(gates):
-        for si, scheme in enumerate(schemes):
-            for ti, tau in enumerate(taus):
-                yield gate, scheme, tau, _cell_seed(cfg.seed, gi, si, ti)
-
-
-def _cell_worker(args) -> ResultRow:
-    gate, scheme, tau, seed, noise_model, epsilon, realizations = args
-    return simulate_cell(gate, scheme, tau, noise_model, epsilon, realizations, seed)
 
 
 def _set_blas_threads(n: int) -> int | None:
@@ -392,31 +367,40 @@ def _set_blas_threads(n: int) -> int | None:
     return None
 
 
-def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
-    """Simulate the full (gate, scheme, tau) cross product, sorted, deterministic.
+def run_cells(cfg: ExperimentConfig, cells, jobs: int = 1) -> list[ResultRow]:
+    """Simulate (gate, scheme, tau, seed) cells under cfg's noise, one row per
+    cell in cell order; any jobs gives the same rows.
 
     Cells run with one BLAS thread, here and in every pool worker, and the
-    caller's count is restored afterwards.  Threaded LAPACK rounds the dense
-    bath algebra differently, so this gives bath rows the same bytes on any
-    machine; it also keeps workers from running more BLAS threads than cores.
+    caller's count is restored afterwards.  This keeps jobs >= 2 from running
+    more BLAS threads than there are cores, and guards the byte contract
+    against the caller's thread setting.  No more workers start than there
+    are cores.
     """
     noise_model = resolve_noise(cfg)
-    tasks = [
-        (gate, scheme, tau, seed, noise_model, cfg.epsilon, cfg.realizations)
-        for gate, scheme, tau, seed in _sweep_cells(cfg)
-    ]
+    tasks = [(gate, scheme, tau, noise_model, cfg.epsilon, cfg.realizations, seed)
+             for gate, scheme, tau, seed in cells]
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
     before = _set_blas_threads(1)
     if before is None:
-        print("warning: cannot set numpy's OpenBLAS thread count; bath rows may differ "
-              "in the last digits between machines", file=sys.stderr)
+        print("warning: cannot set numpy's OpenBLAS thread count; cells run on its default",
+              file=sys.stderr)
     try:
-        if jobs <= 1 or len(tasks) <= 1:
-            return [_cell_worker(t) for t in tasks]
-        with multiprocessing.Pool(min(jobs, len(tasks)), initializer=_set_blas_threads, initargs=(1,)) as pool:
-            return list(pool.map(_cell_worker, tasks, chunksize=1))
+        if workers <= 1:
+            return list(itertools.starmap(simulate_cell, tasks))
+        with multiprocessing.Pool(workers, initializer=_set_blas_threads, initargs=(1,)) as pool:
+            return pool.starmap(simulate_cell, tasks, chunksize=1)
     finally:
         if before is not None:
             _set_blas_threads(before)
+
+
+def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
+    """Simulate the full (gate, scheme, tau) cross product, sorted, deterministic."""
+    axes = [enumerate(sorted(dict.fromkeys(a))) for a in (cfg.gates, cfg.schemes, cfg.tau_grid)]
+    cells = [(gate, scheme, tau, _cell_seed(cfg.seed, gi, si, ti))
+             for (gi, gate), (si, scheme), (ti, tau) in itertools.product(*axes)]
+    return run_cells(cfg, cells, jobs)
 
 
 def run_table1(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
@@ -426,55 +410,30 @@ def run_table1(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
     time: tau = duration / (rotations * 5 * 8).  Returns the rows plus a report
     placing simulated fidelities beside the reference values.
     """
-    noise_model = resolve_noise(cfg)
     gates = [g for g in sorted(dict.fromkeys(cfg.gates)) if g in REFERENCE_GATE_TIMES_S]
     if not gates:
         raise ConfigError("run_table1 requires at least one of H, NOT, PI8 in gates")
-    rows = []
+    rows = run_cells(cfg, [
+        (gate, "xy8", REFERENCE_GATE_TIMES_S[gate] / (len(GATE_ROTATIONS[gate]) * 5 * 8),
+         _cell_seed(cfg.seed, gi, 0, 0))
+        for gi, gate in enumerate(gates)
+    ])
     report = {}
-    for gi, gate in enumerate(gates):
-        n = len(GATE_ROTATIONS[gate])
-        tau = REFERENCE_GATE_TIMES_S[gate] / (n * 5 * 8)
-        row = simulate_cell(
-            gate, "xy8", tau, noise_model, cfg.epsilon, cfg.realizations,
-            _cell_seed(cfg.seed, gi, 0, 0),
-        )
-        rows.append(row)
-        report[gate] = {
-            "tau_s": row.tau,
-            "gate_time_s": row.gate_time,
-            "pulse_count": row.pulse_count,
-            "fidelity": row.fidelity,
-            "fidelity_stderr": row.fidelity_stderr,
-            "reference_gate_time_s": REFERENCE_GATE_TIMES_S[gate],
-            "reference_fidelity": REFERENCE_FIDELITIES[gate],
-            "error": row.error,
-        }
+    for row in rows:
+        entry = dict(zip(CSV_FIELDS, dataclasses.astuple(row)))
+        del entry["gate"], entry["scheme"], entry["seed"]  # keyed by gate; the scheme is xy8
+        entry["reference_gate_time_s"] = REFERENCE_GATE_TIMES_S[row.gate]
+        entry["reference_fidelity"] = REFERENCE_FIDELITIES[row.gate]
+        report[row.gate] = entry
     return rows, report
-
-
-def _format_number(x: float) -> str:
-    return repr(float(x))
 
 
 def rows_to_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
-    for row in rows:
-        writer.writerow(
-            [
-                row.gate,
-                row.scheme,
-                _format_number(row.tau),
-                _format_number(row.gate_time),
-                str(int(row.pulse_count)),
-                _format_number(row.fidelity),
-                _format_number(row.fidelity_stderr),
-                str(int(row.seed)),
-                row.error,
-            ]
-        )
+    # str() of a float is its shortest round-trip repr, so rows_from_csv is exact.
+    writer.writerows([str(t(v)) for t, v in zip(_COLUMN_TYPES, dataclasses.astuple(row))] for row in rows)
     return buf.getvalue()
 
 
@@ -483,22 +442,7 @@ def rows_from_csv(text: str) -> list[ResultRow]:
     header = next(reader)
     if tuple(header) != CSV_FIELDS:
         raise ValueError(f"unexpected CSV header {header}")
-    out = []
-    for rec in reader:
-        out.append(
-            ResultRow(
-                gate=rec[0],
-                scheme=rec[1],
-                tau=float(rec[2]),
-                gate_time=float(rec[3]),
-                pulse_count=int(rec[4]),
-                fidelity=float(rec[5]),
-                fidelity_stderr=float(rec[6]),
-                seed=int(rec[7]),
-                error=rec[8],
-            )
-        )
-    return out
+    return [ResultRow(*(t(v) for t, v in zip(_COLUMN_TYPES, rec))) for rec in reader]
 
 
 def summarize_rows(rows) -> dict:

@@ -38,8 +38,9 @@ class SpinBathSpec:
     system_offset: float = 0.0  # omega_S, rad/s
 
     def __post_init__(self):
-        if self.n_bath < 0:
-            raise ValueError("n_bath must be non-negative")
+        if not 0 <= self.n_bath < DEFAULT_MAX_SPINS:
+            raise ValueError(f"n_bath must lie in [0, {DEFAULT_MAX_SPINS - 1}], got {self.n_bath}: "
+                             f"the system plus bath holds at most {DEFAULT_MAX_SPINS} spins")
         object.__setattr__(self, "couplings", tuple(float(b) for b in self.couplings))
         if len(self.couplings) != self.n_bath:
             raise ValueError(f"expected {self.n_bath} couplings, got {len(self.couplings)}")
@@ -105,8 +106,6 @@ def build_bath_hamiltonians(spec: SpinBathSpec) -> tuple[np.ndarray, np.ndarray,
     H_E the secular dipolar intra-bath coupling (flip-flop terms included).
     """
     n = spec.n_bath
-    if 1 + n > DEFAULT_MAX_SPINS:
-        raise ValueError(f"{1 + n} total spins exceeds the maximum of {DEFAULT_MAX_SPINS}")
     # site[k] = (S_x, S_y, S_z) on bath site k, identity elsewhere (bath space only).
     site = [[functools.reduce(np.kron, [c if j == k else IDENTITY_2 for j in range(n)], np.eye(1))
              for c in spin_half_operators()] for k in range(n)]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -12,6 +13,7 @@ import pytest
 import ddgates.harness as harness
 from ddgates.cli import main as cli_main
 from ddgates.compiler import CompileError
+from ddgates.core import DEFAULT_MAX_SPINS
 from ddgates.harness import (
     CSV_FIELDS,
     GATES,
@@ -87,6 +89,12 @@ def test_config_from_dict_parses_every_noise_kind():
         {"epsilon": 0.6},
         {"noise": {"kind": "pink"}},
         {"noise": {"kind": "ou", "sigma": 1.0}},
+        {"realizations": 100.5},
+        {"realizations": True},
+        {"realizations": "100"},
+        {"seed": 1.9},
+        {"seed": -1},
+        {"seed": False},
     ],
 )
 def test_config_rejects_invalid_entries(mutation):
@@ -286,13 +294,41 @@ def test_run_sweep_parallel_equals_serial():
 def test_run_sweep_runs_cells_on_one_blas_thread_and_restores_the_count(monkeypatch):
     before = harness._set_blas_threads(2)
     seen = []  # each cell reads the count by setting it to 1 again
-    monkeypatch.setattr(harness, "_cell_worker", lambda task: seen.append(harness._set_blas_threads(1)))
+    monkeypatch.setattr(harness, "simulate_cell", lambda *cell: seen.append(harness._set_blas_threads(1)))
     try:
         run_sweep(config_from_dict(BASE_CONFIG), jobs=1)
     finally:
         restored = harness._set_blas_threads(before)
     assert seen == [1, 1, 1, 1]
     assert restored == 2
+
+
+def test_run_sweep_starts_no_more_pool_workers_than_cores(monkeypatch):
+    cfg = config_from_dict(BASE_CONFIG)  # 4 cells
+    serial = run_sweep(cfg)
+    started = []
+
+    class FakePool:  # runs the tasks in this process, so no worker starts
+        def __init__(self, processes, initializer, initargs):
+            started.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks, chunksize):
+            return list(itertools.starmap(fn, tasks))
+
+    monkeypatch.setattr(harness.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    assert run_sweep(cfg, jobs=64) == serial
+    assert started == [3]
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)  # unknown: run serially
+    assert run_sweep(cfg, jobs=64) == serial
+    assert started == [3]
 
 
 def test_bath_sweep_bytes_do_not_depend_on_blas_threads_or_jobs(tmp_path):
@@ -532,3 +568,77 @@ def test_cli_simulate_and_sweep(tmp_path):
     assert code == 0
     report = json.loads(table_json.read_text(encoding="utf-8"))
     assert report["NOT"]["reference_fidelity"] == 0.995
+
+
+def test_cli_rejects_an_oversized_spin_bath_before_any_cell_runs(tmp_path, capsys, monkeypatch):
+    n = DEFAULT_MAX_SPINS  # with the system, one spin over the limit
+    noise = {"kind": "spin_bath", "couplings": [1e4] * n, "bath_couplings": np.zeros((n, n)).tolist()}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(BASE_CONFIG, noise=noise)), encoding="utf-8")
+    cells = []
+    monkeypatch.setattr(harness, "simulate_cell", lambda *cell: cells.append(cell))
+    for command in ("sweep", "table1"):
+        assert cli_main([command, "--config", str(cfg_path)]) == 1
+        assert f"at most {DEFAULT_MAX_SPINS} spins" in capsys.readouterr().err
+    assert cells == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "table1"])
+def test_cli_rejects_a_negative_seed_override_naming_the_field(tmp_path, capsys, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")
+    cell = ["--gate", "NOT", "--scheme", "xy8", "--tau", "1.5e-5"] if command == "simulate" else []
+    assert cli_main([command, "--config", str(cfg_path), "--seed", "-1", *cell]) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+def test_cli_sweep_without_out_prints_the_csv(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")
+    assert cli_main(["sweep", "--config", str(cfg_path), "--realizations", "20"]) == 0
+    cfg = dataclasses.replace(config_from_dict(BASE_CONFIG), realizations=20)
+    assert capsys.readouterr().out == rows_to_csv(run_sweep(cfg))
+
+
+def test_cli_table1_writes_its_rows_and_exits_2_on_a_failed_cell(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(BASE_CONFIG, gates=["NOT", "H"], realizations=20)), encoding="utf-8")
+    rows_csv, report_json = tmp_path / "rows.csv", tmp_path / "report.json"
+    argv = ["table1", "--config", str(cfg_path), "--out", str(report_json), "--csv", str(rows_csv)]
+    assert cli_main(argv) == 0
+    rows, report = run_table1(load_config(str(cfg_path)))
+    assert rows_csv.read_text(encoding="utf-8") == rows_to_csv(rows)
+    assert json.loads(report_json.read_text(encoding="utf-8")) == report
+
+    simulate = harness.simulate_cell
+
+    def failing_h(gate, *rest):
+        row = simulate(gate, *rest)
+        return dataclasses.replace(row, fidelity=math.nan, error="boom") if gate == "H" else row
+
+    monkeypatch.setattr(harness, "simulate_cell", failing_h)
+    capsys.readouterr()
+    assert cli_main(argv) == 2
+    assert [row.error for row in rows_from_csv(rows_csv.read_text(encoding="utf-8"))] == ["boom", ""]
+    assert json.loads(report_json.read_text(encoding="utf-8"))["H"]["error"] == "boom"
+    assert "1 of 2 cells failed" in capsys.readouterr().err
+
+
+def test_cli_exits_2_on_an_unwritable_output(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "sched.json"
+    assert cli_main(["compile", "--gate", "NOT", "--scheme", "xy8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_targets_noise_gives_the_bytes_of_its_calibration_artifact(tmp_path):
+    targets = {"kind": "targets", "t2_star_s": 3.7e-4, "t2_hahn_s": 7.5e-4}
+    cfg = config_from_dict(dict(BASE_CONFIG, noise=targets, realizations=40))
+    artifact = tmp_path / "cal.json"
+    run_calibration(cfg, str(artifact))
+    via_artifact = dataclasses.replace(cfg, noise=CalibrationFileRef(str(artifact)))
+    assert rows_to_csv(run_sweep(cfg)) == rows_to_csv(run_sweep(via_artifact))
+
+
+def test_readme_states_the_csv_schema():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    assert ",".join(CSV_FIELDS) in readme.read_text(encoding="utf-8").splitlines()

@@ -349,8 +349,8 @@ def test_bath_repeated_runs_differing_in_one_amplitude_scale_stay_apart():
 
 def test_bath_propagator_rejects_oversized_bath():
     n = DEFAULT_MAX_SPINS  # one more spin than the limit, counting the system
-    spec = SpinBathSpec(n_bath=n, couplings=(1.0,) * n, bath_couplings=np.zeros((n, n)))
     with pytest.raises(ValueError):
+        spec = SpinBathSpec(n_bath=n, couplings=(1.0,) * n, bath_couplings=np.zeros((n, n)))
         bath_propagator(dd_cycle(XY4, 1e-5), spec)
 
 
