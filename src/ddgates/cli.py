@@ -15,6 +15,8 @@ from pathlib import Path
 
 from .compiler import CompileError, apply_amplitude_error, schedule_to_json
 from .harness import (
+    GATES,
+    SCHEMES,
     ConfigError,
     build_schedule,
     emit_report,
@@ -42,8 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
     cal.set_defaults(func=cmd_calibrate)
 
     comp = sub.add_parser("compile", help="compile one gate schedule to JSON")
-    comp.add_argument("--gate", required=True, help="H, NOT, PI8, or NOOP")
-    comp.add_argument("--scheme", required=True, help="simple, simple_padded, bb1, xy4, xy8, or kdd")
+    comp.add_argument("--gate", required=True, choices=GATES)
+    comp.add_argument("--scheme", required=True, choices=SCHEMES)
     comp.add_argument("--tau", type=float, default=1e-5, help="inter-pulse delay in seconds")
     comp.add_argument("--epsilon", type=float, default=0.0, help="fractional pulse amplitude error")
     comp.add_argument("--out", help="write the schedule JSON here instead of stdout")
@@ -51,8 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="simulate one (gate, scheme, tau) cell")
     sim.add_argument("--config", required=True, help="experiment config JSON")
-    sim.add_argument("--gate", required=True)
-    sim.add_argument("--scheme", required=True)
+    sim.add_argument("--gate", required=True, choices=GATES)
+    sim.add_argument("--scheme", required=True, choices=SCHEMES)
     sim.add_argument("--tau", type=float, required=True)
     sim.add_argument("--epsilon", type=float, help="override the config amplitude error")
     sim.add_argument("--realizations", type=int, help="override the config realization count")

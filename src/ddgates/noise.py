@@ -186,6 +186,22 @@ def default_spin_bath(
     return SpinBathSpec(n_bath, tuple(b), d, system_offset)
 
 
+def _double_angle(x: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray) -> None:
+    """Write cos 2x into cos_out and sin 2x into sin_out from t = tan x alone.
+
+    cos 2x = (1 - t^2) / (1 + t^2) = 2 / (1 + t^2) - 1 and sin 2x = 2t / (1 + t^2).
+    numpy's float64 tan runs in SIMD at a fraction of the cost of its cos, sin
+    or complex exp, and the results agree with theirs to a few 1e-16 absolute.
+    x is overwritten with t; one temporary of x's size is held.
+    """
+    np.tan(x, out=x)
+    w = np.square(x)
+    w += 1.0
+    np.divide(2.0, w, out=w)
+    np.multiply(x, w, out=sin_out)
+    np.subtract(w, 1.0, out=cos_out)
+
+
 def sample_ou_ensemble(
     spec: OUNoiseSpec,
     n_steps: int,
@@ -198,22 +214,31 @@ def sample_ou_ensemble(
     All rows come from one Philox stream keyed by seed.  Row r owns the m =
     ceil((n_steps + 2) / 4) counter blocks from (row_offset + r) * m, reached by
     `advance`; Box-Muller turns each consecutive pair of their 4m raw words into
-    two normals.  Normal 0 starts the exact-discretization OU recursion from the
-    stationary distribution, normals 1..n_steps drive it and normal n_steps + 1
-    is the static offset.  So row r depends only on (seed, row_offset + r,
-    n_steps), however the rows are split into calls.  The result is a
-    transposed view: each time step is contiguous over realizations.
+    two normals, taking the cosine and sine of the turn 2 pi u from the
+    half-angle tangent tan(pi u) (`_double_angle`).  Normal 0 starts the
+    exact-discretization OU recursion from the stationary distribution, normals
+    1..n_steps drive it and normal n_steps + 1 is the static offset.  So row r
+    depends only on (seed, row_offset + r, n_steps), however the rows are split
+    into calls.  The normals are made in place, so the peak memory is about 2.5
+    times the result's.  The result is a transposed view: each time step is
+    contiguous over realizations.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
     blocks = -(-(n_steps + 2) // 4)  # Philox yields 4 words per counter block
     bitgen = np.random.Philox(np.random.SeedSequence(seed))
     bitgen.advance(row_offset * blocks)
-    u = ((bitgen.random_raw(n_realizations * 4 * blocks) >> np.uint64(11)) + 0.5) * 2.0**-53
+    raw = bitgen.random_raw(n_realizations * 4 * blocks)
+    raw >>= np.uint64(11)
+    u = np.add(raw, 0.5)  # casts the 53-bit words to float64 as it adds
+    del raw
+    u *= 2.0**-53
     u = u.reshape(n_realizations, 2 * blocks, 2)  # uniform on (0, 1)
-    radius, turn = np.sqrt(-2.0 * np.log(u[..., 0])), 2.0 * math.pi * u[..., 1]
-    np.multiply(radius, np.cos(turn), out=u[..., 0])
-    np.multiply(radius, np.sin(turn), out=u[..., 1])
+    # In place, with at most three half-size temporaries, all freed before delta.
+    radius, half_turn = np.sqrt(-2.0 * np.log(u[..., 0])), np.multiply(u[..., 1], math.pi)
+    _double_angle(half_turn, u[..., 0], u[..., 1])
+    u *= radius[..., None]
+    del radius, half_turn
     g = u.reshape(n_realizations, 4 * blocks).T
     a = math.exp(-spec.dt / spec.tau_c)
     delta = np.multiply(spec.sigma * math.sqrt(1 - a * a), g[: n_steps + 1], order="C")

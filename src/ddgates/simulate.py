@@ -19,7 +19,8 @@ import numpy as np
 
 from .core import hermitian_expm, partial_trace_bath, rotation_unitary
 from .noise import (
-    OUNoiseSpec, SpinBathSpec, _step_count, bath_frame, ou_phase_at, ou_phase_rows, sample_ou_ensemble,
+    OUNoiseSpec, SpinBathSpec, _double_angle, _step_count, bath_frame, ou_phase_at, ou_phase_rows,
+    sample_ou_ensemble,
 )
 
 
@@ -125,7 +126,8 @@ def ou_propagators(schedule, spec: OUNoiseSpec, n_realizations: int, seed: int) 
 
     Each U = [[a, -b*], [b, a*]] is held as two complex vectors (Cayley-Klein
     form).  A delay multiplies a by e^{-i phi/2} and b by e^{+i phi/2}, phi the
-    exact phase integral of the piecewise-constant trajectory; a pulse [[alpha,
+    exact phase integral of the piecewise-constant trajectory, with e^{-i phi/2}
+    built from tan(phi/4) as (1 - q^2 - 2iq) / (1 + q^2); a pulse [[alpha,
     -beta*], [beta, alpha*]] maps (a, b) to (alpha a - beta* b, beta a + alpha* b).
     Realization r is row r of `sample_ou_ensemble` at this seed.  Chunks of at
     most _CHUNK_BUDGET trajectory elements are sampled at their row offsets, so
@@ -159,8 +161,10 @@ def _ou_cayley_klein(schedule, spec: OUNoiseSpec, n_steps: int, rows: int, seed:
             alpha, beta = _pulse_cayley_klein(ev, delta[:, k_mid])
             a, b = alpha * a - np.conj(beta) * b, beta * a + np.conj(alpha) * b
         elif ev.duration:
-            end = ou_phase_at(phi, delta, dt, t + ev.duration)
-            e = np.exp(-0.5j * (end - ou_phase_at(phi, delta, dt, t)))
+            # e = exp(-i phi / 2) = cos 2x + i sin 2x at x = -phi / 4.
+            x = 0.25 * (ou_phase_at(phi, delta, dt, t) - ou_phase_at(phi, delta, dt, t + ev.duration))
+            e = np.empty(rows, dtype=complex)
+            _double_angle(x, e.real, e.imag)
             # Not `a *= e`: numpy rounds in-place complex products of short arrays differently.
             a, b = a * e, b * e.conj()
         t += ev.duration

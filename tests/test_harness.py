@@ -482,6 +482,19 @@ def test_cli_exit_codes(tmp_path):
     assert cli_main(["bogus-subcommand"]) == 1
 
 
+@pytest.mark.parametrize("command", ["compile", "simulate"])
+@pytest.mark.parametrize("flag, value", [("--gate", "CNOT"), ("--scheme", "cpmg")])
+def test_cli_rejects_an_unknown_gate_or_scheme_with_exit_1(tmp_path, capsys, command, flag, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")
+    cell = dict({"--gate": "NOT", "--scheme": "xy4", "--tau": "1e-5"}, **{flag: value})
+    config = ["--config", str(cfg_path)] if command == "simulate" else []
+    out = tmp_path / "out"
+    assert cli_main([command, *config, *itertools.chain(*cell.items()), "--out", str(out)]) == 1
+    assert value in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scheme", ["simple", "simple_padded", "bb1", "xy8"])
 @pytest.mark.parametrize("tau", ["nan", "inf", "-inf", "0", "-1e-5"])
 def test_cli_rejects_invalid_tau_for_every_scheme(tmp_path, capsys, scheme, tau):

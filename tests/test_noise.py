@@ -11,6 +11,7 @@ from ddgates.noise import (
     CalibrationResult,
     OUNoiseSpec,
     SpinBathSpec,
+    _double_angle,
     _step_count,
     build_bath_hamiltonians,
     calibrate_to_targets,
@@ -134,6 +135,53 @@ def test_ou_ensemble_rows_do_not_depend_on_batch_layout():
     assert np.array_equal(full[5:], tail)
     again = sample_ou_ensemble(spec, n_steps=12, n_realizations=9, seed=104)
     assert np.array_equal(full, again)
+
+
+def test_double_angle_matches_cos_sin_and_the_delay_phasor():
+    # The edges of Box-Muller's (0, 1): the smallest and largest uniforms, and those
+    # on either side of 1/2, where tan(pi u) is largest.
+    edges = [2.0**-54, 0.5 - 2.0**-53, 0.5 + 2.0**-53, 1.0 - 2.0**-54, 0.25, 0.75]
+    u = np.concatenate((edges, np.random.default_rng(12).random(20_000)))
+    c, s = np.empty_like(u), np.empty_like(u)
+    _double_angle(math.pi * u, c, s)
+    assert np.abs(c - np.cos(2.0 * math.pi * u)).max() <= 1e-15
+    assert np.abs(s - np.sin(2.0 * math.pi * u)).max() <= 1e-15
+
+    phi = np.concatenate((np.random.default_rng(13).uniform(-1e4, 1e4, 20_000), [0.0, -1e4, 1e4, math.pi, 2 * math.pi]))
+    e = np.empty(phi.size, dtype=complex)
+    _double_angle(-0.25 * phi, e.real, e.imag)
+    assert np.abs(e - np.exp(-0.5j * phi)).max() <= 1e-15
+    assert np.abs(np.abs(e) - 1.0).max() <= 1e-15
+
+
+def test_ou_normals_of_both_box_muller_branches_are_standard_normal():
+    # n_steps = 1: normal 0 (a cosine) starts each row and normal 1 (a sine) is
+    # the innovation of its only step.
+    spec = make_ou(sigma=1.0, tau_c=1e-4, dt=1e-5)
+    a = math.exp(-spec.dt / spec.tau_c)
+    delta = sample_ou_ensemble(spec, n_steps=1, n_realizations=200_000, seed=2027)
+    cos_branch = delta[:, 0]
+    sin_branch = (delta[:, 1] - a * delta[:, 0]) / math.sqrt(1 - a * a)
+    n = len(cos_branch)
+    for z in (cos_branch, sin_branch):
+        assert abs(z.mean()) < 5 / math.sqrt(n)
+        assert abs(z.var() - 1.0) < 5 * math.sqrt(2.0 / n)
+        for k in (2, 3):
+            p = math.erfc(k / math.sqrt(2))  # P(|Z| > k)
+            assert abs(np.mean(np.abs(z) > k) - p) < 5 * math.sqrt(p * (1 - p) / n)
+    assert abs(np.mean(cos_branch * sin_branch)) < 5 / math.sqrt(n)
+
+
+def test_ou_ensemble_memory_peak_stays_within_a_few_trajectory_arrays():
+    # 1741 rows of 602 elements is one _CHUNK_BUDGET chunk of ou_propagators.
+    spec = make_ou()
+    tracemalloc.start()
+    try:
+        delta = sample_ou_ensemble(spec, n_steps=600, n_realizations=1741, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * delta.nbytes
 
 
 def test_fid_curve_static_gaussian_oracle():
