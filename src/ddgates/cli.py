@@ -135,6 +135,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _apply_overrides(load_config(args.config), args)
     rows = run_sweep(cfg, jobs=args.jobs)
     if args.out is None and args.summary is None:

@@ -240,6 +240,8 @@ def load_calibration(path: str) -> OUNoiseSpec:
         schema = doc.get("schema", 1)
         if schema not in (1, CALIBRATION_SCHEMA):
             raise ValueError(f"unknown schema {schema!r}")
+        if doc["params"].get("kind") != "ou":
+            raise ValueError(f"params must be of kind 'ou', got {doc['params'].get('kind')!r}")
         return _parse_noise(doc["params"])
     except (OSError, json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot load calibration artifact {path}: {exc}") from exc

@@ -253,19 +253,18 @@ def _step_count(total_time: float, dt: float) -> int:
     return max(1, math.ceil(total_time / dt - 1e-9))
 
 
-def ou_phase_rows(delta: np.ndarray, dt: float) -> np.ndarray:
-    """Accumulated phase at the grid points: phi[:, k] = sum_{j<k} delta[:, j] * dt."""
-    phi = np.zeros_like(delta)
-    np.cumsum(delta[:, :-1] * dt, axis=1, out=phi[:, 1:])
-    return phi
+def _grid_point(t, dt: float, n_steps: int):
+    """Step k = min(floor(t / dt), n_steps) and remainder f = max(t - k dt, 0) of time t."""
+    k = np.minimum(np.floor(t / dt), n_steps).astype(int)
+    return k, np.maximum(t - k * dt, 0.0)
 
 
-def ou_phase_at(phi: np.ndarray, delta: np.ndarray, dt: float, t: float) -> np.ndarray:
-    """Phase at arbitrary time t under the piecewise-constant trajectory model."""
+def ou_phase(delta: np.ndarray, dt: float, t0: float, t1: float) -> np.ndarray:
+    """Phase from t0 to t1 of each row of delta, held piecewise constant on the grid points
+    (k0, f0), (k1, f1) of t0, t1: dt sum_{k0 <= j < k1} delta_j - f0 delta_k0 + f1 delta_k1."""
     n_steps = delta.shape[1] - 1
-    k = min(int(t / dt), n_steps)
-    frac = max(t - k * dt, 0.0)
-    return phi[:, k] + delta[:, k] * frac
+    (k0, f0), (k1, f1) = _grid_point(t0, dt, n_steps), _grid_point(t1, dt, n_steps)
+    return dt * delta[:, k0:k1].sum(axis=1) - f0 * delta[:, k0] + f1 * delta[:, k1]
 
 
 def _ou_coherences(spec: OUNoiseSpec, delays: np.ndarray, echo: bool) -> np.ndarray:
@@ -277,15 +276,11 @@ def _ou_coherences(spec: OUNoiseSpec, delays: np.ndarray, echo: bool) -> np.ndar
     Cost and memory are O(len(delays)), whatever the trajectory length.
     """
     dt, x = spec.dt, spec.dt / spec.tau_c
-    n_steps = _step_count(float(delays[-1]), dt) if delays[-1] > 0 else 1
+    n_steps = _step_count(float(delays[-1]), dt)
     a, om = math.exp(-x), -math.expm1(-x)  # om = 1 - a
 
     def rise(n):  # 1 - a^n
         return -np.expm1(-n * x)
-
-    def grid_point(t):  # step index k and remainder f of t, as ou_phase_at splits it
-        k = np.minimum(np.floor(t / dt), n_steps)
-        return k, np.maximum(t - k * dt, 0.0)
 
     def covariance(s, t):
         # Cov(phi(s), phi(t)) / sigma^2 for grid points s <= t, where phi at (k, f)
@@ -298,11 +293,11 @@ def _ou_coherences(spec: OUNoiseSpec, delays: np.ndarray, echo: bool) -> np.ndar
         point_s = (rise(ks + 1) + a * rise(m - 1)) / om
         return dt * dt * blocks + dt * (ft * point_t + fs * point_s) + fs * ft * np.exp(-m * x)
 
-    end = grid_point(delays)
+    end = _grid_point(delays, dt, n_steps)
     var_ou = covariance(end, end)
     area = end[0] * dt + end[1]  # sum of the phase weights, seen by the static offset
     if echo:
-        mid = grid_point(delays / 2.0)
+        mid = _grid_point(delays / 2.0, dt, n_steps)
         var_ou = var_ou + 4.0 * (covariance(mid, mid) - covariance(mid, end))
         area = area - 2.0 * (mid[0] * dt + mid[1])
     return np.exp(-0.5 * (spec.sigma**2 * var_ou + spec.sigma_static**2 * area**2))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import hermitian_expm, partial_trace_bath, rotation_unitary
 from .noise import (
-    OUNoiseSpec, SpinBathSpec, _double_angle, _step_count, bath_frame, ou_phase_at, ou_phase_rows,
+    OUNoiseSpec, SpinBathSpec, _double_angle, _grid_point, _step_count, bath_frame, ou_phase,
     sample_ou_ensemble,
 )
 
@@ -125,8 +125,8 @@ def ou_propagators(schedule, spec: OUNoiseSpec, n_realizations: int, seed: int) 
     """System propagators under the OU trajectory ensemble, shape (n, 2, 2).
 
     Each U = [[a, -b*], [b, a*]] is held as two complex vectors (Cayley-Klein
-    form).  A delay multiplies a by e^{-i phi/2} and b by e^{+i phi/2}, phi the
-    exact phase integral of the piecewise-constant trajectory, with e^{-i phi/2}
+    form).  A delay multiplies a by e^{-i phi/2} and b by e^{+i phi/2}, phi its
+    phase summed straight from the trajectory rows (`ou_phase`), with e^{-i phi/2}
     built from tan(phi/4) as (1 - q^2 - 2iq) / (1 + q^2); a pulse [[alpha,
     -beta*], [beta, alpha*]] maps (a, b) to (alpha a - beta* b, beta a + alpha* b).
     Realization r is row r of `sample_ou_ensemble` at this seed.  Chunks of at
@@ -151,18 +151,17 @@ def _ou_cayley_klein(schedule, spec: OUNoiseSpec, n_steps: int, rows: int, seed:
     """Cayley-Klein vectors (a, b) of trajectory rows offset .. offset + rows - 1."""
     dt = spec.dt
     delta = sample_ou_ensemble(spec, n_steps, rows, seed, offset)
-    phi = ou_phase_rows(delta, dt)
     a, b = np.ones(rows, dtype=complex), np.zeros(rows, dtype=complex)
     t = 0.0
     for ev in schedule.events:
         if ev.kind != "delay":
             # A soft half holds the trajectory at its segment midpoint value.
-            k_mid = min(int((t + ev.duration / 2) / dt), n_steps)
+            k_mid = _grid_point(t + ev.duration / 2, dt, n_steps)[0]
             alpha, beta = _pulse_cayley_klein(ev, delta[:, k_mid])
             a, b = alpha * a - np.conj(beta) * b, beta * a + np.conj(alpha) * b
         elif ev.duration:
             # e = exp(-i phi / 2) = cos 2x + i sin 2x at x = -phi / 4.
-            x = 0.25 * (ou_phase_at(phi, delta, dt, t) - ou_phase_at(phi, delta, dt, t + ev.duration))
+            x = -0.25 * ou_phase(delta, dt, t, t + ev.duration)
             e = np.empty(rows, dtype=complex)
             _double_angle(x, e.real, e.imag)
             # Not `a *= e`: numpy rounds in-place complex products of short arrays differently.

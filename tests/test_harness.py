@@ -180,6 +180,26 @@ def test_cli_calibrate_writes_a_seed_free_artifact(tmp_path):
     assert cli_main(["calibrate", "--config", str(cfg_path), "--seed", "3"]) == 1
 
 
+@pytest.mark.parametrize("params", [
+    {"kind": "targets", "t2_star_s": 3.7e-4, "t2_hahn_s": 7.5e-4},
+    {"kind": "calibration", "path": "other.json"},
+    {"kind": "spin_bath", "couplings": [1e4], "bath_couplings": [[0.0]]},
+], ids=lambda params: params["kind"])
+def test_cli_rejects_a_calibration_artifact_whose_params_are_not_ou(tmp_path, params):
+    artifact = tmp_path / "cal.json"
+    artifact.write_text(json.dumps(dict(SCHEMA_1_ARTIFACT, params=params)), encoding="utf-8")
+    cfg_path = tmp_path / "cfg.json"
+    noise = {"kind": "calibration", "path": str(artifact)}
+    cfg_path.write_text(json.dumps(dict(BASE_CONFIG, noise=noise, realizations=20)), encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-m", "ddgates", "sweep", "--config", str(cfg_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ") and "kind 'ou'" in done.stderr
+
+
 def test_simple_padded_rejects_tau_outside_the_supported_range():
     # tau sets the padded duration: PI8 at 2e-3 s would pad to 0.24 s.
     with pytest.raises(CompileError, match="tau"):
@@ -603,6 +623,14 @@ def test_cli_rejects_a_negative_seed_override_naming_the_field(tmp_path, capsys,
     cell = ["--gate", "NOT", "--scheme", "xy8", "--tau", "1.5e-5"] if command == "simulate" else []
     assert cli_main([command, "--config", str(cfg_path), "--seed", "-1", *cell]) == 1
     assert "seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_cli_sweep_rejects_jobs_below_1_naming_the_flag(tmp_path, capsys, jobs):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(BASE_CONFIG, realizations=20)), encoding="utf-8")
+    assert cli_main(["sweep", "--config", str(cfg_path), "--jobs", jobs]) == 1
+    assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_sweep_without_out_prints_the_csv(tmp_path, capsys):

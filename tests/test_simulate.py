@@ -29,6 +29,7 @@ from ddgates.noise import (
     OUNoiseSpec,
     SpinBathSpec,
     default_spin_bath,
+    ou_phase,
     sample_ou_ensemble,
     total_hamiltonian,
 )
@@ -81,26 +82,28 @@ def test_pulse_cayley_klein_matches_expm():
     assert np.allclose([[alpha, -np.conj(beta)], [beta, np.conj(alpha)]], expected, atol=1e-12)
 
 
+def phase_integral(delta_row, dt, t0, t1):
+    """Overlap-by-overlap phase integral of one trajectory row from t0 to t1."""
+    n_steps = delta_row.size - 1
+    # piecewise-constant trajectory, last value extended beyond the grid
+    total = 0.0
+    for k in range(n_steps + 1):
+        lo = k * dt
+        hi = (k + 1) * dt if k < n_steps else max(t1, lo)
+        ov = min(t1, hi) - max(t0, lo)
+        if ov > 0:
+            total += delta_row[k] * ov
+    return total
+
+
 def _oracle_ou_propagator(schedule, spec, delta_row):
     """Step-by-step expm rebuild of one realization, sharing only the trajectory."""
     n_steps = delta_row.size - 1
-
-    def phase_integral(t0, t1):
-        # piecewise-constant trajectory, last value extended beyond the grid
-        total = 0.0
-        for k in range(n_steps + 1):
-            lo = k * spec.dt
-            hi = (k + 1) * spec.dt if k < n_steps else max(t1, lo)
-            ov = min(t1, hi) - max(t0, lo)
-            if ov > 0:
-                total += delta_row[k] * ov
-        return total
-
     u = np.eye(2, dtype=complex)
     t = 0.0
     for ev in schedule.events:
         if ev.kind == "delay":
-            phi = phase_integral(t, t + ev.duration)
+            phi = phase_integral(delta_row, spec.dt, t, t + ev.duration)
             u = scipy.linalg.expm(-0.5j * phi * SIGMA_Z) @ u
         else:
             angle = ev.rotation.angle * ev.amplitude_scale
@@ -113,6 +116,40 @@ def _oracle_ou_propagator(schedule, spec, delta_row):
                 u = scipy.linalg.expm(-1j * h * ev.duration) @ u
         t += ev.duration
     return u
+
+
+_PHASE_DT, _PHASE_STEPS = 1.5e-5, 12
+
+
+@pytest.mark.parametrize("t0, t1", [
+    (3.2, 3.7),  # both ends inside one cell
+    (0.0, 0.4),
+    (2.0, 7.0),  # ends exactly on grid points
+    (0.0, 12.0),
+    (4.6, 12.0),  # t1 at the last step
+    (4.6, 12.3),  # t1 just past it: the last value holds
+    (11.5, 14.5),  # both ends past the last step
+    (5.0, 5.0),
+], ids=lambda t: f"{t:g}dt")
+def test_ou_phase_matches_the_overlap_integral_at_the_grid_edges(t0, t1):
+    rng = np.random.default_rng(17)
+    # Positive rows, so a relative tolerance means something; the engine's layout.
+    delta = rng.uniform(1.0, 2.0, (_PHASE_STEPS + 1, 5)).T
+    t0, t1 = t0 * _PHASE_DT, t1 * _PHASE_DT
+    expected = [phase_integral(row, _PHASE_DT, t0, t1) for row in delta]
+    assert np.allclose(ou_phase(delta, _PHASE_DT, t0, t1), expected, rtol=1e-12, atol=0.0)
+
+
+def test_ou_phase_is_additive_over_split_intervals():
+    rng = np.random.default_rng(18)
+    delta = rng.uniform(1.0, 2.0, (_PHASE_STEPS + 1, 5)).T
+    splits = rng.uniform(0.0, 14.0, (40, 3))
+    splits[:4, 0] = [2.0, 5.0, 12.0, 13.0]  # grid points, the last step and beyond it
+    splits = np.sort(splits, axis=1) * _PHASE_DT
+    for t0, t1, t2 in splits:
+        whole = ou_phase(delta, _PHASE_DT, t0, t2)
+        parts = ou_phase(delta, _PHASE_DT, t0, t1) + ou_phase(delta, _PHASE_DT, t1, t2)
+        assert np.allclose(parts, whole, rtol=1e-12, atol=0.0), (t0, t1, t2)
 
 
 def test_ou_propagators_match_stepwise_oracle():
@@ -193,6 +230,7 @@ def test_ou_propagators_memory_does_not_scale_with_steps_times_realizations():
     n_steps, n = 10_000, 500
     idle = hard_pulse_schedule([], np.eye(2, dtype=complex), "idle", pad_to=n_steps * spec.dt)
     one_array = 8 * (n_steps + 2) * n  # 40 MB: a single unchunked float64 trajectory array
+    chunk_array = 8 * (simulate._CHUNK_BUDGET // (n_steps + 2)) * (n_steps + 1)  # one chunk's trajectory
     tracemalloc.start()
     try:
         props = ou_propagators(idle, spec, n, seed=5)
@@ -201,6 +239,8 @@ def test_ou_propagators_memory_does_not_scale_with_steps_times_realizations():
         tracemalloc.stop()
     assert props.shape == (n, 2, 2)
     assert peak < one_array
+    # Sampling peaks at about 2.5 trajectory arrays; propagation adds none of that size.
+    assert peak < 2.8 * chunk_array, peak / chunk_array
 
 
 GATE_CELLS = st.tuples(
