@@ -52,7 +52,6 @@ from .compiler import (
     apply_amplitude_error,
     bb1_expand,
     check_tau,
-    cycle_pulse_count,
     decompose_gate,
     gate_target,
     hard_pulse_schedule,
@@ -294,17 +293,6 @@ def build_schedule(gate: str, scheme: str, tau: float):
         return hard_pulse_schedule(expanded, target, label)
     schedule = protected_bb1_gate(rotations, DD_KINDS[scheme], tau)
     return dataclasses.replace(schedule, label=label)
-
-
-def expected_pulse_count(gate: str, scheme: str) -> int:
-    """Closed-form pulse count for a compiled cell."""
-    n = len(GATE_ROTATIONS[gate])
-    if scheme in ("simple", "simple_padded"):
-        return n
-    if scheme == "bb1":
-        return 5 * n
-    cycle = cycle_pulse_count(DD_KINDS[scheme])
-    return n * 5 * (cycle + 2) if n else cycle
 
 
 def simulate_cell(

@@ -10,6 +10,7 @@ hit measured targets.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -99,31 +100,6 @@ class CalibrationResult:
             raise ValueError("fitted_t2_star must not exceed fitted_t2_hahn")
 
 
-def build_bath_hamiltonians(spec: SpinBathSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (H_S, H_SE, H_E) on the full system (x) bath space.
-
-    H_S is the system offset, H_SE the Ising system-bath dephasing coupling,
-    H_E the secular dipolar intra-bath coupling (flip-flop terms included).
-    """
-    n = spec.n_bath
-    # site[k] = (S_x, S_y, S_z) on bath site k, identity elsewhere (bath space only).
-    site = [[functools.reduce(np.kron, [c if j == k else IDENTITY_2 for j in range(n)], np.eye(1))
-             for c in spin_half_operators()] for k in range(n)]
-    sz, eye_b = spin_half_operators()[2], np.eye(2**n, dtype=complex)
-    h_se, h_e_bath = np.zeros((2 * len(eye_b),) * 2, dtype=complex), np.zeros_like(eye_b)
-    for k, b in enumerate(spec.couplings):
-        h_se += b * np.kron(sz, site[k][2])
-    for j in range(n):
-        for k in range(j + 1, n):
-            (xj, yj, zj), (xk, yk, zk) = site[j], site[k]
-            h_e_bath += spec.bath_couplings[j, k] * (2 * zj @ zk - xj @ xk - yj @ yk)
-    return spec.system_offset * np.kron(sz, eye_b), h_se, np.kron(IDENTITY_2, h_e_bath)
-
-
-def total_hamiltonian(spec: SpinBathSpec) -> np.ndarray:
-    return functools.reduce(np.add, build_bath_hamiltonians(spec))  # H_S + H_SE + H_E
-
-
 @dataclass(frozen=True, eq=False)
 class BathFrame:
     """Eigenframe of H_noise = diag(h0, h1), its blocks over the system's |0>, |1>.
@@ -155,11 +131,28 @@ _FRAMES: dict = {}  # the last 4 specs' frames, keyed by every SpinBathSpec fiel
 
 
 def bath_frame(spec: SpinBathSpec) -> BathFrame:
-    """The spec's BathFrame: one eigh per d x d block, built once per distinct spec."""
+    """The spec's BathFrame: one eigh per d x d block, built once per distinct spec.
+
+    H_noise = omega_S S_z (x) I + sum_k b_k S_z (x) S_z^k + I (x) H_E, with H_E the
+    secular dipolar coupling sum_{j<k} d_jk (2 S_z^j S_z^k - S_x^j S_x^k - S_y^j S_y^k),
+    flip-flops included.  Its blocks over the system's |0>, |1> are
+    H_E +- diag(omega_S / 2 + sum_k b_k S_z^k / 2).
+    """
     key = (spec.n_bath, spec.couplings, spec.bath_couplings.tobytes(), spec.system_offset)
     if key not in _FRAMES:
-        h, d = total_hamiltonian(spec), 2**spec.n_bath
-        (w0, v0), (w1, v1) = np.linalg.eigh(h[:d, :d]), np.linalg.eigh(h[d:, d:])
+        n = spec.n_bath
+        # site[k] = (S_x, S_y, S_z) on bath site k, identity elsewhere.
+        site = [[functools.reduce(np.kron, [c if j == k else IDENTITY_2 for j in range(n)], np.eye(1))
+                 for c in spin_half_operators()] for k in range(n)]
+        h_e = np.zeros((2**n, 2**n), dtype=complex)
+        for j in range(n):
+            for k in range(j + 1, n):
+                (xj, yj, zj), (xk, yk, zk) = site[j], site[k]
+                h_e += spec.bath_couplings[j, k] * (2 * zj @ zk - xj @ xk - yj @ yk)
+        # The diagonal of sum_k b_k S_z^k.
+        bz = sum((b * site[k][2].diagonal().real for k, b in enumerate(spec.couplings)), np.zeros(2**n))
+        shift = 0.5 * spec.system_offset + bz / 2
+        (w0, v0), (w1, v1) = (np.linalg.eigh(h_e + np.diag(sign * shift)) for sign in (1.0, -1.0))
         frame = BathFrame(np.concatenate((w0, w1)), v0, v1, v0.conj().T @ v1)
         for a in vars(frame).values():
             a.setflags(write=False)
@@ -202,51 +195,74 @@ def _double_angle(x: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray) -> No
     np.subtract(w, 1.0, out=cos_out)
 
 
-def sample_ou_ensemble(
-    spec: OUNoiseSpec,
-    n_steps: int,
-    n_realizations: int,
-    seed: int,
-    row_offset: int = 0,
-) -> np.ndarray:
-    """Dephasing-frequency rows, shape (n_realizations, n_steps + 1).
+# Normals per block of the OU stream, in whole steps.  The bytes do not depend on it;
+# a small block keeps the trajectory's memory small.
+_BLOCK_BUDGET = 1 << 16
 
-    All rows come from one Philox stream keyed by seed.  Row r owns the m =
-    ceil((n_steps + 2) / 4) counter blocks from (row_offset + r) * m, reached by
-    `advance`; Box-Muller turns each consecutive pair of their 4m raw words into
-    two normals, taking the cosine and sine of the turn 2 pi u from the
-    half-angle tangent tan(pi u) (`_double_angle`).  Normal 0 starts the
-    exact-discretization OU recursion from the stationary distribution, normals
-    1..n_steps drive it and normal n_steps + 1 is the static offset.  So row r
-    depends only on (seed, row_offset + r, n_steps), however the rows are split
-    into calls.  The normals are made in place, so the peak memory is about 2.5
-    times the result's.  The result is a transposed view: each time step is
-    contiguous over realizations.
+
+def _box_muller(raw: np.ndarray) -> np.ndarray:
+    """Standard normals from raw 64-bit words, made in place where possible.
+
+    Consecutive words u, v become sqrt(-2 ln u) (cos 2 pi v, sin 2 pi v), on
+    53-bit uniforms in (0, 1), the turn taken from the half-angle tangent
+    tan(pi v) (`_double_angle`).
     """
-    if n_realizations < 1:
-        raise ValueError("n_realizations must be >= 1")
-    blocks = -(-(n_steps + 2) // 4)  # Philox yields 4 words per counter block
-    bitgen = np.random.Philox(np.random.SeedSequence(seed))
-    bitgen.advance(row_offset * blocks)
-    raw = bitgen.random_raw(n_realizations * 4 * blocks)
     raw >>= np.uint64(11)
     u = np.add(raw, 0.5)  # casts the 53-bit words to float64 as it adds
     del raw
     u *= 2.0**-53
-    u = u.reshape(n_realizations, 2 * blocks, 2)  # uniform on (0, 1)
-    # In place, with at most three half-size temporaries, all freed before delta.
-    radius, half_turn = np.sqrt(-2.0 * np.log(u[..., 0])), np.multiply(u[..., 1], math.pi)
-    _double_angle(half_turn, u[..., 0], u[..., 1])
-    u *= radius[..., None]
-    del radius, half_turn
-    g = u.reshape(n_realizations, 4 * blocks).T
+    u = u.reshape(-1, 2)
+    radius, half_turn = np.sqrt(-2.0 * np.log(u[:, 0])), np.multiply(u[:, 1], math.pi)
+    _double_angle(half_turn, u[:, 0], u[:, 1])
+    u *= radius[:, None]
+    return u.reshape(-1)
+
+
+def _normal_blocks(rows: int, seed: int):
+    """Endless blocks of standard normals, shape (steps, rows), from one sequential Philox stream.
+
+    Each step takes rows + rows % 2 raw words, so every Box-Muller pair lies in
+    one step, and an odd step drops its last normal.  A block holds as many
+    whole steps as fit in _BLOCK_BUDGET normals, and at least two.
+    """
+    width = rows + rows % 2
+    count = max(2, _BLOCK_BUDGET // width) * width
+    bitgen = np.random.Philox(np.random.SeedSequence(seed))
+    while True:
+        yield _box_muller(bitgen.random_raw(count)).reshape(-1, width)[:, :rows]
+
+
+def ou_trajectory(spec: OUNoiseSpec, rows: int, seed: int, steps: int):
+    """Yield the dephasing frequencies delta_0 .. delta_steps of `rows` realizations, a new array per step.
+
+    Step 0 of the normals is the static offset s and step 1 starts the OU part
+    from its stationary distribution; step k + 2 drives the exact discretization
+    delta_{k+1} = a delta_k + sigma sqrt(1 - a^2) g + (1 - a) s, a = exp(-dt / tau_c),
+    which carries s along (Gillespie, PRE 54, 2084 (1996)).  The trajectories
+    depend only on (spec, rows, seed), and memory stays at one block of
+    normals whatever the number of steps.
+    """
+    if rows < 1:
+        raise ValueError("rows must be >= 1")
     a = math.exp(-spec.dt / spec.tau_c)
-    delta = np.multiply(spec.sigma * math.sqrt(1 - a * a), g[: n_steps + 1], order="C")
-    delta[0] = spec.sigma * g[0]
-    for k in range(n_steps):
-        delta[k + 1] += a * delta[k]
-    delta += spec.sigma_static * g[n_steps + 1]
-    return delta.T
+    blocks = _normal_blocks(rows, seed)
+    first = next(blocks)
+    static = spec.sigma_static * first[0]
+    delta = spec.sigma * first[1] + static
+    yield delta
+    drive, drift = spec.sigma * math.sqrt(1 - a * a), (1 - a) * static
+
+    def innovations(g):
+        g *= drive
+        g += drift
+        return g
+
+    scaled = map(innovations, itertools.chain([first[2:]], blocks))
+    del first  # so that each block is freed once its steps are used
+    for g in itertools.islice(itertools.chain.from_iterable(scaled), steps):
+        delta = a * delta
+        delta += g
+        yield delta
 
 
 def _step_count(total_time: float, dt: float) -> int:
@@ -257,14 +273,6 @@ def _grid_point(t, dt: float, n_steps: int):
     """Step k = min(floor(t / dt), n_steps) and remainder f = max(t - k dt, 0) of time t."""
     k = np.minimum(np.floor(t / dt), n_steps).astype(int)
     return k, np.maximum(t - k * dt, 0.0)
-
-
-def ou_phase(delta: np.ndarray, dt: float, t0: float, t1: float) -> np.ndarray:
-    """Phase from t0 to t1 of each row of delta, held piecewise constant on the grid points
-    (k0, f0), (k1, f1) of t0, t1: dt sum_{k0 <= j < k1} delta_j - f0 delta_k0 + f1 delta_k1."""
-    n_steps = delta.shape[1] - 1
-    (k0, f0), (k1, f1) = _grid_point(t0, dt, n_steps), _grid_point(t1, dt, n_steps)
-    return dt * delta[:, k0:k1].sum(axis=1) - f0 * delta[:, k0] + f1 * delta[:, k1]
 
 
 def _ou_coherences(spec: OUNoiseSpec, delays: np.ndarray, echo: bool) -> np.ndarray:

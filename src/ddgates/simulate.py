@@ -18,10 +18,7 @@ from collections import Counter
 import numpy as np
 
 from .core import hermitian_expm, partial_trace_bath, rotation_unitary
-from .noise import (
-    OUNoiseSpec, SpinBathSpec, _double_angle, _grid_point, _step_count, bath_frame, ou_phase,
-    sample_ou_ensemble,
-)
+from .noise import OUNoiseSpec, SpinBathSpec, _double_angle, _step_count, bath_frame, ou_trajectory
 
 
 def ideal_propagator(schedule, honor_amplitude: bool = False) -> np.ndarray:
@@ -105,69 +102,73 @@ def _soft_exponential(frame, angle: float, duration: float) -> np.ndarray:
     return u
 
 
-def _pulse_cayley_klein(ev, delta: np.ndarray):
-    """(alpha, beta) of a pulse's U = [[alpha, -beta*], [beta, alpha*]] at detunings delta:
-    exp(-i d (w cos phase, w sin phase, delta) . sigma / 2), w = angle / d, over duration d > 0."""
+def _pulse_cayley_klein(ev, delta: np.ndarray, length: float):
+    """(alpha, beta) of U = [[alpha, -beta*], [beta, alpha*]] for `length` of a pulse at detunings delta:
+    exp(-i length (w cos phase, w sin phase, delta) . sigma / 2), w = angle / duration.
+    A hard pulse (duration 0) is its whole rotation, whatever length and delta."""
     angle = ev.rotation.angle * ev.amplitude_scale
     if ev.duration == 0.0:
         return rotation_unitary(ev.rotation.phase, angle)[:, 0]
-    half, omega = 0.5 * ev.duration, angle / ev.duration
+    half, omega = 0.5 * length, angle / ev.duration
     rate = np.sqrt(omega**2 + delta**2)
     f = half * np.sinc(half * rate / math.pi)  # sin(half * rate) / rate, finite at 0
     return np.cos(half * rate) - 1j * f * delta, -1j * f * omega * np.exp(1j * ev.rotation.phase)
 
 
-# Trajectory elements per chunk of realizations (8 MB per float64 array), whatever the schedule.
-_CHUNK_BUDGET = 1 << 20
-
-
 def ou_propagators(schedule, spec: OUNoiseSpec, n_realizations: int, seed: int) -> np.ndarray:
     """System propagators under the OU trajectory ensemble, shape (n, 2, 2).
 
-    Each U = [[a, -b*], [b, a*]] is held as two complex vectors (Cayley-Klein
-    form).  A delay multiplies a by e^{-i phi/2} and b by e^{+i phi/2}, phi its
-    phase summed straight from the trajectory rows (`ou_phase`), with e^{-i phi/2}
-    built from tan(phi/4) as (1 - q^2 - 2iq) / (1 + q^2); a pulse [[alpha,
-    -beta*], [beta, alpha*]] maps (a, b) to (alpha a - beta* b, beta a + alpha* b).
-    Realization r is row r of `sample_ou_ensemble` at this seed.  Chunks of at
-    most _CHUNK_BUDGET trajectory elements are sampled at their row offsets, so
-    the bytes do not depend on the chunk size.  A zero-duration schedule samples
-    nothing: every row is the ideal propagator, amplitude scales applied.
+    Each U = [[a, -b*], [b, a*]] is held as two complex vectors over the
+    realizations (Cayley-Klein form), and the schedule is walked once in time,
+    cut at every event boundary and every dt grid point, so the trajectory
+    (`ou_trajectory` at this seed) is constant on each piece and is advanced one
+    step at each grid point.  A delay piece adds delta x length to a running
+    phase phi; at the next pulse and at the end, phi multiplies a by
+    e^{-i phi/2} and b by e^{+i phi/2}, with e^{-i phi/2} built from tan(phi/4)
+    as (1 - q^2 - 2iq) / (1 + q^2).  A pulse [[alpha, -beta*], [beta, alpha*]]
+    maps (a, b) to (alpha a - beta* b, beta a + alpha* b): a hard pulse is its
+    rotation, and a soft-half piece is its drive at the piece's constant delta.
+    Memory is one block of normals and a few vectors, whatever the number of
+    steps.  A zero-duration schedule samples nothing: every row is the ideal
+    propagator, amplitude scales applied.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
     if schedule.total_duration == 0:
         return np.tile(ideal_propagator(schedule, honor_amplitude=True), (n_realizations, 1, 1))
-    n_steps = _step_count(schedule.total_duration, spec.dt)
-    chunk = max(1, _CHUNK_BUDGET // (n_steps + 2))
-    a, b = np.hstack([
-        _ou_cayley_klein(schedule, spec, n_steps, min(chunk, n_realizations - start), seed, start)
-        for start in range(0, n_realizations, chunk)
-    ])
-    return np.stack((a, -b.conj(), b, a.conj()), axis=-1).reshape(n_realizations, 2, 2)
-
-
-def _ou_cayley_klein(schedule, spec: OUNoiseSpec, n_steps: int, rows: int, seed: int, offset: int):
-    """Cayley-Klein vectors (a, b) of trajectory rows offset .. offset + rows - 1."""
     dt = spec.dt
-    delta = sample_ou_ensemble(spec, n_steps, rows, seed, offset)
-    a, b = np.ones(rows, dtype=complex), np.zeros(rows, dtype=complex)
+    trajectory = ou_trajectory(spec, n_realizations, seed, _step_count(schedule.total_duration, dt))
+    delta, k = next(trajectory), 0  # the value on grid cell k, [k dt, (k + 1) dt)
+    a, b = np.ones(n_realizations, dtype=complex), np.zeros(n_realizations, dtype=complex)
+    phi = np.zeros(n_realizations)
+
+    def apply_phase(a, b):
+        # e = exp(-i phi / 2) = cos 2x + i sin 2x at x = -phi / 4.
+        e = np.empty(n_realizations, dtype=complex)
+        _double_angle(-0.25 * phi, e.real, e.imag)
+        phi[:] = 0.0
+        # Not `a *= e`: numpy rounds in-place complex products of short arrays differently.
+        return a * e, b * e.conj()
+
     t = 0.0
     for ev in schedule.events:
         if ev.kind != "delay":
-            # A soft half holds the trajectory at its segment midpoint value.
-            k_mid = _grid_point(t + ev.duration / 2, dt, n_steps)[0]
-            alpha, beta = _pulse_cayley_klein(ev, delta[:, k_mid])
-            a, b = alpha * a - np.conj(beta) * b, beta * a + np.conj(alpha) * b
-        elif ev.duration:
-            # e = exp(-i phi / 2) = cos 2x + i sin 2x at x = -phi / 4.
-            x = -0.25 * ou_phase(delta, dt, t, t + ev.duration)
-            e = np.empty(rows, dtype=complex)
-            _double_angle(x, e.real, e.imag)
-            # Not `a *= e`: numpy rounds in-place complex products of short arrays differently.
-            a, b = a * e, b * e.conj()
-        t += ev.duration
-    return a, b
+            a, b = apply_phase(a, b)
+        stop = t + ev.duration
+        while True:
+            end = min(stop, (k + 1) * dt)
+            if ev.kind == "delay":
+                phi += (end - t) * delta
+            elif end > t or ev.duration == 0.0:
+                alpha, beta = _pulse_cayley_klein(ev, delta, end - t)
+                a, b = alpha * a - np.conj(beta) * b, beta * a + np.conj(alpha) * b
+            if end == stop:
+                break
+            # Assign the grid point, never add the piece: rounding could stall the walk.
+            t, k, delta = end, k + 1, next(trajectory)
+        t = stop
+    a, b = apply_phase(a, b)
+    return np.stack((a, -b.conj(), b, a.conj()), axis=-1).reshape(n_realizations, 2, 2)
 
 
 def channel_operators(schedule, noise_model, n_realizations: int, seed: int) -> np.ndarray:

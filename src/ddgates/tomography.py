@@ -21,7 +21,6 @@ from .core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .simulate import average_channel_output, channel_operators
 
 CHI_BASIS: tuple[np.ndarray, ...] = (IDENTITY_2, SIGMA_X, 1j * SIGMA_Y, SIGMA_Z)
-CHI_BASIS_LABELS = ("I", "X", "iY", "Z")
 
 KET_0 = np.array([1.0, 0.0], dtype=complex)
 KET_1 = np.array([0.0, 1.0], dtype=complex)
@@ -98,13 +97,6 @@ class ChiMatrix:
     def min_eigenvalue(self) -> float:
         sym = (self.entries + self.entries.conj().T) / 2
         return float(np.linalg.eigvalsh(sym).min())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "basis": list(CHI_BASIS_LABELS),
-            "entries_re": self.entries.real.tolist(),
-            "entries_im": self.entries.imag.tolist(),
-        }
 
 
 def chi_reconstruct(samples: ChannelSamples) -> ChiMatrix:

@@ -33,9 +33,9 @@ from ddgates.compiler import (
     verify_schedule,
 )
 from ddgates.core import IDENTITY_2, SIGMA_X, rotation_unitary
-from ddgates.harness import expected_pulse_count
 from ddgates.simulate import ideal_propagator
 from ddgates.tomography import gate_fidelity
+from helpers import expected_pulse_count
 
 ALL_GATES = ("H", "NOT", "PI8", "NOOP")
 

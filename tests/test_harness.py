@@ -29,7 +29,6 @@ from ddgates.harness import (
     calibration_artifact_text,
     config_from_dict,
     emit_report,
-    expected_pulse_count,
     load_calibration,
     load_config,
     resolve_noise,
@@ -42,6 +41,7 @@ from ddgates.harness import (
     summarize_rows,
 )
 from ddgates.noise import CalibrationResult, OUNoiseSpec, SpinBathSpec, default_spin_bath
+from helpers import expected_pulse_count
 
 PINNED_NOISE = OUNoiseSpec(sigma=4335.354, tau_c=1.5e-4, dt=1.5e-5, sigma_static=2361.947)
 

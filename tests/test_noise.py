@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ddgates.noise as noise
+
 from ddgates.compiler import PulseEvent, RotationSpec, Schedule
 from ddgates.core import IDENTITY_2, SIGMA_Z, embed_system
 from ddgates.noise import (
@@ -13,17 +15,16 @@ from ddgates.noise import (
     SpinBathSpec,
     _double_angle,
     _step_count,
-    build_bath_hamiltonians,
+    bath_frame,
     calibrate_to_targets,
     coherence_1e_time,
     default_spin_bath,
     fid_decay_curve,
     hahn_decay_curve,
-    ou_phase,
-    sample_ou_ensemble,
-    total_hamiltonian,
+    ou_trajectory,
 )
 from ddgates.simulate import bath_channel_output, bath_propagator, ou_propagators
+from helpers import bath_hamiltonians, total_hamiltonian, trajectory
 
 
 def make_ou(sigma=5000.0, tau_c=1e-4, dt=1e-5, sigma_static=0.0):
@@ -74,15 +75,21 @@ def test_noise_specs_reject_non_finite_parameters(build, value):
 
 
 def test_bath_hamiltonians_are_hermitian_and_dephasing():
-    spec = default_spin_bath(n_bath=3, seed=5)
-    h_s, h_se, h_e = build_bath_hamiltonians(spec)
-    for h in (h_s, h_se, h_e):
-        assert np.allclose(h, h.conj().T, atol=1e-12)
-    # pure dephasing: system coupling commutes with the system z operator
-    sz_full = embed_system(SIGMA_Z / 2, spec.n_bath)
-    for h in (h_s, h_se):
-        assert np.allclose(h @ sz_full - sz_full @ h, 0.0, atol=1e-9)
-    assert np.allclose(total_hamiltonian(spec), h_s + h_se + h_e, atol=1e-12)
+    no_bath = SpinBathSpec(0, (), np.zeros((0, 0)), system_offset=3e3)
+    for spec in (default_spin_bath(n_bath=3, seed=5, system_offset=2e3), no_bath):
+        h_s, h_se, h_e = bath_hamiltonians(spec)
+        for h in (h_s, h_se, h_e):
+            assert np.allclose(h, h.conj().T, atol=1e-12)
+        # pure dephasing: system coupling commutes with the system z operator
+        sz_full = embed_system(SIGMA_Z / 2, spec.n_bath)
+        for h in (h_s, h_se):
+            assert np.allclose(h @ sz_full - sz_full @ h, 0.0, atol=1e-9)
+        # bath_frame diagonalises the two blocks of the same Hamiltonian over the system's |0>, |1>.
+        h, d, frame = total_hamiltonian(spec), 2**spec.n_bath, bath_frame(spec)
+        tol = 1e-13 * np.abs(h).max()
+        assert np.array_equal(h[:d, d:], np.zeros((d, d)))
+        for v, w, block in ((frame.v0, frame.w[:d], h[:d, :d]), (frame.v1, frame.w[d:], h[d:, d:])):
+            assert np.allclose(v @ np.diag(w) @ v.conj().T, block, rtol=0.0, atol=tol)
 
 
 def test_two_spin_bath_hamiltonian_matches_manual_construction():
@@ -91,7 +98,7 @@ def test_two_spin_bath_hamiltonian_matches_manual_construction():
         n_bath=2, couplings=(1.0e4, 2.0e4),
         bath_couplings=np.array([[0.0, d], [d, 0.0]]),
     )
-    _, h_se, h_e = build_bath_hamiltonians(spec)
+    _, h_se, h_e = bath_hamiltonians(spec)
     sx = np.array([[0, 1], [1, 0]], dtype=complex) / 2
     sy = np.array([[0, -1j], [1j, 0]]) / 2
     sz = np.array([[1, 0], [0, -1]], dtype=complex) / 2
@@ -107,7 +114,7 @@ def test_two_spin_bath_hamiltonian_matches_manual_construction():
 
 def test_ou_ensemble_stationary_statistics():
     spec = make_ou(sigma=3000.0, tau_c=2e-4, dt=2e-5)
-    delta = sample_ou_ensemble(spec, n_steps=40, n_realizations=4000, seed=31)
+    delta = trajectory(spec, n_steps=40, rows=4000, seed=31)
     std = delta.std()
     assert abs(std - spec.sigma) / spec.sigma < 0.05
     # lag-1 autocorrelation of the exact discretization is exp(-dt/tau_c)
@@ -118,22 +125,33 @@ def test_ou_ensemble_stationary_statistics():
 
 def test_ou_static_offset_adds_variance():
     spec = make_ou(sigma=1000.0, sigma_static=4000.0)
-    delta = sample_ou_ensemble(spec, n_steps=5, n_realizations=6000, seed=8)
+    delta = trajectory(spec, n_steps=5, rows=6000, seed=8)
     expected = math.hypot(spec.sigma, spec.sigma_static)
     assert abs(delta.std() - expected) / expected < 0.05
     # the static part is constant within each realization
     spec_static = make_ou(sigma=0.0, sigma_static=4000.0)
-    delta_s = sample_ou_ensemble(spec_static, n_steps=5, n_realizations=10, seed=8)
+    delta_s = trajectory(spec_static, n_steps=5, rows=10, seed=8)
     assert np.allclose(delta_s, delta_s[:, :1])
 
 
-def test_ou_ensemble_rows_do_not_depend_on_batch_layout():
-    spec = make_ou()
-    full = sample_ou_ensemble(spec, n_steps=12, n_realizations=9, seed=104)
-    tail = sample_ou_ensemble(spec, n_steps=12, n_realizations=4, seed=104, row_offset=5)
-    assert np.array_equal(full[5:], tail)
-    again = sample_ou_ensemble(spec, n_steps=12, n_realizations=9, seed=104)
-    assert np.array_equal(full, again)
+def test_ou_ensemble_rows_do_not_depend_on_batch_layout(monkeypatch):
+    # 9 rows take 10 normals per step.  Blocks of 2 steps (the least, also for a
+    # budget below one step), 3 and 5 steps (neither divides the 14 steps drawn)
+    # and one block must all give the same bytes.
+    spec = make_ou(sigma_static=800.0)
+    full = trajectory(spec, n_steps=12, rows=9, seed=104)
+    for budget in (1, 9, 30, 50, 1 << 20):
+        monkeypatch.setattr(noise, "_BLOCK_BUDGET", budget)
+        assert np.array_equal(trajectory(spec, n_steps=12, rows=9, seed=104), full), budget
+    assert not np.allclose(trajectory(spec, n_steps=12, rows=9, seed=105), full)
+
+
+def test_ou_trajectory_yields_a_new_array_per_step():
+    steps = list(ou_trajectory(make_ou(sigma_static=800.0), 6, 7, 20))
+    assert len(steps) == 21
+    assert not any(np.shares_memory(x, y) for i, x in enumerate(steps) for y in steps[:i])
+    with pytest.raises(ValueError, match="rows"):
+        next(ou_trajectory(make_ou(), 0, 7, 20))
 
 
 def test_double_angle_matches_cos_sin_and_the_delay_phasor():
@@ -154,33 +172,43 @@ def test_double_angle_matches_cos_sin_and_the_delay_phasor():
 
 
 def test_ou_normals_of_both_box_muller_branches_are_standard_normal():
-    # n_steps = 1: normal 0 (a cosine) starts each row and normal 1 (a sine) is
-    # the innovation of its only step.
+    # Normal step 0 is the static offset, step 1 starts the OU part and step 2 is
+    # the innovation of its first step.  Within a step, even positions are
+    # Box-Muller cosines and odd positions the sines of the same pairs.
+    rows = 200_000
+    static = next(ou_trajectory(make_ou(sigma=0.0, sigma_static=1.0), rows, 2027, 0))
     spec = make_ou(sigma=1.0, tau_c=1e-4, dt=1e-5)
     a = math.exp(-spec.dt / spec.tau_c)
-    delta = sample_ou_ensemble(spec, n_steps=1, n_realizations=200_000, seed=2027)
-    cos_branch = delta[:, 0]
-    sin_branch = (delta[:, 1] - a * delta[:, 0]) / math.sqrt(1 - a * a)
-    n = len(cos_branch)
-    for z in (cos_branch, sin_branch):
-        assert abs(z.mean()) < 5 / math.sqrt(n)
-        assert abs(z.var() - 1.0) < 5 * math.sqrt(2.0 / n)
-        for k in (2, 3):
-            p = math.erfc(k / math.sqrt(2))  # P(|Z| > k)
-            assert abs(np.mean(np.abs(z) > k) - p) < 5 * math.sqrt(p * (1 - p) / n)
-    assert abs(np.mean(cos_branch * sin_branch)) < 5 / math.sqrt(n)
+    start, first = ou_trajectory(spec, rows, 2027, 1)
+    for g in (static, start, (first - a * start) / math.sqrt(1 - a * a)):
+        cos_branch, sin_branch = g[0::2], g[1::2]
+        n = len(cos_branch)
+        for z in (cos_branch, sin_branch):
+            assert abs(z.mean()) < 5 / math.sqrt(n)
+            assert abs(z.var() - 1.0) < 5 * math.sqrt(2.0 / n)
+            for k in (2, 3):
+                p = math.erfc(k / math.sqrt(2))  # P(|Z| > k)
+                assert abs(np.mean(np.abs(z) > k) - p) < 5 * math.sqrt(p * (1 - p) / n)
+        assert abs(np.mean(cos_branch * sin_branch)) < 5 / math.sqrt(n)
 
 
 def test_ou_ensemble_memory_peak_stays_within_a_few_trajectory_arrays():
-    # 1741 rows of 602 elements is one _CHUNK_BUDGET chunk of ou_propagators.
-    spec = make_ou()
-    tracemalloc.start()
-    try:
-        delta = sample_ou_ensemble(spec, n_steps=600, n_realizations=1741, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.75 * delta.nbytes
+    # Walking a trajectory holds one block of normals, its Box-Muller temporaries
+    # and a few step arrays, however many steps it has.
+    spec = make_ou(sigma_static=800.0)
+    block = 8 * noise._BLOCK_BUDGET
+    peaks = []
+    for n_steps in (600, 6000):
+        tracemalloc.start()
+        try:
+            for delta in ou_trajectory(spec, 1741, 3, n_steps):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        # About 4.5 blocks: the last block and the next, with its raw words and temporaries.
+        assert peaks[-1] < 5 * block + 4 * delta.nbytes, (n_steps, peaks[-1] / block)
+    assert peaks[1] < 1.05 * peaks[0], peaks
 
 
 def test_fid_curve_static_gaussian_oracle():
@@ -266,20 +294,25 @@ def test_exact_curves_match_monte_carlo_propagators(make_spec, echo):
     ids=["calibrated_scale", "short_tau_c", "dt_much_below_tau_c"],
 )
 def test_exact_curves_match_dense_covariance(spec):
-    # Phase weights from the trajectory engine's own integrator (rows of the
-    # identity as trajectories), then exp(-w^T C w / 2) with the dense OU-plus-
-    # static covariance: an independent route to the same Gaussian average.
+    # Phase weights w_k = the length of [0, t] inside grid cell k, the last cell
+    # without end, then exp(-w^T C w / 2) with the dense OU-plus-static
+    # covariance: an independent route to the same Gaussian average.
     delays = np.linspace(0.0, 300.5 * spec.dt, 37)
     n_steps = _step_count(float(delays[-1]), spec.dt)
-    basis = np.eye(n_steps + 1)
     idx = np.arange(n_steps + 1)
+    cell_start = idx * spec.dt
+    cell_end = np.append(cell_start[1:], np.inf)
+
+    def weights(t):
+        return np.clip(np.minimum(cell_end, t) - cell_start, 0.0, None)
+
     a = math.exp(-spec.dt / spec.tau_c)
     cov = spec.sigma**2 * a ** np.abs(idx[:, None] - idx[None, :]) + spec.sigma_static**2
     for echo, curve_fn in ((False, fid_decay_curve), (True, hahn_decay_curve)):
         for t, c in curve_fn(spec, delays):
-            w = ou_phase(basis, spec.dt, 0.0, t)
+            w = weights(t)
             if echo:
-                w = w - 2.0 * ou_phase(basis, spec.dt, 0.0, t / 2.0)
+                w = w - 2.0 * weights(t / 2.0)
             assert c == pytest.approx(math.exp(-0.5 * w @ cov @ w), rel=1e-10, abs=1e-13)
 
 

@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ddgates.noise as noise
 import ddgates.simulate as simulate
 
 from ddgates.compiler import (
@@ -25,14 +26,7 @@ from ddgates.compiler import (
 )
 from ddgates.core import DEFAULT_MAX_SPINS, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, embed_system, hermitian_expm
 from ddgates.harness import GATES, SCHEMES, build_schedule
-from ddgates.noise import (
-    OUNoiseSpec,
-    SpinBathSpec,
-    default_spin_bath,
-    ou_phase,
-    sample_ou_ensemble,
-    total_hamiltonian,
-)
+from ddgates.noise import OUNoiseSpec, SpinBathSpec, _step_count, default_spin_bath, ou_trajectory
 from ddgates.simulate import (
     _pulse_cayley_klein,
     average_channel_output,
@@ -41,6 +35,7 @@ from ddgates.simulate import (
     ideal_propagator,
     ou_propagators,
 )
+from helpers import total_hamiltonian, trajectory
 
 
 def test_ideal_propagator_not_gate():
@@ -64,61 +59,76 @@ def test_pulse_cayley_klein_matches_expm():
     delta = np.concatenate([rng.normal(scale=5e3, size=6), [3e7, -8e8, 0.0]])
     for phase, angle, dur in ((-0.55, 0.91, 3.7e-5), (2.3, 0.0, 1e-5)):
         soft = PulseEvent("soft_gate_half", dur, RotationSpec(phase, angle / 1.03), 1.03)
-        alpha, beta = _pulse_cayley_klein(soft, delta)
         axis = math.cos(phase) * SIGMA_X + math.sin(phase) * SIGMA_Y
-        for i, d in enumerate(delta):
-            h = 0.5 * (angle / dur * axis + d * SIGMA_Z)
-            u = np.array([[alpha[i], -np.conj(beta[i])], [beta[i], np.conj(alpha[i])]])
-            assert np.allclose(u, scipy.linalg.expm(-1j * h * dur), atol=1e-11)
+        # the whole half, and a piece of it at the same drive rate
+        for length in (dur, 0.37 * dur):
+            alpha, beta = _pulse_cayley_klein(soft, delta, length)
+            for i, d in enumerate(delta):
+                h = 0.5 * (angle / dur * axis + d * SIGMA_Z)
+                u = np.array([[alpha[i], -np.conj(beta[i])], [beta[i], np.conj(alpha[i])]])
+                assert np.allclose(u, scipy.linalg.expm(-1j * h * length), atol=1e-11)
     # zero drive and zero detuning: the identity, exactly
     idle_drive = PulseEvent("soft_gate_half", 1e-5, RotationSpec(0.4, 0.0))
-    alpha, beta = _pulse_cayley_klein(idle_drive, np.zeros(2))
+    alpha, beta = _pulse_cayley_klein(idle_drive, np.zeros(2), 1e-5)
     assert np.array_equal(alpha, np.ones(2)) and np.array_equal(beta, np.zeros(2))
     # a hard pulse is instantaneous: no detuning reaches it
     hard = PulseEvent("hard_pulse", 0.0, RotationSpec(0.7, math.pi), 0.98)
-    alpha, beta = _pulse_cayley_klein(hard, delta)
+    alpha, beta = _pulse_cayley_klein(hard, delta, 0.0)
     axis = math.cos(0.7) * SIGMA_X + math.sin(0.7) * SIGMA_Y
     expected = scipy.linalg.expm(-0.5j * 0.98 * math.pi * axis)
     assert np.allclose([[alpha, -np.conj(beta)], [beta, np.conj(alpha)]], expected, atol=1e-12)
 
 
+def grid_pieces(t0, t1, dt, n_steps):
+    """(k, length) of each piece of [t0, t1] cut at the grid points k dt, 0 < k <= n_steps.
+
+    Piece k lies in grid cell k, [k dt, (k + 1) dt); the last cell, n_steps, has no end.
+    """
+    cuts = [k * dt for k in range(1, n_steps + 1) if t0 < k * dt < t1]
+    edges = [t0, *cuts, t1]
+    return [(min(int(0.5 * (lo + hi) / dt), n_steps), hi - lo) for lo, hi in zip(edges, edges[1:]) if hi > lo]
+
+
 def phase_integral(delta_row, dt, t0, t1):
     """Overlap-by-overlap phase integral of one trajectory row from t0 to t1."""
-    n_steps = delta_row.size - 1
-    # piecewise-constant trajectory, last value extended beyond the grid
-    total = 0.0
-    for k in range(n_steps + 1):
-        lo = k * dt
-        hi = (k + 1) * dt if k < n_steps else max(t1, lo)
-        ov = min(t1, hi) - max(t0, lo)
-        if ov > 0:
-            total += delta_row[k] * ov
-    return total
+    return sum(delta_row[k] * length for k, length in grid_pieces(t0, t1, dt, delta_row.size - 1))
 
 
 def _oracle_ou_propagator(schedule, spec, delta_row):
-    """Step-by-step expm rebuild of one realization, sharing only the trajectory."""
+    """Step-by-step expm rebuild of one realization, sharing only the trajectory.
+
+    Every delay and soft half is cut at the grid points, and each piece is the
+    exponential of its drive plus the trajectory value of its grid cell.
+    """
     n_steps = delta_row.size - 1
     u = np.eye(2, dtype=complex)
     t = 0.0
     for ev in schedule.events:
-        if ev.kind == "delay":
-            phi = phase_integral(delta_row, spec.dt, t, t + ev.duration)
-            u = scipy.linalg.expm(-0.5j * phi * SIGMA_Z) @ u
-        else:
+        drive = np.zeros((2, 2))
+        if ev.kind != "delay":
             angle = ev.rotation.angle * ev.amplitude_scale
             axis = math.cos(ev.rotation.phase) * SIGMA_X + math.sin(ev.rotation.phase) * SIGMA_Y
             if ev.duration == 0.0:
                 u = scipy.linalg.expm(-0.5j * angle * axis) @ u
-            else:
-                k_mid = min(int((t + ev.duration / 2) / spec.dt), n_steps)
-                h = 0.5 * ((angle / ev.duration) * axis + delta_row[k_mid] * SIGMA_Z)
-                u = scipy.linalg.expm(-1j * h * ev.duration) @ u
+                continue
+            drive = (angle / ev.duration) * axis
+        for k, length in grid_pieces(t, t + ev.duration, spec.dt, n_steps):
+            u = scipy.linalg.expm(-0.5j * length * (drive + delta_row[k] * SIGMA_Z)) @ u
         t += ev.duration
     return u
 
 
-_PHASE_DT, _PHASE_STEPS = 1.5e-5, 12
+_PHASE_DT = 1.5e-5
+_PHASE_NOISE = OUNoiseSpec(sigma=2e3, tau_c=1.5e-4, dt=_PHASE_DT, sigma_static=1e3)
+
+
+def _delays(*durations):
+    return Schedule(tuple(PulseEvent("delay", d) for d in durations), target_gate=IDENTITY_2, label="delays")
+
+
+def _walk_phase(sched, rows=5, seed=17):
+    """The phase phi of each realization, from U = diag(e^{-i phi / 2}, e^{i phi / 2})."""
+    return -2.0 * np.angle(ou_propagators(sched, _PHASE_NOISE, rows, seed)[:, 0, 0])
 
 
 @pytest.mark.parametrize("t0, t1", [
@@ -126,45 +136,49 @@ _PHASE_DT, _PHASE_STEPS = 1.5e-5, 12
     (0.0, 0.4),
     (2.0, 7.0),  # ends exactly on grid points
     (0.0, 12.0),
-    (4.6, 12.0),  # t1 at the last step
-    (4.6, 12.3),  # t1 just past it: the last value holds
-    (11.5, 14.5),  # both ends past the last step
+    (4.6, 12.0),  # t1 on the last grid point
+    (4.6, 12.3),  # t1 just past a grid point
+    (11.5, 14.5),  # a delay over three cells
     (5.0, 5.0),
 ], ids=lambda t: f"{t:g}dt")
 def test_ou_phase_matches_the_overlap_integral_at_the_grid_edges(t0, t1):
-    rng = np.random.default_rng(17)
-    # Positive rows, so a relative tolerance means something; the engine's layout.
-    delta = rng.uniform(1.0, 2.0, (_PHASE_STEPS + 1, 5)).T
+    # A delay cut at t0 and ending at t1: the walk's phase over [0, t1] against the
+    # overlap integral of the same trajectory.
     t0, t1 = t0 * _PHASE_DT, t1 * _PHASE_DT
-    expected = [phase_integral(row, _PHASE_DT, t0, t1) for row in delta]
-    assert np.allclose(ou_phase(delta, _PHASE_DT, t0, t1), expected, rtol=1e-12, atol=0.0)
+    sched = _delays(t0, t1 - t0)
+    n_steps = _step_count(sched.total_duration, _PHASE_DT)
+    expected = [phase_integral(row, _PHASE_DT, 0.0, t1) for row in trajectory(_PHASE_NOISE, n_steps, 5, 17)]
+    assert np.allclose(_walk_phase(sched), expected, rtol=1e-12, atol=1e-14)
 
 
 def test_ou_phase_is_additive_over_split_intervals():
-    rng = np.random.default_rng(18)
-    delta = rng.uniform(1.0, 2.0, (_PHASE_STEPS + 1, 5)).T
-    splits = rng.uniform(0.0, 14.0, (40, 3))
-    splits[:4, 0] = [2.0, 5.0, 12.0, 13.0]  # grid points, the last step and beyond it
-    splits = np.sort(splits, axis=1) * _PHASE_DT
-    for t0, t1, t2 in splits:
-        whole = ou_phase(delta, _PHASE_DT, t0, t2)
-        parts = ou_phase(delta, _PHASE_DT, t0, t1) + ou_phase(delta, _PHASE_DT, t1, t2)
-        assert np.allclose(parts, whole, rtol=1e-12, atol=0.0), (t0, t1, t2)
+    # Cutting a delay, or flushing its phase with a zero-angle hard pulse, moves no phase.
+    flush = PulseEvent("hard_pulse", 0.0, RotationSpec(0.3, 0.0))
+    splits = np.random.default_rng(18).uniform(0.0, 14.0, (40, 2))
+    splits[:4, 0] = [2.0, 5.0, 12.0, 13.0]  # grid points, and the last cells
+    for t1, t2 in np.sort(splits, axis=1) * _PHASE_DT:
+        whole = _walk_phase(_delays(t2))
+        assert np.allclose(_walk_phase(_delays(t1, t2 - t1)), whole, rtol=1e-12, atol=1e-14), (t1, t2)
+        flushed = Schedule((PulseEvent("delay", t1), flush, PulseEvent("delay", t2 - t1)), IDENTITY_2, "flush")
+        assert np.allclose(_walk_phase(flushed), whole, rtol=1e-12, atol=1e-14), (t1, t2)
+
+
+# The 540/750 us fit: dt = 7.5 us.
+_FIT_540_750 = OUNoiseSpec(sigma=5026.003736999687, tau_c=7.5e-5, dt=7.5e-6, sigma_static=900.2783716509673)
 
 
 def test_ou_propagators_match_stepwise_oracle():
-    spec = OUNoiseSpec(sigma=5e3, tau_c=1.5e-4, dt=1.5e-5, sigma_static=2e3)
-    # tau deliberately off the dt grid to exercise interval splitting
-    sched = apply_amplitude_error(protected_bb1_gate(decompose_gate("H"), XY4, 1.7e-5), 0.03)
-    n = 3
-    props = ou_propagators(sched, spec, n, seed=606)
-    from ddgates.noise import _step_count
-
-    n_steps = _step_count(sched.total_duration, spec.dt)
-    delta = sample_ou_ensemble(spec, n_steps, n, seed=606)
-    for r in range(n):
-        expected = _oracle_ou_propagator(sched, spec, delta[r])
-        assert np.allclose(props[r], expected, atol=1e-10)
+    # Soft halves of tau / 2 = 8.5 and 11.5 us cross grid points, and tau off the
+    # dt grid splits the delays.  Holding one trajectory value over a whole soft
+    # half is off by far more than the tolerance.
+    spec = _FIT_540_750
+    for gate, scheme, tau, epsilon in (("H", "xy4", 1.7e-5, 0.03), ("PI8", "kdd", 2.3e-5, -0.02)):
+        sched = apply_amplitude_error(build_schedule(gate, scheme, tau), epsilon)
+        n = 3
+        props = ou_propagators(sched, spec, n, seed=606)
+        delta = trajectory(spec, _step_count(sched.total_duration, spec.dt), n, seed=606)
+        for r in range(n):
+            assert np.allclose(props[r], _oracle_ou_propagator(sched, spec, delta[r]), atol=1e-10), (gate, r)
 
 
 def test_ou_propagators_zero_noise_reduce_to_ideal():
@@ -182,11 +196,9 @@ def test_ou_propagators_static_delay_phase():
     sched = hard_pulse_schedule([], np.eye(2, dtype=complex), "idle", pad_to=total)
     n = 5
     props = ou_propagators(sched, spec, n, seed=9)
-    from ddgates.noise import _step_count
-
-    delta = sample_ou_ensemble(spec, _step_count(total, spec.dt), n, seed=9)
+    delta = next(ou_trajectory(spec, n, 9, _step_count(total, spec.dt)))
     for r in range(n):
-        phi = delta[r, 0] * total  # static part dominates; row is constant
+        phi = delta[r] * total  # static part dominates; row is constant
         expected = np.diag([np.exp(-0.5j * phi), np.exp(+0.5j * phi)])
         assert np.allclose(props[r], expected, atol=1e-9)
 
@@ -210,37 +222,39 @@ def test_ou_propagators_deterministic_per_seed():
     assert not np.allclose(a, c)
 
 
-@pytest.mark.parametrize("budget", [1, 3 * 9, 7 * 9 + 5, 20 * 9, 1 << 20])
+@pytest.mark.parametrize("budget", [1, 27, 68, 180, 1 << 20])
 def test_ou_propagators_bytes_do_not_depend_on_the_chunk_size(monkeypatch, budget):
-    # 7 idle steps, so 9 trajectory elements per realization: chunks of 1, 3, 7 and
-    # 20 rows (3 and 7 do not divide 20) and the default single chunk.
+    # The normals come in chunks of whole steps, at most _BLOCK_BUDGET normals.
+    # 21 rows take 22 normals per step: budgets 1 and 27 give chunks of the
+    # two-step minimum (1 is below the row count), 68 gives 3 steps and 180
+    # gives 8 (neither divides the 10 steps that 8 idle steps draw), and 1 << 20
+    # a single chunk.
     spec = OUNoiseSpec(sigma=5e3, tau_c=1.5e-4, dt=1.5e-5, sigma_static=2e3)
     sched = apply_amplitude_error(protected_bb1_gate(decompose_gate("H"), XY4, 1.3e-5), 0.02)
-    idle = hard_pulse_schedule([], np.eye(2, dtype=complex), "idle", pad_to=1.0e-4)
-    from ddgates.noise import _step_count
-
-    assert _step_count(idle.total_duration, spec.dt) + 2 == 9
-    reference = [ou_propagators(s, spec, 20, seed=41).tobytes() for s in (sched, idle)]
-    monkeypatch.setattr(simulate, "_CHUNK_BUDGET", budget)
-    assert [ou_propagators(s, spec, 20, seed=41).tobytes() for s in (sched, idle)] == reference
+    idle = hard_pulse_schedule([], np.eye(2, dtype=complex), "idle", pad_to=1.2e-4)
+    assert _step_count(idle.total_duration, spec.dt) == 8
+    reference = [ou_propagators(s, spec, 21, seed=41).tobytes() for s in (sched, idle)]
+    monkeypatch.setattr(noise, "_BLOCK_BUDGET", budget)
+    assert [ou_propagators(s, spec, 21, seed=41).tobytes() for s in (sched, idle)] == reference
 
 
 def test_ou_propagators_memory_does_not_scale_with_steps_times_realizations():
     spec = OUNoiseSpec(sigma=4e3, tau_c=1.5e-4, dt=1.5e-5)
-    n_steps, n = 10_000, 500
-    idle = hard_pulse_schedule([], np.eye(2, dtype=complex), "idle", pad_to=n_steps * spec.dt)
-    one_array = 8 * (n_steps + 2) * n  # 40 MB: a single unchunked float64 trajectory array
-    chunk_array = 8 * (simulate._CHUNK_BUDGET // (n_steps + 2)) * (n_steps + 1)  # one chunk's trajectory
-    tracemalloc.start()
-    try:
-        props = ou_propagators(idle, spec, n, seed=5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert props.shape == (n, 2, 2)
-    assert peak < one_array
-    # Sampling peaks at about 2.5 trajectory arrays; propagation adds none of that size.
-    assert peak < 2.8 * chunk_array, peak / chunk_array
+    n = 500
+    peaks = []
+    for n_steps in (10_000, 40_000):
+        idle = hard_pulse_schedule([], np.eye(2, dtype=complex), "idle", pad_to=n_steps * spec.dt)
+        tracemalloc.start()
+        try:
+            props = ou_propagators(idle, spec, n, seed=5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert props.shape == (n, 2, 2)
+    # One block of normals and its Box-Muller temporaries, about 2.4 MB, whatever the length:
+    # a 10k-step trajectory of 500 rows alone would take 40 MB.
+    assert peaks[0] < 8 * 8 * noise._BLOCK_BUDGET, peaks
+    assert peaks[1] < 1.05 * peaks[0], peaks
 
 
 GATE_CELLS = st.tuples(

@@ -115,11 +115,6 @@ def test_chi_diagnostics_on_exact_channel():
     assert chi.hermiticity_defect() < 1e-12
     assert chi.trace_preservation_residual() < 1e-12
     assert chi.min_eigenvalue() > -1e-12
-    doc = chi.to_json_dict()
-    assert doc["basis"] == ["I", "X", "iY", "Z"]
-    assert np.allclose(
-        np.array(doc["entries_re"]) + 1j * np.array(doc["entries_im"]), chi.entries
-    )
 
 
 def test_monte_carlo_chi_is_trace_preserving_at_any_ensemble_size():
