@@ -2,7 +2,7 @@
 
 Subcommands: calibrate, compile, simulate, sweep, table1.  Exit codes:
 0 on success, 1 on invalid arguments or configuration, 2 on a runtime
-failure (calibration bracket, failed cell, unwritable output).
+failure (calibration targets out of reach, failed cell, unwritable output).
 """
 
 from __future__ import annotations

@@ -23,8 +23,6 @@ ONE_OVER_E = 1.0 / math.e
 # The calibration skips the static offset when the OU part alone puts the FID
 # time within this relative distance of its target (the equal-target case).
 EQUAL_TARGET_RTOL = 0.01
-# Bisection tolerance on log10(sigma): about 2e-6 relative in sigma.
-LOG_SIGMA_TOL = 1e-6
 # The calibration gives up after this many halvings of tau_c.
 MAX_TAU_C_HALVINGS = 12
 
@@ -83,7 +81,7 @@ class CalibrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Exact 1/e decay times of a fitted noise spec, and the spec.
+    """1/e decay times of a fitted noise spec, read off its exact curves, and the spec.
 
     An echo never has more phase variance than free induction of the same
     length, so fitted_t2_star <= fitted_t2_hahn always holds.
@@ -275,40 +273,47 @@ def _grid_point(t, dt: float, n_steps: int):
     return k, np.maximum(t - k * dt, 0.0)
 
 
-def _ou_coherences(spec: OUNoiseSpec, delays: np.ndarray, echo: bool) -> np.ndarray:
-    """Exact ensemble coherence |<exp(i phi)>| = exp(-Var(phi) / 2) of the grid model.
+def _covariance(x: float, dt: float, s, t):
+    """Cov(phi(s), phi(t)) / sigma^2 of the unit OU part at grid points s <= t, x = dt / tau_c.
 
-    The OU-plus-static trajectory is Gaussian, so each FID phase phi(t) and
-    echo phase phi(t) - 2 phi(t/2) is Gaussian too (Klauder & Anderson,
-    Phys. Rev. 125, 912 (1962); Cywinski et al., PRB 77, 174509 (2008)).
-    Cost and memory are O(len(delays)), whatever the trajectory length.
+    phi at (k, f) is dt * sum_{j<k} delta_j + f * delta_k and Cov(delta_i, delta_j)
+    = sigma^2 a^|i-j|, a = exp(-x): each double sum is a geometric series.
     """
-    dt, x = spec.dt, spec.dt / spec.tau_c
-    n_steps = _step_count(float(delays[-1]), dt)
     a, om = math.exp(-x), -math.expm1(-x)  # om = 1 - a
 
     def rise(n):  # 1 - a^n
         return -np.expm1(-n * x)
 
-    def covariance(s, t):
-        # Cov(phi(s), phi(t)) / sigma^2 for grid points s <= t, where phi at (k, f)
-        # is dt * sum_{j<k} delta_j + f * delta_k and Cov(delta_i, delta_j) =
-        # sigma^2 a^|i-j|: each double sum is a geometric series.
-        (ks, fs), (kt, ft) = s, t
-        m = kt - ks
-        blocks = (ks * (1 + a) * om - a * rise(ks) * (2 - rise(m))) / om**2
-        point_t = np.exp(-(m + 1) * x) * rise(ks) / om
-        point_s = (rise(ks + 1) + a * rise(m - 1)) / om
-        return dt * dt * blocks + dt * (ft * point_t + fs * point_s) + fs * ft * np.exp(-m * x)
+    (ks, fs), (kt, ft) = s, t
+    m = kt - ks
+    blocks = (ks * (1 + a) * om - a * rise(ks) * (2 - rise(m))) / om**2
+    point_t = np.exp(-(m + 1) * x) * rise(ks) / om
+    point_s = (rise(ks + 1) + a * rise(m - 1)) / om
+    return dt * dt * blocks + dt * (ft * point_t + fs * point_s) + fs * ft * np.exp(-m * x)
 
-    end = _grid_point(delays, dt, n_steps)
-    var_ou = covariance(end, end)
-    area = end[0] * dt + end[1]  # sum of the phase weights, seen by the static offset
-    if echo:
-        mid = _grid_point(delays / 2.0, dt, n_steps)
-        var_ou = var_ou + 4.0 * (covariance(mid, mid) - covariance(mid, end))
-        area = area - 2.0 * (mid[0] * dt + mid[1])
-    return np.exp(-0.5 * (spec.sigma**2 * var_ou + spec.sigma_static**2 * area**2))
+
+def phase_variance(spec: OUNoiseSpec, edges, weights):
+    """Var of sum_j w_j (phi(t_j) - phi(t_{j-1})), t_0 = 0, for the grid model.
+
+    edges are the times t_1 <= .. <= t_J (scalars, or arrays of curve points),
+    weights the w_j.  With c_j = w_j - w_{j+1} (w_{J+1} = 0) the sum is
+    sum_j c_j phi(t_j), and its variance is sigma^2 sum_ij c_i c_j C_ij +
+    sigma_static^2 (sum_j c_j t_j)^2, C_ij the `_covariance` of phi(t_i) and
+    phi(t_j): O(J^2) per curve point, whatever the trajectory length.  FID is
+    ((t,), (1,)), a Hahn echo ((t/2, t), (1, -1)) (Cywinski et al., PRB 77,
+    174509 (2008)).
+    """
+    dt, x = spec.dt, spec.dt / spec.tau_c
+    n_steps = _step_count(float(np.max(edges[-1])), dt)
+    points = [_grid_point(np.asarray(t, dtype=float), dt, n_steps) for t in edges]
+    c = np.subtract(weights, np.append(weights[1:], 0.0)).tolist()
+    var_ou = area = 0.0
+    for i, p in enumerate(points):
+        row = c[i] * _covariance(x, dt, p, p) + 2.0 * sum(
+            c[j] * _covariance(x, dt, p, points[j]) for j in range(i + 1, len(points)))
+        var_ou = var_ou + c[i] * row
+        area = area + c[i] * (p[0] * dt + p[1])  # the static offset sees the grid time
+    return spec.sigma**2 * var_ou + spec.sigma_static**2 * area**2
 
 
 def _bath_coherences(spec: SpinBathSpec, delays: np.ndarray, echo: bool) -> np.ndarray:
@@ -327,10 +332,15 @@ def _bath_coherences(spec: SpinBathSpec, delays: np.ndarray, echo: bool) -> np.n
 
 def _decay_curve(noise, delays, echo: bool):
     delays = np.asarray(delays, dtype=float)
+    if not np.all(np.isfinite(delays)):
+        raise ValueError(f"delays must be finite, got {delays[~np.isfinite(delays)][0]}")
     if delays.size == 0 or delays[0] < 0 or np.any(np.diff(delays) <= 0):
         raise ValueError("delays must be non-negative and increasing")
     if isinstance(noise, OUNoiseSpec):
-        coh = _ou_coherences(noise, delays, echo)
+        # The trajectory is Gaussian, so each phase is too, and the coherence is
+        # exp(-Var(phi) / 2) (Klauder & Anderson, Phys. Rev. 125, 912 (1962)).
+        edges, weights = ((delays / 2.0, delays), (1.0, -1.0)) if echo else ((delays,), (1.0,))
+        coh = np.exp(-0.5 * phase_variance(noise, edges, weights))
     elif isinstance(noise, SpinBathSpec):
         # The maximally mixed bath average is exact; no sampling involved.
         coh = _bath_coherences(noise, delays, echo)
@@ -363,64 +373,52 @@ def coherence_1e_time(curve) -> float:
     return float(times[i - 1] + f * (times[i] - times[i - 1]))
 
 
-def _bisect_decreasing(f, lo: float, hi: float, what: str) -> float:
-    """Root of a decreasing f on [lo, hi] to LOG_SIGMA_TOL, after checking the bracket."""
-    if not f(lo) > 0 > f(hi):
-        raise CalibrationError(f"{what} not bracketed in [1e{lo:.1f}, 1e{hi:.1f}] rad/s")
-    while hi - lo > LOG_SIGMA_TOL:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if f(mid) > 0 else (lo, mid)
-    return 0.5 * (lo + hi)
+def _solved(value: float, lo: float, hi: float, what: str) -> float:
+    if not lo <= value <= hi:
+        raise CalibrationError(f"{what} is {value:.3g} rad/s, outside [{lo:.3g}, {hi:.3g}] rad/s")
+    return value
 
 
 def calibrate_to_targets(target_t2_star: float, target_t2_hahn: float) -> CalibrationResult:
-    """Fit an OU-plus-static model to FID and Hahn 1/e time targets.
+    """Fit an OU-plus-static model to FID and Hahn 1/e time targets, in closed form.
 
-    The OU amplitude is solved against the Hahn target by bisection on
-    log10(sigma) (static offsets refocus exactly, so they drop out of the
-    echo); tau_c is halved until the OU part alone brings the FID time above
-    (1 - EQUAL_TARGET_RTOL) x its target; unless it is then within that
-    tolerance, the static width is solved against the FID target.  All times
-    come from the exact curves: the fit is deterministic and needs no seed.
+    The coherence is exp(-(sigma^2 V + sigma_static^2 t^2) / 2), V the phase
+    variance at unit sigma (`phase_variance`), and static offsets refocus in
+    the echo.  So sigma = sqrt(2 / V_hahn(T2)) puts the Hahn 1/e time exactly on
+    its target; tau_c is halved until the OU part alone brings the FID time to
+    at least (1 - EQUAL_TARGET_RTOL) x its target; unless that time is then
+    within the same tolerance, sigma_static = sqrt(2 - sigma^2 V_fid(T2*)) / T2*
+    puts the FID time exactly on its target.  A sigma outside [1e2, 10^7.5]
+    rad/s or a sigma_static outside [10^0.5, 10^6.5] rad/s raises
+    CalibrationError.  The fit is deterministic and needs no seed; the fitted
+    times it reports are the linear read-outs of 181-point curves over
+    [0, 3 T2], which land within a few 1e-4 (relative) of the exact targets.
     """
     if not 0 < target_t2_star <= target_t2_hahn < math.inf:
         raise ValueError("targets must satisfy 0 < target_t2_star <= target_t2_hahn < inf")
-    delays = np.linspace(0.0, 3.0 * target_t2_hahn, 181)
 
-    def decay_time(curve_fn, sigma, tau_c, sigma_static=0.0):
-        try:
-            return coherence_1e_time(curve_fn(OUNoiseSpec(sigma, tau_c, tau_c / 10, sigma_static), delays))
-        except ValueError:
-            return math.inf
+    def fid_variance(t):  # of the OU part at the current sigma and tau_c
+        return sigma**2 * phase_variance(unit, (t,), (1.0,))
 
     tau_c = target_t2_hahn / 5.0
-    fid_ou = math.nan
     for _ in range(MAX_TAU_C_HALVINGS + 1):
-        sigma = 10.0 ** _bisect_decreasing(
-            lambda ls: decay_time(hahn_decay_curve, 10.0**ls, tau_c) - target_t2_hahn,
-            2.0, 7.5, f"Hahn target {target_t2_hahn:.3g} s by sigma at tau_c={tau_c:.3g} s",
-        )
-        fid_ou = decay_time(fid_decay_curve, sigma, tau_c)
+        unit = OUNoiseSpec(1.0, tau_c, tau_c / 10)
+        sigma = _solved(math.sqrt(2.0 / phase_variance(unit, (target_t2_hahn / 2, target_t2_hahn), (1.0, -1.0))),
+                        1e2, 10**7.5, f"sigma for the Hahn target {target_t2_hahn:.3g} s at tau_c={tau_c:.3g} s")
         # Each halving doubles the trajectory step count of the fitted model.
-        if fid_ou >= (1.0 - EQUAL_TARGET_RTOL) * target_t2_star:
+        if fid_variance((1.0 - EQUAL_TARGET_RTOL) * target_t2_star) <= 2.0:
             break
         tau_c /= 2.0
     else:
         raise CalibrationError(
-            f"OU-only FID time {fid_ou:.3g} s stayed below the {target_t2_star:.3g} s "
+            f"OU-only FID time stayed below {1.0 - EQUAL_TARGET_RTOL:g} x the {target_t2_star:.3g} s "
             f"target after {MAX_TAU_C_HALVINGS} tau_c halvings"
         )
-
     sigma_static = 0.0
-    if fid_ou > (1.0 + EQUAL_TARGET_RTOL) * target_t2_star:
-        sigma_static = 10.0 ** _bisect_decreasing(
-            lambda ls: decay_time(fid_decay_curve, sigma, tau_c, 10.0**ls) - target_t2_star,
-            0.5, 6.5, f"FID target {target_t2_star:.3g} s by sigma_static",
-        )
-
-    # Both times are finite: the echo was solved to its target, and FID decays faster.
-    return CalibrationResult(
-        decay_time(fid_decay_curve, sigma, tau_c, sigma_static),
-        decay_time(hahn_decay_curve, sigma, tau_c, sigma_static),
-        OUNoiseSpec(sigma, tau_c, tau_c / 10, sigma_static),
-    )
+    if fid_variance((1.0 + EQUAL_TARGET_RTOL) * target_t2_star) < 2.0:
+        sigma_static = _solved(math.sqrt(2.0 - fid_variance(target_t2_star)) / target_t2_star,
+                               10**0.5, 10**6.5, f"sigma_static for the FID target {target_t2_star:.3g} s")
+    params = OUNoiseSpec(sigma, tau_c, tau_c / 10, sigma_static)
+    delays = np.linspace(0.0, 3.0 * target_t2_hahn, 181)
+    return CalibrationResult(coherence_1e_time(fid_decay_curve(params, delays)),
+                             coherence_1e_time(hahn_decay_curve(params, delays)), params)

@@ -22,6 +22,7 @@ from ddgates.noise import (
     fid_decay_curve,
     hahn_decay_curve,
     ou_trajectory,
+    phase_variance,
 )
 from ddgates.simulate import bath_channel_output, bath_propagator, ou_propagators
 from helpers import bath_hamiltonians, total_hamiltonian, trajectory
@@ -285,18 +286,23 @@ def test_exact_curves_match_monte_carlo_propagators(make_spec, echo):
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, edge_steps",
     [
-        make_ou(sigma=4000.0, tau_c=1.5e-4, dt=1.5e-5, sigma_static=2000.0),
-        make_ou(sigma=6e4, tau_c=3e-6, dt=3e-7, sigma_static=500.0),
-        make_ou(sigma=3000.0, tau_c=1e-2, dt=4e-6, sigma_static=1000.0),
+        (make_ou(sigma=4000.0, tau_c=1.5e-4, dt=1.5e-5, sigma_static=2000.0), None),
+        (make_ou(sigma=6e4, tau_c=3e-6, dt=3e-7, sigma_static=500.0), None),
+        (make_ou(sigma=3000.0, tau_c=1e-2, dt=4e-6, sigma_static=1000.0), None),
+        # Edges in units of dt: 40 is exactly a grid point, the others lie inside cells.
+        (make_ou(sigma=400.0, tau_c=1.5e-4, dt=1.5e-5, sigma_static=200.0),
+         (3.25, 17.5, 40.0, 41.7, 95.5, 200.25, 300.5)),
     ],
-    ids=["calibrated_scale", "short_tau_c", "dt_much_below_tau_c"],
+    ids=["calibrated_scale", "short_tau_c", "dt_much_below_tau_c", "multi_edge"],
 )
-def test_exact_curves_match_dense_covariance(spec):
+def test_exact_curves_match_dense_covariance(spec, edge_steps):
     # Phase weights w_k = the length of [0, t] inside grid cell k, the last cell
     # without end, then exp(-w^T C w / 2) with the dense OU-plus-static
-    # covariance: an independent route to the same Gaussian average.
+    # covariance: an independent route to the same Gaussian average.  The
+    # multi_edge case checks phase_variance of segments with alternating signs
+    # against w^T C w alone.
     delays = np.linspace(0.0, 300.5 * spec.dt, 37)
     n_steps = _step_count(float(delays[-1]), spec.dt)
     idx = np.arange(n_steps + 1)
@@ -308,6 +314,12 @@ def test_exact_curves_match_dense_covariance(spec):
 
     a = math.exp(-spec.dt / spec.tau_c)
     cov = spec.sigma**2 * a ** np.abs(idx[:, None] - idx[None, :]) + spec.sigma_static**2
+    if edge_steps is not None:
+        edges = [k * spec.dt for k in edge_steps]
+        signs = (-1.0) ** np.arange(len(edges))
+        w = sum(sign * (weights(t) - weights(t0)) for sign, t0, t in zip(signs, [0.0] + edges[:-1], edges))
+        assert phase_variance(spec, edges, signs) == pytest.approx(w @ cov @ w, rel=1e-10)
+        return
     for echo, curve_fn in ((False, fid_decay_curve), (True, hahn_decay_curve)):
         for t, c in curve_fn(spec, delays):
             w = weights(t)
@@ -332,6 +344,15 @@ def test_exact_curves_stay_small_at_the_last_halving():
     for curve in curves:
         coh = np.array([c for _, c in curve])
         assert coh[0] == 1.0 and np.all(np.diff(coh) <= 0) and coh[-1] >= 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("model", [make_ou(), default_spin_bath(n_bath=2, seed=19)], ids=["ou", "bath"])
+@pytest.mark.parametrize("curve_fn", [fid_decay_curve, hahn_decay_curve], ids=["fid", "hahn"])
+def test_decay_curves_reject_non_finite_delays(curve_fn, model, bad):
+    for delays in ([bad, 1e-5, 2e-5], [0.0, 1e-5, bad]):
+        with pytest.raises(ValueError, match="must be finite"):
+            curve_fn(model, delays)
 
 
 def test_bath_decay_curve_is_deterministic_and_decaying():
@@ -379,6 +400,34 @@ def test_calibration_is_deterministic():
     assert a.params == b.params
     assert a.fitted_t2_star == b.fitted_t2_star
     assert a.fitted_t2_hahn == b.fitted_t2_hahn
+
+
+@pytest.mark.parametrize(
+    "t2_star, t2_hahn, echo_only",
+    [(3.7e-4, 7.5e-4, False), (5.4e-4, 7.5e-4, False), (36.6e-6, 184.9e-6, False), (5e-4, 5e-4, True)],
+    ids=["370_750", "540_750", "bath_36.6_184.9", "500_500"],
+)
+def test_calibration_puts_the_exact_coherence_on_each_target(t2_star, t2_hahn, echo_only):
+    # The fit solves the model's own variance, not the read-out of a sampled curve.
+    params = calibrate_to_targets(t2_star, t2_hahn).params
+    assert hahn_decay_curve(params, [t2_hahn])[0][1] == pytest.approx(1.0 / math.e, rel=1e-12, abs=0.0)
+    if not echo_only:  # equal targets keep sigma_static 0 and stop within 1% of T2*
+        assert fid_decay_curve(params, [t2_star])[0][1] == pytest.approx(1.0 / math.e, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "t2_star, t2_hahn, missed",
+    [(50e-3, 50e-3, "Hahn target"), (0.1e-6, 0.2e-6, "FID target"), (30e-3, 30e-3, None), (1e-6, 1e-6, None)],
+    ids=["50ms_sigma_too_small", "0.1us_static_too_large", "30ms", "1us"],
+)
+def test_calibration_keeps_its_accepted_range(t2_star, t2_hahn, missed):
+    # sigma must lie in [1e2, 10^7.5] rad/s and sigma_static in [10^0.5, 10^6.5] rad/s.
+    if missed is None:
+        params = calibrate_to_targets(t2_star, t2_hahn).params
+        assert 1e2 <= params.sigma <= 10**7.5
+    else:
+        with pytest.raises(CalibrationError, match=missed):
+            calibrate_to_targets(t2_star, t2_hahn)
 
 
 def test_calibration_rejects_inverted_targets():

@@ -26,7 +26,15 @@ from ddgates.compiler import (
 )
 from ddgates.core import DEFAULT_MAX_SPINS, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, embed_system, hermitian_expm
 from ddgates.harness import GATES, SCHEMES, build_schedule
-from ddgates.noise import OUNoiseSpec, SpinBathSpec, _step_count, default_spin_bath, ou_trajectory
+from ddgates.noise import (
+    OUNoiseSpec,
+    SpinBathSpec,
+    _step_count,
+    calibrate_to_targets,
+    default_spin_bath,
+    ou_trajectory,
+    phase_variance,
+)
 from ddgates.simulate import (
     _pulse_cayley_klein,
     average_channel_output,
@@ -179,6 +187,33 @@ def test_ou_propagators_match_stepwise_oracle():
         delta = trajectory(spec, _step_count(sched.total_duration, spec.dt), n, seed=606)
         for r in range(n):
             assert np.allclose(props[r], _oracle_ou_propagator(sched, spec, delta[r]), atol=1e-10), (gate, r)
+
+
+@pytest.mark.parametrize("tau", [3e-6, 1e-5, 3e-5], ids=["3us", "10us", "30us"])
+@pytest.mark.parametrize(
+    "gate, scheme", [("NOOP", "xy4"), ("NOOP", "xy8"), ("NOOP", "kdd"), ("NOT", "simple_padded")]
+)
+def test_ou_process_fidelity_of_pi_only_cells_matches_the_gaussian_phase(gate, scheme, tau):
+    # At epsilon = 0 these cells hold only hard pi pulses about in-plane axes, and
+    # each flips the sign of sigma_z.  So U = P exp(-i Phi sigma_z / 2), P the
+    # ideal propagator, with the Gaussian phase Phi = sum_j (-1)^(j-1) (phi(t_j) -
+    # phi(t_{j-1})) over the pulse times t_j, and the process fidelity
+    # |Tr(P^dag U)|^2 / 4 = cos^2(Phi / 2) averages to (1 + exp(-Var(Phi) / 2)) / 2.
+    spec = calibrate_to_targets(3.7e-4, 7.5e-4).params
+    sched = build_schedule(gate, scheme, tau)
+    edges, t = [], 0.0
+    for ev in sched.events:
+        assert ev.kind == "delay" or (ev.kind == "hard_pulse" and ev.rotation.angle == math.pi), ev
+        if ev.kind == "hard_pulse":
+            edges.append(t)
+        t += ev.duration
+    edges.append(t)
+    exact = 0.5 * (1.0 + math.exp(-0.5 * phase_variance(spec, edges, (-1.0) ** np.arange(len(edges)))))
+    n = 4000
+    props = ou_propagators(sched, spec, n, seed=7)
+    f = np.abs(np.einsum("ij,rij->r", ideal_propagator(sched).conj(), props)) ** 2 / 4.0
+    stderr = np.std(f) / math.sqrt(n)
+    assert abs(f.mean() - exact) <= 5.0 * stderr + 1e-12, (f.mean(), exact, stderr)
 
 
 def test_ou_propagators_zero_noise_reduce_to_ideal():
