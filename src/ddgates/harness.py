@@ -62,6 +62,7 @@ from .noise import (
     CalibrationResult,
     OUNoiseSpec,
     SpinBathSpec,
+    bath_frame,
     calibrate_to_targets,
 )
 from .simulate import channel_operators
@@ -320,11 +321,12 @@ def simulate_cell(
         n_batches = min(_STDERR_BATCHES, realizations)
         # Noiseless and quantum-bath channels are exact: no sampling error.
         if isinstance(noise_model, OUNoiseSpec) and n_batches > 1:
-            batch_f = [
+            batch_f = np.array([
                 gate_fidelity(chi_from_operators(batch), chi_ideal)
                 for batch in np.array_split(ops, n_batches)
-            ]
-            stderr = float(np.std(batch_f, ddof=1) / math.sqrt(n_batches))
+            ])
+            # Centred on the first batch, identical batches give exactly 0.
+            stderr = float(np.std(batch_f - batch_f[0], ddof=1) / math.sqrt(n_batches))
         return ResultRow(gate=gate, scheme=scheme, tau=tau, gate_time=schedule.total_duration,
                          pulse_count=pulse_count(schedule), fidelity=fidelity,
                          fidelity_stderr=stderr, seed=seed)
@@ -368,6 +370,8 @@ def run_cells(cfg: ExperimentConfig, cells, jobs: int = 1) -> list[ResultRow]:
     are cores.
     """
     noise_model = resolve_noise(cfg)
+    if isinstance(noise_model, SpinBathSpec):
+        bath_frame(noise_model)  # built once here, so that forked workers inherit it
     tasks = [(gate, scheme, tau, noise_model, cfg.epsilon, cfg.realizations, seed)
              for gate, scheme, tau, seed in cells]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)

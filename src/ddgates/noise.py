@@ -10,7 +10,6 @@ hit measured targets.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -198,68 +197,40 @@ def _double_angle(x: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray) -> No
 _BLOCK_BUDGET = 1 << 16
 
 
-def _box_muller(raw: np.ndarray) -> np.ndarray:
-    """Standard normals from raw 64-bit words, made in place where possible.
-
-    Consecutive words u, v become sqrt(-2 ln u) (cos 2 pi v, sin 2 pi v), on
-    53-bit uniforms in (0, 1), the turn taken from the half-angle tangent
-    tan(pi v) (`_double_angle`).
-    """
-    raw >>= np.uint64(11)
-    u = np.add(raw, 0.5)  # casts the 53-bit words to float64 as it adds
-    del raw
-    u *= 2.0**-53
-    u = u.reshape(-1, 2)
-    radius, half_turn = np.sqrt(-2.0 * np.log(u[:, 0])), np.multiply(u[:, 1], math.pi)
-    _double_angle(half_turn, u[:, 0], u[:, 1])
-    u *= radius[:, None]
-    return u.reshape(-1)
-
-
-def _normal_blocks(rows: int, seed: int):
-    """Endless blocks of standard normals, shape (steps, rows), from one sequential Philox stream.
-
-    Each step takes rows + rows % 2 raw words, so every Box-Muller pair lies in
-    one step, and an odd step drops its last normal.  A block holds as many
-    whole steps as fit in _BLOCK_BUDGET normals, and at least two.
-    """
-    width = rows + rows % 2
-    count = max(2, _BLOCK_BUDGET // width) * width
-    bitgen = np.random.Philox(np.random.SeedSequence(seed))
-    while True:
-        yield _box_muller(bitgen.random_raw(count)).reshape(-1, width)[:, :rows]
-
-
 def ou_trajectory(spec: OUNoiseSpec, rows: int, seed: int, steps: int):
     """Yield the dephasing frequencies delta_0 .. delta_steps of `rows` realizations, a new array per step.
 
-    Step 0 of the normals is the static offset s and step 1 starts the OU part
-    from its stationary distribution; step k + 2 drives the exact discretization
-    delta_{k+1} = a delta_k + sigma sqrt(1 - a^2) g + (1 - a) s, a = exp(-dt / tau_c),
-    which carries s along (Gillespie, PRE 54, 2084 (1996)).  The trajectories
-    depend only on (spec, rows, seed), and memory stays at one block of
-    normals whatever the number of steps.
+    The normals are numpy's ziggurat on one sequential SFC64 stream, `rows` per
+    step.  Step 0 is the static offset s and step 1 starts the OU part from its
+    stationary distribution; step k + 2 drives the exact discretization delta_{k+1}
+    = a delta_k + sigma sqrt(1 - a^2) g + (1 - a) s, a = exp(-dt / tau_c), which
+    carries s along (Gillespie, PRE 54, 2084 (1996)).  The trajectories depend only
+    on (spec, rows, seed); memory stays at one reused block of whole steps of normals.
     """
     if rows < 1:
         raise ValueError("rows must be >= 1")
     a = math.exp(-spec.dt / spec.tau_c)
-    blocks = _normal_blocks(rows, seed)
-    first = next(blocks)
-    static = spec.sigma_static * first[0]
-    delta = spec.sigma * first[1] + static
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
+    block = np.empty((min(steps + 2, max(1, _BLOCK_BUDGET // rows)), rows))
+
+    def normals():  # each step is used before the block is drawn again
+        left = steps + 2
+        while left:
+            chunk = block[:min(left, len(block))]
+            rng.standard_normal(out=chunk)
+            left -= len(chunk)
+            yield from chunk
+
+    g = normals()
+    static = spec.sigma_static * next(g)
+    delta = spec.sigma * next(g) + static
     yield delta
     drive, drift = spec.sigma * math.sqrt(1 - a * a), (1 - a) * static
-
-    def innovations(g):
-        g *= drive
-        g += drift
-        return g
-
-    scaled = map(innovations, itertools.chain([first[2:]], blocks))
-    del first  # so that each block is freed once its steps are used
-    for g in itertools.islice(itertools.chain.from_iterable(scaled), steps):
+    for z in g:
+        z *= drive
+        z += drift
         delta = a * delta
-        delta += g
+        delta += z
         yield delta
 
 

@@ -111,8 +111,11 @@ def _pulse_cayley_klein(ev, delta: np.ndarray, length: float):
         return rotation_unitary(ev.rotation.phase, angle)[:, 0]
     half, omega = 0.5 * length, angle / ev.duration
     rate = np.sqrt(omega**2 + delta**2)
-    f = half * np.sinc(half * rate / math.pi)  # sin(half * rate) / rate, finite at 0
-    return np.cos(half * rate) - 1j * f * delta, -1j * f * omega * np.exp(1j * ev.rotation.phase)
+    alpha, sin = np.empty(rate.shape, dtype=complex), np.empty_like(rate)
+    _double_angle(0.5 * half * rate, alpha.real, sin)  # cos and sin of half * rate
+    f = np.divide(sin, rate, out=np.full_like(rate, half), where=rate != 0.0)  # sin(half * rate) / rate
+    np.multiply(f, -delta, out=alpha.imag)
+    return alpha, f * (-1j * omega * cmath.exp(1j * ev.rotation.phase))
 
 
 def ou_propagators(schedule, spec: OUNoiseSpec, n_realizations: int, seed: int) -> np.ndarray:
@@ -127,47 +130,65 @@ def ou_propagators(schedule, spec: OUNoiseSpec, n_realizations: int, seed: int) 
     e^{-i phi/2} and b by e^{+i phi/2}, with e^{-i phi/2} built from tan(phi/4)
     as (1 - q^2 - 2iq) / (1 + q^2).  A pulse [[alpha, -beta*], [beta, alpha*]]
     maps (a, b) to (alpha a - beta* b, beta a + alpha* b): a hard pulse is its
-    rotation, and a soft-half piece is its drive at the piece's constant delta.
-    Memory is one block of normals and a few vectors, whatever the number of
-    steps.  A zero-duration schedule samples nothing: every row is the ideal
-    propagator, amplitude scales applied.
+    rotation, computed once per distinct pulse, and a soft-half piece is its
+    drive at the piece's constant delta.  Memory is one block of normals and a
+    few preallocated vectors, whatever the number of steps.  A zero-duration
+    schedule samples nothing: every row is the ideal propagator, amplitude
+    scales applied.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
     if schedule.total_duration == 0:
         return np.tile(ideal_propagator(schedule, honor_amplitude=True), (n_realizations, 1, 1))
-    dt = spec.dt
-    trajectory = ou_trajectory(spec, n_realizations, seed, _step_count(schedule.total_duration, dt))
+    dt, n = spec.dt, n_realizations
+    trajectory = ou_trajectory(spec, n, seed, _step_count(schedule.total_duration, dt))
     delta, k = next(trajectory), 0  # the value on grid cell k, [k dt, (k + 1) dt)
-    a, b = np.ones(n_realizations, dtype=complex), np.zeros(n_realizations, dtype=complex)
-    phi = np.zeros(n_realizations)
+    hard = {ev: _pulse_cayley_klein(ev, None, 0.0) for ev in set(schedule.events) if ev.kind == "hard_pulse"}
+    # (a, b) and the spare pair (c, d) that products are written to and then swapped in:
+    # numpy rounds an in-place complex product of one element differently.
+    a, b = np.ones(n, dtype=complex), np.zeros(n, dtype=complex)
+    c, d, e, w = (np.empty(n, dtype=complex) for _ in range(4))
+    x, piece = np.zeros(n), np.empty(n)  # x = -phi / 4, summed exactly from pieces scaled by -1/4
+    delayed = False  # whether x holds a phase not yet applied
 
-    def apply_phase(a, b):
-        # e = exp(-i phi / 2) = cos 2x + i sin 2x at x = -phi / 4.
-        e = np.empty(n_realizations, dtype=complex)
-        _double_angle(-0.25 * phi, e.real, e.imag)
-        phi[:] = 0.0
-        # Not `a *= e`: numpy rounds in-place complex products of short arrays differently.
-        return a * e, b * e.conj()
+    def rotate(alpha, beta):
+        nonlocal a, b, c, d
+        np.multiply(alpha, a, out=c)
+        np.subtract(c, np.multiply(np.conj(beta), b, out=w), out=c)
+        np.multiply(beta, a, out=d)
+        np.add(d, np.multiply(np.conj(alpha), b, out=w), out=d)
+        a, b, c, d = c, d, a, b
+
+    def apply_phase():
+        nonlocal a, b, c, d
+        _double_angle(x, e.real, e.imag)  # e = exp(-i phi / 2) = cos 2x + i sin 2x
+        x.fill(0.0)
+        np.multiply(a, e, out=c)
+        np.multiply(b, np.conjugate(e, out=e), out=d)
+        a, b, c, d = c, d, a, b
 
     t = 0.0
     for ev in schedule.events:
-        if ev.kind != "delay":
-            a, b = apply_phase(a, b)
+        if ev.kind != "delay" and delayed:
+            apply_phase()
+            delayed = False
         stop = t + ev.duration
         while True:
             end = min(stop, (k + 1) * dt)
             if ev.kind == "delay":
-                phi += (end - t) * delta
-            elif end > t or ev.duration == 0.0:
-                alpha, beta = _pulse_cayley_klein(ev, delta, end - t)
-                a, b = alpha * a - np.conj(beta) * b, beta * a + np.conj(alpha) * b
+                x += np.multiply(-0.25 * (end - t), delta, out=piece)
+                delayed = True
+            elif ev.duration == 0.0:
+                rotate(*hard[ev])
+            elif end > t:
+                rotate(*_pulse_cayley_klein(ev, delta, end - t))
             if end == stop:
                 break
             # Assign the grid point, never add the piece: rounding could stall the walk.
             t, k, delta = end, k + 1, next(trajectory)
         t = stop
-    a, b = apply_phase(a, b)
+    if delayed:
+        apply_phase()
     return np.stack((a, -b.conj(), b, a.conj()), axis=-1).reshape(n_realizations, 2, 2)
 
 

@@ -110,10 +110,12 @@ def chi_from_operators(ops: np.ndarray) -> ChiMatrix:
     """Chi matrix of the channel rho -> mean over k of K_k rho K_k^dag, ops shape (n, 2, 2).
 
     With K = sum_m c_m B_m over the orthogonal basis (Tr(B_m^dag B_n) = 2 delta_mn),
-    chi_mn is the ensemble mean of c_m conj(c_n).
+    chi_mn is the ensemble mean of c_m conj(c_n), and
+    c = (K00 + K11, K01 + K10, K01 - K10, K00 - K11) / 2.
     """
-    c = np.einsum("mij,kij->km", np.conj(CHI_BASIS), ops) / 2
-    return ChiMatrix(c.T @ c.conj() / len(c))
+    k00, k01, k10, k11 = np.reshape(ops, (-1, 4)).T
+    c = (k00 + k11, k01 + k10, k01 - k10, k00 - k11)
+    return ChiMatrix(np.array([[np.vdot(cn, cm) for cn in c] for cm in c]) / (4 * len(ops)))
 
 
 def _as_matrix(x) -> np.ndarray:
