@@ -370,8 +370,6 @@ def run_cells(cfg: ExperimentConfig, cells, jobs: int = 1) -> list[ResultRow]:
     are cores.
     """
     noise_model = resolve_noise(cfg)
-    if isinstance(noise_model, SpinBathSpec):
-        bath_frame(noise_model)  # built once here, so that forked workers inherit it
     tasks = [(gate, scheme, tau, noise_model, cfg.epsilon, cfg.realizations, seed)
              for gate, scheme, tau, seed in cells]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
@@ -380,6 +378,8 @@ def run_cells(cfg: ExperimentConfig, cells, jobs: int = 1) -> list[ResultRow]:
         print("warning: cannot set numpy's OpenBLAS thread count; cells run on its default",
               file=sys.stderr)
     try:
+        if isinstance(noise_model, SpinBathSpec):
+            bath_frame(noise_model)  # built once here, at one BLAS thread, so that forked workers inherit it
         if workers <= 1:
             return list(itertools.starmap(simulate_cell, tasks))
         with multiprocessing.Pool(workers, initializer=_set_blas_threads, initargs=(1,)) as pool:

@@ -43,6 +43,8 @@ class SpinBathSpec:
         if len(self.couplings) != self.n_bath:
             raise ValueError(f"expected {self.n_bath} couplings, got {len(self.couplings)}")
         d = np.array(self.bath_couplings, dtype=float)
+        if d.shape == (0,):  # the 0x0 matrix as JSON writes it, []
+            d = d.reshape(0, 0)
         if d.shape != (self.n_bath, self.n_bath):
             raise ValueError(f"bath_couplings must be {self.n_bath}x{self.n_bath}")
         if not (np.all(np.isfinite(self.couplings)) and np.all(np.isfinite(d))
@@ -99,58 +101,80 @@ class CalibrationResult:
 
 @dataclass(frozen=True, eq=False)
 class BathFrame:
-    """Eigenframe of H_noise = diag(h0, h1), its blocks over the system's |0>, |1>.
+    """Eigenframe of H_noise = diag(h0, h1), its blocks over the system's |0>, |1>,
+    held one magnetization sector of the bath at a time.
 
-    w: the eigenvalues of h0 then h1; v0, v1: their eigenvectors; link = v0^dag v1.
-    An X on the system (x) bath space is held as Xt = diag(v0^dag, v1^dag) X.
+    h0 and h1 conserve the bath's total S_z and system pulses act on the system
+    only, so every propagator is block diagonal over the n_bath + 1 sectors.
+    Sector s is block s of a stack of 2M x 2M blocks, M the largest sector: its
+    system-|0> rows, then its system-|1> rows, each padded to M.  w (S, 2M): the
+    eigenvalues of h0 then h1 on the sector; v0, v1 (S, M, M): their eigenvectors;
+    link = v0^dag v1; index (S, 2M): each row's index on the system (x) bath space.
+    Padding has w = 0, identity v0, v1 and link, and index -1, so it never mixes
+    with a real sector.  An X on the system (x) bath space is held as the stack
+    Xt = diag(v0^dag, v1^dag) X of its sector blocks.
     """
 
     w: np.ndarray
     v0: np.ndarray
     v1: np.ndarray
     link: np.ndarray
+    index: np.ndarray
 
     def delay(self, xt: np.ndarray, t: float) -> np.ndarray:
-        return np.exp(-1j * t * self.w)[:, None] * xt
+        return np.exp(-1j * t * self.w)[..., None] * xt
 
     def rotate(self, xt: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """(r (x) I) X in the frame, for a 2x2 r: two d x d products, no kron."""
-        x0, x1 = np.split(xt, 2)
-        return np.vstack((r[0, 0] * x0 + r[0, 1] * (self.link @ x1),
-                          r[1, 0] * (self.link.conj().T @ x0) + r[1, 1] * x1))
+        """(r (x) I) X in the frame, for a 2x2 r: two half-size products per sector, no kron."""
+        x0, x1 = np.split(xt, 2, axis=-2)
+        return np.concatenate((r[0, 0] * x0 + r[0, 1] * (self.link @ x1),
+                               r[1, 0] * (self.link.conj().swapaxes(1, 2) @ x0) + r[1, 1] * x1), axis=-2)
 
     def from_frame(self, xt: np.ndarray) -> np.ndarray:
-        x0, x1 = np.split(xt, 2)
-        return np.vstack((self.v0 @ x0, self.v1 @ x1))
+        x0, x1 = np.split(xt, 2, axis=-2)
+        return np.concatenate((self.v0 @ x0, self.v1 @ x1), axis=-2)
 
 
 _FRAMES: dict = {}  # the last 4 specs' frames, keyed by every SpinBathSpec field
 
 
 def bath_frame(spec: SpinBathSpec) -> BathFrame:
-    """The spec's BathFrame: one eigh per d x d block, built once per distinct spec.
+    """The spec's BathFrame: one eigh per sector and system block, built once per distinct spec.
 
     H_noise = omega_S S_z (x) I + sum_k b_k S_z (x) S_z^k + I (x) H_E, with H_E the
     secular dipolar coupling sum_{j<k} d_jk (2 S_z^j S_z^k - S_x^j S_x^k - S_y^j S_y^k),
     flip-flops included.  Its blocks over the system's |0>, |1> are
-    H_E +- diag(omega_S / 2 + sum_k b_k S_z^k / 2).
+    H_E +- diag(omega_S / 2 + sum_k b_k S_z^k / 2).  Both conserve sum_k S_z^k
+    (Abragam, The Principles of Nuclear Magnetism, 1961), so the sectors are the
+    bath basis states grouped by its diagonal, and each block is diagonalised on
+    each sector alone.
     """
     key = (spec.n_bath, spec.couplings, spec.bath_couplings.tobytes(), spec.system_offset)
     if key not in _FRAMES:
-        n = spec.n_bath
+        n, d = spec.n_bath, 2**spec.n_bath
         # site[k] = (S_x, S_y, S_z) on bath site k, identity elsewhere.
         site = [[functools.reduce(np.kron, [c if j == k else IDENTITY_2 for j in range(n)], np.eye(1))
                  for c in spin_half_operators()] for k in range(n)]
-        h_e = np.zeros((2**n, 2**n), dtype=complex)
+        h_e = np.zeros((d, d), dtype=complex)
         for j in range(n):
             for k in range(j + 1, n):
                 (xj, yj, zj), (xk, yk, zk) = site[j], site[k]
                 h_e += spec.bath_couplings[j, k] * (2 * zj @ zk - xj @ xk - yj @ yk)
-        # The diagonal of sum_k b_k S_z^k.
-        bz = sum((b * site[k][2].diagonal().real for k, b in enumerate(spec.couplings)), np.zeros(2**n))
-        shift = 0.5 * spec.system_offset + bz / 2
-        (w0, v0), (w1, v1) = (np.linalg.eigh(h_e + np.diag(sign * shift)) for sign in (1.0, -1.0))
-        frame = BathFrame(np.concatenate((w0, w1)), v0, v1, v0.conj().T @ v1)
+        sz = [site[k][2].diagonal().real for k in range(n)]
+        shift = 0.5 * spec.system_offset + sum(map(np.multiply, spec.couplings, sz), np.zeros(d)) / 2
+        # The diagonal of sum_k S_z^k holds exact half-integers: one value per sector.
+        mz = sum(sz, np.zeros(d))
+        sectors = [np.flatnonzero(mz == m) for m in np.unique(mz)]
+        big = max(map(len, sectors))
+        w, index = np.zeros((len(sectors), 2, big)), np.full((len(sectors), 2, big), -1)
+        v = np.tile(np.eye(big, dtype=complex), (2, len(sectors), 1, 1))
+        for s, rows in enumerate(sectors):
+            for half, sign in enumerate((1.0, -1.0)):
+                block = h_e[np.ix_(rows, rows)] + np.diag(sign * shift[rows])
+                w[s, half, :len(rows)], v[half, s, :len(rows), :len(rows)] = np.linalg.eigh(block)
+                index[s, half, :len(rows)] = half * d + rows
+        frame = BathFrame(w.reshape(len(sectors), 2 * big), v[0], v[1], v[0].conj().swapaxes(1, 2) @ v[1],
+                          index.reshape(len(sectors), 2 * big))
         for a in vars(frame).values():
             a.setflags(write=False)
         if len(_FRAMES) == 4:
@@ -289,15 +313,17 @@ def phase_variance(spec: OUNoiseSpec, edges, weights):
 
 def _bath_coherences(spec: SpinBathSpec, delays: np.ndarray, echo: bool) -> np.ndarray:
     frame, dim_b = bath_frame(spec), 2**spec.n_bath
-    # The columns |+> (x) |b> (unnormalised) over the bath basis b, in the frame.
-    start = np.vstack((frame.v0.conj().T, frame.v1.conj().T))
+    # The columns |+> (x) |b> (unnormalised) over the bath basis b, in the frame, by sector;
+    # padding columns are zero and stay zero.
+    real = frame.index[:, None, :frame.v0.shape[1]] >= 0
+    start = np.concatenate((frame.v0.conj().swapaxes(1, 2), frame.v1.conj().swapaxes(1, 2)), axis=1) * real
     out = np.empty(len(delays))
     for i, t in enumerate(delays):
         xt = frame.delay(start, t / 2.0)
         xt = frame.rotate(xt, rotation_unitary(0.0, math.pi)) if echo else xt
-        y = frame.from_frame(frame.delay(xt, t / 2.0))
+        y0, y1 = np.split(frame.from_frame(frame.delay(xt, t / 2.0)), 2, axis=1)
         # The bath average of <1|rho|0> is the trace over b of the two system rows.
-        out[i] = abs(np.vdot(y[dim_b:], y[:dim_b])) / dim_b
+        out[i] = abs(np.vdot(y1, y0)) / dim_b
     return out
 
 

@@ -3,7 +3,7 @@
 Schedules are consumed structurally: an ordered event list where each event
 is a delay, an instantaneous hard pulse, or a finite-duration weak rotation
 during which the noise acts concurrently.  Three engines: ideal (no noise),
-quantum spin bath (exact, dense), and classical OU trajectory ensembles
+quantum spin bath (exact, by bath magnetization sector), and classical OU trajectory ensembles
 (vectorized over realizations).  `channel_operators` turns any of them into
 the operator ensemble whose average is the simulated system channel.
 """
@@ -36,8 +36,10 @@ def bath_propagator(schedule, spec: SpinBathSpec) -> np.ndarray:
     """Exact propagator on the system (x) bath space, amplitude scales applied.
 
     H_noise has no term that flips the system's sigma_z, so it is block diagonal
-    over the system's |0>, |1>; `bath_frame` diagonalises its two d x d blocks
-    once per spec.  U is propagated as Ut = diag(v0^dag, v1^dag) U: a delay
+    over the system's |0>, |1>, and both blocks and every system pulse conserve
+    the bath's total S_z, so U is block diagonal over the bath's magnetization
+    sectors, and is propagated as `bath_frame`'s padded stack of sector blocks,
+    each in the eigenframe of its two blocks: Ut = diag(v0^dag, v1^dag) U.  A delay
     multiplies the rows of Ut by e^{-i w t}, a hard pulse mixes the two row
     blocks through link = v0^dag v1, and a soft half multiplies by the
     exponential of the framed drift-plus-drive generator.  The soft halves cut
@@ -45,10 +47,13 @@ def bath_propagator(schedule, spec: SpinBathSpec) -> np.ndarray:
     the schedule (the interior of every decoupling cycle) and holds more than
     one hard pulse is multiplied out once and then applied as one product.
     Each soft half's exponential is shared across phases and across calls
-    (`_soft_exponential`).
+    (`_soft_exponential`).  The sector blocks are scattered into the dense
+    2d x 2d matrix at the end.
     """
     frame, d = bath_frame(spec), 2**spec.n_bath
-    ut = frame.from_frame(np.eye(2 * d)).conj().T  # diag(v0^dag, v1^dag)
+    m = frame.v0.shape[1]  # the largest sector
+    eye = np.eye(2 * m, dtype=complex)  # broadcasts against the stack
+    ut = frame.from_frame(eye).conj().swapaxes(1, 2)  # diag(v0^dag, v1^dag)
     runs, softs, run = [], [], []
     for ev in schedule.events:
         if ev.kind == "soft_gate_half":
@@ -61,10 +66,10 @@ def bath_propagator(schedule, spec: SpinBathSpec) -> np.ndarray:
     softs.append(None)
     repeats, products = Counter(runs), {}
     for run, soft in zip(runs, softs):
-        # One 2d x 2d product costs as much as two hard pulses.
+        # One product of the stack costs as much as two hard pulses.
         if repeats[run] > 1 and sum(ev.kind == "hard_pulse" for ev in run) > 1:
             if run not in products:
-                products[run] = _apply_run(frame, run, np.eye(2 * d, dtype=complex))
+                products[run] = _apply_run(frame, run, eye)
             ut = products[run] @ ut
         else:
             ut = _apply_run(frame, run, ut)
@@ -72,10 +77,13 @@ def bath_propagator(schedule, spec: SpinBathSpec) -> np.ndarray:
             # The drive at phase p is P (drive at 0) P^dag with P = diag(I, e^{ip} I),
             # which commutes with the block-diagonal drift.
             p = cmath.exp(1j * soft.rotation.phase)
-            ut[d:] *= p.conjugate()
+            ut[:, m:] *= p.conjugate()
             ut = _soft_exponential(frame, soft.rotation.angle * soft.amplitude_scale, soft.duration) @ ut
-            ut[d:] *= p
-    return frame.from_frame(ut)
+            ut[:, m:] *= p
+    # Padding rows and columns (index -1) land in the extra last row and column, dropped here.
+    u = np.zeros((2 * d + 1, 2 * d + 1), dtype=complex)
+    u[frame.index[:, :, None], frame.index[:, None, :]] = frame.from_frame(ut)
+    return u[:-1, :-1].copy()
 
 
 def _apply_run(frame, run, xt: np.ndarray) -> np.ndarray:
@@ -88,15 +96,15 @@ def _apply_run(frame, run, xt: np.ndarray) -> np.ndarray:
     return xt
 
 
-@functools.lru_cache(maxsize=16)  # 16 x 256 KB at a 6-spin bath
+@functools.lru_cache(maxsize=16)  # 16 x 179 KB for the 7 sectors (M = 20) of a 6-spin bath
 def _soft_exponential(frame, angle: float, duration: float) -> np.ndarray:
-    """exp(-i G t), t = duration, of the framed drift diag(w) plus the phase-0 drive
-    (angle / t) S_x (x) I, whose framed off-diagonal blocks are angle / 2t times
-    link and link^dag."""
-    d = len(frame.link)
-    g = np.diag(frame.w).astype(complex)
+    """exp(-i G t), t = duration, per sector, of the framed drift diag(w) plus the
+    phase-0 drive (angle / t) S_x (x) I, whose framed off-diagonal blocks are
+    angle / 2t times link and link^dag."""
+    m = frame.link.shape[1]
+    g = frame.w[:, :, None] * np.eye(2 * m, dtype=complex)
     half_rate = 0.5 * angle / duration
-    g[:d, d:], g[d:, :d] = half_rate * frame.link, half_rate * frame.link.conj().T
+    g[:, :m, m:], g[:, m:, :m] = half_rate * frame.link, half_rate * frame.link.conj().swapaxes(1, 2)
     u = hermitian_expm(g, duration)
     u.setflags(write=False)
     return u

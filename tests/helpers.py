@@ -1,12 +1,14 @@
 """Shared by the tests: independent constructions to check the package against, and OU trajectories."""
 
 import functools
+import math
 from itertools import islice
 
 import numpy as np
+import scipy.linalg
 
 from ddgates.compiler import DD_KINDS, GATE_ROTATIONS, cycle_pulse_count
-from ddgates.core import IDENTITY_2, spin_half_operators
+from ddgates.core import IDENTITY_2, SIGMA_X, SIGMA_Y, embed_system, spin_half_operators
 from ddgates.noise import ou_trajectory
 
 
@@ -33,6 +35,27 @@ def bath_hamiltonians(spec):
 
 def total_hamiltonian(spec):
     return functools.reduce(np.add, bath_hamiltonians(spec))  # H_S + H_SE + H_E
+
+
+def oracle_bath_propagator(schedule, spec):
+    """The exact system (x) bath propagator, one scipy expm of the dense Hamiltonian per event."""
+    h_noise = total_hamiltonian(spec)
+    sx = SIGMA_X / 2
+    sy = SIGMA_Y / 2
+    u = np.eye(h_noise.shape[0], dtype=complex)
+    for ev in schedule.events:
+        if ev.kind == "delay":
+            u = scipy.linalg.expm(-1j * h_noise * ev.duration) @ u
+        else:
+            angle = ev.rotation.angle * ev.amplitude_scale
+            if ev.duration == 0.0:
+                axis = math.cos(ev.rotation.phase) * SIGMA_X + math.sin(ev.rotation.phase) * SIGMA_Y
+                u = embed_system(scipy.linalg.expm(-0.5j * angle * axis), spec.n_bath) @ u
+            else:
+                omega = angle / ev.duration
+                h_ctrl = omega * (math.cos(ev.rotation.phase) * sx + math.sin(ev.rotation.phase) * sy)
+                u = scipy.linalg.expm(-1j * (embed_system(h_ctrl, spec.n_bath) + h_noise) * ev.duration) @ u
+    return u
 
 
 def expected_pulse_count(gate: str, scheme: str) -> int:

@@ -66,11 +66,13 @@ def test_rotation_composition_same_axis():
 def test_hermitian_expm_matches_scipy():
     rng = np.random.default_rng(9)
     for dim in (2, 4, 8):
-        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        h = (a + a.conj().T) / 2
+        # A stack of three generators, exponentiated together and one at a time.
+        a = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+        h = (a + a.conj().swapaxes(1, 2)) / 2
         t = rng.uniform(0.1, 2.0)
-        expected = scipy.linalg.expm(-1j * h * t)
+        expected = np.array([scipy.linalg.expm(-1j * x * t) for x in h])
         assert np.allclose(hermitian_expm(h, t), expected, atol=1e-11)
+        assert np.allclose(hermitian_expm(h[0], t), expected[0], atol=1e-11)
 
 
 def test_hermitian_expm_rejects_non_hermitian():

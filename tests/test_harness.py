@@ -12,7 +12,7 @@ import pytest
 
 import ddgates.harness as harness
 from ddgates.cli import main as cli_main
-from ddgates.compiler import CompileError
+from ddgates.compiler import CompileError, apply_amplitude_error
 from ddgates.core import DEFAULT_MAX_SPINS
 from ddgates.harness import (
     CSV_FIELDS,
@@ -41,7 +41,8 @@ from ddgates.harness import (
     summarize_rows,
 )
 from ddgates.noise import CalibrationResult, OUNoiseSpec, SpinBathSpec, default_spin_bath
-from helpers import expected_pulse_count
+from ddgates.tomography import chi_from_operators, gate_fidelity
+from helpers import expected_pulse_count, oracle_bath_propagator
 
 PINNED_NOISE = OUNoiseSpec(sigma=4335.354, tau_c=1.5e-4, dt=1.5e-5, sigma_static=2361.947)
 
@@ -601,6 +602,22 @@ def test_cli_simulate_and_sweep(tmp_path):
     assert code == 0
     report = json.loads(table_json.read_text(encoding="utf-8"))
     assert report["NOT"]["reference_fidelity"] == 0.995
+
+
+def test_cli_sweep_runs_a_zero_spin_bath_written_as_json(tmp_path):
+    # JSON writes the 0x0 bath_couplings matrix as [].
+    noise = {"kind": "spin_bath", "couplings": [], "bath_couplings": default_spin_bath(0).bath_couplings.tolist(),
+             "system_offset": 2e3}
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "sweep.csv"
+    cfg_path.write_text(json.dumps(dict(BASE_CONFIG, noise=noise)), encoding="utf-8")
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    rows = rows_from_csv(out.read_text(encoding="utf-8"))
+    spec = SpinBathSpec(0, (), np.zeros((0, 0)), system_offset=2e3)
+    assert len(rows) == 4
+    for row in rows:
+        sched = apply_amplitude_error(build_schedule(row.gate, row.scheme, row.tau), BASE_CONFIG["epsilon"])
+        chi = chi_from_operators(oracle_bath_propagator(sched, spec)[None])
+        assert row.fidelity == pytest.approx(gate_fidelity(chi, chi_from_operators(sched.target_gate[None])), abs=1e-9)
 
 
 def test_cli_rejects_an_oversized_spin_bath_before_any_cell_runs(tmp_path, capsys, monkeypatch):

@@ -51,6 +51,13 @@ def test_spin_bath_spec_validation():
         SpinBathSpec(n_bath=2, couplings=(1.0, 2.0), bath_couplings=np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(ValueError):
         SpinBathSpec(n_bath=2, couplings=(1.0, 2.0), bath_couplings=np.eye(2))
+    # An empty array is the 0x0 matrix, and no other shape passes for it.
+    assert SpinBathSpec(n_bath=0, couplings=(), bath_couplings=np.array([])).bath_couplings.shape == (0, 0)
+    for empty in (np.zeros((0, 1)), np.zeros((1, 0)), np.array([[]])):
+        with pytest.raises(ValueError, match="must be 0x0"):
+            SpinBathSpec(n_bath=0, couplings=(), bath_couplings=empty)
+    with pytest.raises(ValueError, match="must be 1x1"):
+        SpinBathSpec(n_bath=1, couplings=(1.0,), bath_couplings=np.array([]))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -85,12 +92,21 @@ def test_bath_hamiltonians_are_hermitian_and_dephasing():
         sz_full = embed_system(SIGMA_Z / 2, spec.n_bath)
         for h in (h_s, h_se):
             assert np.allclose(h @ sz_full - sz_full @ h, 0.0, atol=1e-9)
-        # bath_frame diagonalises the two blocks of the same Hamiltonian over the system's |0>, |1>.
+        # bath_frame diagonalises the two blocks of the same Hamiltonian over the system's |0>, |1>,
+        # one sector at a time; each sector's padding is an identity block with w = 0 and index -1.
         h, d, frame = total_hamiltonian(spec), 2**spec.n_bath, bath_frame(spec)
         tol = 1e-13 * np.abs(h).max()
         assert np.array_equal(h[:d, d:], np.zeros((d, d)))
-        for v, w, block in ((frame.v0, frame.w[:d], h[:d, :d]), (frame.v1, frame.w[d:], h[d:, d:])):
-            assert np.allclose(v @ np.diag(w) @ v.conj().T, block, rtol=0.0, atol=tol)
+        m = frame.v0.shape[1]
+        assert sorted(frame.index[frame.index >= 0]) == list(range(2 * d))
+        for s in range(len(frame.w)):
+            for half, v in enumerate((frame.v0[s], frame.v1[s])):
+                rows, w = frame.index[s, half * m:(half + 1) * m], frame.w[s, half * m:(half + 1) * m]
+                k = np.count_nonzero(rows >= 0)
+                assert np.all(rows[k:] == -1) and np.all(w[k:] == 0.0)
+                assert np.array_equal(v[k:], np.eye(m)[k:]) and np.array_equal(v[:, k:], np.eye(m)[:, k:])
+                block = h[np.ix_(rows[:k], rows[:k])]
+                assert np.allclose(v[:k, :k] @ np.diag(w[:k]) @ v[:k, :k].conj().T, block, rtol=0.0, atol=tol)
 
 
 def test_two_spin_bath_hamiltonian_matches_manual_construction():

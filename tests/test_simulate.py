@@ -24,7 +24,7 @@ from ddgates.compiler import (
     hard_pulse_schedule,
     protected_bb1_gate,
 )
-from ddgates.core import DEFAULT_MAX_SPINS, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, embed_system, hermitian_expm
+from ddgates.core import DEFAULT_MAX_SPINS, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, hermitian_expm
 from ddgates.harness import GATES, SCHEMES, build_schedule
 from ddgates.noise import (
     OUNoiseSpec,
@@ -43,7 +43,7 @@ from ddgates.simulate import (
     ideal_propagator,
     ou_propagators,
 )
-from helpers import total_hamiltonian, trajectory
+from helpers import oracle_bath_propagator, total_hamiltonian, trajectory
 
 
 def test_ideal_propagator_not_gate():
@@ -332,26 +332,6 @@ def test_ou_propagators_are_special_unitary_and_exact_without_duration(cell, see
         assert all(np.array_equal(u, ideal) for u in props)
 
 
-def _oracle_bath_propagator(schedule, spec):
-    h_noise = total_hamiltonian(spec)
-    sx = SIGMA_X / 2
-    sy = SIGMA_Y / 2
-    u = np.eye(h_noise.shape[0], dtype=complex)
-    for ev in schedule.events:
-        if ev.kind == "delay":
-            u = scipy.linalg.expm(-1j * h_noise * ev.duration) @ u
-        else:
-            angle = ev.rotation.angle * ev.amplitude_scale
-            if ev.duration == 0.0:
-                axis = math.cos(ev.rotation.phase) * SIGMA_X + math.sin(ev.rotation.phase) * SIGMA_Y
-                u = embed_system(scipy.linalg.expm(-0.5j * angle * axis), spec.n_bath) @ u
-            else:
-                omega = angle / ev.duration
-                h_ctrl = omega * (math.cos(ev.rotation.phase) * sx + math.sin(ev.rotation.phase) * sy)
-                u = scipy.linalg.expm(-1j * (embed_system(h_ctrl, spec.n_bath) + h_noise) * ev.duration) @ u
-    return u
-
-
 def _two_spin_bath(couplings=(2.5e4, 1.5e4), d=2.0e4, system_offset=1.0e3):
     return SpinBathSpec(
         n_bath=2, couplings=couplings,
@@ -362,7 +342,7 @@ def _two_spin_bath(couplings=(2.5e4, 1.5e4), d=2.0e4, system_offset=1.0e3):
 
 def _assert_matches_oracle(sched, spec):
     u = bath_propagator(sched, spec)
-    assert np.allclose(u, _oracle_bath_propagator(sched, spec), atol=1e-9)
+    assert np.allclose(u, oracle_bath_propagator(sched, spec), atol=1e-9)
     assert np.allclose(u @ u.conj().T, np.eye(u.shape[0]), atol=1e-10)
 
 
@@ -419,6 +399,32 @@ _BATH_ROTATIONS = st.builds(
 def test_bath_propagator_of_random_protected_gates_matches_oracle(rotations, kind, tau, epsilon):
     sched = apply_amplitude_error(protected_bb1_gate(rotations, DD_KINDS[kind], tau), epsilon)
     _assert_matches_oracle(sched, _two_spin_bath())
+
+
+@st.composite
+def _spin_baths(draw):
+    n = draw(st.integers(0, 4))
+    rate = st.floats(-8e4, 8e4)
+    d = np.zeros((n, n))
+    for j in range(n):
+        for k in range(j + 1, n):
+            d[j, k] = d[k, j] = draw(rate)
+    return SpinBathSpec(n, tuple(draw(st.lists(rate, min_size=n, max_size=n))), d, draw(st.floats(-1e4, 1e4)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=_spin_baths(), kind=st.sampled_from(("xy4", "kdd")), tau=st.floats(1e-6, 2e-5),
+       epsilon=st.floats(-0.1, 0.1))
+def test_bath_propagator_conserves_the_bath_magnetization(spec, kind, tau, epsilon):
+    n = spec.n_bath
+    # The bath's total S_z on each basis state, from its bits: S_z^k is -1/2 where bit k is set.
+    mz = np.array([n / 2 - bin(b).count("1") for b in range(2**n)])
+    h, sz_bath = total_hamiltonian(spec), np.kron(IDENTITY_2, np.diag(mz))
+    assert np.allclose(h @ sz_bath - sz_bath @ h, 0.0, rtol=0.0, atol=1e-12 * np.abs(h).max())
+    sched = apply_amplitude_error(build_schedule("PI8", kind, tau), epsilon)
+    u, sector = bath_propagator(sched, spec), np.tile(mz, 2)
+    assert np.all(u[sector[:, None] != sector[None, :]] == 0.0)
+    assert np.allclose(u, oracle_bath_propagator(sched, spec), atol=1e-9)
 
 
 def test_bath_soft_halves_exponentiate_once_per_scaled_angle(monkeypatch):
