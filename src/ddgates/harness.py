@@ -183,6 +183,11 @@ def _parse_noise(d: dict):
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     try:
+        if not isinstance(d["noise"], dict):
+            raise ConfigError(f"noise must be an object, got {d['noise']!r}")
+        for key in ("gates", "schemes", "tau_grid_s"):
+            if not isinstance(d[key], (list, tuple)):
+                raise ConfigError(f"{key} must be a list, got {d[key]!r}")
         optional = {key: d[key] for key in ("epsilon", "realizations", "seed") if key in d}
         return ExperimentConfig(
             noise=_parse_noise(d["noise"]),
@@ -450,11 +455,10 @@ def summarize_rows(rows) -> dict:
     for gate, per_scheme in grouped.items():
         summary[gate] = {}
         for scheme, values in per_scheme.items():
-            summary[gate][scheme] = {
-                "min": float(np.min(values)),
-                "median": float(np.median(values)),
-                "max": float(np.max(values)),
-            }
+            # np.median would import numpy.ma, about 13 ms in a fresh process.
+            values, half = sorted(values), len(values) // 2
+            median = values[half] if len(values) % 2 else (values[half - 1] + values[half]) / 2
+            summary[gate][scheme] = {"min": values[0], "median": median, "max": values[-1]}
     return summary
 
 

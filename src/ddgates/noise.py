@@ -102,17 +102,16 @@ class CalibrationResult:
 @dataclass(frozen=True, eq=False)
 class BathFrame:
     """Eigenframe of H_noise = diag(h0, h1), its blocks over the system's |0>, |1>,
-    held one magnetization sector of the bath at a time.
+    on the bath's magnetization sectors of one size, held as one stack.
 
     h0 and h1 conserve the bath's total S_z and system pulses act on the system
     only, so every propagator is block diagonal over the n_bath + 1 sectors.
-    Sector s is block s of a stack of 2M x 2M blocks, M the largest sector: its
-    system-|0> rows, then its system-|1> rows, each padded to M.  w (S, 2M): the
-    eigenvalues of h0 then h1 on the sector; v0, v1 (S, M, M): their eigenvectors;
-    link = v0^dag v1; index (S, 2M): each row's index on the system (x) bath space.
-    Padding has w = 0, identity v0, v1 and link, and index -1, so it never mixes
-    with a real sector.  An X on the system (x) bath space is held as the stack
-    Xt = diag(v0^dag, v1^dag) X of its sector blocks.
+    Sector s of the stack is its block s of size 2k, k the sector's size: its
+    system-|0> rows, then its system-|1> rows.  w (S, 2k): the eigenvalues of h0
+    then h1 on the sector; v0, v1 (S, k, k): their eigenvectors; link = v0^dag v1;
+    index (S, 2k): each row's index on the system (x) bath space.  An X on the
+    system (x) bath space is held as the stack Xt = diag(v0^dag, v1^dag) X of its
+    sector blocks.
     """
 
     w: np.ndarray
@@ -124,22 +123,26 @@ class BathFrame:
     def delay(self, xt: np.ndarray, t: float) -> np.ndarray:
         return np.exp(-1j * t * self.w)[..., None] * xt
 
-    def rotate(self, xt: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """(r (x) I) X in the frame, for a 2x2 r: two half-size products per sector, no kron."""
-        x0, x1 = np.split(xt, 2, axis=-2)
-        return np.concatenate((r[0, 0] * x0 + r[0, 1] * (self.link @ x1),
-                               r[1, 0] * (self.link.conj().swapaxes(1, 2) @ x0) + r[1, 1] * x1), axis=-2)
+    def pulse(self, r: np.ndarray) -> np.ndarray:
+        """r (x) I in the frame, for a 2x2 r: [[r00 I, r01 link], [r10 link^dag, r11 I]] per sector."""
+        k = self.v0.shape[1]
+        eye = np.eye(k)
+        p = np.empty((len(self.w), 2 * k, 2 * k), dtype=complex)
+        p[:, :k, :k], p[:, :k, k:] = r[0, 0] * eye, r[0, 1] * self.link
+        p[:, k:, :k], p[:, k:, k:] = r[1, 0] * self.link.conj().swapaxes(1, 2), r[1, 1] * eye
+        return p
 
     def from_frame(self, xt: np.ndarray) -> np.ndarray:
-        x0, x1 = np.split(xt, 2, axis=-2)
-        return np.concatenate((self.v0 @ x0, self.v1 @ x1), axis=-2)
+        k = self.v0.shape[1]
+        return np.concatenate((self.v0 @ xt[..., :k, :], self.v1 @ xt[..., k:, :]), axis=-2)
 
 
 _FRAMES: dict = {}  # the last 4 specs' frames, keyed by every SpinBathSpec field
 
 
-def bath_frame(spec: SpinBathSpec) -> BathFrame:
-    """The spec's BathFrame: one eigh per sector and system block, built once per distinct spec.
+def bath_frame(spec: SpinBathSpec) -> tuple[BathFrame, ...]:
+    """The spec's BathFrames, one unpadded stack per sector size in increasing size,
+    from one eigh per sector and system block, built once per distinct spec.
 
     H_noise = omega_S S_z (x) I + sum_k b_k S_z (x) S_z^k + I (x) H_E, with H_E the
     secular dipolar coupling sum_{j<k} d_jk (2 S_z^j S_z^k - S_x^j S_x^k - S_y^j S_y^k),
@@ -147,7 +150,8 @@ def bath_frame(spec: SpinBathSpec) -> BathFrame:
     H_E +- diag(omega_S / 2 + sum_k b_k S_z^k / 2).  Both conserve sum_k S_z^k
     (Abragam, The Principles of Nuclear Magnetism, 1961), so the sectors are the
     bath basis states grouped by its diagonal, and each block is diagonalised on
-    each sector alone.
+    each sector alone.  A 6-spin bath has 7 sectors of 1, 6, 15, 20, 15, 6 and 1
+    states, held as four stacks of 2, 2, 2 and 1 sectors.
     """
     key = (spec.n_bath, spec.couplings, spec.bath_couplings.tobytes(), spec.system_offset)
     if key not in _FRAMES:
@@ -162,24 +166,22 @@ def bath_frame(spec: SpinBathSpec) -> BathFrame:
                 h_e += spec.bath_couplings[j, k] * (2 * zj @ zk - xj @ xk - yj @ yk)
         sz = [site[k][2].diagonal().real for k in range(n)]
         shift = 0.5 * spec.system_offset + sum(map(np.multiply, spec.couplings, sz), np.zeros(d)) / 2
-        # The diagonal of sum_k S_z^k holds exact half-integers: one value per sector.
+        # The diagonal of sum_k S_z^k holds exact half-integers: n / 2 - j on the comb(n, j)
+        # states with j spins down, sector j.
         mz = sum(sz, np.zeros(d))
-        sectors = [np.flatnonzero(mz == m) for m in np.unique(mz)]
-        big = max(map(len, sectors))
-        w, index = np.zeros((len(sectors), 2, big)), np.full((len(sectors), 2, big), -1)
-        v = np.tile(np.eye(big, dtype=complex), (2, len(sectors), 1, 1))
-        for s, rows in enumerate(sectors):
-            for half, sign in enumerate((1.0, -1.0)):
-                block = h_e[np.ix_(rows, rows)] + np.diag(sign * shift[rows])
-                w[s, half, :len(rows)], v[half, s, :len(rows), :len(rows)] = np.linalg.eigh(block)
-                index[s, half, :len(rows)] = half * d + rows
-        frame = BathFrame(w.reshape(len(sectors), 2 * big), v[0], v[1], v[0].conj().swapaxes(1, 2) @ v[1],
-                          index.reshape(len(sectors), 2 * big))
-        for a in vars(frame).values():
-            a.setflags(write=False)
+        frames = []
+        for size in sorted({math.comb(n, j) for j in range(n + 1)}):
+            rows = np.array([np.flatnonzero(mz == n / 2 - j) for j in range(n + 1) if math.comb(n, j) == size])
+            blocks, diag = h_e[rows[:, :, None], rows[:, None, :]], shift[rows][:, :, None] * np.eye(size)
+            w, v = np.linalg.eigh(np.stack((blocks + diag, blocks - diag)))
+            frame = BathFrame(np.concatenate((w[0], w[1]), axis=1), v[0], v[1],
+                              v[0].conj().swapaxes(1, 2) @ v[1], np.concatenate((rows, d + rows), axis=1))
+            for a in vars(frame).values():
+                a.setflags(write=False)
+            frames.append(frame)
         if len(_FRAMES) == 4:
             del _FRAMES[next(iter(_FRAMES))]
-        _FRAMES[key] = frame
+        _FRAMES[key] = tuple(frames)
     return _FRAMES[key]
 
 
@@ -312,19 +314,18 @@ def phase_variance(spec: OUNoiseSpec, edges, weights):
 
 
 def _bath_coherences(spec: SpinBathSpec, delays: np.ndarray, echo: bool) -> np.ndarray:
-    frame, dim_b = bath_frame(spec), 2**spec.n_bath
-    # The columns |+> (x) |b> (unnormalised) over the bath basis b, in the frame, by sector;
-    # padding columns are zero and stay zero.
-    real = frame.index[:, None, :frame.v0.shape[1]] >= 0
-    start = np.concatenate((frame.v0.conj().swapaxes(1, 2), frame.v1.conj().swapaxes(1, 2)), axis=1) * real
-    out = np.empty(len(delays))
-    for i, t in enumerate(delays):
-        xt = frame.delay(start, t / 2.0)
-        xt = frame.rotate(xt, rotation_unitary(0.0, math.pi)) if echo else xt
-        y0, y1 = np.split(frame.from_frame(frame.delay(xt, t / 2.0)), 2, axis=1)
-        # The bath average of <1|rho|0> is the trace over b of the two system rows.
-        out[i] = abs(np.vdot(y1, y0)) / dim_b
-    return out
+    total = np.zeros(len(delays), dtype=complex)
+    for frame in bath_frame(spec):
+        # The columns |+> (x) |b> (unnormalised) over the stack's bath states b, in the frame.
+        start = np.concatenate((frame.v0.conj().swapaxes(1, 2), frame.v1.conj().swapaxes(1, 2)), axis=1)
+        flip = frame.pulse(rotation_unitary(0.0, math.pi))
+        for i, t in enumerate(delays):
+            xt = frame.delay(start, t / 2.0)
+            xt = flip @ xt if echo else xt
+            y0, y1 = np.split(frame.from_frame(frame.delay(xt, t / 2.0)), 2, axis=1)
+            # The bath average of <1|rho|0> is the trace over b of the two system rows.
+            total[i] += np.vdot(y1, y0)
+    return np.abs(total) / 2**spec.n_bath
 
 
 def _decay_curve(noise, delays, echo: bool):

@@ -38,65 +38,62 @@ def bath_propagator(schedule, spec: SpinBathSpec) -> np.ndarray:
     H_noise has no term that flips the system's sigma_z, so it is block diagonal
     over the system's |0>, |1>, and both blocks and every system pulse conserve
     the bath's total S_z, so U is block diagonal over the bath's magnetization
-    sectors, and is propagated as `bath_frame`'s padded stack of sector blocks,
-    each in the eigenframe of its two blocks: Ut = diag(v0^dag, v1^dag) U.  A delay
-    multiplies the rows of Ut by e^{-i w t}, a hard pulse mixes the two row
-    blocks through link = v0^dag v1, and a soft half multiplies by the
-    exponential of the framed drift-plus-drive generator.  The soft halves cut
-    the events into runs of delays and hard pulses; a run that recurs within
-    the schedule (the interior of every decoupling cycle) and holds more than
-    one hard pulse is multiplied out once and then applied as one product.
-    Each soft half's exponential is shared across phases and across calls
-    (`_soft_exponential`).  The sector blocks are scattered into the dense
-    2d x 2d matrix at the end.
+    sectors.  It is propagated one `bath_frame` stack of equal-size sectors at a
+    time, each sector in the eigenframe of its two blocks: Ut = diag(v0^dag, v1^dag) U.
+    A delay multiplies the rows of Ut by e^{-i w t}, and a hard pulse or a soft
+    half multiplies Ut by one framed product, cached across calls (`_framed_pulse`).
+    The schedule is parsed once: the soft halves cut its events into runs of
+    delays and hard pulses, and a run that recurs within the schedule (the
+    interior of every decoupling cycle) and holds more than one hard pulse is
+    multiplied out once per stack and then applied as one product.  Each stack's
+    sector blocks are scattered into the dense 2d x 2d matrix.
     """
-    frame, d = bath_frame(spec), 2**spec.n_bath
-    m = frame.v0.shape[1]  # the largest sector
-    eye = np.eye(2 * m, dtype=complex)  # broadcasts against the stack
-    ut = frame.from_frame(eye).conj().swapaxes(1, 2)  # diag(v0^dag, v1^dag)
-    runs, softs, run = [], [], []
-    for ev in schedule.events:
-        if ev.kind == "soft_gate_half":
-            runs.append(tuple(run))
-            softs.append(ev)
-            run = []
-        else:
+    d = 2**spec.n_bath
+    # Each distinct run as its delays' durations and its hard pulses' keys, and the
+    # schedule as (run number, key of the soft half after it) steps.
+    numbers, runs, steps, run = {}, [], [], []
+    for ev in (*schedule.events, None):
+        if ev is not None and ev.kind != "soft_gate_half":
             run.append(ev)
-    runs.append(tuple(run))
-    softs.append(None)
-    repeats, products = Counter(runs), {}
-    for run, soft in zip(runs, softs):
-        # One product of the stack costs as much as two hard pulses.
-        if repeats[run] > 1 and sum(ev.kind == "hard_pulse" for ev in run) > 1:
-            if run not in products:
-                products[run] = _apply_run(frame, run, eye)
-            ut = products[run] @ ut
-        else:
-            ut = _apply_run(frame, run, ut)
-        if soft is not None:
-            # The drive at phase p is P (drive at 0) P^dag with P = diag(I, e^{ip} I),
-            # which commutes with the block-diagonal drift.
-            p = cmath.exp(1j * soft.rotation.phase)
-            ut[:, m:] *= p.conjugate()
-            ut = _soft_exponential(frame, soft.rotation.angle * soft.amplitude_scale, soft.duration) @ ut
-            ut[:, m:] *= p
-    # Padding rows and columns (index -1) land in the extra last row and column, dropped here.
-    u = np.zeros((2 * d + 1, 2 * d + 1), dtype=complex)
-    u[frame.index[:, :, None], frame.index[:, None, :]] = frame.from_frame(ut)
-    return u[:-1, :-1].copy()
+            continue
+        i = numbers.setdefault(tuple(run), len(runs))
+        if i == len(runs):
+            runs.append([float(e.duration) if e.kind == "delay" else _pulse_key(e) for e in run])
+        steps.append((i, None if ev is None else _pulse_key(ev)))
+        run = []
+    # A run with more than one hard pulse costs more than its product.
+    shared = {i for i, k in Counter(i for i, _ in steps).items()
+              if k > 1 and sum(not isinstance(op, float) for op in runs[i]) > 1}
+    u = np.zeros((2 * d, 2 * d), dtype=complex)
+    for frame in bath_frame(spec):
+        eye = np.eye(frame.w.shape[1], dtype=complex)  # broadcasts against the stack
+        ut, products = frame.from_frame(eye).conj().swapaxes(1, 2), {}  # diag(v0^dag, v1^dag)
+        for i, soft in steps:
+            if i in shared:
+                if i not in products:
+                    products[i] = _apply_run(frame, runs[i], eye)
+                ut = products[i] @ ut
+            else:
+                ut = _apply_run(frame, runs[i], ut)
+            if soft is not None:
+                ut = _framed_pulse(frame, *soft) @ ut
+        u[frame.index[:, :, None], frame.index[:, None, :]] = frame.from_frame(ut)
+    return u
+
+
+def _pulse_key(ev):
+    """(scaled angle, duration, phase), the arguments of `_framed_pulse`."""
+    return ev.rotation.angle * ev.amplitude_scale, ev.duration, ev.rotation.phase
 
 
 def _apply_run(frame, run, xt: np.ndarray) -> np.ndarray:
-    """Delays and hard pulses of a run applied in order to a framed Xt."""
-    for ev in run:
-        if ev.kind == "delay":
-            xt = frame.delay(xt, ev.duration)
-        else:
-            xt = frame.rotate(xt, rotation_unitary(ev.rotation.phase, ev.rotation.angle * ev.amplitude_scale))
+    """A run's delays (durations) and hard pulses (`_pulse_key`s) applied in order to a framed Xt."""
+    for op in run:
+        xt = frame.delay(xt, op) if isinstance(op, float) else _framed_pulse(frame, *op) @ xt
     return xt
 
 
-@functools.lru_cache(maxsize=16)  # 16 x 179 KB for the 7 sectors (M = 20) of a 6-spin bath
+@functools.lru_cache(maxsize=64)  # 16 angles x the 4 stacks of a 6-spin bath: 59 KB per angle, 0.9 MB
 def _soft_exponential(frame, angle: float, duration: float) -> np.ndarray:
     """exp(-i G t), t = duration, per sector, of the framed drift diag(w) plus the
     phase-0 drive (angle / t) S_x (x) I, whose framed off-diagonal blocks are
@@ -106,6 +103,23 @@ def _soft_exponential(frame, angle: float, duration: float) -> np.ndarray:
     half_rate = 0.5 * angle / duration
     g[:, :m, m:], g[:, m:, :m] = half_rate * frame.link, half_rate * frame.link.conj().swapaxes(1, 2)
     u = hermitian_expm(g, duration)
+    u.setflags(write=False)
+    return u
+
+
+@functools.lru_cache(maxsize=192)  # 48 pulses x the 4 stacks of a 6-spin bath: 2.8 MB
+def _framed_pulse(frame, angle: float, duration: float, phase: float) -> np.ndarray:
+    """A pulse in the frame as one product per sector.  A hard pulse (duration 0)
+    is `BathFrame.pulse` of its rotation.  A soft half is P S P^dag, S the phase-0
+    `_soft_exponential` and P = diag(I, e^{i phase} I): the drive at phase p is
+    P (drive at 0) P^dag, and P commutes with the block-diagonal drift."""
+    if duration == 0.0:
+        u = frame.pulse(rotation_unitary(phase, angle))
+    else:
+        m, p = frame.link.shape[1], cmath.exp(1j * phase)
+        u = _soft_exponential(frame, angle, duration).copy()
+        u[:, :m, m:] *= p.conjugate()
+        u[:, m:, :m] *= p
     u.setflags(write=False)
     return u
 

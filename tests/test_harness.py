@@ -58,6 +58,12 @@ BASE_CONFIG = {
 }
 
 
+def _env_with_src() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH, for a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def test_config_from_dict_parses_every_noise_kind():
     cfg = config_from_dict(BASE_CONFIG)
     assert isinstance(cfg.noise, OUNoiseSpec)
@@ -192,8 +198,7 @@ def test_cli_rejects_a_calibration_artifact_whose_params_are_not_ou(tmp_path, pa
     cfg_path = tmp_path / "cfg.json"
     noise = {"kind": "calibration", "path": str(artifact)}
     cfg_path.write_text(json.dumps(dict(BASE_CONFIG, noise=noise, realizations=20)), encoding="utf-8")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = _env_with_src()
     done = subprocess.run([sys.executable, "-m", "ddgates", "sweep", "--config", str(cfg_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 1
@@ -558,6 +563,32 @@ def test_cli_rejects_non_finite_noise_parameters(tmp_path, capsys, noise):
     assert cli_main(["simulate", "--config", str(cfg_path), "--gate", "NOT",
                      "--scheme", "xy8", "--tau", "1.5e-5"]) == 1
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("noise", "ou"), ("noise", None), ("noise", [1, 2]), ("gates", "NOT"), ("schemes", "xy8"), ("tau_grid_s", 1e-5),
+])
+def test_cli_rejects_a_config_field_of_the_wrong_type_naming_it(tmp_path, field, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(BASE_CONFIG, **{field: value})), encoding="utf-8")
+    env = _env_with_src()
+    done = subprocess.run([sys.executable, "-m", "ddgates", "sweep", "--config", str(cfg_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ") and field in done.stderr
+
+
+def test_cli_bath_sweep_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs a fresh process about 13 ms to import; np.unique and np.median pull it in.
+    noise = {"kind": "spin_bath", "couplings": [1e4, 2e4], "bath_couplings": [[0.0, 5e3], [5e3, 0.0]]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(BASE_CONFIG, noise=noise)), encoding="utf-8")
+    code = ("import sys; from ddgates.cli import main; code = main(sys.argv[1:]); "
+            "assert 'numpy.ma' not in sys.modules; sys.exit(code)")
+    env = _env_with_src()
+    subprocess.run([sys.executable, "-c", code, "sweep", "--config", str(cfg_path), "--out", str(tmp_path / "rows.csv"),
+                    "--summary", str(tmp_path / "summary.json")], env=env, check=True, timeout=120)
 
 
 def test_cli_sweep_reports_failed_cells(tmp_path, capsys):

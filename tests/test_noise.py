@@ -93,20 +93,29 @@ def test_bath_hamiltonians_are_hermitian_and_dephasing():
         for h in (h_s, h_se):
             assert np.allclose(h @ sz_full - sz_full @ h, 0.0, atol=1e-9)
         # bath_frame diagonalises the two blocks of the same Hamiltonian over the system's |0>, |1>,
-        # one sector at a time; each sector's padding is an identity block with w = 0 and index -1.
-        h, d, frame = total_hamiltonian(spec), 2**spec.n_bath, bath_frame(spec)
+        # one sector at a time, in one unpadded stack per sector size.
+        h, d, frames = total_hamiltonian(spec), 2**spec.n_bath, bath_frame(spec)
         tol = 1e-13 * np.abs(h).max()
         assert np.array_equal(h[:d, d:], np.zeros((d, d)))
-        m = frame.v0.shape[1]
-        assert sorted(frame.index[frame.index >= 0]) == list(range(2 * d))
-        for s in range(len(frame.w)):
-            for half, v in enumerate((frame.v0[s], frame.v1[s])):
-                rows, w = frame.index[s, half * m:(half + 1) * m], frame.w[s, half * m:(half + 1) * m]
-                k = np.count_nonzero(rows >= 0)
-                assert np.all(rows[k:] == -1) and np.all(w[k:] == 0.0)
-                assert np.array_equal(v[k:], np.eye(m)[k:]) and np.array_equal(v[:, k:], np.eye(m)[:, k:])
-                block = h[np.ix_(rows[:k], rows[:k])]
-                assert np.allclose(v[:k, :k] @ np.diag(w[:k]) @ v[:k, :k].conj().T, block, rtol=0.0, atol=tol)
+        indices = np.concatenate([frame.index.ravel() for frame in frames])
+        assert sorted(indices) == list(range(2 * d))
+        sizes = [frame.v0.shape[1] for frame in frames]
+        assert sizes == sorted(set(sizes))
+        for frame, k in zip(frames, sizes):
+            s = len(frame.w)
+            assert frame.w.shape == frame.index.shape == (s, 2 * k)
+            assert frame.v0.shape == frame.v1.shape == frame.link.shape == (s, k, k)
+            for sector in range(s):
+                for half, v in enumerate((frame.v0[sector], frame.v1[sector])):
+                    rows, w = frame.index[sector, half * k:(half + 1) * k], frame.w[sector, half * k:(half + 1) * k]
+                    block = h[np.ix_(rows, rows)]
+                    assert np.allclose(v @ np.diag(w) @ v.conj().T, block, rtol=0.0, atol=tol)
+
+
+def test_six_spin_bath_frame_is_four_unpadded_stacks():
+    # Sectors of 1, 6, 15, 20, 15, 6 and 1 states, stacked by size.
+    frames = bath_frame(default_spin_bath(n_bath=6, seed=5))
+    assert [(len(f.w), 2 * f.v0.shape[1]) for f in frames] == [(2, 2), (2, 12), (2, 30), (1, 40)]
 
 
 def test_two_spin_bath_hamiltonian_matches_manual_construction():

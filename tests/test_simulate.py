@@ -30,6 +30,7 @@ from ddgates.noise import (
     OUNoiseSpec,
     SpinBathSpec,
     _step_count,
+    bath_frame,
     calibrate_to_targets,
     default_spin_bath,
     ou_trajectory,
@@ -413,15 +414,16 @@ def _spin_baths(draw):
 
 
 @settings(max_examples=20, deadline=None)
-@given(spec=_spin_baths(), kind=st.sampled_from(("xy4", "kdd")), tau=st.floats(1e-6, 2e-5),
-       epsilon=st.floats(-0.1, 0.1))
-def test_bath_propagator_conserves_the_bath_magnetization(spec, kind, tau, epsilon):
+@given(spec=_spin_baths(), gate=st.sampled_from(("H", "NOT", "PI8")), kind=st.sampled_from(("xy4", "kdd")),
+       tau=st.floats(1e-6, 2e-5), epsilon=st.floats(-0.1, 0.1))
+def test_bath_propagator_conserves_the_bath_magnetization(spec, gate, kind, tau, epsilon):
     n = spec.n_bath
     # The bath's total S_z on each basis state, from its bits: S_z^k is -1/2 where bit k is set.
     mz = np.array([n / 2 - bin(b).count("1") for b in range(2**n)])
     h, sz_bath = total_hamiltonian(spec), np.kron(IDENTITY_2, np.diag(mz))
     assert np.allclose(h @ sz_bath - sz_bath @ h, 0.0, rtol=0.0, atol=1e-12 * np.abs(h).max())
-    sched = apply_amplitude_error(build_schedule("PI8", kind, tau), epsilon)
+    # Each gate's BB1 soft halves run at several phases, each applied as one phase-shifted product.
+    sched = apply_amplitude_error(build_schedule(gate, kind, tau), epsilon)
     u, sector = bath_propagator(sched, spec), np.tile(mz, 2)
     assert np.all(u[sector[:, None] != sector[None, :]] == 0.0)
     assert np.allclose(u, oracle_bath_propagator(sched, spec), atol=1e-9)
@@ -435,6 +437,7 @@ def test_bath_soft_halves_exponentiate_once_per_scaled_angle(monkeypatch):
         return hermitian_expm(h, t)
 
     simulate._soft_exponential.cache_clear()
+    simulate._framed_pulse.cache_clear()
     monkeypatch.setattr(simulate, "hermitian_expm", counting_expm)
     spec = default_spin_bath(n_bath=3, seed=5)
     angles = set()
@@ -443,9 +446,13 @@ def test_bath_soft_halves_exponentiate_once_per_scaled_angle(monkeypatch):
         bath_propagator(sched, spec)
         angles |= {ev.rotation.angle * ev.amplitude_scale for ev in sched.events if ev.kind == "soft_gate_half"}
     # -pi/8, pi/16 and pi/8, a quarter of each rotation, and the halves of the pi and 2 pi components,
-    # shared by the three cycle kinds.
+    # shared by the three cycle kinds; one exponential per angle and stack, the sectors of sizes 1 and 3.
     assert len(angles) == 5
-    assert len(calls) == 5
+    assert len(bath_frame(spec)) == 2
+    assert len(calls) == 10
+    for kind in ("xy4", "xy8", "kdd"):
+        bath_propagator(apply_amplitude_error(build_schedule("PI8", kind, 1e-5), 0.01), spec)
+    assert len(calls) == 10
 
 
 def test_bath_repeated_runs_differing_in_one_amplitude_scale_stay_apart():
