@@ -9,13 +9,12 @@ hit measured targets.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_MAX_SPINS, IDENTITY_2, rotation_unitary, spin_half_operators
+from .core import DEFAULT_MAX_SPINS, rotation_unitary
 
 ONE_OVER_E = 1.0 / math.e
 
@@ -156,15 +155,18 @@ def bath_frame(spec: SpinBathSpec) -> tuple[BathFrame, ...]:
     key = (spec.n_bath, spec.couplings, spec.bath_couplings.tobytes(), spec.system_offset)
     if key not in _FRAMES:
         n, d = spec.n_bath, 2**spec.n_bath
-        # site[k] = (S_x, S_y, S_z) on bath site k, identity elsewhere.
-        site = [[functools.reduce(np.kron, [c if j == k else IDENTITY_2 for j in range(n)], np.eye(1))
-                 for c in spin_half_operators()] for k in range(n)]
+        states = np.arange(d)
+        # S_z^k is +1/2 or -1/2 as bit n - 1 - k of the basis state (spin 0 first) is 0 or 1.
+        bits = [1 << (n - 1 - k) for k in range(n)]
+        sz = [0.5 - ((states & bit) > 0) for bit in bits]
         h_e = np.zeros((d, d), dtype=complex)
         for j in range(n):
             for k in range(j + 1, n):
-                (xj, yj, zj), (xk, yk, zk) = site[j], site[k]
-                h_e += spec.bath_couplings[j, k] * (2 * zj @ zk - xj @ xk - yj @ yk)
-        sz = [site[k][2].diagonal().real for k in range(n)]
+                # 2 S_z^j S_z^k on the diagonal; the flip-flop -(S_x^j S_x^k + S_y^j S_y^k)
+                # is -1/2 between the two states that swap bits j and k.
+                h_e[states, states] += spec.bath_couplings[j, k] * (2 * sz[j] * sz[k])
+                swap = states[sz[j] != sz[k]]
+                h_e[swap, swap ^ (bits[j] | bits[k])] += spec.bath_couplings[j, k] * -0.5
         shift = 0.5 * spec.system_offset + sum(map(np.multiply, spec.couplings, sz), np.zeros(d)) / 2
         # The diagonal of sum_k S_z^k holds exact half-integers: n / 2 - j on the comb(n, j)
         # states with j spins down, sector j.
@@ -200,64 +202,6 @@ def default_spin_bath(
             cos_t = rng.uniform(-1.0, 1.0)
             d[j, k] = d[k, j] = 2.5e4 * (3 * cos_t**2 - 1) / 2
     return SpinBathSpec(n_bath, tuple(b), d, system_offset)
-
-
-def _double_angle(x: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray) -> None:
-    """Write cos 2x into cos_out and sin 2x into sin_out from t = tan x alone.
-
-    cos 2x = (1 - t^2) / (1 + t^2) = 2 / (1 + t^2) - 1 and sin 2x = 2t / (1 + t^2).
-    numpy's float64 tan runs in SIMD at a fraction of the cost of its cos, sin
-    or complex exp, and the results agree with theirs to a few 1e-16 absolute.
-    x is overwritten with t; one temporary of x's size is held.
-    """
-    np.tan(x, out=x)
-    w = np.square(x)
-    w += 1.0
-    np.divide(2.0, w, out=w)
-    np.multiply(x, w, out=sin_out)
-    np.subtract(w, 1.0, out=cos_out)
-
-
-# Normals per block of the OU stream, in whole steps.  The bytes do not depend on it;
-# a small block keeps the trajectory's memory small.
-_BLOCK_BUDGET = 1 << 16
-
-
-def ou_trajectory(spec: OUNoiseSpec, rows: int, seed: int, steps: int):
-    """Yield the dephasing frequencies delta_0 .. delta_steps of `rows` realizations, a new array per step.
-
-    The normals are numpy's ziggurat on one sequential SFC64 stream, `rows` per
-    step.  Step 0 is the static offset s and step 1 starts the OU part from its
-    stationary distribution; step k + 2 drives the exact discretization delta_{k+1}
-    = a delta_k + sigma sqrt(1 - a^2) g + (1 - a) s, a = exp(-dt / tau_c), which
-    carries s along (Gillespie, PRE 54, 2084 (1996)).  The trajectories depend only
-    on (spec, rows, seed); memory stays at one reused block of whole steps of normals.
-    """
-    if rows < 1:
-        raise ValueError("rows must be >= 1")
-    a = math.exp(-spec.dt / spec.tau_c)
-    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
-    block = np.empty((min(steps + 2, max(1, _BLOCK_BUDGET // rows)), rows))
-
-    def normals():  # each step is used before the block is drawn again
-        left = steps + 2
-        while left:
-            chunk = block[:min(left, len(block))]
-            rng.standard_normal(out=chunk)
-            left -= len(chunk)
-            yield from chunk
-
-    g = normals()
-    static = spec.sigma_static * next(g)
-    delta = spec.sigma * next(g) + static
-    yield delta
-    drive, drift = spec.sigma * math.sqrt(1 - a * a), (1 - a) * static
-    for z in g:
-        z *= drive
-        z += drift
-        delta = a * delta
-        delta += z
-        yield delta
 
 
 def _step_count(total_time: float, dt: float) -> int:

@@ -6,8 +6,8 @@ ensemble, so its chi is computed directly from the operators' basis
 coefficients.  Measured output states on the four inputs |0>, |1>, |+>, |+i>
 are reconstructed by plain linear inversion of the resulting 16x16 system,
 which also serves as the independent check of the direct route.  No
-positivity projection is applied; defects of Monte-Carlo reconstructions are
-reported, not repaired.
+positivity projection is applied; defects of a reconstruction are reported,
+not repaired.
 """
 
 from __future__ import annotations

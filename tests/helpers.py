@@ -1,4 +1,5 @@
-"""Shared by the tests: independent constructions to check the package against, and OU trajectories."""
+"""Shared by the tests: independent constructions to check the package against, and the
+Monte-Carlo OU sampler that is the statistical oracle of the exact OU channel."""
 
 import functools
 import math
@@ -9,7 +10,7 @@ import scipy.linalg
 
 from ddgates.compiler import DD_KINDS, GATE_ROTATIONS, cycle_pulse_count
 from ddgates.core import IDENTITY_2, SIGMA_X, SIGMA_Y, embed_system, spin_half_operators
-from ddgates.noise import ou_trajectory
+from ddgates.simulate import _pulse_cayley_klein, ideal_propagator
 
 
 def bath_hamiltonians(spec):
@@ -69,6 +70,64 @@ def expected_pulse_count(gate: str, scheme: str) -> int:
     return n * 5 * (cycle + 2) if n else cycle
 
 
+def ou_trajectory(spec, rows, seed, steps):
+    """Yield the dephasing frequencies delta_0 .. delta_steps of `rows` realizations, a new array per step.
+
+    Step 0 draws the static offset s and step 1 starts the OU part from its stationary
+    distribution; then delta_{k+1} = a delta_k + sigma sqrt(1 - a^2) g + (1 - a) s,
+    a = exp(-dt / tau_c), the exact discretization that carries s along (Gillespie,
+    PRE 54, 2084 (1996)).  The normals are read step-major from one SFC64 stream.
+    """
+    if rows < 1:
+        raise ValueError("rows must be >= 1")
+    a = math.exp(-spec.dt / spec.tau_c)
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
+    static = spec.sigma_static * rng.standard_normal(rows)
+    delta = spec.sigma * rng.standard_normal(rows) + static
+    yield delta
+    for _ in range(steps):
+        delta = a * delta + spec.sigma * math.sqrt(1 - a * a) * rng.standard_normal(rows) + (1 - a) * static
+        yield delta
+
+
 def trajectory(spec, n_steps, rows, seed):
     """The trajectory ou_propagators draws: delta_0 .. delta_n_steps, shape (rows, n_steps + 1)."""
     return np.array(list(islice(ou_trajectory(spec, rows, seed, n_steps), n_steps + 1))).T
+
+
+def ou_propagators(schedule, spec, n_realizations, seed):
+    """System propagators of `n_realizations` sampled OU trajectories (`ou_trajectory` at seed), shape (n, 2, 2).
+
+    Each U = [[a, -b*], [b, a*]] is held as two vectors over the realizations, and the
+    schedule is walked once in time, cut at every event boundary and dt grid point, so
+    the trajectory is constant on each piece: a delay piece adds delta x length to a
+    running phase phi, applied as e^{-+i phi/2} at the next pulse and at the end; a
+    pulse [[alpha, -beta*], [beta, alpha*]] maps (a, b) to (alpha a - beta* b, beta a + alpha* b).
+    """
+    if schedule.total_duration == 0:
+        return np.tile(ideal_propagator(schedule, honor_amplitude=True), (n_realizations, 1, 1))
+    dt = spec.dt
+    walk = ou_trajectory(spec, n_realizations, seed, max(1, math.ceil(schedule.total_duration / dt - 1e-9)))
+    delta, k, t = next(walk), 0, 0.0
+    hard = {ev: _pulse_cayley_klein(ev, None, 0.0) for ev in set(schedule.events) if ev.kind == "hard_pulse"}
+    a, b = np.ones(n_realizations, dtype=complex), np.zeros(n_realizations, dtype=complex)
+    phi = np.zeros(n_realizations)
+    for ev in (*schedule.events, None):
+        if ev is None or ev.kind != "delay":
+            e = np.exp(-0.5j * phi)
+            a, b, phi = a * e, b * e.conj(), np.zeros(n_realizations)
+            if ev is None:
+                break
+        stop = t + ev.duration
+        while True:
+            end = min(stop, (k + 1) * dt)
+            if ev.kind == "delay":
+                phi = phi + delta * (end - t)
+            elif ev.duration == 0.0 or end > t:
+                alpha, beta = hard[ev] if ev.duration == 0.0 else _pulse_cayley_klein(ev, delta, end - t)
+                a, b = alpha * a - np.conj(beta) * b, beta * a + np.conj(alpha) * b
+            if end == stop:
+                break
+            t, k, delta = end, k + 1, next(walk)
+        t = stop
+    return np.stack((a, -b.conj(), b, a.conj()), axis=-1).reshape(n_realizations, 2, 2)

@@ -277,30 +277,18 @@ def test_simulate_cell_failure_produces_sentinel_row():
     assert "tau" in row.error
 
 
-def test_simulate_cell_deterministic_and_seed_sensitive():
-    a = simulate_cell("NOT", "xy8", 1.5e-5, PINNED_NOISE, 0.01, 120, 7)
-    b = simulate_cell("NOT", "xy8", 1.5e-5, PINNED_NOISE, 0.01, 120, 7)
-    c = simulate_cell("NOT", "xy8", 1.5e-5, PINNED_NOISE, 0.01, 120, 8)
-    assert a == b
-    assert a.fidelity != c.fidelity
+def test_ou_fidelities_are_byte_identical_across_seed_and_realizations():
+    rows = [simulate_cell("NOT", "xy8", 1.5e-5, PINNED_NOISE, 0.01, n, seed) for n, seed in ((120, 7), (1, 8), (10**6, 0))]
+    assert len({row.fidelity.hex() for row in rows}) == 1
+    assert [dataclasses.replace(row, seed=0) for row in rows] == [dataclasses.replace(rows[0], seed=0)] * 3
+    assert rows[0] == simulate_cell("NOT", "xy8", 1.5e-5, PINNED_NOISE, 0.01, 120, 7)
 
 
-def test_stderr_scales_inversely_with_sqrt_realizations():
-    # Mean stderr over 8 fixed seeds at 1000 and at 100000 realizations, on a
-    # mid-fidelity cell; 1/sqrt(n) predicts a ratio of 10.  The smaller size is
-    # 1000 because at 100 (batches of 10) the normalised overlap inflates the
-    # batch stderr by about 30%.  Over seeds 0-479 one seed's stderr has a
-    # relative sd of 0.26 at 1000 and 0.24 at 100000, so the log of this ratio
-    # has sd 0.125 (0.117 measured over 60 blocks of 8 seeds); the band is 4 sd.
-    mean_stderr = [
-        np.mean([
-            simulate_cell("NOT", "simple_padded", 1.5e-5, PINNED_NOISE, 0.01, n, seed).fidelity_stderr
-            for seed in range(1234, 1242)
-        ])
-        for n in (1000, 100000)
-    ]
-    ratio = mean_stderr[0] / mean_stderr[1]
-    assert 10.0 * math.exp(-4 * 0.125) < ratio < 10.0 * math.exp(4 * 0.125)
+def test_ou_stderr_is_exactly_zero():
+    # The OU channel is computed, not sampled, as the bath's is.
+    for gate, scheme, realizations in itertools.product(("NOT", "PI8", "H"), ("simple_padded", "kdd", "bb1"), (1, 1000)):
+        row = simulate_cell(gate, scheme, 1.5e-5, PINNED_NOISE, 0.01, realizations, 1234)
+        assert row.error == "" and row.fidelity_stderr == 0.0, (gate, scheme, realizations)
 
 
 def test_run_sweep_grid_is_sorted_and_complete():
@@ -579,13 +567,17 @@ def test_cli_rejects_a_config_field_of_the_wrong_type_naming_it(tmp_path, field,
     assert done.stderr.startswith("error: ") and field in done.stderr
 
 
-def test_cli_bath_sweep_does_not_import_numpy_ma(tmp_path):
-    # numpy.ma costs a fresh process about 13 ms to import; np.unique and np.median pull it in.
-    noise = {"kind": "spin_bath", "couplings": [1e4, 2e4], "bath_couplings": [[0.0, 5e3], [5e3, 0.0]]}
+@pytest.mark.parametrize("noise", [
+    {"kind": "spin_bath", "couplings": [1e4, 2e4], "bath_couplings": [[0.0, 5e3], [5e3, 0.0]]},
+    BASE_CONFIG["noise"],
+], ids=["bath", "ou"])
+def test_cli_sweep_imports_numpy_only(tmp_path, noise):
+    # numpy.ma costs a fresh process about 13 ms to import; np.unique and np.median pull
+    # it in.  scipy is a test dependency only: no engine may import it at run time.
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(dict(BASE_CONFIG, noise=noise)), encoding="utf-8")
     code = ("import sys; from ddgates.cli import main; code = main(sys.argv[1:]); "
-            "assert 'numpy.ma' not in sys.modules; sys.exit(code)")
+            "assert 'numpy.ma' not in sys.modules; assert 'scipy' not in sys.modules; sys.exit(code)")
     env = _env_with_src()
     subprocess.run([sys.executable, "-c", code, "sweep", "--config", str(cfg_path), "--out", str(tmp_path / "rows.csv"),
                     "--summary", str(tmp_path / "summary.json")], env=env, check=True, timeout=120)

@@ -4,8 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import ddgates.noise as noise
-
 from ddgates.compiler import PulseEvent, RotationSpec, Schedule
 from ddgates.core import IDENTITY_2, SIGMA_Z, embed_system
 from ddgates.noise import (
@@ -13,7 +11,6 @@ from ddgates.noise import (
     CalibrationResult,
     OUNoiseSpec,
     SpinBathSpec,
-    _double_angle,
     _step_count,
     bath_frame,
     calibrate_to_targets,
@@ -21,11 +18,10 @@ from ddgates.noise import (
     default_spin_bath,
     fid_decay_curve,
     hahn_decay_curve,
-    ou_trajectory,
     phase_variance,
 )
-from ddgates.simulate import bath_channel_output, bath_propagator, ou_propagators
-from helpers import bath_hamiltonians, total_hamiltonian, trajectory
+from ddgates.simulate import bath_channel_output, bath_propagator
+from helpers import bath_hamiltonians, ou_propagators, ou_trajectory, total_hamiltonian, trajectory
 
 
 def make_ou(sigma=5000.0, tau_c=1e-4, dt=1e-5, sigma_static=0.0):
@@ -160,44 +156,12 @@ def test_ou_static_offset_adds_variance():
     assert np.allclose(delta_s, delta_s[:, :1])
 
 
-def test_ou_ensemble_rows_do_not_depend_on_batch_layout(monkeypatch):
-    # 9 rows take 9 normals per step.  Blocks of 1 step (the least, also for a
-    # budget below one step), 3 and 5 steps (neither divides the 14 steps drawn)
-    # and one block must all give the same bytes.
-    spec = make_ou(sigma_static=800.0)
-    full = trajectory(spec, n_steps=12, rows=9, seed=104)
-    for budget in (1, 9, 30, 50, 1 << 20):
-        monkeypatch.setattr(noise, "_BLOCK_BUDGET", budget)
-        assert np.array_equal(trajectory(spec, n_steps=12, rows=9, seed=104), full), budget
-    assert not np.allclose(trajectory(spec, n_steps=12, rows=9, seed=105), full)
-
-
 def test_ou_trajectory_yields_a_new_array_per_step():
     steps = list(ou_trajectory(make_ou(sigma_static=800.0), 6, 7, 20))
     assert len(steps) == 21
     assert not any(np.shares_memory(x, y) for i, x in enumerate(steps) for y in steps[:i])
     with pytest.raises(ValueError, match="rows"):
         next(ou_trajectory(make_ou(), 0, 7, 20))
-
-
-def test_double_angle_matches_cos_sin_and_the_delay_phasor():
-    # A soft-half piece takes cos and sin of y = half * rate >= 0 from tan(y / 2).
-    # Its edges: y = 0 (zero drive and detuning), the smallest normal y, and y on
-    # either side of pi, where tan(y / 2) is largest.
-    edges = [0.0, 2.0**-1022, math.pi * (1 - 2.0**-52), math.pi * (1 + 2.0**-52), math.pi / 2, math.pi]
-    y = np.concatenate((edges, np.random.default_rng(12).uniform(0.0, 4 * math.pi, 20_000)))
-    c, s = np.empty_like(y), np.empty_like(y)
-    _double_angle(0.5 * y, c, s)
-    assert np.abs(c - np.cos(y)).max() <= 1e-15
-    assert np.abs(s - np.sin(y)).max() <= 1e-15
-
-    # The delay phasor exp(-i phi / 2) from tan(-phi / 4), for phases of either
-    # sign, an exact zero and multiples of pi.
-    phi = np.concatenate((np.random.default_rng(13).uniform(-1e4, 1e4, 20_000), [0.0, -1e4, 1e4, math.pi, 2 * math.pi]))
-    e = np.empty(phi.size, dtype=complex)
-    _double_angle(-0.25 * phi, e.real, e.imag)
-    assert np.abs(e - np.exp(-0.5j * phi)).max() <= 1e-15
-    assert np.abs(np.abs(e) - 1.0).max() <= 1e-15
 
 
 def test_ou_normals_of_the_static_start_and_first_innovation_steps_are_standard_normal():
@@ -222,10 +186,8 @@ def test_ou_normals_of_the_static_start_and_first_innovation_steps_are_standard_
 
 
 def test_ou_ensemble_memory_peak_stays_within_a_few_trajectory_arrays():
-    # Walking a trajectory holds one block of normals, drawn in place, and a few
-    # step arrays, however many steps it has.
+    # The Monte-Carlo oracle's trajectory holds a few step arrays, however many steps it has.
     spec = make_ou(sigma_static=800.0)
-    block = 8 * noise._BLOCK_BUDGET
     next(ou_trajectory(spec, 1, 3, 0))  # numpy's one-time set-up of a seed sequence is not the walk's
     peaks = []
     for n_steps in (600, 6000):
@@ -236,8 +198,8 @@ def test_ou_ensemble_memory_peak_stays_within_a_few_trajectory_arrays():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        # The block, and the step being built, the one before it, the static offset and its drift.
-        assert peaks[-1] < block + 6 * delta.nbytes, (n_steps, peaks[-1] / block)
+        # The step being built, its normals and drive, the one before it and the static offset.
+        assert peaks[-1] < 8 * delta.nbytes, (n_steps, peaks[-1] / delta.nbytes)
     assert peaks[1] < 1.05 * peaks[0], peaks
 
 

@@ -21,7 +21,6 @@ from ddgates.simulate import (
     bath_propagator,
     channel_operators,
     ideal_propagator,
-    ou_propagators,
 )
 from ddgates.tomography import (
     CHI_BASIS,
@@ -205,8 +204,8 @@ def _oracle_cases():
 
     ou = OUNoiseSpec(sigma=4e3, tau_c=1.5e-4, dt=1.5e-5, sigma_static=2e3)
     not_xy8 = apply_amplitude_error(protected_bb1_gate(decompose_gate("NOT"), XY8, 1.5e-5), 0.01)
-    props = ou_propagators(not_xy8, ou, 200, seed=17)
-    yield "ou_NOT_xy8", not_xy8, ou, [average_channel_output(props, rho) for rho in TOMO_INPUT_STATES]
+    ops = channel_operators(not_xy8, ou, 200, seed=17)
+    yield "ou_NOT_xy8", not_xy8, ou, [average_channel_output(ops, rho) for rho in TOMO_INPUT_STATES]
 
     bath = SpinBathSpec(
         n_bath=2, couplings=(2.5e4, 1.5e4),
