@@ -28,7 +28,7 @@ noise = OUNoiseSpec(sigma=4335.4, tau_c=1.5e-4, dt=1.5e-5, sigma_static=2361.9)
 print("Hadamard through calibrated noise, three gate-execution styles:")
 for scheme in ("simple_padded", "xy4", "xy8"):
     sched = apply_amplitude_error(build_schedule("H", scheme, 2e-5), 0.01)
-    chi = chi_reconstruct(simulate_channel(sched, noise, 3000, seed=12))
+    chi = chi_reconstruct(simulate_channel(sched, noise))
     fidelity = gate_fidelity(chi, ideal_h)
     print(f"  {scheme:14s} duration {sched.total_duration * 1e3:5.2f} ms   "
           f"F = {fidelity:.4f}   min eigenvalue {chi.min_eigenvalue():+.1e}")

@@ -57,8 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--scheme", required=True, choices=SCHEMES)
     sim.add_argument("--tau", type=float, required=True)
     sim.add_argument("--epsilon", type=float, help="override the config amplitude error")
-    sim.add_argument("--realizations", type=int, help="override the config realization count")
-    sim.add_argument("--seed", type=int, help="override the config seed")
     sim.add_argument("--out", help="write the result CSV here instead of stdout")
     sim.set_defaults(func=cmd_simulate)
 
@@ -66,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", required=True, help="experiment config JSON")
     sweep.add_argument("--out", help="write the results CSV here instead of stdout")
     sweep.add_argument("--summary", help="write a JSON fidelity summary here")
-    sweep.add_argument("--realizations", type=int, help="override the config realization count")
-    sweep.add_argument("--seed", type=int, help="override the config seed")
     sweep.add_argument("--jobs", type=int, default=1, help="worker processes (results are identical for any value)")
     sweep.set_defaults(func=cmd_sweep)
 
@@ -75,20 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--config", required=True, help="experiment config JSON")
     table.add_argument("--out", help="write the benchmark report JSON here instead of stdout")
     table.add_argument("--csv", help="also write the raw result rows CSV here")
-    table.add_argument("--realizations", type=int, help="override the config realization count")
-    table.add_argument("--seed", type=int, help="override the config seed")
     table.set_defaults(func=cmd_table1)
 
     return parser
-
-
-def _apply_overrides(cfg, args):
-    updates = {}
-    for field in ("seed", "realizations", "epsilon"):
-        value = getattr(args, field, None)
-        if value is not None:
-            updates[field] = value
-    return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
 def _write_or_print(text: str, out_path: str | None) -> None:
@@ -128,8 +113,10 @@ def cmd_compile(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    rows = run_cells(cfg, [(args.gate, args.scheme, args.tau, cfg.seed)])
+    cfg = load_config(args.config)
+    if args.epsilon is not None:
+        cfg = dataclasses.replace(cfg, epsilon=args.epsilon)
+    rows = run_cells(cfg, [(args.gate, args.scheme, args.tau)])
     _write_or_print(rows_to_csv(rows), args.out)
     return _exit_code(rows)
 
@@ -137,8 +124,7 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    cfg = _apply_overrides(load_config(args.config), args)
-    rows = run_sweep(cfg, jobs=args.jobs)
+    rows = run_sweep(load_config(args.config), jobs=args.jobs)
     if args.out is None and args.summary is None:
         sys.stdout.write(rows_to_csv(rows))
     else:
@@ -151,8 +137,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    rows, report = run_table1(cfg)
+    rows, report = run_table1(load_config(args.config))
     if args.csv:
         Path(args.csv).write_text(rows_to_csv(rows), encoding="utf-8")
     _write_or_print(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)

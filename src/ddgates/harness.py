@@ -3,9 +3,9 @@
 Composes the compiler, noise models, simulators, and tomography into the
 headline experiments: noise calibration, gate compilation across protection
 schemes, fidelity sweeps versus gate time, and the reference-gate benchmark.
-Results are deterministic CSV/JSON: every engine is exact, and each row
-records a cell seed spawned from the root seed and its sorted (gate, scheme,
-tau) indices, so any job count gives identical bytes.
+Results are deterministic CSV/JSON: every engine is exact and the sweep's
+rows are sorted by (gate, scheme, tau), so any job count gives identical
+bytes.
 
 Config JSON schema (all times in seconds)::
 
@@ -20,10 +20,11 @@ Config JSON schema (all times in seconds)::
       "gates": ["H", "NOT", "PI8", "NOOP"],
       "schemes": ["simple", "simple_padded", "bb1", "xy4", "xy8", "kdd"],
       "tau_grid_s": [3e-6, 1e-5, 3e-5],
-      "epsilon": 0.01,
-      "realizations": 10000,
-      "seed": 1
+      "epsilon": 0.01
     }
+
+Other keys are ignored, so configs of earlier versions that carry the
+Monte-Carlo "realizations" and "seed" still load.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import itertools
 import json
 import math
 import multiprocessing
-import numbers
 import os
 import sys
 import typing
@@ -65,8 +65,7 @@ from .noise import (
     bath_frame,
     calibrate_to_targets,
 )
-from .simulate import channel_operators
-from .tomography import chi_from_operators, gate_fidelity
+from .tomography import process_fidelity
 
 GATES = ("H", "NOT", "PI8", "NOOP")
 SCHEMES = ("simple", "simple_padded", "bb1", "xy4", "xy8", "kdd")
@@ -101,19 +100,12 @@ class ExperimentConfig:
     schemes: tuple[str, ...]
     tau_grid: tuple[float, ...]
     epsilon: float = 0.01
-    realizations: int = 10000
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
         object.__setattr__(self, "schemes", tuple(self.schemes))
         object.__setattr__(self, "tau_grid", tuple(float(t) for t in self.tau_grid))
         object.__setattr__(self, "epsilon", float(self.epsilon))
-        for name in ("realizations", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
         if not self.gates or not self.schemes or not self.tau_grid:
             raise ConfigError("gates, schemes, and tau_grid must be non-empty")
         for g in self.gates:
@@ -124,10 +116,6 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
         if any(t <= 0 or not math.isfinite(t) for t in self.tau_grid):
             raise ConfigError("tau_grid entries must be positive and finite")
-        if self.realizations < 1:
-            raise ConfigError("realizations must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
         if not abs(self.epsilon) < 0.5:
             raise ConfigError("epsilon must lie in (-0.5, 0.5)")
 
@@ -144,7 +132,6 @@ class ResultRow:
     pulse_count: int
     fidelity: float
     fidelity_stderr: float
-    seed: int
     error: str = ""
 
 
@@ -185,7 +172,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         for key in ("gates", "schemes", "tau_grid_s"):
             if not isinstance(d[key], (list, tuple)):
                 raise ConfigError(f"{key} must be a list, got {d[key]!r}")
-        optional = {key: d[key] for key in ("epsilon", "realizations", "seed") if key in d}
+        optional = {"epsilon": d["epsilon"]} if "epsilon" in d else {}
         return ExperimentConfig(
             noise=_parse_noise(d["noise"]),
             gates=d["gates"],
@@ -298,19 +285,10 @@ def build_schedule(gate: str, scheme: str, tau: float):
     return dataclasses.replace(schedule, label=label)
 
 
-def simulate_cell(
-    gate: str,
-    scheme: str,
-    tau: float,
-    noise_model,
-    epsilon: float,
-    realizations: int,
-    seed: int,
-) -> ResultRow:
+def simulate_cell(gate: str, scheme: str, tau: float, noise_model, epsilon: float) -> ResultRow:
     """Compile, inject the amplitude error, simulate, and score one cell.
 
-    Every noise model's channel is exact, so fidelity_stderr is 0 and realizations
-    and seed change no number; the seed is recorded in the row.  Compile or
+    Every noise model's channel is exact, so fidelity_stderr is 0.  Compile or
     simulation failures yield a NaN-sentinel diagnostic row rather than raising,
     so long sweeps survive single-cell failures.
     """
@@ -318,21 +296,12 @@ def simulate_cell(
         schedule = build_schedule(gate, scheme, tau)
         if epsilon:
             schedule = apply_amplitude_error(schedule, epsilon)
-        ops = channel_operators(schedule, noise_model, realizations, seed)
-        fidelity = gate_fidelity(chi_from_operators(ops), chi_from_operators(schedule.target_gate[None]))
         return ResultRow(gate=gate, scheme=scheme, tau=tau, gate_time=schedule.total_duration,
-                         pulse_count=pulse_count(schedule), fidelity=fidelity,
-                         fidelity_stderr=0.0, seed=seed)
+                         pulse_count=pulse_count(schedule), fidelity=process_fidelity(schedule, noise_model),
+                         fidelity_stderr=0.0)
     except (CompileError, ValueError) as exc:
         return ResultRow(gate=gate, scheme=scheme, tau=tau, gate_time=math.nan, pulse_count=0,
-                         fidelity=math.nan, fidelity_stderr=math.nan, seed=seed, error=str(exc))
-
-
-def _cell_seed(root_seed: int, gate_index: int, scheme_index: int, tau_index: int) -> int:
-    ss = np.random.SeedSequence(
-        entropy=root_seed, spawn_key=(gate_index, scheme_index, tau_index)
-    )
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+                         fidelity=math.nan, fidelity_stderr=math.nan, error=str(exc))
 
 
 def _set_blas_threads(n: int) -> int | None:
@@ -353,8 +322,8 @@ def _set_blas_threads(n: int) -> int | None:
 
 
 def run_cells(cfg: ExperimentConfig, cells, jobs: int = 1) -> list[ResultRow]:
-    """Simulate (gate, scheme, tau, seed) cells under cfg's noise, one row per
-    cell in cell order; any jobs gives the same rows.
+    """Simulate (gate, scheme, tau) cells under cfg's noise, one row per cell
+    in cell order; any jobs gives the same rows.
 
     Cells run with one BLAS thread, here and in every pool worker, and the
     caller's count is restored afterwards.  This keeps jobs >= 2 from running
@@ -363,8 +332,7 @@ def run_cells(cfg: ExperimentConfig, cells, jobs: int = 1) -> list[ResultRow]:
     are cores.
     """
     noise_model = resolve_noise(cfg)
-    tasks = [(gate, scheme, tau, noise_model, cfg.epsilon, cfg.realizations, seed)
-             for gate, scheme, tau, seed in cells]
+    tasks = [(gate, scheme, tau, noise_model, cfg.epsilon) for gate, scheme, tau in cells]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     before = _set_blas_threads(1)
     if before is None:
@@ -384,10 +352,8 @@ def run_cells(cfg: ExperimentConfig, cells, jobs: int = 1) -> list[ResultRow]:
 
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     """Simulate the full (gate, scheme, tau) cross product, sorted, deterministic."""
-    axes = [enumerate(sorted(dict.fromkeys(a))) for a in (cfg.gates, cfg.schemes, cfg.tau_grid)]
-    cells = [(gate, scheme, tau, _cell_seed(cfg.seed, gi, si, ti))
-             for (gi, gate), (si, scheme), (ti, tau) in itertools.product(*axes)]
-    return run_cells(cfg, cells, jobs)
+    axes = [sorted(dict.fromkeys(a)) for a in (cfg.gates, cfg.schemes, cfg.tau_grid)]
+    return run_cells(cfg, list(itertools.product(*axes)), jobs)
 
 
 def run_table1(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
@@ -401,14 +367,12 @@ def run_table1(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
     if not gates:
         raise ConfigError("run_table1 requires at least one of H, NOT, PI8 in gates")
     rows = run_cells(cfg, [
-        (gate, "xy8", REFERENCE_GATE_TIMES_S[gate] / (len(GATE_ROTATIONS[gate]) * 5 * 8),
-         _cell_seed(cfg.seed, gi, 0, 0))
-        for gi, gate in enumerate(gates)
+        (gate, "xy8", REFERENCE_GATE_TIMES_S[gate] / (len(GATE_ROTATIONS[gate]) * 5 * 8)) for gate in gates
     ])
     report = {}
     for row in rows:
         entry = dict(zip(CSV_FIELDS, dataclasses.astuple(row)))
-        del entry["gate"], entry["scheme"], entry["seed"]  # keyed by gate; the scheme is xy8
+        del entry["gate"], entry["scheme"]  # keyed by gate; the scheme is xy8
         entry["reference_gate_time_s"] = REFERENCE_GATE_TIMES_S[row.gate]
         entry["reference_fidelity"] = REFERENCE_FIDELITIES[row.gate]
         report[row.gate] = entry

@@ -223,7 +223,7 @@ def ou_moment(schedule, spec: OUNoiseSpec, offsets, weights) -> np.ndarray:
     return (_Z.conj().T @ np.block([[a, b], [b.conj(), a.conj()]]) @ _Z).real / 4
 
 
-def channel_operators(schedule, noise_model, n_realizations: int, seed: int) -> np.ndarray:
+def channel_operators(schedule, noise_model) -> np.ndarray:
     """Operators K, shape (k, 2, 2), whose mean of K rho K^dag is the system channel.
 
     noise_model None gives the ideal propagator with amplitude scales applied; a
@@ -231,8 +231,8 @@ def channel_operators(schedule, noise_model, n_realizations: int, seed: int) -> 
     d = 2**n_bath, which average the maximally mixed bath exactly; an OUNoiseSpec
     gives sqrt(k lambda) U(v) over the k positive eigenpairs of `ou_moment`, at most 4,
     with STATIC_NODES Gauss-Hermite offsets (one if sigma_static is 0).  An
-    eigenvalue below -1e-12 raises ValueError.  Every channel is exact, so
-    n_realizations and seed are unused.
+    eigenvalue below -1e-12 raises ValueError.  Every channel is exact: nothing
+    is sampled.
     """
     if noise_model is None:
         return ideal_propagator(schedule, honor_amplitude=True)[None]

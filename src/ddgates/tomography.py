@@ -143,17 +143,17 @@ def ideal_channel_samples(target: np.ndarray) -> ChannelSamples:
     return ChannelSamples(tuple(target @ rho @ target.conj().T for rho in TOMO_INPUT_STATES))
 
 
-def simulate_channel(schedule, noise_model, n_realizations: int, seed: int) -> ChannelSamples:
+def simulate_channel(schedule, noise_model) -> ChannelSamples:
     """Ensemble-averaged output states of a schedule on the tomography inputs.
 
     The noise models are those of `channel_operators`; amplitude scales stored
     on the schedule are part of the simulated physics.
     """
-    ops = channel_operators(schedule, noise_model, n_realizations, seed)
+    ops = channel_operators(schedule, noise_model)
     return ChannelSamples(tuple(average_channel_output(ops, rho) for rho in TOMO_INPUT_STATES))
 
 
-def process_fidelity(schedule, noise_model, n_realizations: int, seed: int) -> float:
+def process_fidelity(schedule, noise_model) -> float:
     """Fidelity between the chi of the simulated channel and that of its target gate."""
-    chi_actual = chi_from_operators(channel_operators(schedule, noise_model, n_realizations, seed))
+    chi_actual = chi_from_operators(channel_operators(schedule, noise_model))
     return gate_fidelity(chi_actual, chi_from_operators(schedule.target_gate[None]))

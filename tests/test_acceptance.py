@@ -148,9 +148,7 @@ def test_criterion_07_protection_hierarchy_at_reference_times(calibrated):
     t0 = time.perf_counter()
     noise = calibrated[0].params
     epsilon = 0.01
-    realizations = 10000
     rows = {}
-    seed = 0
     for gate in ("H", "NOT", "PI8"):
         n_rot = len(decompose_gate(gate))
         reference_time = REFERENCE_GATE_TIMES_S[gate]
@@ -161,8 +159,7 @@ def test_criterion_07_protection_hierarchy_at_reference_times(calibrated):
             else:
                 center = reference_time / (n_rot * 5 * cycle_pulse_count(DD_KINDS[scheme]))
             for tau_index, tau in enumerate((0.5 * center, center, 2.0 * center)):
-                seed += 1
-                row = simulate_cell(gate, scheme, tau, noise, epsilon, realizations, seed)
+                row = simulate_cell(gate, scheme, tau, noise, epsilon)
                 assert row.error == "", (gate, scheme, tau, row.error)
                 rows[(gate, scheme, tau_index)] = row
 
@@ -196,7 +193,7 @@ def test_criterion_08_tomography_reference_matrices():
 
     for gate in GATES:
         sched = build_schedule(gate, "simple", 1e-5)
-        chi = chi_reconstruct(simulate_channel(sched, None, 1, 0))
+        chi = chi_reconstruct(simulate_channel(sched, None))
         assert chi.trace_preservation_residual() < 1e-8, gate
 
 

@@ -53,8 +53,6 @@ BASE_CONFIG = {
     "schemes": ["simple", "xy8"],
     "tau_grid_s": [7.5e-6, 1.5e-5],
     "epsilon": 0.01,
-    "realizations": 150,
-    "seed": 5,
 }
 
 
@@ -92,16 +90,9 @@ def test_config_from_dict_parses_every_noise_kind():
         {"gates": ["CNOT"]},
         {"schemes": ["cpmg"]},
         {"tau_grid_s": [0.0]},
-        {"realizations": 0},
         {"epsilon": 0.6},
         {"noise": {"kind": "pink"}},
         {"noise": {"kind": "ou", "sigma": 1.0}},
-        {"realizations": 100.5},
-        {"realizations": True},
-        {"realizations": "100"},
-        {"seed": 1.9},
-        {"seed": -1},
-        {"seed": False},
     ],
 )
 def test_config_rejects_invalid_entries(mutation):
@@ -115,7 +106,7 @@ def test_load_config_reads_json_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")
     cfg = load_config(str(path))
-    assert cfg.seed == 5
+    assert cfg == config_from_dict(BASE_CONFIG)
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.json"))
     bad = tmp_path / "bad.json"
@@ -178,7 +169,7 @@ def test_cli_calibrate_writes_a_seed_free_artifact(tmp_path):
     for seed, out in zip((1, 2), outs):
         cfg_path.write_text(json.dumps(dict(BASE_CONFIG, noise=targets, seed=seed)), encoding="utf-8")
         assert cli_main(["calibrate", "--config", str(cfg_path), "--out", str(out)]) == 0
-    # The fit is exact, so the config seed does not change a byte.
+    # The fit is exact, so a seed that an older config carries does not change a byte.
     assert outs[0].read_bytes() == outs[1].read_bytes()
     doc = json.loads(outs[0].read_text(encoding="utf-8"))
     for key in ("t2_star_s", "t2_hahn_s"):
@@ -197,7 +188,7 @@ def test_cli_rejects_a_calibration_artifact_whose_params_are_not_ou(tmp_path, pa
     artifact.write_text(json.dumps(dict(SCHEMA_1_ARTIFACT, params=params)), encoding="utf-8")
     cfg_path = tmp_path / "cfg.json"
     noise = {"kind": "calibration", "path": str(artifact)}
-    cfg_path.write_text(json.dumps(dict(BASE_CONFIG, noise=noise, realizations=20)), encoding="utf-8")
+    cfg_path.write_text(json.dumps(dict(BASE_CONFIG, noise=noise)), encoding="utf-8")
     env = _env_with_src()
     done = subprocess.run([sys.executable, "-m", "ddgates", "sweep", "--config", str(cfg_path)],
                           env=env, capture_output=True, text=True, timeout=120)
@@ -210,7 +201,7 @@ def test_simple_padded_rejects_tau_outside_the_supported_range():
     # tau sets the padded duration: PI8 at 2e-3 s would pad to 0.24 s.
     with pytest.raises(CompileError, match="tau"):
         build_schedule("PI8", "simple_padded", 2e-3)
-    row = simulate_cell("PI8", "simple_padded", 2e-3, PINNED_NOISE, 0.01, 10000, 1)
+    row = simulate_cell("PI8", "simple_padded", 2e-3, PINNED_NOISE, 0.01)
     assert "tau" in row.error
     assert math.isnan(row.fidelity)
     # simple and bb1 have no delays, so they keep ignoring tau.
@@ -261,7 +252,7 @@ def test_build_schedule_verifies_each_cell_once(monkeypatch):
 
 def test_simulate_cell_noiseless_limit():
     quiet = OUNoiseSpec(sigma=0.0, tau_c=1e-4, dt=1e-5, sigma_static=0.0)
-    row = simulate_cell("H", "xy8", 1e-5, quiet, 0.0, 20, 3)
+    row = simulate_cell("H", "xy8", 1e-5, quiet, 0.0)
     assert row.fidelity >= 1 - 1e-6
     assert row.fidelity_stderr == 0.0
     assert row.error == ""
@@ -270,25 +261,31 @@ def test_simulate_cell_noiseless_limit():
 
 
 def test_simulate_cell_failure_produces_sentinel_row():
-    row = simulate_cell("H", "xy8", 5e-3, PINNED_NOISE, 0.01, 10, 3)
+    row = simulate_cell("H", "xy8", 5e-3, PINNED_NOISE, 0.01)
     assert math.isnan(row.fidelity)
     assert math.isnan(row.gate_time)
     assert row.pulse_count == 0
     assert "tau" in row.error
 
 
-def test_ou_fidelities_are_byte_identical_across_seed_and_realizations():
-    rows = [simulate_cell("NOT", "xy8", 1.5e-5, PINNED_NOISE, 0.01, n, seed) for n, seed in ((120, 7), (1, 8), (10**6, 0))]
-    assert len({row.fidelity.hex() for row in rows}) == 1
-    assert [dataclasses.replace(row, seed=0) for row in rows] == [dataclasses.replace(rows[0], seed=0)] * 3
-    assert rows[0] == simulate_cell("NOT", "xy8", 1.5e-5, PINNED_NOISE, 0.01, 120, 7)
+def test_sweep_configs_carrying_the_old_realizations_and_seed_keys_write_the_same_bytes(tmp_path):
+    # Configs of earlier versions still set these Monte-Carlo keys: the benchmark's as
+    # (10000, 1), criterion 10's as (120, 17).
+    outputs = set()
+    for i, old_keys in enumerate(({}, {"realizations": 10000, "seed": 1}, {"realizations": 120, "seed": 17},
+                                  {"realizations": 1, "seed": 0})):
+        cfg_path, out = tmp_path / f"cfg{i}.json", tmp_path / f"rows{i}.csv"
+        cfg_path.write_text(json.dumps(dict(BASE_CONFIG, **old_keys)), encoding="utf-8")
+        assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        outputs.add(out.read_bytes())
+    assert len(outputs) == 1
 
 
 def test_ou_stderr_is_exactly_zero():
     # The OU channel is computed, not sampled, as the bath's is.
-    for gate, scheme, realizations in itertools.product(("NOT", "PI8", "H"), ("simple_padded", "kdd", "bb1"), (1, 1000)):
-        row = simulate_cell(gate, scheme, 1.5e-5, PINNED_NOISE, 0.01, realizations, 1234)
-        assert row.error == "" and row.fidelity_stderr == 0.0, (gate, scheme, realizations)
+    for gate, scheme in itertools.product(("NOT", "PI8", "H"), ("simple_padded", "kdd", "bb1")):
+        row = simulate_cell(gate, scheme, 1.5e-5, PINNED_NOISE, 0.01)
+        assert row.error == "" and row.fidelity_stderr == 0.0, (gate, scheme)
 
 
 def test_run_sweep_grid_is_sorted_and_complete():
@@ -380,7 +377,6 @@ def test_protection_ordering_median_fidelities():
     d = dict(BASE_CONFIG)
     d["schemes"] = ["simple", "bb1", "xy4", "xy8", "kdd"]
     d["tau_grid_s"] = [7.5e-6, 1.5e-5, 3e-5]
-    d["realizations"] = 400
     rows = run_sweep(config_from_dict(d))
 
     def median_of(scheme):
@@ -393,7 +389,7 @@ def test_protection_ordering_median_fidelities():
 
 def test_noop_cells_stay_coherent_at_short_tau():
     for scheme in ("xy4", "xy8", "kdd"):
-        row = simulate_cell("NOOP", scheme, 3e-6, PINNED_NOISE, 0.01, 400, 11)
+        row = simulate_cell("NOOP", scheme, 3e-6, PINNED_NOISE, 0.01)
         assert row.fidelity >= 0.99, (scheme, row.fidelity)
 
 
@@ -416,7 +412,7 @@ def test_rows_from_csv_rejects_wrong_header():
 
 def test_summary_median_is_middle_value():
     rows = [
-        ResultRow("H", "xy8", t, 1e-3, 100, f, 0.0, 1)
+        ResultRow("H", "xy8", t, 1e-3, 100, f, 0.0)
         for t, f in ((1e-6, 0.91), (2e-6, 0.95), (3e-6, 0.99))
     ]
     summary = summarize_rows(rows)
@@ -427,15 +423,15 @@ def test_summary_median_is_middle_value():
 
 def test_summary_skips_failed_rows():
     rows = [
-        ResultRow("H", "xy8", 1e-6, 1e-3, 100, 0.9, 0.0, 1),
-        ResultRow("H", "xy8", 2e-6, math.nan, 0, math.nan, math.nan, 1, error="boom"),
+        ResultRow("H", "xy8", 1e-6, 1e-3, 100, 0.9, 0.0),
+        ResultRow("H", "xy8", 2e-6, math.nan, 0, math.nan, math.nan, error="boom"),
     ]
     summary = summarize_rows(rows)
     assert summary["H"]["xy8"]["min"] == pytest.approx(0.9)
 
 
 def test_emit_report_writes_files(tmp_path):
-    rows = [ResultRow("H", "xy8", 1e-6, 1e-3, 100, 0.9, 0.0, 1)]
+    rows = [ResultRow("H", "xy8", 1e-6, 1e-3, 100, 0.9, 0.0)]
     csv_path = tmp_path / "out.csv"
     sum_path = tmp_path / "sum.json"
     text, summary = emit_report(rows, str(csv_path), str(sum_path))
@@ -449,7 +445,6 @@ def test_emit_report_writes_files(tmp_path):
 def test_run_table1_tau_selection_and_report():
     d = dict(BASE_CONFIG)
     d["gates"] = ["NOT", "H"]
-    d["realizations"] = 120
     rows, report = run_table1(config_from_dict(d))
     assert [r.gate for r in rows] == ["H", "NOT"]
     for row in rows:
@@ -524,7 +519,7 @@ def test_cli_rejects_invalid_tau_for_every_scheme(tmp_path, capsys, scheme, tau)
     cfg_path.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")
     row_csv = tmp_path / "row.csv"
     assert cli_main(["simulate", "--config", str(cfg_path), "--gate", "NOT", "--scheme", scheme,
-                     f"--tau={tau}", "--realizations", "5", "--out", str(row_csv)]) == 2
+                     f"--tau={tau}", "--out", str(row_csv)]) == 2
     (row,) = rows_from_csv(row_csv.read_text(encoding="utf-8"))
     assert "tau" in row.error
     assert math.isnan(row.fidelity)
@@ -573,11 +568,13 @@ def test_cli_rejects_a_config_field_of_the_wrong_type_naming_it(tmp_path, field,
 ], ids=["bath", "ou"])
 def test_cli_sweep_imports_numpy_only(tmp_path, noise):
     # numpy.ma costs a fresh process about 13 ms to import; np.unique and np.median pull
-    # it in.  scipy is a test dependency only: no engine may import it at run time.
+    # it in.  numpy.random adds about 9 ms and 6 MB of peak RSS, and no engine samples.
+    # scipy is a test dependency only: no engine may import it at run time.
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(dict(BASE_CONFIG, noise=noise)), encoding="utf-8")
     code = ("import sys; from ddgates.cli import main; code = main(sys.argv[1:]); "
-            "assert 'numpy.ma' not in sys.modules; assert 'scipy' not in sys.modules; sys.exit(code)")
+            "assert 'numpy.ma' not in sys.modules; assert 'numpy.random' not in sys.modules; "
+            "assert 'scipy' not in sys.modules; sys.exit(code)")
     env = _env_with_src()
     subprocess.run([sys.executable, "-c", code, "sweep", "--config", str(cfg_path), "--out", str(tmp_path / "rows.csv"),
                     "--summary", str(tmp_path / "summary.json")], env=env, check=True, timeout=120)
@@ -588,7 +585,7 @@ def test_cli_sweep_reports_failed_cells(tmp_path, capsys):
     cfg_path.write_text(json.dumps(dict(BASE_CONFIG, tau_grid_s=[1.5e-5, 2e-3])), encoding="utf-8")
     sweep_csv = tmp_path / "sweep.csv"
     sweep_sum = tmp_path / "sweep.json"
-    code = cli_main(["sweep", "--config", str(cfg_path), "--realizations", "20",
+    code = cli_main(["sweep", "--config", str(cfg_path),
                      "--out", str(sweep_csv), "--summary", str(sweep_sum)])
     assert code == 2
     rows = rows_from_csv(sweep_csv.read_text(encoding="utf-8"))
@@ -603,7 +600,7 @@ def test_cli_simulate_and_sweep(tmp_path):
     cfg_path.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")
     row_csv = tmp_path / "row.csv"
     code = cli_main(["simulate", "--config", str(cfg_path), "--gate", "NOT",
-                     "--scheme", "xy8", "--tau", "1.5e-5", "--realizations", "60",
+                     "--scheme", "xy8", "--tau", "1.5e-5",
                      "--out", str(row_csv)])
     assert code == 0
     (row,) = rows_from_csv(row_csv.read_text(encoding="utf-8"))
@@ -611,7 +608,7 @@ def test_cli_simulate_and_sweep(tmp_path):
 
     sweep_csv = tmp_path / "sweep.csv"
     sweep_sum = tmp_path / "sweep.json"
-    code = cli_main(["sweep", "--config", str(cfg_path), "--realizations", "60",
+    code = cli_main(["sweep", "--config", str(cfg_path),
                      "--out", str(sweep_csv), "--summary", str(sweep_sum)])
     assert code == 0
     rows = rows_from_csv(sweep_csv.read_text(encoding="utf-8"))
@@ -620,7 +617,7 @@ def test_cli_simulate_and_sweep(tmp_path):
     assert "NOT" in summary
 
     table_json = tmp_path / "table.json"
-    code = cli_main(["table1", "--config", str(cfg_path), "--realizations", "60",
+    code = cli_main(["table1", "--config", str(cfg_path),
                      "--out", str(table_json)])
     assert code == 0
     report = json.loads(table_json.read_text(encoding="utf-8"))
@@ -656,19 +653,10 @@ def test_cli_rejects_an_oversized_spin_bath_before_any_cell_runs(tmp_path, capsy
     assert cells == []
 
 
-@pytest.mark.parametrize("command", ["simulate", "sweep", "table1"])
-def test_cli_rejects_a_negative_seed_override_naming_the_field(tmp_path, capsys, command):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")
-    cell = ["--gate", "NOT", "--scheme", "xy8", "--tau", "1.5e-5"] if command == "simulate" else []
-    assert cli_main([command, "--config", str(cfg_path), "--seed", "-1", *cell]) == 1
-    assert "seed must be >= 0" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("jobs", ["0", "-5"])
 def test_cli_sweep_rejects_jobs_below_1_naming_the_flag(tmp_path, capsys, jobs):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(dict(BASE_CONFIG, realizations=20)), encoding="utf-8")
+    cfg_path.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")
     assert cli_main(["sweep", "--config", str(cfg_path), "--jobs", jobs]) == 1
     assert "--jobs must be >= 1" in capsys.readouterr().err
 
@@ -676,14 +664,13 @@ def test_cli_sweep_rejects_jobs_below_1_naming_the_flag(tmp_path, capsys, jobs):
 def test_cli_sweep_without_out_prints_the_csv(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")
-    assert cli_main(["sweep", "--config", str(cfg_path), "--realizations", "20"]) == 0
-    cfg = dataclasses.replace(config_from_dict(BASE_CONFIG), realizations=20)
-    assert capsys.readouterr().out == rows_to_csv(run_sweep(cfg))
+    assert cli_main(["sweep", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out == rows_to_csv(run_sweep(config_from_dict(BASE_CONFIG)))
 
 
 def test_cli_table1_writes_its_rows_and_exits_2_on_a_failed_cell(tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(dict(BASE_CONFIG, gates=["NOT", "H"], realizations=20)), encoding="utf-8")
+    cfg_path.write_text(json.dumps(dict(BASE_CONFIG, gates=["NOT", "H"])), encoding="utf-8")
     rows_csv, report_json = tmp_path / "rows.csv", tmp_path / "report.json"
     argv = ["table1", "--config", str(cfg_path), "--out", str(report_json), "--csv", str(rows_csv)]
     assert cli_main(argv) == 0
@@ -713,7 +700,7 @@ def test_cli_exits_2_on_an_unwritable_output(tmp_path, capsys):
 
 def test_targets_noise_gives_the_bytes_of_its_calibration_artifact(tmp_path):
     targets = {"kind": "targets", "t2_star_s": 3.7e-4, "t2_hahn_s": 7.5e-4}
-    cfg = config_from_dict(dict(BASE_CONFIG, noise=targets, realizations=40))
+    cfg = config_from_dict(dict(BASE_CONFIG, noise=targets))
     artifact = tmp_path / "cal.json"
     run_calibration(cfg, str(artifact))
     via_artifact = dataclasses.replace(cfg, noise=CalibrationFileRef(str(artifact)))

@@ -219,7 +219,7 @@ def test_ou_propagators_match_stepwise_oracle():
 
 def _process_fidelity(sched, spec):
     """Tr(chi_ideal chi) of the exact OU channel."""
-    chi = chi_from_operators(channel_operators(sched, spec, 1, 0)).entries
+    chi = chi_from_operators(channel_operators(sched, spec)).entries
     return float(np.trace(chi_from_operators(sched.target_gate[None]).entries @ chi).real)
 
 
@@ -277,7 +277,7 @@ def test_ou_channel_equals_the_uncoupled_bath_over_its_static_offsets():
         lam, v = np.linalg.eigh(ou_moment(sched, quiet, offsets, np.full(32, 1 / 32)))
         ops = np.stack([np.sqrt(4 * max(weight, 0.0)) * (q0 * IDENTITY_2 - 1j * (q1 * SIGMA_X + q2 * SIGMA_Y + q3 * SIGMA_Z))
                         for weight, (q0, q1, q2, q3) in zip(lam, v.T)])
-        chi = chi_from_operators(channel_operators(sched, bath, 1, 0)).entries
+        chi = chi_from_operators(channel_operators(sched, bath)).entries
         assert np.allclose(chi_from_operators(ops).entries, chi, rtol=0.0, atol=1e-12), (gate, scheme)
 
 
@@ -308,7 +308,7 @@ def test_doubling_the_nodes_moves_no_cell_by_a_percent_of_its_monte_carlo_stderr
         for ou_nodes, static_nodes in (nodes, (2 * nodes[0], 2 * nodes[1])):
             monkeypatch.setattr(simulate, "OU_NODES", ou_nodes)
             monkeypatch.setattr(simulate, "STATIC_NODES", static_nodes)
-            overlaps.append(gate_fidelity(chi_from_operators(channel_operators(sched, spec, 1, 0)), ideal))
+            overlaps.append(gate_fidelity(chi_from_operators(channel_operators(sched, spec)), ideal))
         bound = 0.01 * _batch_stderr(sched, spec) if sched.total_duration else 0.0
         assert abs(overlaps[1] - overlaps[0]) <= bound + 1e-13, (gate, scheme, tau, overlaps, bound)
 
@@ -317,14 +317,14 @@ def test_ou_channel_of_zero_noise_is_the_ideal_gate():
     spec = OUNoiseSpec(sigma=0.0, tau_c=1e-4, dt=1e-5, sigma_static=0.0)
     for scheme in ("xy4", "kdd"):
         sched = apply_amplitude_error(build_schedule("H", scheme, 1.3e-5), 0.02)
-        chi = chi_from_operators(channel_operators(sched, spec, 1, 0)).entries
+        chi = chi_from_operators(channel_operators(sched, spec)).entries
         ideal = chi_from_operators(ideal_propagator(sched, honor_amplitude=True)[None]).entries
         assert np.allclose(chi, ideal, rtol=0.0, atol=1e-14), scheme
 
 
 def _moment_of(monkeypatch, m):
     monkeypatch.setattr(simulate, "ou_moment", lambda *args: np.array(m, dtype=float))
-    return channel_operators(dd_cycle(XY4, 1e-5), _PHASE_NOISE, 1, 0)
+    return channel_operators(dd_cycle(XY4, 1e-5), _PHASE_NOISE)
 
 
 def test_ou_moment_eigenvalues_negative_by_rounding_give_no_operator(monkeypatch):
@@ -338,7 +338,7 @@ def test_ou_moment_eigenvalues_negative_by_rounding_give_no_operator(monkeypatch
 def test_ou_moment_with_a_negative_eigenvalue_fails_the_cell(monkeypatch):
     with pytest.raises(ValueError, match="eigenvalue"):
         _moment_of(monkeypatch, np.diag([1.0 + 1e-11, 0.0, 0.0, -1e-11]))
-    row = simulate_cell("NOOP", "xy4", 1e-5, _PHASE_NOISE, 0.0, 1, 0)
+    row = simulate_cell("NOOP", "xy4", 1e-5, _PHASE_NOISE, 0.0)
     assert math.isnan(row.fidelity) and "eigenvalue" in row.error
 
 
@@ -425,7 +425,7 @@ def test_ou_moment_memory_does_not_scale_with_steps():
         idle = hard_pulse_schedule([], np.eye(2, dtype=complex), "idle", pad_to=n_steps * spec.dt)
         tracemalloc.start()
         try:
-            channel_operators(idle, spec, 1, 0)
+            channel_operators(idle, spec)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -446,7 +446,7 @@ def test_ou_chi_is_trace_preserving_and_exact_without_duration(cell):
     gate, scheme, tau, epsilon = cell
     spec = OUNoiseSpec(sigma=4.4e3, tau_c=1.5e-4, dt=1.5e-5, sigma_static=2.2e3)
     sched = apply_amplitude_error(build_schedule(gate, scheme, tau), epsilon)
-    ops = channel_operators(sched, spec, 1, 0)
+    ops = channel_operators(sched, spec)
     assert 1 <= len(ops) <= 4
     chi = chi_from_operators(ops)
     assert chi.trace_preservation_residual() <= 1e-12
