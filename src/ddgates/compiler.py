@@ -11,6 +11,7 @@ target by a zero-noise simulation.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -132,6 +133,19 @@ class Schedule:
     def total_duration(self) -> float:
         return float(sum(ev.duration for ev in self.events))
 
+    @functools.cached_property
+    def runs(self) -> tuple[tuple[tuple[PulseEvent, ...], ...], tuple[tuple[int, PulseEvent | None], ...]]:
+        """(runs, steps): the distinct runs of delays and hard pulses that the soft halves cut the
+        events into, and the (run number, soft half after it or None) steps that replay the events."""
+        numbers, steps, run = {}, [], []
+        for ev in (*self.events, None):
+            if ev is not None and ev.kind != "soft_gate_half":
+                run.append(ev)
+                continue
+            steps.append((numbers.setdefault(tuple(run), len(numbers)), ev))
+            run = []
+        return tuple(numbers), tuple(steps)
+
 
 @dataclass(frozen=True)
 class DDKind:
@@ -225,7 +239,8 @@ def _verified(schedule: Schedule) -> Schedule:
     return schedule
 
 
-def _cycle_events(kind: DDKind, tau: float, rotation: RotationSpec | None = None) -> list[PulseEvent]:
+@functools.lru_cache(maxsize=256)  # the README grid builds 144 distinct cycles
+def _cycle_events(kind: DDKind, tau: float, rotation: RotationSpec | None = None) -> tuple[PulseEvent, ...]:
     """Events of one decoupling cycle: pi pulses tau apart, tau/2 free at both ends.
 
     Given a non-zero rotation, the two end periods become soft halves of
@@ -240,7 +255,7 @@ def _cycle_events(kind: DDKind, tau: float, rotation: RotationSpec | None = None
     for p in _CYCLE_PHASES[kind.name]:
         events += [PulseEvent("hard_pulse", 0.0, RotationSpec(p, _PI)), PulseEvent("delay", tau)]
     events[-1] = end
-    return events
+    return tuple(events)
 
 
 def dd_cycle(kind: DDKind, tau: float) -> Schedule:
@@ -293,13 +308,11 @@ def apply_amplitude_error(schedule: Schedule, epsilon: float) -> Schedule:
     """New schedule with every pulse amplitude scaled by (1 + epsilon)."""
     if not abs(epsilon) < 0.5:
         raise ValueError(f"epsilon {epsilon} outside (-0.5, 0.5)")
-    events = tuple(
-        ev
-        if ev.kind == "delay"
-        else dataclasses.replace(ev, amplitude_scale=ev.amplitude_scale * (1.0 + epsilon))
-        for ev in schedule.events
-    )
-    return dataclasses.replace(schedule, events=events)
+    scaled = {
+        ev: ev if ev.kind == "delay" else dataclasses.replace(ev, amplitude_scale=ev.amplitude_scale * (1.0 + epsilon))
+        for ev in dict.fromkeys(schedule.events)
+    }
+    return dataclasses.replace(schedule, events=tuple(scaled[ev] for ev in schedule.events))
 
 
 def pulse_count(schedule: Schedule) -> int:

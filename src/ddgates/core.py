@@ -17,8 +17,8 @@ for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2):
     _m.setflags(write=False)
 
 # Largest register (dim 128, a 6-spin bath in 7 magnetization sectors of at most 20
-# states, held unpadded as four stacks of equal-size sectors): its frame takes ~7 ms
-# once, then its heaviest cell (PI8/kdd, 615 events) ~0.01 s on one core of a 2-core x86 box.
+# states, held unpadded as four stacks of equal-size sectors): its frame takes ~2 ms once, then
+# its heaviest cell (PI8/kdd, 615 events) ~15 ms cold and ~5 ms warm on one core of a 2-core Xeon.
 DEFAULT_MAX_SPINS = 7
 
 HERMITICITY_TOL = 1e-9

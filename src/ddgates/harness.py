@@ -23,8 +23,10 @@ Config JSON schema (all times in seconds)::
       "epsilon": 0.01
     }
 
-Other keys are ignored, so configs of earlier versions that carry the
-Monte-Carlo "realizations" and "seed" still load.
+Any other key, at the top level or in "noise", raises ConfigError naming it.
+The one exception is the Monte-Carlo "realizations" and "seed" of earlier
+versions: they are accepted at the top level and ignored, so those configs
+still load.
 """
 
 from __future__ import annotations
@@ -141,8 +143,27 @@ CSV_FIELDS = tuple(
 )
 
 
+# The keys the config and each noise kind read, and the legacy keys that are accepted and ignored.
+_CONFIG_KEYS = {"noise", "gates", "schemes", "tau_grid_s", "epsilon"}
+_LEGACY_KEYS = {"realizations", "seed"}
+_NOISE_KEYS = {
+    "ou": {"kind", "sigma", "tau_c_s", "dt_s", "sigma_static"},
+    "spin_bath": {"kind", "couplings", "bath_couplings", "system_offset"},
+    "targets": {"kind", "t2_star_s", "t2_hahn_s"},
+    "calibration": {"kind", "path"},
+}
+
+
+def _reject_unknown_keys(keys, known: set, where: str) -> None:
+    for key in keys:
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} in {where}; expected one of {sorted(known)}")
+
+
 def _parse_noise(d: dict):
     kind = d.get("kind")
+    if isinstance(kind, str) and kind in _NOISE_KEYS:
+        _reject_unknown_keys(d, _NOISE_KEYS[kind], f"noise of kind {kind!r}")
     if kind == "ou":
         return OUNoiseSpec(
             sigma=float(d["sigma"]),
@@ -167,6 +188,7 @@ def _parse_noise(d: dict):
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     try:
+        _reject_unknown_keys((k for k in d if k not in _LEGACY_KEYS), _CONFIG_KEYS, "the config")
         if not isinstance(d["noise"], dict):
             raise ConfigError(f"noise must be an object, got {d['noise']!r}")
         for key in ("gates", "schemes", "tau_grid_s"):

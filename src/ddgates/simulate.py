@@ -23,12 +23,13 @@ from .noise import OUNoiseSpec, SpinBathSpec, bath_frame
 
 def ideal_propagator(schedule, honor_amplitude: bool = False) -> np.ndarray:
     """Zero-noise system propagator; amplitude scales applied only on request."""
+    rotations = {ev: rotation_unitary(ev.rotation.phase,
+                                      ev.rotation.angle * (ev.amplitude_scale if honor_amplitude else 1.0))
+                 for ev in dict.fromkeys(schedule.events) if ev.kind != "delay"}  # one per distinct event
     u = np.eye(2, dtype=complex)
     for ev in schedule.events:
-        if ev.kind == "delay":
-            continue
-        scale = ev.amplitude_scale if honor_amplitude else 1.0
-        u = rotation_unitary(ev.rotation.phase, ev.rotation.angle * scale) @ u
+        if ev.kind != "delay":
+            u = rotations[ev] @ u
     return u
 
 
@@ -42,28 +43,17 @@ def bath_propagator(schedule, spec: SpinBathSpec) -> np.ndarray:
     time, each sector in the eigenframe of its two blocks: Ut = diag(v0^dag, v1^dag) U.
     A delay multiplies the rows of Ut by e^{-i w t}, and a hard pulse or a soft
     half multiplies Ut by one framed product, cached across calls (`_framed_pulse`).
-    The schedule is parsed once: the soft halves cut its events into runs of
-    delays and hard pulses, and a run that recurs within the schedule (the
+    The schedule's runs (`Schedule.runs`) are the runs of delays and hard pulses
+    that its soft halves cut it into, and a run that recurs within the schedule (the
     interior of every decoupling cycle) and holds more than one hard pulse is
     multiplied out once per stack and then applied as one product.  Each stack's
     sector blocks are scattered into the dense 2d x 2d matrix.
     """
     d = 2**spec.n_bath
-    # Each distinct run as its delays' durations and its hard pulses' keys, and the
-    # schedule as (run number, key of the soft half after it) steps.
-    numbers, runs, steps, run = {}, [], [], []
-    for ev in (*schedule.events, None):
-        if ev is not None and ev.kind != "soft_gate_half":
-            run.append(ev)
-            continue
-        i = numbers.setdefault(tuple(run), len(runs))
-        if i == len(runs):
-            runs.append([float(e.duration) if e.kind == "delay" else _pulse_key(e) for e in run])
-        steps.append((i, None if ev is None else _pulse_key(ev)))
-        run = []
+    runs, steps = schedule.runs
     # A run with more than one hard pulse costs more than its product.
     shared = {i for i, k in Counter(i for i, _ in steps).items()
-              if k > 1 and sum(not isinstance(op, float) for op in runs[i]) > 1}
+              if k > 1 and sum(ev.kind == "hard_pulse" for ev in runs[i]) > 1}
     u = np.zeros((2 * d, 2 * d), dtype=complex)
     for frame in bath_frame(spec):
         eye = np.eye(frame.w.shape[1], dtype=complex)  # broadcasts against the stack
@@ -76,24 +66,19 @@ def bath_propagator(schedule, spec: SpinBathSpec) -> np.ndarray:
             else:
                 ut = _apply_run(frame, runs[i], ut)
             if soft is not None:
-                ut = _framed_pulse(frame, *soft) @ ut
+                ut = _framed_pulse(frame, soft) @ ut
         u[frame.index[:, :, None], frame.index[:, None, :]] = frame.from_frame(ut)
     return u
 
 
-def _pulse_key(ev):
-    """(scaled angle, duration, phase), the arguments of `_framed_pulse`."""
-    return ev.rotation.angle * ev.amplitude_scale, ev.duration, ev.rotation.phase
-
-
 def _apply_run(frame, run, xt: np.ndarray) -> np.ndarray:
-    """A run's delays (durations) and hard pulses (`_pulse_key`s) applied in order to a framed Xt."""
-    for op in run:
-        xt = frame.delay(xt, op) if isinstance(op, float) else _framed_pulse(frame, *op) @ xt
+    """A run's delays and hard pulses applied in order to a framed Xt."""
+    for ev in run:
+        xt = frame.delay(xt, ev.duration) if ev.kind == "delay" else _framed_pulse(frame, ev) @ xt
     return xt
 
 
-@functools.lru_cache(maxsize=64)  # 16 angles x the 4 stacks of a 6-spin bath: 59 KB per angle, 0.9 MB
+@functools.lru_cache(maxsize=64)  # 16 (scaled angle, duration) keys x the 4 stacks of a 6-spin bath: 0.9 MB
 def _soft_exponential(frame, angle: float, duration: float) -> np.ndarray:
     """exp(-i G t), t = duration, per sector, of the framed drift diag(w) plus the
     phase-0 drive (angle / t) S_x (x) I, whose framed off-diagonal blocks are
@@ -107,17 +92,18 @@ def _soft_exponential(frame, angle: float, duration: float) -> np.ndarray:
     return u
 
 
-@functools.lru_cache(maxsize=192)  # 48 pulses x the 4 stacks of a 6-spin bath: 2.8 MB
-def _framed_pulse(frame, angle: float, duration: float, phase: float) -> np.ndarray:
-    """A pulse in the frame as one product per sector.  A hard pulse (duration 0)
-    is `BathFrame.pulse` of its rotation.  A soft half is P S P^dag, S the phase-0
-    `_soft_exponential` and P = diag(I, e^{i phase} I): the drive at phase p is
-    P (drive at 0) P^dag, and P commutes with the block-diagonal drift."""
-    if duration == 0.0:
-        u = frame.pulse(rotation_unitary(phase, angle))
+@functools.lru_cache(maxsize=192)  # 48 distinct pulse events x the 4 stacks of a 6-spin bath: 2.8 MB
+def _framed_pulse(frame, ev) -> np.ndarray:
+    """A pulse event in the frame, amplitude scale applied, as one product per sector.
+    A hard pulse (duration 0) is `BathFrame.pulse` of its rotation.  A soft half is
+    P S P^dag, S the phase-0 `_soft_exponential` and P = diag(I, e^{i phase} I): the
+    drive at phase p is P (drive at 0) P^dag, and P commutes with the block-diagonal drift."""
+    angle = ev.rotation.angle * ev.amplitude_scale
+    if ev.duration == 0.0:
+        u = frame.pulse(rotation_unitary(ev.rotation.phase, angle))
     else:
-        m, p = frame.link.shape[1], cmath.exp(1j * phase)
-        u = _soft_exponential(frame, angle, duration).copy()
+        m, p = frame.link.shape[1], cmath.exp(1j * ev.rotation.phase)
+        u = _soft_exponential(frame, angle, ev.duration).copy()
         u[:, :m, m:] *= p.conjugate()
         u[:, m:, :m] *= p
     u.setflags(write=False)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ddgates.simulate as simulate
 from ddgates.compiler import (
     DD_KINDS,
     KDD,
@@ -33,6 +34,7 @@ from ddgates.compiler import (
     verify_schedule,
 )
 from ddgates.core import IDENTITY_2, SIGMA_X, rotation_unitary
+from ddgates.harness import SCHEMES, build_schedule
 from ddgates.simulate import ideal_propagator
 from ddgates.tomography import gate_fidelity
 from helpers import expected_pulse_count
@@ -326,3 +328,34 @@ def test_protected_bb1_gate_of_random_rotations(rotations, kind, tau):
     assert sched.events == tuple(
         ev for r in rotations for c in bb1_expand(r) for ev in protected_rotation(c, kind, tau).events
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(gate=st.sampled_from(ALL_GATES), scheme=st.sampled_from(SCHEMES), tau=st.floats(TAU_MIN, TAU_MAX),
+       epsilon=st.floats(-0.2, 0.2))
+def test_schedule_runs_replay_the_events_and_are_distinct(gate, scheme, tau, epsilon):
+    sched = apply_amplitude_error(build_schedule(gate, scheme, tau), epsilon)
+    runs, steps = sched.runs
+    assert [ev for i, soft in steps for ev in (*runs[i], soft) if ev is not None] == list(sched.events)
+    assert len(set(runs)) == len(runs)
+    assert all(ev.kind != "soft_gate_half" for run in runs for ev in run)
+    assert all(soft.kind == "soft_gate_half" for _, soft in steps[:-1]) and steps[-1][1] is None
+
+
+def test_compile_builds_and_checks_each_distinct_event_once(monkeypatch):
+    # The decoupled cells repeat about ten distinct events hundreds of times.
+    cells = [(gate, kind, 1e-5) for gate in ALL_GATES for kind in DD_KINDS]
+    for cell in cells:
+        build_schedule(*cell)
+    built, post_init = [], PulseEvent.__post_init__
+    monkeypatch.setattr(PulseEvent, "__post_init__", lambda ev: (built.append(ev), post_init(ev))[1])
+    for cell in cells:
+        build_schedule(*cell)
+    assert built == []
+    monkeypatch.undo()
+
+    sched, calls = build_schedule("PI8", "kdd", 1e-5), []
+    assert len(sched.events) == 615
+    monkeypatch.setattr(simulate, "rotation_unitary", lambda *args: (calls.append(args), rotation_unitary(*args))[1])
+    assert verify_schedule(sched) > 1 - 1e-9
+    assert len(calls) == len({ev for ev in sched.events if ev.kind != "delay"})

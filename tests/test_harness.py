@@ -562,6 +562,25 @@ def test_cli_rejects_a_config_field_of_the_wrong_type_naming_it(tmp_path, field,
     assert done.stderr.startswith("error: ") and field in done.stderr
 
 
+@pytest.mark.parametrize("config, key", [
+    (dict(BASE_CONFIG, epsilom=0.2), "epsilom"),
+    (dict(BASE_CONFIG, noise=dict(BASE_CONFIG["noise"], sigma_statc=0.0)), "sigma_statc"),
+    (dict(BASE_CONFIG, noise={"kind": "spin_bath", "couplings": [1e4], "bath_couplings": [[0.0]],
+                              "system_ofset": 1e3}), "system_ofset"),
+    (dict(BASE_CONFIG, noise={"kind": "targets", "t2_star_s": 3.7e-4, "t2_hahn_s": 7.5e-4, "t2_s": 1e-3}), "t2_s"),
+    (dict(BASE_CONFIG, noise={"kind": "calibration", "path": "calibration.json", "seed": 1}), "seed"),
+], ids=["top_level", "ou", "spin_bath", "targets", "calibration"])
+def test_cli_rejects_a_misspelt_config_key_naming_it(tmp_path, capsys, config, key):
+    # A misspelt key would otherwise leave its field at the default: "epsilom" would simulate epsilon 0.01.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    with pytest.raises(ConfigError, match=repr(key)):
+        load_config(str(cfg_path))
+    assert cli_main(["sweep", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown key ") and repr(key) in err
+
+
 @pytest.mark.parametrize("noise", [
     {"kind": "spin_bath", "couplings": [1e4, 2e4], "bath_couplings": [[0.0, 5e3], [5e3, 0.0]]},
     BASE_CONFIG["noise"],

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -24,8 +25,10 @@ from ddgates.compiler import (
     gate_target,
     hard_pulse_schedule,
     protected_bb1_gate,
+    schedule_from_json,
+    schedule_to_json,
 )
-from ddgates.core import DEFAULT_MAX_SPINS, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, hermitian_expm
+from ddgates.core import DEFAULT_MAX_SPINS, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, hermitian_expm, rotation_unitary
 from ddgates.harness import GATES, REFERENCE_GATE_TIMES_S, SCHEMES, build_schedule, simulate_cell
 from ddgates.noise import (
     OUNoiseSpec,
@@ -63,6 +66,19 @@ def test_ideal_propagator_amplitude_flag():
     assert np.allclose(u_ignore, -1j * SIGMA_X, atol=1e-14)
     expected = scipy.linalg.expm(-0.5j * 1.05 * math.pi * SIGMA_X)
     assert np.allclose(u_honor, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("honor_amplitude", [False, True])
+def test_ideal_propagator_keeps_the_bytes_of_the_plain_per_event_product(honor_amplitude):
+    # Each distinct event's rotation is built once, and the product keeps the per-event order.
+    for gate, scheme, tau in [(g, s, tau) for g in GATES for s in SCHEMES for tau in (3e-6, 1e-5, 3e-5)]:
+        sched = apply_amplitude_error(build_schedule(gate, scheme, tau), 0.01)
+        u = np.eye(2, dtype=complex)
+        for ev in sched.events:
+            if ev.kind != "delay":
+                scale = ev.amplitude_scale if honor_amplitude else 1.0
+                u = rotation_unitary(ev.rotation.phase, ev.rotation.angle * scale) @ u
+        assert np.array_equal(ideal_propagator(sched, honor_amplitude=honor_amplitude), u), (gate, scheme, tau)
 
 
 def test_pulse_cayley_klein_matches_expm():
@@ -587,6 +603,32 @@ def test_bath_repeated_runs_differing_in_one_amplitude_scale_stay_apart():
     events = (*run, soft, *scaled, soft, *run, soft, *scaled)
     sched = Schedule(events, target_gate=IDENTITY_2, label="repeated-runs")
     _assert_matches_oracle(sched, _two_spin_bath())
+
+
+@settings(max_examples=15, deadline=None)
+@given(gate=st.sampled_from(("H", "NOT", "PI8")), kind=st.sampled_from(("xy4", "xy8", "kdd")),
+       tau=st.floats(1e-6, 3e-5), epsilon=st.floats(-0.1, 0.1), data=st.data())
+def test_bath_propagator_of_a_schedule_with_a_delay_moved_between_cycles_matches_oracle(gate, kind, tau, epsilon,
+                                                                                         data):
+    sched = apply_amplitude_error(build_schedule(gate, kind, tau), epsilon)
+    records = json.loads(schedule_to_json(sched))
+    events = records["events"]
+    # An interior delay, between two hard pulses, moves between the soft halves of two adjacent
+    # cycles; the hard pulses' phases and the duration are unchanged, so the cycles are still whole.
+    interior = [i for i, e in enumerate(events[1:-1], 1)
+                if e["kind"] == "delay" and events[i - 1]["kind"] == events[i + 1]["kind"] == "hard_pulse"]
+    delay = events.pop(data.draw(st.sampled_from(interior)))
+    between = [i for i in range(1, len(events))
+               if events[i - 1]["kind"] == events[i]["kind"] == "soft_gate_half"]
+    events.insert(data.draw(st.sampled_from(between)), delay)
+    for i, e in enumerate(events):
+        e["index"] = i
+    moved = schedule_from_json(json.dumps(records))
+    runs, steps = moved.runs
+    # The cycle that lost the delay and the cycles that kept it are two runs, and the moved delay a third.
+    assert set(sched.runs[0]) < set(runs) and len(runs) == len(sched.runs[0]) + 2
+    assert [ev for i, soft in steps for ev in (*runs[i], soft) if ev is not None] == list(moved.events)
+    _assert_matches_oracle(moved, _two_spin_bath())
 
 
 def test_bath_propagator_rejects_oversized_bath():
