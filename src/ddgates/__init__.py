@@ -3,113 +3,39 @@
 Compile composite-pulse gates embedded in dynamical decoupling sequences,
 simulate them against calibrated classical and quantum dephasing models,
 and score them by process tomography.
+
+Each public name is imported from its submodule on first use (PEP 562), so
+`import ddgates` loads nothing, and numpy only with the first name that needs it.
 """
 
-from .compiler import (
-    DD_KINDS,
-    KDD,
-    XY4,
-    XY8,
-    CompileError,
-    DDKind,
-    PulseEvent,
-    RotationSpec,
-    Schedule,
-    apply_amplitude_error,
-    bb1_expand,
-    dd_cycle,
-    decompose_gate,
-    gate_target,
-    hard_pulse_schedule,
-    protected_bb1_gate,
-    protected_rotation,
-    pulse_count,
-    schedule_from_json,
-    schedule_to_json,
-    verify_schedule,
-)
-from .core import rotation_unitary
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    ResultRow,
-    build_schedule,
-    emit_report,
-    load_config,
-    resolve_noise,
-    run_calibration,
-    run_sweep,
-    run_table1,
-    simulate_cell,
-)
-from .noise import (
-    CalibrationError,
-    CalibrationResult,
-    OUNoiseSpec,
-    SpinBathSpec,
-    calibrate_to_targets,
-    default_spin_bath,
-    fid_decay_curve,
-    hahn_decay_curve,
-)
-from .simulate import bath_propagator, ideal_propagator
-from .tomography import (
-    ChannelSamples,
-    ChiMatrix,
-    chi_reconstruct,
-    gate_fidelity,
-    process_fidelity,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CalibrationError",
-    "CalibrationResult",
-    "ChannelSamples",
-    "ChiMatrix",
-    "CompileError",
-    "ConfigError",
-    "DDKind",
-    "DD_KINDS",
-    "ExperimentConfig",
-    "KDD",
-    "OUNoiseSpec",
-    "PulseEvent",
-    "ResultRow",
-    "RotationSpec",
-    "Schedule",
-    "SpinBathSpec",
-    "XY4",
-    "XY8",
-    "apply_amplitude_error",
-    "bath_propagator",
-    "bb1_expand",
-    "build_schedule",
-    "calibrate_to_targets",
-    "chi_reconstruct",
-    "dd_cycle",
-    "decompose_gate",
-    "default_spin_bath",
-    "emit_report",
-    "fid_decay_curve",
-    "gate_fidelity",
-    "gate_target",
-    "hahn_decay_curve",
-    "hard_pulse_schedule",
-    "ideal_propagator",
-    "load_config",
-    "process_fidelity",
-    "protected_bb1_gate",
-    "protected_rotation",
-    "pulse_count",
-    "resolve_noise",
-    "rotation_unitary",
-    "run_calibration",
-    "run_sweep",
-    "run_table1",
-    "schedule_from_json",
-    "schedule_to_json",
-    "simulate_cell",
-    "verify_schedule",
-]
+# The submodule that defines each public name.
+_SUBMODULES = {
+    "compiler": "DD_KINDS KDD XY4 XY8 DDKind PulseEvent RotationSpec Schedule apply_amplitude_error bb1_expand "
+                "dd_cycle decompose_gate gate_target hard_pulse_schedule protected_bb1_gate protected_rotation "
+                "pulse_count schedule_from_json schedule_to_json verify_schedule",
+    "config": "CompileError ConfigError ExperimentConfig load_config resolve_noise run_calibration",
+    "core": "rotation_unitary",
+    "harness": "ResultRow build_schedule emit_report run_sweep run_table1 simulate_cell",
+    "noise": "SpinBathSpec default_spin_bath fid_decay_curve hahn_decay_curve",
+    "ou": "CalibrationError CalibrationResult OUNoiseSpec calibrate_to_targets",
+    "simulate": "bath_propagator ideal_propagator",
+    "tomography": "ChannelSamples ChiMatrix chi_reconstruct gate_fidelity process_fidelity",
+}
+_MODULE_OF = {name: module for module, names in _SUBMODULES.items() for name in names.split()}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -3,6 +3,9 @@
 Subcommands: calibrate, compile, simulate, sweep, table1.  Exit codes:
 0 on success, 1 on invalid arguments or configuration, 2 on a runtime
 failure (calibration targets out of reach, failed cell, unwritable output).
+`calibrate` runs on the standard library alone: this module imports only the
+config layer, and the other commands import the compiler and the engines,
+and with them numpy, when they run.
 """
 
 from __future__ import annotations
@@ -13,22 +16,16 @@ import json
 import sys
 from pathlib import Path
 
-from .compiler import CompileError, apply_amplitude_error, schedule_to_json
-from .harness import (
+from .config import (
     GATES,
     SCHEMES,
+    CompileError,
     ConfigError,
-    build_schedule,
-    emit_report,
     load_config,
     resolve_noise,  # unused here; perfbench/setup_probe.py times cli.resolve_noise
-    rows_to_csv,
     run_calibration,
-    run_cells,
-    run_sweep,
-    run_table1,
 )
-from .noise import CalibrationError
+from .ou import CalibrationError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,6 +102,9 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_compile(args) -> int:
+    from .compiler import apply_amplitude_error, schedule_to_json
+    from .harness import build_schedule
+
     schedule = build_schedule(args.gate, args.scheme, args.tau)
     if args.epsilon:
         schedule = apply_amplitude_error(schedule, args.epsilon)
@@ -113,6 +113,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .harness import rows_to_csv, run_cells
+
     cfg = load_config(args.config)
     if args.epsilon is not None:
         cfg = dataclasses.replace(cfg, epsilon=args.epsilon)
@@ -122,6 +124,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .harness import emit_report, rows_to_csv, run_sweep
+
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     rows = run_sweep(load_config(args.config), jobs=args.jobs)
@@ -137,6 +141,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_table1(args) -> int:
+    from .harness import rows_to_csv, run_table1
+
     rows, report = run_table1(load_config(args.config))
     if args.csv:
         Path(args.csv).write_text(rows_to_csv(rows), encoding="utf-8")

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import CompileError
 from .core import IDENTITY_2, SIGMA_X, rotation_unitary
 from .simulate import ideal_propagator
 from .tomography import gate_fidelity
@@ -41,10 +42,6 @@ _CYCLE_PHASES: dict[str, tuple[float, ...]] = {
     "xy8": _XY4 + _XY4[::-1],
     "kdd": tuple(skel + chi for skel in _XY4 for chi in (_PI / 6, 0.0, _HALF_PI, 0.0, _PI / 6)),
 }
-
-
-class CompileError(RuntimeError):
-    """Raised when a schedule cannot be built or fails its target check."""
 
 
 @dataclass(frozen=True)
@@ -89,6 +86,13 @@ class PulseEvent:
                 raise ValueError("hard_pulse events take zero duration")
             if self.kind == "soft_gate_half" and self.duration <= 0:
                 raise ValueError("soft_gate_half events require positive duration")
+        # Hashed once, to the same value in every process (a str hash is salted per process,
+        # and before Python 3.12 None hashes by address), so a pickled copy still hashes equal.
+        object.__setattr__(self, "_hash", hash((EVENT_KINDS.index(self.kind), self.duration,
+                                                self.rotation or (), self.amplitude_scale)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,32 +1,12 @@
 """Config-driven experiment harness.
 
 Composes the compiler, noise models, simulators, and tomography into the
-headline experiments: noise calibration, gate compilation across protection
-schemes, fidelity sweeps versus gate time, and the reference-gate benchmark.
-Results are deterministic CSV/JSON: every engine is exact and the sweep's
-rows are sorted by (gate, scheme, tau), so any job count gives identical
-bytes.
-
-Config JSON schema (all times in seconds)::
-
-    {
-      "noise": {"kind": "ou", "sigma": 4000.0, "tau_c_s": 1.5e-4,
-                "dt_s": 1.5e-5, "sigma_static": 2000.0}
-            | {"kind": "spin_bath", "couplings": [2.0e4, 3.1e4],
-               "bath_couplings": [[0.0, 2.5e4], [2.5e4, 0.0]],
-               "system_offset": 0.0}
-            | {"kind": "targets", "t2_star_s": 3.7e-4, "t2_hahn_s": 7.5e-4}
-            | {"kind": "calibration", "path": "calibration.json"},
-      "gates": ["H", "NOT", "PI8", "NOOP"],
-      "schemes": ["simple", "simple_padded", "bb1", "xy4", "xy8", "kdd"],
-      "tau_grid_s": [3e-6, 1e-5, 3e-5],
-      "epsilon": 0.01
-    }
-
-Any other key, at the top level or in "noise", raises ConfigError naming it.
-The one exception is the Monte-Carlo "realizations" and "seed" of earlier
-versions: they are accepted at the top level and ignored, so those configs
-still load.
+headline experiments: gate compilation across protection schemes, fidelity
+sweeps versus gate time, and the reference-gate benchmark.  Results are
+deterministic CSV/JSON: every engine is exact and the sweep's rows are sorted
+by (gate, scheme, tau), so any job count gives identical bytes.  The config,
+its noise resolution and the calibration artifacts live in `config`, which
+needs no numpy; their names are re-exported here.
 """
 
 from __future__ import annotations
@@ -50,7 +30,6 @@ import numpy as np
 from .compiler import (
     DD_KINDS,
     GATE_ROTATIONS,
-    CompileError,
     apply_amplitude_error,
     bb1_expand,
     check_tau,
@@ -60,66 +39,27 @@ from .compiler import (
     protected_bb1_gate,
     pulse_count,
 )
-from .noise import (
-    CalibrationResult,
-    OUNoiseSpec,
-    SpinBathSpec,
-    bath_frame,
-    calibrate_to_targets,
+from .config import (  # those harness does not use are re-exported for its callers
+    GATES,
+    SCHEMES,
+    CalibrationFileRef,
+    CalibrationTargets,
+    CompileError,
+    ConfigError,
+    ExperimentConfig,
+    calibration_artifact_text,
+    config_from_dict,
+    load_calibration,
+    load_config,
+    resolve_noise,
+    run_calibration,
 )
+from .noise import SpinBathSpec, bath_frame
 from .tomography import process_fidelity
-
-GATES = ("H", "NOT", "PI8", "NOOP")
-SCHEMES = ("simple", "simple_padded", "bb1", "xy4", "xy8", "kdd")
 
 # Published reference gate times and fidelities for the XY-8 benchmark.
 REFERENCE_GATE_TIMES_S = {"H": 1.6e-3, "NOT": 0.6e-3, "PI8": 2.2e-3}
 REFERENCE_FIDELITIES = {"H": 0.985, "NOT": 0.995, "PI8": 0.955}
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration."""
-
-
-@dataclass(frozen=True)
-class CalibrationTargets:
-    """Noise given as decay-time targets to be calibrated before use."""
-
-    t2_star_s: float
-    t2_hahn_s: float
-
-
-@dataclass(frozen=True)
-class CalibrationFileRef:
-    """Noise given as the path of a persisted calibration artifact."""
-
-    path: str
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    noise: object
-    gates: tuple[str, ...]
-    schemes: tuple[str, ...]
-    tau_grid: tuple[float, ...]
-    epsilon: float = 0.01
-
-    def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-        object.__setattr__(self, "schemes", tuple(self.schemes))
-        object.__setattr__(self, "tau_grid", tuple(float(t) for t in self.tau_grid))
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        if not self.gates or not self.schemes or not self.tau_grid:
-            raise ConfigError("gates, schemes, and tau_grid must be non-empty")
-        for g in self.gates:
-            if g not in GATES:
-                raise ConfigError(f"unknown gate {g!r}; expected one of {GATES}")
-        for s in self.schemes:
-            if s not in SCHEMES:
-                raise ConfigError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
-        if any(t <= 0 or not math.isfinite(t) for t in self.tau_grid):
-            raise ConfigError("tau_grid entries must be positive and finite")
-        if not abs(self.epsilon) < 0.5:
-            raise ConfigError("epsilon must lie in (-0.5, 0.5)")
 
 
 @dataclass(frozen=True)
@@ -141,146 +81,6 @@ _COLUMN_TYPES = tuple(typing.get_type_hints(ResultRow).values())
 CSV_FIELDS = tuple(
     f"{f.name}_{f.metadata['unit']}" if f.metadata else f.name for f in dataclasses.fields(ResultRow)
 )
-
-
-# The keys the config and each noise kind read, and the legacy keys that are accepted and ignored.
-_CONFIG_KEYS = {"noise", "gates", "schemes", "tau_grid_s", "epsilon"}
-_LEGACY_KEYS = {"realizations", "seed"}
-_NOISE_KEYS = {
-    "ou": {"kind", "sigma", "tau_c_s", "dt_s", "sigma_static"},
-    "spin_bath": {"kind", "couplings", "bath_couplings", "system_offset"},
-    "targets": {"kind", "t2_star_s", "t2_hahn_s"},
-    "calibration": {"kind", "path"},
-}
-
-
-def _reject_unknown_keys(keys, known: set, where: str) -> None:
-    for key in keys:
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r} in {where}; expected one of {sorted(known)}")
-
-
-def _parse_noise(d: dict):
-    kind = d.get("kind")
-    if isinstance(kind, str) and kind in _NOISE_KEYS:
-        _reject_unknown_keys(d, _NOISE_KEYS[kind], f"noise of kind {kind!r}")
-    if kind == "ou":
-        return OUNoiseSpec(
-            sigma=float(d["sigma"]),
-            tau_c=float(d["tau_c_s"]),
-            dt=float(d["dt_s"]),
-            sigma_static=float(d.get("sigma_static", 0.0)),
-        )
-    if kind == "spin_bath":
-        couplings = tuple(float(b) for b in d["couplings"])
-        return SpinBathSpec(
-            n_bath=len(couplings),
-            couplings=couplings,
-            bath_couplings=np.array(d["bath_couplings"], dtype=float),
-            system_offset=float(d.get("system_offset", 0.0)),
-        )
-    if kind == "targets":
-        return CalibrationTargets(float(d["t2_star_s"]), float(d["t2_hahn_s"]))
-    if kind == "calibration":
-        return CalibrationFileRef(str(d["path"]))
-    raise ConfigError(f"unknown noise kind {kind!r}")
-
-
-def config_from_dict(d: dict) -> ExperimentConfig:
-    try:
-        _reject_unknown_keys((k for k in d if k not in _LEGACY_KEYS), _CONFIG_KEYS, "the config")
-        if not isinstance(d["noise"], dict):
-            raise ConfigError(f"noise must be an object, got {d['noise']!r}")
-        for key in ("gates", "schemes", "tau_grid_s"):
-            if not isinstance(d[key], (list, tuple)):
-                raise ConfigError(f"{key} must be a list, got {d[key]!r}")
-        optional = {"epsilon": d["epsilon"]} if "epsilon" in d else {}
-        return ExperimentConfig(
-            noise=_parse_noise(d["noise"]),
-            gates=d["gates"],
-            schemes=d["schemes"],
-            tau_grid=d["tau_grid_s"],
-            **optional,
-        )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
-
-
-def load_config(path: str) -> ExperimentConfig:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    return config_from_dict(doc)
-
-
-# Schema 1 also held the seed of the Monte-Carlo fit; both schemas load alike.
-CALIBRATION_SCHEMA = 2
-
-
-def calibration_artifact_text(targets: CalibrationTargets, result: CalibrationResult) -> str:
-    doc = {
-        "schema": CALIBRATION_SCHEMA,
-        "targets": {"t2_star_s": targets.t2_star_s, "t2_hahn_s": targets.t2_hahn_s},
-        "params": {
-            "kind": "ou",
-            "sigma": result.params.sigma,
-            "tau_c_s": result.params.tau_c,
-            "dt_s": result.params.dt,
-            "sigma_static": result.params.sigma_static,
-        },
-        "fitted": {
-            "t2_star_s": result.fitted_t2_star,
-            "t2_hahn_s": result.fitted_t2_hahn,
-        },
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def load_calibration(path: str) -> OUNoiseSpec:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        schema = doc.get("schema", 1)
-        if schema not in (1, CALIBRATION_SCHEMA):
-            raise ValueError(f"unknown schema {schema!r}")
-        if doc["params"].get("kind") != "ou":
-            raise ValueError(f"params must be of kind 'ou', got {doc['params'].get('kind')!r}")
-        return _parse_noise(doc["params"])
-    except (OSError, json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot load calibration artifact {path}: {exc}") from exc
-
-
-def run_calibration(cfg: ExperimentConfig, out_path: str | None = None) -> CalibrationResult:
-    """Calibrate the configured targets; persist the artifact when out_path is given.
-
-    Deterministic per targets: reruns write byte-identical artifacts.
-    """
-    if not isinstance(cfg.noise, CalibrationTargets):
-        raise ConfigError("run_calibration requires noise of kind 'targets'")
-    result = calibrate_to_targets(cfg.noise.t2_star_s, cfg.noise.t2_hahn_s)
-    if out_path is not None:
-        text = calibration_artifact_text(cfg.noise, result)
-        Path(out_path).write_text(text, encoding="utf-8")
-    return result
-
-
-def resolve_noise(cfg: ExperimentConfig):
-    """Turn the configured noise into a concrete simulator model."""
-    if isinstance(cfg.noise, (OUNoiseSpec, SpinBathSpec)):
-        return cfg.noise
-    if isinstance(cfg.noise, CalibrationTargets):
-        return calibrate_to_targets(cfg.noise.t2_star_s, cfg.noise.t2_hahn_s).params
-    if isinstance(cfg.noise, CalibrationFileRef):
-        return load_calibration(cfg.noise.path)
-    raise ConfigError(f"unsupported noise entry {type(cfg.noise).__name__}")
 
 
 def build_schedule(gate: str, scheme: str, tau: float):

@@ -1,10 +1,11 @@
-"""Dephasing noise models and their calibration.
+"""Dephasing noise models: the quantum spin bath, and the decay curves of either model.
 
 Two families: a quantum spin bath (system-bath Ising coupling plus secular
 dipolar intra-bath flip-flops) and a classical Ornstein-Uhlenbeck frequency
 trajectory with an optional static inhomogeneous-broadening offset.  The
-classical model is calibrated so its free-induction and Hahn-echo 1/e times
-hit measured targets.
+classical model, its phase variance and its calibration to measured
+free-induction and Hahn-echo 1/e times live in `ou`, which needs no numpy;
+their names are re-exported here.
 """
 
 from __future__ import annotations
@@ -15,14 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_MAX_SPINS, rotation_unitary
-
-ONE_OVER_E = 1.0 / math.e
-
-# The calibration skips the static offset when the OU part alone puts the FID
-# time within this relative distance of its target (the equal-target case).
-EQUAL_TARGET_RTOL = 0.01
-# The calibration gives up after this many halvings of tau_c.
-MAX_TAU_C_HALVINGS = 12
+from .ou import (  # those noise does not use are re-exported for its callers
+    CalibrationError,
+    CalibrationResult,
+    OUNoiseSpec,
+    calibrate_to_targets,
+    coherence_1e_time,
+    ou_coherence,
+    phase_variance,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,49 +55,6 @@ class SpinBathSpec:
             raise ValueError("bath_couplings must be symmetric with zero diagonal")
         d.setflags(write=False)
         object.__setattr__(self, "bath_couplings", d)
-
-
-@dataclass(frozen=True)
-class OUNoiseSpec:
-    """Classical dephasing frequency: OU process plus optional static offset."""
-
-    sigma: float  # stationary std of the fluctuating part, rad/s
-    tau_c: float  # correlation time, s
-    dt: float  # trajectory step, s
-    sigma_static: float = 0.0  # std of the per-realization static offset, rad/s
-
-    def __post_init__(self):
-        # Chained comparisons are False for NaN, so these also reject NaN and inf.
-        if not (0 <= self.sigma < math.inf and 0 <= self.sigma_static < math.inf):
-            raise ValueError("sigma and sigma_static must be finite and non-negative")
-        if not 0 < self.tau_c < math.inf:
-            raise ValueError("tau_c must be positive and finite")
-        # dt must resolve the correlation time.
-        if not 0 < self.dt <= self.tau_c / 10 * (1 + 1e-12):
-            raise ValueError("dt must satisfy 0 < dt <= tau_c / 10")
-
-
-class CalibrationError(RuntimeError):
-    """Raised when the noise parameters cannot reach the requested targets."""
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    """1/e decay times of a fitted noise spec, read off its exact curves, and the spec.
-
-    An echo never has more phase variance than free induction of the same
-    length, so fitted_t2_star <= fitted_t2_hahn always holds.
-    """
-
-    fitted_t2_star: float
-    fitted_t2_hahn: float
-    params: OUNoiseSpec
-
-    def __post_init__(self):
-        if self.fitted_t2_star <= 0 or self.fitted_t2_hahn <= 0:
-            raise ValueError("fitted times must be positive")
-        if self.fitted_t2_star > self.fitted_t2_hahn:
-            raise ValueError("fitted_t2_star must not exceed fitted_t2_hahn")
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,59 +163,6 @@ def default_spin_bath(
     return SpinBathSpec(n_bath, tuple(b), d, system_offset)
 
 
-def _step_count(total_time: float, dt: float) -> int:
-    return max(1, math.ceil(total_time / dt - 1e-9))
-
-
-def _grid_point(t, dt: float, n_steps: int):
-    """Step k = min(floor(t / dt), n_steps) and remainder f = max(t - k dt, 0) of time t."""
-    k = np.minimum(np.floor(t / dt), n_steps).astype(int)
-    return k, np.maximum(t - k * dt, 0.0)
-
-
-def _covariance(x: float, dt: float, s, t):
-    """Cov(phi(s), phi(t)) / sigma^2 of the unit OU part at grid points s <= t, x = dt / tau_c.
-
-    phi at (k, f) is dt * sum_{j<k} delta_j + f * delta_k and Cov(delta_i, delta_j)
-    = sigma^2 a^|i-j|, a = exp(-x): each double sum is a geometric series.
-    """
-    a, om = math.exp(-x), -math.expm1(-x)  # om = 1 - a
-
-    def rise(n):  # 1 - a^n
-        return -np.expm1(-n * x)
-
-    (ks, fs), (kt, ft) = s, t
-    m = kt - ks
-    blocks = (ks * (1 + a) * om - a * rise(ks) * (2 - rise(m))) / om**2
-    point_t = np.exp(-(m + 1) * x) * rise(ks) / om
-    point_s = (rise(ks + 1) + a * rise(m - 1)) / om
-    return dt * dt * blocks + dt * (ft * point_t + fs * point_s) + fs * ft * np.exp(-m * x)
-
-
-def phase_variance(spec: OUNoiseSpec, edges, weights):
-    """Var of sum_j w_j (phi(t_j) - phi(t_{j-1})), t_0 = 0, for the grid model.
-
-    edges are the times t_1 <= .. <= t_J (scalars, or arrays of curve points),
-    weights the w_j.  With c_j = w_j - w_{j+1} (w_{J+1} = 0) the sum is
-    sum_j c_j phi(t_j), and its variance is sigma^2 sum_ij c_i c_j C_ij +
-    sigma_static^2 (sum_j c_j t_j)^2, C_ij the `_covariance` of phi(t_i) and
-    phi(t_j): O(J^2) per curve point, whatever the trajectory length.  FID is
-    ((t,), (1,)), a Hahn echo ((t/2, t), (1, -1)) (Cywinski et al., PRB 77,
-    174509 (2008)).
-    """
-    dt, x = spec.dt, spec.dt / spec.tau_c
-    n_steps = _step_count(float(np.max(edges[-1])), dt)
-    points = [_grid_point(np.asarray(t, dtype=float), dt, n_steps) for t in edges]
-    c = np.subtract(weights, np.append(weights[1:], 0.0)).tolist()
-    var_ou = area = 0.0
-    for i, p in enumerate(points):
-        row = c[i] * _covariance(x, dt, p, p) + 2.0 * sum(
-            c[j] * _covariance(x, dt, p, points[j]) for j in range(i + 1, len(points)))
-        var_ou = var_ou + c[i] * row
-        area = area + c[i] * (p[0] * dt + p[1])  # the static offset sees the grid time
-    return spec.sigma**2 * var_ou + spec.sigma_static**2 * area**2
-
-
 def _bath_coherences(spec: SpinBathSpec, delays: np.ndarray, echo: bool) -> np.ndarray:
     total = np.zeros(len(delays), dtype=complex)
     for frame in bath_frame(spec):
@@ -279,16 +185,13 @@ def _decay_curve(noise, delays, echo: bool):
     if delays.size == 0 or delays[0] < 0 or np.any(np.diff(delays) <= 0):
         raise ValueError("delays must be non-negative and increasing")
     if isinstance(noise, OUNoiseSpec):
-        # The trajectory is Gaussian, so each phase is too, and the coherence is
-        # exp(-Var(phi) / 2) (Klauder & Anderson, Phys. Rev. 125, 912 (1962)).
-        edges, weights = ((delays / 2.0, delays), (1.0, -1.0)) if echo else ((delays,), (1.0,))
-        coh = np.exp(-0.5 * phase_variance(noise, edges, weights))
+        coh = ou_coherence(noise, delays.tolist(), echo)
     elif isinstance(noise, SpinBathSpec):
         # The maximally mixed bath average is exact; no sampling involved.
-        coh = _bath_coherences(noise, delays, echo)
+        coh = _bath_coherences(noise, delays, echo).tolist()
     else:
         raise TypeError(f"unsupported noise model {type(noise).__name__}")
-    return list(zip(delays.tolist(), coh.tolist()))
+    return list(zip(delays.tolist(), coh))
 
 
 def fid_decay_curve(noise, delays):
@@ -299,68 +202,3 @@ def fid_decay_curve(noise, delays):
 def hahn_decay_curve(noise, delays):
     """Exact coherence at each delay with an ideal pi_x refocusing pulse at delay/2."""
     return _decay_curve(noise, delays, echo=True)
-
-
-def coherence_1e_time(curve) -> float:
-    """First 1/e crossing of a (delay, coherence) curve, linearly interpolated."""
-    times = np.asarray([p[0] for p in curve], dtype=float)
-    coh = np.asarray([p[1] for p in curve], dtype=float)
-    below = np.nonzero(coh < ONE_OVER_E)[0]
-    if below.size == 0:
-        raise ValueError("coherence never crosses 1/e within the delay grid")
-    i = int(below[0])
-    if i == 0:
-        raise ValueError("coherence starts below 1/e; extend the grid toward 0")
-    f = (coh[i - 1] - ONE_OVER_E) / (coh[i - 1] - coh[i])
-    return float(times[i - 1] + f * (times[i] - times[i - 1]))
-
-
-def _solved(value: float, lo: float, hi: float, what: str) -> float:
-    if not lo <= value <= hi:
-        raise CalibrationError(f"{what} is {value:.3g} rad/s, outside [{lo:.3g}, {hi:.3g}] rad/s")
-    return value
-
-
-def calibrate_to_targets(target_t2_star: float, target_t2_hahn: float) -> CalibrationResult:
-    """Fit an OU-plus-static model to FID and Hahn 1/e time targets, in closed form.
-
-    The coherence is exp(-(sigma^2 V + sigma_static^2 t^2) / 2), V the phase
-    variance at unit sigma (`phase_variance`), and static offsets refocus in
-    the echo.  So sigma = sqrt(2 / V_hahn(T2)) puts the Hahn 1/e time exactly on
-    its target; tau_c is halved until the OU part alone brings the FID time to
-    at least (1 - EQUAL_TARGET_RTOL) x its target; unless that time is then
-    within the same tolerance, sigma_static = sqrt(2 - sigma^2 V_fid(T2*)) / T2*
-    puts the FID time exactly on its target.  A sigma outside [1e2, 10^7.5]
-    rad/s or a sigma_static outside [10^0.5, 10^6.5] rad/s raises
-    CalibrationError.  The fit is deterministic and needs no seed; the fitted
-    times it reports are the linear read-outs of 181-point curves over
-    [0, 3 T2], which land within a few 1e-4 (relative) of the exact targets.
-    """
-    if not 0 < target_t2_star <= target_t2_hahn < math.inf:
-        raise ValueError("targets must satisfy 0 < target_t2_star <= target_t2_hahn < inf")
-
-    def fid_variance(t):  # of the OU part at the current sigma and tau_c
-        return sigma**2 * phase_variance(unit, (t,), (1.0,))
-
-    tau_c = target_t2_hahn / 5.0
-    for _ in range(MAX_TAU_C_HALVINGS + 1):
-        unit = OUNoiseSpec(1.0, tau_c, tau_c / 10)
-        sigma = _solved(math.sqrt(2.0 / phase_variance(unit, (target_t2_hahn / 2, target_t2_hahn), (1.0, -1.0))),
-                        1e2, 10**7.5, f"sigma for the Hahn target {target_t2_hahn:.3g} s at tau_c={tau_c:.3g} s")
-        # Each halving doubles the trajectory step count of the fitted model.
-        if fid_variance((1.0 - EQUAL_TARGET_RTOL) * target_t2_star) <= 2.0:
-            break
-        tau_c /= 2.0
-    else:
-        raise CalibrationError(
-            f"OU-only FID time stayed below {1.0 - EQUAL_TARGET_RTOL:g} x the {target_t2_star:.3g} s "
-            f"target after {MAX_TAU_C_HALVINGS} tau_c halvings"
-        )
-    sigma_static = 0.0
-    if fid_variance((1.0 + EQUAL_TARGET_RTOL) * target_t2_star) < 2.0:
-        sigma_static = _solved(math.sqrt(2.0 - fid_variance(target_t2_star)) / target_t2_star,
-                               10**0.5, 10**6.5, f"sigma_static for the FID target {target_t2_star:.3g} s")
-    params = OUNoiseSpec(sigma, tau_c, tau_c / 10, sigma_static)
-    delays = np.linspace(0.0, 3.0 * target_t2_hahn, 181)
-    return CalibrationResult(coherence_1e_time(fid_decay_curve(params, delays)),
-                             coherence_1e_time(hahn_decay_curve(params, delays)), params)

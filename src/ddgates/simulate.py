@@ -78,7 +78,9 @@ def _apply_run(frame, run, xt: np.ndarray) -> np.ndarray:
     return xt
 
 
-@functools.lru_cache(maxsize=64)  # 16 (scaled angle, duration) keys x the 4 stacks of a 6-spin bath: 0.9 MB
+# The README grid on a 6-spin bath needs 18 (scaled angle, duration) keys x its 4 stacks = 72 entries;
+# 96 hold 24 keys of 59 kB over the 4 stacks, 1.4 MB at most.
+@functools.lru_cache(maxsize=96)
 def _soft_exponential(frame, angle: float, duration: float) -> np.ndarray:
     """exp(-i G t), t = duration, per sector, of the framed drift diag(w) plus the
     phase-0 drive (angle / t) S_x (x) I, whose framed off-diagonal blocks are
@@ -92,7 +94,9 @@ def _soft_exponential(frame, angle: float, duration: float) -> np.ndarray:
     return u
 
 
-@functools.lru_cache(maxsize=192)  # 48 distinct pulse events x the 4 stacks of a 6-spin bath: 2.8 MB
+# The README grid on a 6-spin bath needs 67 distinct pulse events x its 4 stacks = 268 entries;
+# 320 hold 80 events of 59 kB over the 4 stacks, 4.7 MB at most.
+@functools.lru_cache(maxsize=320)
 def _framed_pulse(frame, ev) -> np.ndarray:
     """A pulse event in the frame, amplitude scale applied, as one product per sector.
     A hard pulse (duration 0) is `BathFrame.pulse` of its rotation.  A soft half is

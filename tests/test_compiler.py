@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,3 +363,28 @@ def test_compile_builds_and_checks_each_distinct_event_once(monkeypatch):
     monkeypatch.setattr(simulate, "rotation_unitary", lambda *args: (calls.append(args), rotation_unitary(*args))[1])
     assert verify_schedule(sched) > 1 - 1e-9
     assert len(calls) == len({ev for ev in sched.events if ev.kind != "delay"})
+
+
+_EVENTS_SCRIPT = """
+import pickle, sys
+from ddgates.compiler import apply_amplitude_error
+from ddgates.harness import build_schedule
+events = apply_amplitude_error(build_schedule("H", "kdd", 1e-5), 0.01).events
+if sys.argv[1] == "dump":
+    sys.stdout.buffer.write(pickle.dumps(events))
+else:
+    loaded = pickle.loads(sys.stdin.buffer.read())
+    assert loaded == events and [hash(ev) for ev in loaded] == [hash(ev) for ev in events]
+    assert len({*loaded, *events}) == len(set(events))
+"""
+
+
+def test_equal_events_hash_equal_after_a_pickle_round_trip_into_another_hash_seed():
+    # An event hashes once and a pickled copy carries that hash, as into a pool worker; str
+    # hashes are salted per process, so the event kind must enter the hash as its index.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    dumped = subprocess.run([sys.executable, "-c", _EVENTS_SCRIPT, "dump"], env=dict(env, PYTHONHASHSEED="1"),
+                            capture_output=True, check=True, timeout=120).stdout
+    subprocess.run([sys.executable, "-c", _EVENTS_SCRIPT, "load"], input=dumped, env=dict(env, PYTHONHASHSEED="2"),
+                   check=True, timeout=120)

@@ -581,22 +581,57 @@ def test_cli_rejects_a_misspelt_config_key_naming_it(tmp_path, capsys, config, k
     assert err.startswith("error: unknown key ") and repr(key) in err
 
 
-@pytest.mark.parametrize("noise", [
-    {"kind": "spin_bath", "couplings": [1e4, 2e4], "bath_couplings": [[0.0, 5e3], [5e3, 0.0]]},
-    BASE_CONFIG["noise"],
-], ids=["bath", "ou"])
-def test_cli_sweep_imports_numpy_only(tmp_path, noise):
+_BATH_NOISE = {"kind": "spin_bath", "couplings": [1e4, 2e4], "bath_couplings": [[0.0, 5e3], [5e3, 0.0]]}
+_TARGETS_NOISE = {"kind": "targets", "t2_star_s": 3.7e-4, "t2_hahn_s": 7.5e-4}
+
+
+@pytest.mark.parametrize("config, key", [
+    (dict(BASE_CONFIG, noise=dict(BASE_CONFIG["noise"], sigma=True)), "sigma"),
+    (dict(BASE_CONFIG, noise=dict(BASE_CONFIG["noise"], sigma="4000")), "sigma"),
+    (dict(BASE_CONFIG, noise=dict(BASE_CONFIG["noise"], tau_c_s="1.5e-4")), "tau_c_s"),
+    (dict(BASE_CONFIG, noise=dict(BASE_CONFIG["noise"], dt_s=True)), "dt_s"),
+    (dict(BASE_CONFIG, noise=dict(BASE_CONFIG["noise"], sigma_static=False)), "sigma_static"),
+    (dict(BASE_CONFIG, noise=dict(_BATH_NOISE, couplings=[True, 2e4])), "couplings"),
+    (dict(BASE_CONFIG, noise=dict(_BATH_NOISE, bath_couplings=[[0.0, "5e3"], [5e3, 0.0]])), "bath_couplings"),
+    (dict(BASE_CONFIG, noise=dict(_BATH_NOISE, system_offset="0")), "system_offset"),
+    (dict(BASE_CONFIG, noise=dict(_TARGETS_NOISE, t2_star_s="3.7e-4")), "t2_star_s"),
+    (dict(BASE_CONFIG, noise=dict(_TARGETS_NOISE, t2_hahn_s=True)), "t2_hahn_s"),
+    (dict(BASE_CONFIG, tau_grid_s=[True]), "tau_grid_s"),
+    (dict(BASE_CONFIG, tau_grid_s=[7.5e-6, "1.5e-5"]), "tau_grid_s"),
+    (dict(BASE_CONFIG, epsilon=False), "epsilon"),
+    (dict(BASE_CONFIG, epsilon="0.01"), "epsilon"),
+], ids=["sigma_bool", "sigma_str", "tau_c_str", "dt_bool", "sigma_static_bool", "couplings_bool", "bath_couplings_str",
+        "system_offset_str", "t2_star_str", "t2_hahn_bool", "tau_grid_bool", "tau_grid_str", "epsilon_bool",
+        "epsilon_str"])
+def test_config_rejects_a_boolean_or_string_number_naming_its_key(tmp_path, config, key):
+    # float() takes both: "sigma": true would simulate 1 rad/s and "epsilon": false no error.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{key} must be a number"):
+        load_config(str(cfg_path))
+    if key in config["noise"] and config["noise"]["kind"] == "ou":  # an artifact's params load by the same rule
+        artifact = tmp_path / "calibration.json"
+        artifact.write_text(json.dumps({"schema": 2, "params": config["noise"]}), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"{key} must be a number"):
+            load_calibration(str(artifact))
+
+
+@pytest.mark.parametrize("noise, command, absent", [
+    (_BATH_NOISE, ["sweep", "--summary", "summary.json"], "numpy.ma numpy.random scipy"),
+    (BASE_CONFIG["noise"], ["sweep", "--summary", "summary.json"], "numpy.ma numpy.random scipy"),
+    (_TARGETS_NOISE, ["calibrate"], "numpy scipy"),
+], ids=["bath", "ou", "calibrate"])
+def test_cli_sweep_imports_numpy_only(tmp_path, noise, command, absent):
     # numpy.ma costs a fresh process about 13 ms to import; np.unique and np.median pull
     # it in.  numpy.random adds about 9 ms and 6 MB of peak RSS, and no engine samples.
-    # scipy is a test dependency only: no engine may import it at run time.
+    # scipy is a test dependency only: no engine may import it at run time.  calibrate
+    # runs on the standard library alone: numpy is about 130 ms of its process.
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(dict(BASE_CONFIG, noise=noise)), encoding="utf-8")
-    code = ("import sys; from ddgates.cli import main; code = main(sys.argv[1:]); "
-            "assert 'numpy.ma' not in sys.modules; assert 'numpy.random' not in sys.modules; "
-            "assert 'scipy' not in sys.modules; sys.exit(code)")
-    env = _env_with_src()
-    subprocess.run([sys.executable, "-c", code, "sweep", "--config", str(cfg_path), "--out", str(tmp_path / "rows.csv"),
-                    "--summary", str(tmp_path / "summary.json")], env=env, check=True, timeout=120)
+    code = ("import sys; from ddgates.cli import main; code = main(sys.argv[2:]); "
+            "assert not set(sys.argv[1].split()) & set(sys.modules), sys.argv[1]; sys.exit(code)")
+    subprocess.run([sys.executable, "-c", code, absent, *command, "--config", str(cfg_path), "--out", "out"],
+                   env=_env_with_src(), cwd=tmp_path, check=True, timeout=120)
 
 
 def test_cli_sweep_reports_failed_cells(tmp_path, capsys):

@@ -11,7 +11,6 @@ from ddgates.noise import (
     CalibrationResult,
     OUNoiseSpec,
     SpinBathSpec,
-    _step_count,
     bath_frame,
     calibrate_to_targets,
     coherence_1e_time,
@@ -20,6 +19,7 @@ from ddgates.noise import (
     hahn_decay_curve,
     phase_variance,
 )
+from ddgates.ou import _step_count
 from ddgates.simulate import bath_channel_output, bath_propagator
 from helpers import bath_hamiltonians, ou_propagators, ou_trajectory, total_hamiltonian, trajectory
 

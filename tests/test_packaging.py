@@ -33,3 +33,23 @@ def test_noise_and_calibration_demo_runs():
     assert proc.returncode == 0, proc.stderr
     assert "fitted T2*   =     370.0 us" in proc.stdout
     assert "fitted T2    =     750.0 us" in proc.stdout
+
+
+_STAR_SCRIPT = """
+import importlib, sys
+import ddgates
+assert "numpy" not in sys.modules
+names = {}
+exec("from ddgates import *", names)
+del names["__builtins__"]
+assert sorted(names) == ddgates.__all__, sorted(names)
+for name, obj in names.items():
+    assert obj is getattr(importlib.import_module("ddgates." + ddgates._MODULE_OF[name]), name), name
+assert set(ddgates.__all__) <= set(dir(ddgates))
+"""
+
+
+def test_package_import_leaves_numpy_out_and_star_binds_each_submodule_object():
+    # Every public name comes from its submodule on first use, so `import ddgates` loads no engine.
+    proc = _run_python("-c", _STAR_SCRIPT)
+    assert proc.returncode == 0, proc.stderr

@@ -29,16 +29,16 @@ from ddgates.compiler import (
     schedule_to_json,
 )
 from ddgates.core import DEFAULT_MAX_SPINS, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, hermitian_expm, rotation_unitary
-from ddgates.harness import GATES, REFERENCE_GATE_TIMES_S, SCHEMES, build_schedule, simulate_cell
+from ddgates.harness import GATES, REFERENCE_GATE_TIMES_S, SCHEMES, ExperimentConfig, build_schedule, run_sweep, simulate_cell
 from ddgates.noise import (
     OUNoiseSpec,
     SpinBathSpec,
-    _step_count,
     bath_frame,
     calibrate_to_targets,
     default_spin_bath,
     phase_variance,
 )
+from ddgates.ou import _step_count
 from ddgates.simulate import (
     _pulse_cayley_klein,
     average_channel_output,
@@ -592,6 +592,17 @@ def test_bath_soft_halves_exponentiate_once_per_scaled_angle(monkeypatch):
     for kind in ("xy4", "xy8", "kdd"):
         bath_propagator(apply_amplitude_error(build_schedule("PI8", kind, 1e-5), 0.01), spec)
     assert len(calls) == 10
+
+
+def test_a_second_readme_bath_sweep_adds_no_cache_miss():
+    # The README grid on the benchmark's 6-spin bath needs 268 framed pulses and 72 soft
+    # exponentials; both caches hold them, so a second sweep in the same process builds none.
+    cfg = ExperimentConfig(default_spin_bath(6), GATES, SCHEMES, (3e-6, 1e-5, 3e-5), epsilon=0.01)
+    caches = (simulate._framed_pulse, simulate._soft_exponential)
+    run_sweep(cfg)
+    misses = [cache.cache_info().misses for cache in caches]
+    run_sweep(cfg)
+    assert [cache.cache_info().misses for cache in caches] == misses
 
 
 def test_bath_repeated_runs_differing_in_one_amplitude_scale_stay_apart():
