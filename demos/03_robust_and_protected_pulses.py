@@ -11,14 +11,7 @@ import numpy as np
 from ddgates import apply_amplitude_error, bb1_expand, ideal_propagator
 from ddgates.compiler import XY4, decompose_gate, gate_target, hard_pulse_schedule, protected_bb1_gate
 from ddgates.noise import SpinBathSpec
-from ddgates.simulate import bath_channel_output, bath_propagator
-from ddgates.tomography import (
-    TOMO_INPUT_STATES,
-    ChannelSamples,
-    chi_reconstruct,
-    gate_fidelity,
-    ideal_channel_samples,
-)
+from ddgates.tomography import chi_reconstruct, gate_fidelity, ideal_channel_samples, simulate_channel
 
 print("Amplitude-error response of a NOT pulse (propagator max-norm error):")
 rotations = decompose_gate("NOT")
@@ -43,9 +36,7 @@ spec = SpinBathSpec(
 print(f"  {'tau (us)':>9s} {'gate time (us)':>15s} {'infidelity':>11s}")
 for tau in np.geomspace(2e-6, 2e-5, 5):
     sched = protected_bb1_gate(rotations, XY4, float(tau))
-    u = bath_propagator(sched, spec)
-    outputs = tuple(bath_channel_output(u, rho, 2) for rho in TOMO_INPUT_STATES)
-    chi = chi_reconstruct(ChannelSamples(outputs))
+    chi = chi_reconstruct(simulate_channel(sched, spec))
     chi_ideal = chi_reconstruct(ideal_channel_samples(sched.target_gate))
     inf = 1.0 - gate_fidelity(chi, chi_ideal)
     print(f"  {tau * 1e6:9.2f} {sched.total_duration * 1e6:15.1f} {inf:11.2e}")

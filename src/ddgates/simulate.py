@@ -4,8 +4,8 @@ Schedules are consumed structurally: an ordered event list where each event
 is a delay, an instantaneous hard pulse, or a finite-duration weak rotation
 during which the noise acts concurrently.  Three engines, all exact: ideal (no
 noise), quantum spin bath (by bath magnetization sector), and the classical OU
-model's noise-averaged moments on Gauss-Hermite nodes.  `channel_operators`
-turns any of them into the operators whose average is the system channel.
+model's noise-averaged moments on Gauss-Hermite nodes.  `channel_gram` turns
+any of them into the system channel's 4x4 Gram matrix.
 """
 
 from __future__ import annotations
@@ -174,6 +174,8 @@ def _turn(y: np.ndarray, alpha, beta) -> np.ndarray:
 
 # w = (u, v, u*, v*) = _Z q, and _Z _Z^dag = 2 I.
 _Z = np.array([[1, 0, 0, 1j], [0, 1, 1j, 0], [1, 0, 0, -1j], [0, 1, -1j, 0]])
+# vec(q0 - i q.sigma) = _W q, row-major.
+_W = np.array([[1, 0, 0, -1j], [0, -1j, -1, 0], [0, -1j, 1, 0], [1, 0, 0, 1j]])
 
 
 def ou_moment(schedule, spec: OUNoiseSpec, offsets, weights) -> np.ndarray:
@@ -213,40 +215,32 @@ def ou_moment(schedule, spec: OUNoiseSpec, offsets, weights) -> np.ndarray:
     return (_Z.conj().T @ np.block([[a, b], [b.conj(), a.conj()]]) @ _Z).real / 4
 
 
-def channel_operators(schedule, noise_model) -> np.ndarray:
-    """Operators K, shape (k, 2, 2), whose mean of K rho K^dag is the system channel.
+def channel_gram(schedule, noise_model) -> np.ndarray:
+    """The system channel's 4x4 Gram matrix G = E[vec K vec K^dag], vec row-major, over operators
+    K whose mean of K rho K^dag is the channel, so that output_ac = sum_be G_(ab),(ce) rho_be.
 
-    noise_model None gives the ideal propagator with amplitude scales applied; a
-    SpinBathSpec gives the d^2 system blocks of the exact propagator times sqrt(d),
-    d = 2**n_bath, which average the maximally mixed bath exactly; an OUNoiseSpec
-    gives sqrt(k lambda) U(v) over the k positive eigenpairs of `ou_moment`, at most 4,
-    with STATIC_NODES Gauss-Hermite offsets (one if sigma_static is 0).  An
-    eigenvalue below -1e-12 raises ValueError.  Every channel is exact: nothing
-    is sampled.
+    None: vec U vec U^dag of the ideal propagator with amplitude scales applied.  SpinBathSpec,
+    bath maximally mixed: sum_jk U_(aj),(bk) U*_(cj),(ek) / d over the bath states of the exact
+    propagator, d = 2**n_bath.  OUNoiseSpec: W M W^dag, vec(q0 - i q.sigma) = W q, M `ou_moment`
+    at STATIC_NODES Gauss-Hermite offsets (one if sigma_static is 0).  Exact; nothing is sampled.
+    An eigenvalue of G below -1e-12 raises ValueError.
     """
     if noise_model is None:
-        return ideal_propagator(schedule, honor_amplitude=True)[None]
-    if isinstance(noise_model, OUNoiseSpec):
+        u = ideal_propagator(schedule, honor_amplitude=True).reshape(-1)
+        g = np.outer(u, u.conj())
+    elif isinstance(noise_model, OUNoiseSpec):
         x, w = hermite_nodes(STATIC_NODES if noise_model.sigma_static else 1)
-        lam, v = np.linalg.eigh(ou_moment(schedule, noise_model, noise_model.sigma_static * x, w))
-        if lam[0] < -1e-12:
-            raise ValueError(f"the OU moment has eigenvalue {lam[0]:.3g} < -1e-12")
-        keep = lam > 0.0
-        q0, q1, q2, q3 = v[:, keep] * np.sqrt(keep.sum() * lam[keep])
-        return np.stack((q0 - 1j * q3, -1j * q1 - q2, -1j * q1 + q2, q0 + 1j * q3), axis=-1).reshape(-1, 2, 2)
-    if isinstance(noise_model, SpinBathSpec):
+        g = _W @ ou_moment(schedule, noise_model, noise_model.sigma_static * x, w) @ _W.conj().T
+    elif isinstance(noise_model, SpinBathSpec):
         d = 2**noise_model.n_bath
-        # Block (j, k) is <j|_bath U |k>_bath; Tr_bath[U (rho x I/d) U^dag] sums
-        # its conjugations over (j, k) with weight 1/d.
-        blocks = bath_propagator(schedule, noise_model).reshape(2, d, 2, d)
-        return math.sqrt(d) * blocks.transpose(1, 3, 0, 2).reshape(d * d, 2, 2)
-    raise TypeError(f"unsupported noise model {type(noise_model).__name__}")
-
-
-def average_channel_output(propagators: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Ensemble-averaged U rho U^dag over a batch of 2x2 propagators, shape (n, 2, 2)."""
-    u = np.asarray(propagators)
-    return np.einsum("rij,jk,rlk->il", u, rho, u.conj()) / u.shape[0]
+        u = bath_propagator(schedule, noise_model).reshape(2, d, 2, d)
+        g = np.einsum("ajbk,cjek->abce", u, u.conj()).reshape(4, 4) / d
+    else:
+        raise TypeError(f"unsupported noise model {type(noise_model).__name__}")
+    low = np.linalg.eigvalsh(g)[0]
+    if low < -1e-12:
+        raise ValueError(f"the channel's Gram matrix has eigenvalue {low:.3g} < -1e-12")
+    return g
 
 
 def bath_channel_output(u_full: np.ndarray, rho_sys: np.ndarray, n_bath: int) -> np.ndarray:

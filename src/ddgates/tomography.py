@@ -1,13 +1,12 @@
 """Single-qubit process tomography and the propagator/process fidelity metric.
 
 Chi matrices are expanded in the operator basis (I, sigma_x, i*sigma_y,
-sigma_z).  A simulated channel is an average of K rho K^dag over an operator
-ensemble, so its chi is computed directly from the operators' basis
-coefficients.  Measured output states on the four inputs |0>, |1>, |+>, |+i>
-are reconstructed by plain linear inversion of the resulting 16x16 system,
-which also serves as the independent check of the direct route.  No
-positivity projection is applied; defects of a reconstruction are reported,
-not repaired.
+sigma_z).  A simulated channel is held as its Gram matrix G (`channel_gram`),
+and its chi is one fixed change of basis of G.  Measured output states on the
+four inputs |0>, |1>, |+>, |+i> are reconstructed by plain linear inversion of
+the resulting 16x16 system, which also serves as the independent check of the
+direct route.  No positivity projection is applied; defects of a
+reconstruction are reported, not repaired.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
-from .simulate import average_channel_output, channel_operators
+from .simulate import channel_gram
 
 CHI_BASIS: tuple[np.ndarray, ...] = (IDENTITY_2, SIGMA_X, 1j * SIGMA_Y, SIGMA_Z)
 
@@ -30,7 +29,9 @@ KET_PLUS_I = np.array([1.0, 1j], dtype=complex) / math.sqrt(2)
 TOMO_INPUT_STATES: tuple[np.ndarray, ...] = tuple(
     np.outer(k, k.conj()) for k in (KET_0, KET_1, KET_PLUS, KET_PLUS_I)
 )
-for _m in CHI_BASIS + TOMO_INPUT_STATES:
+# Row m is conj(vec B_m), so T vec K = Tr(B_m^dag K) = 2 c_m for K = sum_m c_m B_m.
+_T = np.array([b.conj().reshape(-1) for b in CHI_BASIS])
+for _m in CHI_BASIS + TOMO_INPUT_STATES + (_T,):
     _m.setflags(write=False)
 
 
@@ -64,6 +65,8 @@ class ChannelSamples:
             rho = np.asarray(rho, dtype=complex)
             if rho.shape != (2, 2):
                 raise ValueError(f"output states must be 2x2, got {rho.shape}")
+            if not np.isfinite(rho).all():
+                raise ValueError("output state has a non-finite entry")
             if abs(np.trace(rho) - 1.0) > 1e-6 or np.max(np.abs(rho - rho.conj().T)) > 1e-6:
                 raise ValueError("output state is not a density matrix within tolerance")
             rho.setflags(write=False)
@@ -106,16 +109,17 @@ def chi_reconstruct(samples: ChannelSamples) -> ChiMatrix:
     return ChiMatrix(chi)
 
 
-def chi_from_operators(ops: np.ndarray) -> ChiMatrix:
-    """Chi matrix of the channel rho -> mean over k of K_k rho K_k^dag, ops shape (n, 2, 2).
+def chi_from_gram(g: np.ndarray) -> ChiMatrix:
+    """Chi of the channel of Gram matrix g = E[vec K vec K^dag]: chi_mn = E[c_m conj(c_n)] = (T g T^dag / 4)_mn."""
+    return ChiMatrix(_T @ g @ _T.conj().T / 4)
 
-    With K = sum_m c_m B_m over the orthogonal basis (Tr(B_m^dag B_n) = 2 delta_mn),
-    chi_mn is the ensemble mean of c_m conj(c_n), and
-    c = (K00 + K11, K01 + K10, K01 - K10, K00 - K11) / 2.
-    """
-    k00, k01, k10, k11 = np.reshape(ops, (-1, 4)).T
-    c = (k00 + k11, k01 + k10, k01 - k10, k00 - k11)
-    return ChiMatrix(np.array([[np.vdot(cn, cm) for cn in c] for cm in c]) / (4 * len(ops)))
+
+def chi_from_operators(ops: np.ndarray) -> ChiMatrix:
+    """Chi matrix of the channel rho -> mean over k of K_k rho K_k^dag, ops shape (n, 2, 2)."""
+    v = np.reshape(ops, (-1, 4))
+    if len(v) == 0:
+        raise ValueError("a channel needs at least one operator")
+    return chi_from_gram(v.T @ v.conj() / len(v))
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -130,6 +134,8 @@ def gate_fidelity(a, b) -> float:
     bm = _as_matrix(b)
     if am.shape != bm.shape:
         raise ValueError(f"shape mismatch {am.shape} vs {bm.shape}")
+    if not (np.isfinite(am).all() and np.isfinite(bm).all()):
+        raise ValueError("fidelity is undefined for operators with a non-finite entry")
     na = np.trace(am @ am.conj().T).real
     nb = np.trace(bm @ bm.conj().T).real
     if na <= 0 or nb <= 0:
@@ -144,16 +150,13 @@ def ideal_channel_samples(target: np.ndarray) -> ChannelSamples:
 
 
 def simulate_channel(schedule, noise_model) -> ChannelSamples:
-    """Ensemble-averaged output states of a schedule on the tomography inputs.
-
-    The noise models are those of `channel_operators`; amplitude scales stored
-    on the schedule are part of the simulated physics.
-    """
-    ops = channel_operators(schedule, noise_model)
-    return ChannelSamples(tuple(average_channel_output(ops, rho) for rho in TOMO_INPUT_STATES))
+    """Output states on the tomography inputs of the schedule's channel under a `channel_gram`
+    noise model; amplitude scales stored on the schedule are part of the simulated physics."""
+    g = channel_gram(schedule, noise_model).reshape(2, 2, 2, 2)
+    return ChannelSamples(tuple(np.einsum("abce,be->ac", g, rho) for rho in TOMO_INPUT_STATES))
 
 
 def process_fidelity(schedule, noise_model) -> float:
     """Fidelity between the chi of the simulated channel and that of its target gate."""
-    chi_actual = chi_from_operators(channel_operators(schedule, noise_model))
+    chi_actual = chi_from_gram(channel_gram(schedule, noise_model))
     return gate_fidelity(chi_actual, chi_from_operators(schedule.target_gate[None]))

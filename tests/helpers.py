@@ -1,5 +1,6 @@
-"""Shared by the tests: independent constructions to check the package against, and the
-Monte-Carlo OU sampler that is the statistical oracle of the exact OU channel."""
+"""Shared by the tests: independent constructions to check the package against, the
+operator route to a channel that its Gram matrix replaced, and the Monte-Carlo OU
+sampler that is the statistical oracle of the exact OU channel."""
 
 import functools
 import math
@@ -10,7 +11,10 @@ import scipy.linalg
 
 from ddgates.compiler import DD_KINDS, GATE_ROTATIONS, cycle_pulse_count
 from ddgates.core import IDENTITY_2, SIGMA_X, SIGMA_Y, embed_system, spin_half_operators
-from ddgates.simulate import _pulse_cayley_klein, ideal_propagator
+from ddgates.noise import OUNoiseSpec, SpinBathSpec
+from ddgates.simulate import (
+    STATIC_NODES, _pulse_cayley_klein, bath_propagator, hermite_nodes, ideal_propagator, ou_moment,
+)
 
 
 def bath_hamiltonians(spec):
@@ -57,6 +61,34 @@ def oracle_bath_propagator(schedule, spec):
                 h_ctrl = omega * (math.cos(ev.rotation.phase) * sx + math.sin(ev.rotation.phase) * sy)
                 u = scipy.linalg.expm(-1j * (embed_system(h_ctrl, spec.n_bath) + h_noise) * ev.duration) @ u
     return u
+
+
+def channel_operators(schedule, noise_model):
+    """Operators K, shape (k, 2, 2), whose mean of K rho K^dag is the system channel.
+
+    noise_model None gives the ideal propagator with amplitude scales applied; a
+    SpinBathSpec gives the d^2 system blocks <j|U|k> of the exact propagator times
+    sqrt(d), d = 2**n_bath, which average the maximally mixed bath exactly; an
+    OUNoiseSpec gives sqrt(k lambda) U(v) over the k positive eigenpairs of `ou_moment`.
+    """
+    if noise_model is None:
+        return ideal_propagator(schedule, honor_amplitude=True)[None]
+    if isinstance(noise_model, OUNoiseSpec):
+        x, w = hermite_nodes(STATIC_NODES if noise_model.sigma_static else 1)
+        lam, v = np.linalg.eigh(ou_moment(schedule, noise_model, noise_model.sigma_static * x, w))
+        keep = lam > 0.0
+        q0, q1, q2, q3 = v[:, keep] * np.sqrt(keep.sum() * lam[keep])
+        return np.stack((q0 - 1j * q3, -1j * q1 - q2, -1j * q1 + q2, q0 + 1j * q3), axis=-1).reshape(-1, 2, 2)
+    assert isinstance(noise_model, SpinBathSpec)
+    d = 2**noise_model.n_bath
+    blocks = bath_propagator(schedule, noise_model).reshape(2, d, 2, d)
+    return math.sqrt(d) * blocks.transpose(1, 3, 0, 2).reshape(d * d, 2, 2)
+
+
+def gram_of_operators(ops):
+    """E[vec K vec K^dag] over the operators, row-major vec: the Gram matrix of their channel."""
+    v = np.reshape(ops, (-1, 4))
+    return np.einsum("ka,kc->ac", v, v.conj()) / len(v)
 
 
 def expected_pulse_count(gate: str, scheme: str) -> int:

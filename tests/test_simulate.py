@@ -41,16 +41,23 @@ from ddgates.noise import (
 from ddgates.ou import _step_count
 from ddgates.simulate import (
     _pulse_cayley_klein,
-    average_channel_output,
     bath_channel_output,
     bath_propagator,
-    channel_operators,
+    channel_gram,
     hermite_nodes,
     ideal_propagator,
     ou_moment,
 )
-from ddgates.tomography import chi_from_operators, gate_fidelity
-from helpers import oracle_bath_propagator, ou_propagators, ou_trajectory, total_hamiltonian, trajectory
+from ddgates.tomography import chi_from_gram, chi_from_operators, gate_fidelity
+from helpers import (
+    channel_operators,
+    gram_of_operators,
+    oracle_bath_propagator,
+    ou_propagators,
+    ou_trajectory,
+    total_hamiltonian,
+    trajectory,
+)
 
 
 def test_ideal_propagator_not_gate():
@@ -235,7 +242,7 @@ def test_ou_propagators_match_stepwise_oracle():
 
 def _process_fidelity(sched, spec):
     """Tr(chi_ideal chi) of the exact OU channel."""
-    chi = chi_from_operators(channel_operators(sched, spec)).entries
+    chi = chi_from_gram(channel_gram(sched, spec)).entries
     return float(np.trace(chi_from_operators(sched.target_gate[None]).entries @ chi).real)
 
 
@@ -293,7 +300,7 @@ def test_ou_channel_equals_the_uncoupled_bath_over_its_static_offsets():
         lam, v = np.linalg.eigh(ou_moment(sched, quiet, offsets, np.full(32, 1 / 32)))
         ops = np.stack([np.sqrt(4 * max(weight, 0.0)) * (q0 * IDENTITY_2 - 1j * (q1 * SIGMA_X + q2 * SIGMA_Y + q3 * SIGMA_Z))
                         for weight, (q0, q1, q2, q3) in zip(lam, v.T)])
-        chi = chi_from_operators(channel_operators(sched, bath)).entries
+        chi = chi_from_gram(channel_gram(sched, bath)).entries
         assert np.allclose(chi_from_operators(ops).entries, chi, rtol=0.0, atol=1e-12), (gate, scheme)
 
 
@@ -324,7 +331,7 @@ def test_doubling_the_nodes_moves_no_cell_by_a_percent_of_its_monte_carlo_stderr
         for ou_nodes, static_nodes in (nodes, (2 * nodes[0], 2 * nodes[1])):
             monkeypatch.setattr(simulate, "OU_NODES", ou_nodes)
             monkeypatch.setattr(simulate, "STATIC_NODES", static_nodes)
-            overlaps.append(gate_fidelity(chi_from_operators(channel_operators(sched, spec)), ideal))
+            overlaps.append(gate_fidelity(chi_from_gram(channel_gram(sched, spec)), ideal))
         bound = 0.01 * _batch_stderr(sched, spec) if sched.total_duration else 0.0
         assert abs(overlaps[1] - overlaps[0]) <= bound + 1e-13, (gate, scheme, tau, overlaps, bound)
 
@@ -333,22 +340,21 @@ def test_ou_channel_of_zero_noise_is_the_ideal_gate():
     spec = OUNoiseSpec(sigma=0.0, tau_c=1e-4, dt=1e-5, sigma_static=0.0)
     for scheme in ("xy4", "kdd"):
         sched = apply_amplitude_error(build_schedule("H", scheme, 1.3e-5), 0.02)
-        chi = chi_from_operators(channel_operators(sched, spec)).entries
+        chi = chi_from_gram(channel_gram(sched, spec)).entries
         ideal = chi_from_operators(ideal_propagator(sched, honor_amplitude=True)[None]).entries
         assert np.allclose(chi, ideal, rtol=0.0, atol=1e-14), scheme
 
 
 def _moment_of(monkeypatch, m):
     monkeypatch.setattr(simulate, "ou_moment", lambda *args: np.array(m, dtype=float))
-    return channel_operators(dd_cycle(XY4, 1e-5), _PHASE_NOISE)
+    return channel_gram(dd_cycle(XY4, 1e-5), _PHASE_NOISE)
 
 
-def test_ou_moment_eigenvalues_negative_by_rounding_give_no_operator(monkeypatch):
-    # NOOP/xy4/3 us has shown an eigenvalue of -6.2e-20.
-    ops = _moment_of(monkeypatch, np.diag([0.75, 0.25, -1e-13, 0.0]))
-    assert ops.shape == (2, 2, 2)
-    chi = chi_from_operators(ops)
-    assert np.allclose(chi.entries, np.diag([0.75, 0.25, 0.0, 0.0]), atol=1e-15)
+def test_ou_moment_eigenvalues_negative_by_rounding_pass_into_chi_unclipped(monkeypatch):
+    # NOOP/xy4/3 us has shown an eigenvalue of -6.2e-20.  A diagonal moment is a diagonal
+    # chi: the basis coefficients of q0 - i q.sigma are (q0, -i q1, -q2, -i q3).
+    g = _moment_of(monkeypatch, np.diag([0.75, 0.25, -1e-13, 0.0]))
+    assert np.allclose(chi_from_gram(g).entries, np.diag([0.75, 0.25, -1e-13, 0.0]), rtol=0.0, atol=1e-15)
 
 
 def test_ou_moment_with_a_negative_eigenvalue_fails_the_cell(monkeypatch):
@@ -441,7 +447,7 @@ def test_ou_moment_memory_does_not_scale_with_steps():
         idle = hard_pulse_schedule([], np.eye(2, dtype=complex), "idle", pad_to=n_steps * spec.dt)
         tracemalloc.start()
         try:
-            channel_operators(idle, spec)
+            channel_gram(idle, spec)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -462,14 +468,31 @@ def test_ou_chi_is_trace_preserving_and_exact_without_duration(cell):
     gate, scheme, tau, epsilon = cell
     spec = OUNoiseSpec(sigma=4.4e3, tau_c=1.5e-4, dt=1.5e-5, sigma_static=2.2e3)
     sched = apply_amplitude_error(build_schedule(gate, scheme, tau), epsilon)
-    ops = channel_operators(sched, spec)
-    assert 1 <= len(ops) <= 4
-    chi = chi_from_operators(ops)
+    g = channel_gram(sched, spec)
+    assert abs(np.trace(g) - 2.0) <= 1e-13
+    chi = chi_from_gram(g)
     assert chi.trace_preservation_residual() <= 1e-12
     assert chi.hermiticity_defect() <= 1e-12 and chi.min_eigenvalue() >= -1e-12
     if sched.total_duration == 0:
         ideal = chi_from_operators(ideal_propagator(sched, honor_amplitude=True)[None])
         assert np.allclose(chi.entries, ideal.entries, rtol=0.0, atol=1e-14)
+
+
+def test_channel_gram_matches_the_operator_route_on_the_readme_grid():
+    # Every README-grid cell at epsilon = 0.01 under each model: the Gram matrix equals the
+    # mean of vec K vec K^dag over the operators the engines returned before it (ideal: U;
+    # OU: the eigenpairs of the moment; bath: the d^2 blocks), is trace preserving and positive.
+    models = (None, calibrate_to_targets(3.7e-4, 7.5e-4).params, default_spin_bath(6))
+    for gate in GATES:
+        for scheme in SCHEMES:
+            for tau in (3e-6, 1e-5, 3e-5):
+                sched = apply_amplitude_error(build_schedule(gate, scheme, tau), 0.01)
+                for model in models:
+                    g = channel_gram(sched, model)
+                    cell = (gate, scheme, tau, type(model).__name__)
+                    assert np.max(np.abs(g - gram_of_operators(channel_operators(sched, model)))) <= 1e-14, cell
+                    assert abs(np.trace(g) - 2.0) <= 1e-13, cell
+                    assert np.linalg.eigvalsh(g)[0] >= -1e-12, cell
 
 
 def _two_spin_bath(couplings=(2.5e4, 1.5e4), d=2.0e4, system_offset=1.0e3):
@@ -647,22 +670,6 @@ def test_bath_propagator_rejects_oversized_bath():
     with pytest.raises(ValueError):
         spec = SpinBathSpec(n_bath=n, couplings=(1.0,) * n, bath_couplings=np.zeros((n, n)))
         bath_propagator(dd_cycle(XY4, 1e-5), spec)
-
-
-def test_average_channel_output_identity_and_tp():
-    rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
-    eye_batch = np.broadcast_to(np.eye(2, dtype=complex), (10, 2, 2))
-    assert np.allclose(average_channel_output(eye_batch, rho), rho, atol=1e-14)
-
-    rng = np.random.default_rng(14)
-    props = np.array([scipy.linalg.expm(-1j * 0.5 * (
-        rng.normal() * SIGMA_X + rng.normal() * SIGMA_Y + rng.normal() * SIGMA_Z
-    )) for _ in range(10)])
-    out = average_channel_output(props, rho)
-    assert abs(np.trace(out) - 1.0) < 1e-12
-    assert np.allclose(out, out.conj().T, atol=1e-12)
-    evals = np.linalg.eigvalsh(out)
-    assert evals.min() > -1e-12
 
 
 def test_bath_channel_output_reduces_correctly():

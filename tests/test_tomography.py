@@ -16,17 +16,20 @@ from ddgates.compiler import (
 from ddgates.core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, rotation_unitary
 from ddgates.noise import OUNoiseSpec, SpinBathSpec
 from ddgates.simulate import (
-    average_channel_output,
+    STATIC_NODES,
     bath_channel_output,
     bath_propagator,
-    channel_operators,
+    channel_gram,
+    hermite_nodes,
     ideal_propagator,
+    ou_moment,
 )
 from ddgates.tomography import (
     CHI_BASIS,
     TOMO_INPUT_STATES,
     ChannelSamples,
     ChiMatrix,
+    chi_from_gram,
     chi_from_operators,
     chi_reconstruct,
     gate_fidelity,
@@ -34,6 +37,7 @@ from ddgates.tomography import (
     process_fidelity,
     simulate_channel,
 )
+from helpers import channel_operators
 
 
 def chi_of_unitary(u):
@@ -135,6 +139,23 @@ def test_channel_samples_validation():
         ChannelSamples(bad)
 
 
+_NAN = np.full((2, 2), np.nan)
+_NAN_COHERENCE = np.array([[0.5, np.nan], [np.nan, 0.5]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ChannelSamples((_NAN,) + ideal_channel_samples(IDENTITY_2).outputs[1:]), "non-finite"),
+    (lambda: ChannelSamples((_NAN_COHERENCE,) + ideal_channel_samples(IDENTITY_2).outputs[1:]), "non-finite"),
+    (lambda: ChannelSamples((np.diag([np.inf, 0.0]),) + ideal_channel_samples(IDENTITY_2).outputs[1:]), "non-finite"),
+    (lambda: gate_fidelity(_NAN, IDENTITY_2), "non-finite"),
+    (lambda: gate_fidelity(IDENTITY_2, np.diag([np.inf, 1.0])), "non-finite"),
+    (lambda: chi_from_operators(np.zeros((0, 2, 2))), "at least one operator"),
+], ids=["nan_output", "nan_coherence", "inf_output", "nan_gate", "inf_gate", "no_operator"])
+def test_tomography_rejects_non_finite_or_empty_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_fully_dephasing_channel_fidelity_to_identity():
     # dephasing kills the off-diagonal inputs' coherences
     outputs = (
@@ -201,10 +222,13 @@ def _oracle_cases():
     u = ideal_propagator(h, honor_amplitude=True)
     yield "noiseless_H", h, None, [u @ rho @ u.conj().T for rho in TOMO_INPUT_STATES]
 
+    # The OU channel is sum_k lambda_k U(v_k) rho U(v_k)^dag over the eigenpairs of its moment.
     ou = OUNoiseSpec(sigma=4e3, tau_c=1.5e-4, dt=1.5e-5, sigma_static=2e3)
     not_xy8 = apply_amplitude_error(protected_bb1_gate(decompose_gate("NOT"), XY8, 1.5e-5), 0.01)
-    ops = channel_operators(not_xy8, ou)
-    yield "ou_NOT_xy8", not_xy8, ou, [average_channel_output(ops, rho) for rho in TOMO_INPUT_STATES]
+    x, w = hermite_nodes(STATIC_NODES)
+    lam, v = np.linalg.eigh(ou_moment(not_xy8, ou, ou.sigma_static * x, w))
+    ks = [q0 * IDENTITY_2 - 1j * (q1 * SIGMA_X + q2 * SIGMA_Y + q3 * SIGMA_Z) for q0, q1, q2, q3 in v.T]
+    yield "ou_NOT_xy8", not_xy8, ou, [sum(lk * k @ rho @ k.conj().T for lk, k in zip(lam, ks)) for rho in TOMO_INPUT_STATES]
 
     bath = SpinBathSpec(
         n_bath=2, couplings=(2.5e4, 1.5e4),
@@ -217,9 +241,17 @@ def _oracle_cases():
 @pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda c: c[0])
 def test_chi_from_operators_matches_linear_inversion(case):
     _, sched, noise, outputs = case
-    direct = chi_from_operators(channel_operators(sched, noise))
     oracle = chi_reconstruct(ChannelSamples(tuple(outputs)))
-    assert np.max(np.abs(direct.entries - oracle.entries)) < 1e-12
+    assert np.max(np.abs(chi_from_gram(channel_gram(sched, noise)).entries - oracle.entries)) < 1e-12
+    assert np.max(np.abs(chi_from_operators(channel_operators(sched, noise)).entries - oracle.entries)) < 1e-12
+
+
+@pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda c: c[0])
+def test_simulate_channel_outputs_match_the_oracle_outputs(case):
+    # The bath against its dense propagator's partial trace, OU against the moment's eigenpairs.
+    _, sched, noise, outputs = case
+    for got, want in zip(simulate_channel(sched, noise).outputs, outputs):
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def _u2(gphase, t, x, y):
