@@ -65,13 +65,9 @@ class CalibrationResult:
             raise ValueError("fitted_t2_star must not exceed fitted_t2_hahn")
 
 
-def _step_count(total_time: float, dt: float) -> int:
-    return max(1, math.ceil(total_time / dt - 1e-9))
-
-
-def _grid_point(t: float, dt: float, n_steps: int) -> tuple[int, float]:
-    """Step k = min(floor(t / dt), n_steps) and remainder f = max(t - k dt, 0) of time t."""
-    k = min(math.floor(t / dt), n_steps)
+def _grid_point(t: float, dt: float) -> tuple[int, float]:
+    """Step k = floor(t / dt) and remainder f = max(t - k dt, 0) of time t."""
+    k = math.floor(t / dt)
     return k, max(t - k * dt, 0.0)
 
 
@@ -97,16 +93,19 @@ def _covariance(x: float, dt: float, s: tuple[int, float], t: tuple[int, float])
 def phase_variance(spec: OUNoiseSpec, edges, weights) -> float:
     """Var of sum_j w_j (phi(t_j) - phi(t_{j-1})), t_0 = 0, for the grid model.
 
-    edges are the times t_1 <= .. <= t_J, weights the w_j.  With c_j = w_j -
-    w_{j+1} (w_{J+1} = 0) the sum is sum_j c_j phi(t_j), and its variance is
+    edges are the finite times 0 <= t_1 <= .. <= t_J, J >= 1, and weights the w_j,
+    one per edge; other input raises ValueError.  With c_j = w_j - w_{j+1}
+    (w_{J+1} = 0) the sum is sum_j c_j phi(t_j), and its variance is
     sigma^2 sum_ij c_i c_j C_ij + sigma_static^2 (sum_j c_j t_j)^2, C_ij the
     `_covariance` of phi(t_i) and phi(t_j): O(J^2), whatever the trajectory
     length.  FID is ((t,), (1,)), a Hahn echo ((t/2, t), (1, -1)) (Cywinski et
     al., PRB 77, 174509 (2008)).
     """
+    # Chained comparisons are False for NaN, so this also rejects NaN and inf.
+    if not (len(edges) == len(weights) > 0 and all(0 <= s <= t < math.inf for s, t in zip((0, *edges), edges))):
+        raise ValueError("edges must be finite, non-negative and non-decreasing, one weight each")
     dt, x = spec.dt, spec.dt / spec.tau_c
-    n_steps = _step_count(edges[-1], dt)
-    points = [_grid_point(t, dt, n_steps) for t in edges]
+    points = [_grid_point(t, dt) for t in edges]
     c = [w - w_next for w, w_next in zip(weights, [*weights[1:], 0.0])]
     var_ou = area = 0.0
     for i, p in enumerate(points):

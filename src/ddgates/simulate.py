@@ -4,8 +4,10 @@ Schedules are consumed structurally: an ordered event list where each event
 is a delay, an instantaneous hard pulse, or a finite-duration weak rotation
 during which the noise acts concurrently.  Three engines, all exact: ideal (no
 noise), quantum spin bath (by bath magnetization sector), and the classical OU
-model's noise-averaged moments on Gauss-Hermite nodes.  `channel_gram` turns
-any of them into the system channel's 4x4 Gram matrix.
+model's noise-averaged moments on Gauss-Hermite nodes.  The ideal and bath
+engines walk `Schedule.runs` through one interpreter, `_replay`; the OU walk is
+cut at events and `dt` grid points instead.  `channel_gram` turns any of them
+into the system channel's 4x4 Gram matrix.
 """
 
 from __future__ import annotations
@@ -21,16 +23,32 @@ from .core import hermitian_expm, partial_trace_bath, rotation_unitary
 from .noise import OUNoiseSpec, SpinBathSpec, bath_frame
 
 
+def _replay(schedule, x, eye, apply):
+    """x after the schedule's events, each applied as apply(event, x), walked by `Schedule.runs`:
+    a run that recurs (the interior of every decoupling cycle) and holds more than one hard
+    pulse, so costs more than its product, is applied to eye once and then as that product."""
+    def walk(run, y):
+        for ev in run:
+            y = apply(ev, y)
+        return y
+
+    runs, steps = schedule.runs
+    products = {i: walk(runs[i], eye) for i, k in Counter(i for i, _ in steps).items()
+                if k > 1 and sum(ev.kind == "hard_pulse" for ev in runs[i]) > 1}
+    for i, soft in steps:
+        x = products[i] @ x if i in products else walk(runs[i], x)
+        if soft is not None:
+            x = apply(soft, x)
+    return x
+
+
 def ideal_propagator(schedule, honor_amplitude: bool = False) -> np.ndarray:
     """Zero-noise system propagator; amplitude scales applied only on request."""
     rotations = {ev: rotation_unitary(ev.rotation.phase,
                                       ev.rotation.angle * (ev.amplitude_scale if honor_amplitude else 1.0))
                  for ev in dict.fromkeys(schedule.events) if ev.kind != "delay"}  # one per distinct event
-    u = np.eye(2, dtype=complex)
-    for ev in schedule.events:
-        if ev.kind != "delay":
-            u = rotations[ev] @ u
-    return u
+    eye = np.eye(2, dtype=complex)
+    return _replay(schedule, eye, eye, lambda ev, u: u if ev.kind == "delay" else rotations[ev] @ u)
 
 
 def bath_propagator(schedule, spec: SpinBathSpec) -> np.ndarray:
@@ -40,42 +58,20 @@ def bath_propagator(schedule, spec: SpinBathSpec) -> np.ndarray:
     over the system's |0>, |1>, and both blocks and every system pulse conserve
     the bath's total S_z, so U is block diagonal over the bath's magnetization
     sectors.  It is propagated one `bath_frame` stack of equal-size sectors at a
-    time, each sector in the eigenframe of its two blocks: Ut = diag(v0^dag, v1^dag) U.
-    A delay multiplies the rows of Ut by e^{-i w t}, and a hard pulse or a soft
-    half multiplies Ut by one framed product, cached across calls (`_framed_pulse`).
-    The schedule's runs (`Schedule.runs`) are the runs of delays and hard pulses
-    that its soft halves cut it into, and a run that recurs within the schedule (the
-    interior of every decoupling cycle) and holds more than one hard pulse is
-    multiplied out once per stack and then applied as one product.  Each stack's
-    sector blocks are scattered into the dense 2d x 2d matrix.
+    time, each sector in the eigenframe of its two blocks: Ut = diag(v0^dag, v1^dag) U,
+    replayed by `_replay`.  A delay multiplies the rows of Ut by e^{-i w t}, and a hard
+    pulse or a soft half multiplies Ut by one framed product, cached across calls
+    (`_framed_pulse`).  Each stack's sector blocks are scattered into the dense 2d x 2d matrix.
     """
     d = 2**spec.n_bath
-    runs, steps = schedule.runs
-    # A run with more than one hard pulse costs more than its product.
-    shared = {i for i, k in Counter(i for i, _ in steps).items()
-              if k > 1 and sum(ev.kind == "hard_pulse" for ev in runs[i]) > 1}
     u = np.zeros((2 * d, 2 * d), dtype=complex)
     for frame in bath_frame(spec):
         eye = np.eye(frame.w.shape[1], dtype=complex)  # broadcasts against the stack
-        ut, products = frame.from_frame(eye).conj().swapaxes(1, 2), {}  # diag(v0^dag, v1^dag)
-        for i, soft in steps:
-            if i in shared:
-                if i not in products:
-                    products[i] = _apply_run(frame, runs[i], eye)
-                ut = products[i] @ ut
-            else:
-                ut = _apply_run(frame, runs[i], ut)
-            if soft is not None:
-                ut = _framed_pulse(frame, soft) @ ut
+        ut = _replay(schedule, frame.from_frame(eye).conj().swapaxes(1, 2), eye,  # from diag(v0^dag, v1^dag)
+                     lambda ev, xt: frame.delay(xt, ev.duration) if ev.kind == "delay"
+                     else _framed_pulse(frame, ev) @ xt)
         u[frame.index[:, :, None], frame.index[:, None, :]] = frame.from_frame(ut)
     return u
-
-
-def _apply_run(frame, run, xt: np.ndarray) -> np.ndarray:
-    """A run's delays and hard pulses applied in order to a framed Xt."""
-    for ev in run:
-        xt = frame.delay(xt, ev.duration) if ev.kind == "delay" else _framed_pulse(frame, ev) @ xt
-    return xt
 
 
 # The README grid on a 6-spin bath needs 18 (scaled angle, duration) keys x its 4 stacks = 72 entries;

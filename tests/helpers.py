@@ -91,6 +91,18 @@ def gram_of_operators(ops):
     return np.einsum("ka,kc->ac", v, v.conj()) / len(v)
 
 
+class Word(tuple):
+    """Events in the order they act: the numpy-free algebra that `simulate._replay` is checked in.
+    a @ b is b's events, then a's, as for propagators, and `apply` appends one event."""
+
+    def __matmul__(self, other):
+        return Word((*other, *self))
+
+    @staticmethod
+    def apply(ev, word):
+        return Word((*word, ev))
+
+
 def expected_pulse_count(gate: str, scheme: str) -> int:
     """Closed-form pulse count for a compiled cell."""
     n = len(GATE_ROTATIONS[gate])
@@ -100,6 +112,11 @@ def expected_pulse_count(gate: str, scheme: str) -> int:
         return 5 * n
     cycle = cycle_pulse_count(DD_KINDS[scheme])
     return n * 5 * (cycle + 2) if n else cycle
+
+
+def step_count(total_time, dt):
+    """Grid steps of the OU model's trajectory over total_time: ceil(total_time / dt), at least 1."""
+    return max(1, math.ceil(total_time / dt - 1e-9))
 
 
 def ou_trajectory(spec, rows, seed, steps):
@@ -139,7 +156,7 @@ def ou_propagators(schedule, spec, n_realizations, seed):
     if schedule.total_duration == 0:
         return np.tile(ideal_propagator(schedule, honor_amplitude=True), (n_realizations, 1, 1))
     dt = spec.dt
-    walk = ou_trajectory(spec, n_realizations, seed, max(1, math.ceil(schedule.total_duration / dt - 1e-9)))
+    walk = ou_trajectory(spec, n_realizations, seed, step_count(schedule.total_duration, dt))
     delta, k, t = next(walk), 0, 0.0
     hard = {ev: _pulse_cayley_klein(ev, None, 0.0) for ev in set(schedule.events) if ev.kind == "hard_pulse"}
     a, b = np.ones(n_realizations, dtype=complex), np.zeros(n_realizations, dtype=complex)

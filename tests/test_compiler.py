@@ -41,7 +41,7 @@ from ddgates.core import IDENTITY_2, SIGMA_X, rotation_unitary
 from ddgates.harness import SCHEMES, build_schedule
 from ddgates.simulate import ideal_propagator
 from ddgates.tomography import gate_fidelity
-from helpers import expected_pulse_count
+from helpers import Word, expected_pulse_count
 
 ALL_GATES = ("H", "NOT", "PI8", "NOOP")
 
@@ -341,6 +341,7 @@ def test_schedule_runs_replay_the_events_and_are_distinct(gate, scheme, tau, eps
     sched = apply_amplitude_error(build_schedule(gate, scheme, tau), epsilon)
     runs, steps = sched.runs
     assert [ev for i, soft in steps for ev in (*runs[i], soft) if ev is not None] == list(sched.events)
+    assert simulate._replay(sched, Word(), Word(), Word.apply) == sched.events
     assert len(set(runs)) == len(runs)
     assert all(ev.kind != "soft_gate_half" for run in runs for ev in run)
     assert all(soft.kind == "soft_gate_half" for _, soft in steps[:-1]) and steps[-1][1] is None

@@ -19,9 +19,8 @@ from ddgates.noise import (
     hahn_decay_curve,
     phase_variance,
 )
-from ddgates.ou import _step_count
 from ddgates.simulate import bath_channel_output, bath_propagator
-from helpers import bath_hamiltonians, ou_propagators, ou_trajectory, total_hamiltonian, trajectory
+from helpers import bath_hamiltonians, ou_propagators, ou_trajectory, step_count, total_hamiltonian, trajectory
 
 
 def make_ou(sigma=5000.0, tau_c=1e-4, dt=1e-5, sigma_static=0.0):
@@ -295,7 +294,7 @@ def test_exact_curves_match_dense_covariance(spec, edge_steps):
     # multi_edge case checks phase_variance of segments with alternating signs
     # against w^T C w alone.
     delays = np.linspace(0.0, 300.5 * spec.dt, 37)
-    n_steps = _step_count(float(delays[-1]), spec.dt)
+    n_steps = step_count(float(delays[-1]), spec.dt)
     idx = np.arange(n_steps + 1)
     cell_start = idx * spec.dt
     cell_end = np.append(cell_start[1:], np.inf)
@@ -319,12 +318,25 @@ def test_exact_curves_match_dense_covariance(spec, edge_steps):
             assert c == pytest.approx(math.exp(-0.5 * w @ cov @ w), rel=1e-10, abs=1e-13)
 
 
+@pytest.mark.parametrize(
+    "edges, weights",
+    [((), ()), ((-1e-5,), (1.0,)), ((math.nan,), (1.0,)), ((1e-5, math.inf), (1.0, -1.0)),
+     ((2e-5, 1e-5), (1.0, -1.0)), ((1e-5, 2e-5), (1.0,))],
+    ids=["empty", "negative", "nan", "inf", "decreasing", "weight_missing"],
+)
+def test_phase_variance_rejects_invalid_edges(edges, weights):
+    # Unchecked, a negative or decreasing edge gives a wrong variance silently, and the rest
+    # fail inside the sums with unrelated errors.
+    with pytest.raises(ValueError, match="edges must be"):
+        phase_variance(make_ou(sigma=400.0, tau_c=1.5e-4, dt=1.5e-5), edges, weights)
+
+
 def test_exact_curves_stay_small_at_the_last_halving():
     # The twelfth tau_c halving of a 750 us Hahn fit: ~600k trajectory steps.
     tau_c = 7.5e-4 / 5.0 / 2**12
     spec = make_ou(sigma=5e4, tau_c=tau_c, dt=tau_c / 10, sigma_static=1e3)
     delays = np.linspace(0.0, 3.0 * 7.5e-4, 181)
-    assert _step_count(float(delays[-1]), spec.dt) > 600_000
+    assert step_count(float(delays[-1]), spec.dt) > 600_000
     tracemalloc.start()
     try:
         curves = [fid_decay_curve(spec, delays), hahn_decay_curve(spec, delays)]
