@@ -6,8 +6,9 @@ during which the noise acts concurrently.  Three engines, all exact: ideal (no
 noise), quantum spin bath (by bath magnetization sector), and the classical OU
 model's noise-averaged moments on Gauss-Hermite nodes.  The ideal and bath
 engines walk `Schedule.runs` through one interpreter, `_replay`; the OU walk is
-cut at events and `dt` grid points instead.  `channel_gram` turns any of them
-into the system channel's 4x4 Gram matrix.
+cut at events and `dt` grid points instead, its moments held node-major so that
+a hard pulse or a grid point is one real matmul over all nodes.  `channel_gram`
+turns any of them into the system channel's 4x4 Gram matrix.
 """
 
 from __future__ import annotations
@@ -114,13 +115,24 @@ def _pulse_cayley_klein(ev, delta: np.ndarray, length: float):
     """(alpha, beta) of U = [[alpha, -beta*], [beta, alpha*]] for `length` of a pulse at detunings delta:
     exp(-i length (w cos phase, w sin phase, delta) . sigma / 2), w = angle / duration.
     A hard pulse (duration 0) is its whole rotation, whatever length and delta."""
-    angle = ev.rotation.angle * ev.amplitude_scale
     if ev.duration == 0.0:
-        return rotation_unitary(ev.rotation.phase, angle)[:, 0]
-    half, omega = 0.5 * length, angle / ev.duration
+        return rotation_unitary(ev.rotation.phase, ev.rotation.angle * ev.amplitude_scale)[:, 0]
+    a, f = _soft_rotation(ev, delta, length)
+    return a - 1j * f * delta, f * _soft_drive(ev)
+
+
+def _soft_drive(ev) -> complex:
+    """beta / f of a soft pulse: -i w e^{i phase}, w = angle / duration."""
+    return -1j * (ev.rotation.angle * ev.amplitude_scale / ev.duration) * cmath.exp(1j * ev.rotation.phase)
+
+
+def _soft_rotation(ev, delta: np.ndarray, length: float):
+    """(cos(h rate), sin(h rate) / rate), h = length / 2 and rate = sqrt(w^2 + delta^2), of a soft pulse
+    piece; the second is h where rate is 0."""
+    half, omega = 0.5 * length, ev.rotation.angle * ev.amplitude_scale / ev.duration
     rate = np.sqrt(omega**2 + delta**2)
-    f = np.divide(np.sin(half * rate), rate, out=np.full_like(rate, half), where=rate != 0.0)  # sin(half rate) / rate
-    return np.cos(half * rate) - 1j * f * delta, f * (-1j * omega * cmath.exp(1j * ev.rotation.phase))
+    turn = half * rate
+    return np.cos(turn), np.divide(np.sin(turn), rate, out=np.full_like(rate, half), where=rate != 0.0)
 
 
 # Gauss-Hermite nodes of the OU part and of the static offset.  Doubling both moves no
@@ -152,20 +164,57 @@ def _mehler(x: np.ndarray, w: np.ndarray, a: float) -> np.ndarray:
 
 
 def _turn(y: np.ndarray, alpha, beta) -> np.ndarray:
-    """The moments y = (d, A01, B00, B11, B01) after a pulse [[alpha, -beta*], [beta, alpha*]].
+    """Node-major moments y[..., :] = (d, A01, B00, B11, B01) after a pulse [[alpha, -beta*], [beta, alpha*]],
+    alpha and beta broadcast against y's leading axes.
 
     With z = (u, v) = (q0 + i q3, q1 + i q2) of U = q0 - i q.sigma, A = E[z z^dag] and
     B = E[z z^T], d = A00 - A11; A00 + A11 sums to 1 over the nodes and enters no other
     moment, so it is not carried.  The pulse maps z to p z + q J z*, p = alpha*,
     q = i beta, J = [[0, -1], [1, 0]].
     """
-    d, a01, b00, b11, b01 = y
+    d, a01, b00, b11, b01 = np.moveaxis(y, -1, 0)
     p, q = np.conj(alpha), 1j * beta
     c, r, pp, qq, pq = abs(p) ** 2 - abs(q) ** 2, p * np.conj(q), p * p, q * q, p * q
     return np.stack((c * d - 4.0 * (r * b01).real, c * a01 + r * b00 - np.conj(r * b11),
                      pp * b00 + qq * np.conj(b11) - 2.0 * pq * a01,
                      pp * b11 + qq * np.conj(b00) + 2.0 * pq * np.conj(a01),
-                     pp * b01 - qq * np.conj(b01) + pq * d))
+                     pp * b01 - qq * np.conj(b01) + pq * d), axis=-1)
+
+
+def _real_turn(alpha, beta) -> np.ndarray:
+    """`_turn` at (alpha, beta) as the 10x10 real matrix T with y' = y @ T on the float view
+    (..., 10) of node-major moments: row j is the image of the j-th real unit moment.
+    alpha and beta of shape (n, 1) give n matrices."""
+    return _turn(np.eye(10).view(complex), alpha, beta).view(float)
+
+
+# The README grid has 22 distinct hard events; 64 matrices of 800 B hold 51 kB.
+@functools.lru_cache(maxsize=64)
+def _hard_turn(ev) -> np.ndarray:
+    """`_real_turn` of a hard pulse, which acts alike at every node.  Its column of Im d is 0
+    but for Im d's own row, so Im d stays 0."""
+    t = _real_turn(*_pulse_cayley_klein(ev, None, 0.0))
+    t.setflags(write=False)
+    return t
+
+
+# The monomials of v = (a, b, c) that a quadratic form in v sums over.
+_SQUARES = np.array([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]).T
+
+
+# The README grid has 45 distinct soft events; 64 forms of 4.8 kB hold 307 kB.
+@functools.lru_cache(maxsize=64)
+def _soft_form(ev) -> np.ndarray:
+    """F, shape (6, 100), with `_real_turn` of a piece of the soft pulse ev at one node equal to
+    (mu @ F).reshape(10, 10), mu the `_SQUARES` of v = (a, f delta, f), `_soft_rotation` (a, f):
+    alpha = a - i f delta and beta = f `_soft_drive` are linear in v, so `_real_turn` is a real
+    quadratic form in v, and F is its polarization."""
+    units = np.array([(1, 0), (-1j, 0), (0, _soft_drive(ev))])  # (alpha, beta) at v = e_k
+    k, l = _SQUARES
+    t = _real_turn(*np.concatenate((units[k] + units[l], units[k] - units[l])).T[..., None])
+    f = ((t[:len(k)] - t[len(k):]) / np.where(k == l, 4.0, 2.0)[:, None, None]).reshape(len(k), 100)
+    f.setflags(write=False)
+    return f
 
 
 # w = (u, v, u*, v*) = _Z q, and _Z _Z^dag = 2 I.
@@ -183,30 +232,54 @@ def ou_moment(schedule, spec: OUNoiseSpec, offsets, weights) -> np.ndarray:
     chain, so its average is a discrete-variable representation (Light, Hamilton &
     Lill, JCP 82, 1400 (1985)) of Kubo's stochastic Liouville equation (J. Math.
     Phys. 4, 174 (1963)): the node-weighted moments of z (`_turn`) are walked in time,
-    cut at every event boundary and `dt` grid point.  A delay of length t only turns
-    B by e^{i delta t}, a pulse is `_turn` at each node's detuning, and each grid
-    point mixes the OU nodes by Mehler's kernel (`_mehler`, a = exp(-dt / tau_c)).
+    cut at every event boundary and `dt` grid point.  They are held node-major, one
+    row of 10 reals (5 complex) per node, so that each step is one or two numpy calls:
+    a hard pulse is one matmul by its `_hard_turn`; a delay piece of length t turns B
+    by e^{i delta t} in place, and a whole delay event or grid cell by its phase at
+    its nominal length, duration or dt, cached for this call; a soft piece is
+    every node's `_real_turn`, built from its `_soft_form`, applied as one batched
+    matmul; and each grid point is one real matmul that mixes the OU nodes by Mehler's
+    kernel (`_mehler`, a = exp(-dt / tau_c)).
     """
     x, w = hermite_nodes(OU_NODES if spec.sigma else 1)
-    delta = spec.sigma * x[:, None] + np.asarray(offsets, dtype=float)
+    delta = (spec.sigma * x[:, None] + np.asarray(offsets, dtype=float)).reshape(-1)
     mix = _mehler(x, w, math.exp(-spec.dt / spec.tau_c))
-    y = np.zeros((5, *delta.shape), dtype=complex)
-    y[0] = y[2] = w[:, None] * np.asarray(weights, dtype=float)  # q = (1, 0, 0, 0)
+    y = np.zeros((len(delta), 10))  # node (i, j) at row i * len(offsets) + j
+    y[:, 0] = y[:, 4] = (w[:, None] * np.asarray(weights, dtype=float)).reshape(-1)  # q = (1, 0, 0, 0)
+
+    def delay_phase(length, p=None):  # a delay's factor: 1 on d and A01, e^{i delta length} on B
+        p = np.ones((len(delta), 5), dtype=complex) if p is None else p
+        p[:, 2:] = np.exp(1j * length * delta)[:, None]
+        return p
+
+    cut, phases = delay_phase(0.0), {}  # phases by delay event, and None for a whole grid cell
     t, k = 0.0, 0  # on grid cell k, [k dt, (k + 1) dt)
     for ev in schedule.events:
-        stop = t + ev.duration
+        start, stop = t, t + ev.duration
         while True:
             end = min(stop, (k + 1) * spec.dt)
             if ev.kind == "delay":
-                y[2:] *= np.exp(1j * (end - t) * delta)
-            elif ev.duration == 0.0 or end > t:
-                y = _turn(y, *_pulse_cayley_klein(ev, delta, end - t))
+                whole = t == start and end == stop
+                if whole or (t != start and end != stop):  # the whole event, or a whole grid cell
+                    key = ev if whole else None
+                    if key not in phases:
+                        phases[key] = delay_phase(ev.duration if whole else spec.dt)
+                    y.view(complex)[...] *= phases[key]
+                else:
+                    y.view(complex)[...] *= delay_phase(end - t, cut)
+            elif ev.duration == 0.0:
+                y = y @ _hard_turn(ev)
+            elif end > t:
+                a, f = _soft_rotation(ev, delta, end - t)
+                v = np.array((a, f * delta, f))
+                node_turns = ((v[_SQUARES[0]] * v[_SQUARES[1]]).T @ _soft_form(ev)).reshape(-1, 10, 10)
+                y = np.matmul(y[:, None, :], node_turns)[:, 0]
             if end == stop:
                 break
             # Assign the grid point, never add the piece: rounding could stall the walk.
-            t, k, y = end, k + 1, mix @ y
+            t, k, y = end, k + 1, (mix @ y.reshape(len(x), -1)).reshape(-1, 10)
         t = stop
-    d, a01, b00, b11, b01 = y.sum(axis=(1, 2))
+    d, a01, b00, b11, b01 = y.view(complex).sum(axis=0)
     a, b = np.array([[1.0 + d, 2.0 * a01], [2.0 * np.conj(a01), 1.0 - d]]) / 2, np.array([[b00, b01], [b01, b11]])
     return (_Z.conj().T @ np.block([[a, b], [b.conj(), a.conj()]]) @ _Z).real / 4
 
@@ -219,7 +292,7 @@ def channel_gram(schedule, noise_model) -> np.ndarray:
     bath maximally mixed: sum_jk U_(aj),(bk) U*_(cj),(ek) / d over the bath states of the exact
     propagator, d = 2**n_bath.  OUNoiseSpec: W M W^dag, vec(q0 - i q.sigma) = W q, M `ou_moment`
     at STATIC_NODES Gauss-Hermite offsets (one if sigma_static is 0).  Exact; nothing is sampled.
-    An eigenvalue of G below -1e-12 raises ValueError.
+    A non-finite entry of G, or an eigenvalue below -1e-12, raises ValueError.
     """
     if noise_model is None:
         u = ideal_propagator(schedule, honor_amplitude=True).reshape(-1)
@@ -233,6 +306,8 @@ def channel_gram(schedule, noise_model) -> np.ndarray:
         g = np.einsum("ajbk,cjek->abce", u, u.conj()).reshape(4, 4) / d
     else:
         raise TypeError(f"unsupported noise model {type(noise_model).__name__}")
+    if not np.isfinite(g).all():
+        raise ValueError("the channel's Gram matrix is not finite")
     low = np.linalg.eigvalsh(g)[0]
     if low < -1e-12:
         raise ValueError(f"the channel's Gram matrix has eigenvalue {low:.3g} < -1e-12")

@@ -1,6 +1,7 @@
 """Shared by the tests: independent constructions to check the package against, the
-operator route to a channel that its Gram matrix replaced, and the Monte-Carlo OU
-sampler that is the statistical oracle of the exact OU channel."""
+operator route to a channel that its Gram matrix replaced, the component-major OU
+moment walk that the node-major one replaced, and the Monte-Carlo OU sampler that
+is the statistical oracle of the exact OU channel."""
 
 import functools
 import math
@@ -13,7 +14,8 @@ from ddgates.compiler import DD_KINDS, GATE_ROTATIONS, cycle_pulse_count
 from ddgates.core import IDENTITY_2, SIGMA_X, SIGMA_Y, embed_system, spin_half_operators
 from ddgates.noise import OUNoiseSpec, SpinBathSpec
 from ddgates.simulate import (
-    STATIC_NODES, _pulse_cayley_klein, bath_propagator, hermite_nodes, ideal_propagator, ou_moment,
+    OU_NODES, STATIC_NODES, _Z, _mehler, _pulse_cayley_klein, bath_propagator, hermite_nodes, ideal_propagator,
+    ou_moment,
 )
 
 
@@ -83,6 +85,45 @@ def channel_operators(schedule, noise_model):
     d = 2**noise_model.n_bath
     blocks = bath_propagator(schedule, noise_model).reshape(2, d, 2, d)
     return math.sqrt(d) * blocks.transpose(1, 3, 0, 2).reshape(d * d, 2, 2)
+
+
+def _component_turn(y, alpha, beta):
+    """The moments y = (d, A01, B00, B11, B01), component first, after a pulse [[alpha, -beta*], [beta, alpha*]]:
+    z = (u, v) maps to p z + q J z*, p = alpha*, q = i beta, J = [[0, -1], [1, 0]] (see `simulate._turn`)."""
+    d, a01, b00, b11, b01 = y
+    p, q = np.conj(alpha), 1j * beta
+    c, r, pp, qq, pq = abs(p) ** 2 - abs(q) ** 2, p * np.conj(q), p * p, q * q, p * q
+    return np.stack((c * d - 4.0 * (r * b01).real, c * a01 + r * b00 - np.conj(r * b11),
+                     pp * b00 + qq * np.conj(b11) - 2.0 * pq * a01,
+                     pp * b11 + qq * np.conj(b00) + 2.0 * pq * np.conj(a01),
+                     pp * b01 - qq * np.conj(b01) + pq * d))
+
+
+def reference_ou_moment(schedule, spec, offsets, weights):
+    """`ou_moment` walked component first, (5, OU nodes, static nodes), one `_component_turn`
+    per pulse piece at every node's detuning, hard pulses included: the walk that the
+    node-major one replaced, cut at the same event boundaries and dt grid points."""
+    x, w = hermite_nodes(OU_NODES if spec.sigma else 1)
+    delta = spec.sigma * x[:, None] + np.asarray(offsets, dtype=float)
+    mix = _mehler(x, w, math.exp(-spec.dt / spec.tau_c))
+    y = np.zeros((5, *delta.shape), dtype=complex)
+    y[0] = y[2] = w[:, None] * np.asarray(weights, dtype=float)  # q = (1, 0, 0, 0)
+    t, k = 0.0, 0  # on grid cell k, [k dt, (k + 1) dt)
+    for ev in schedule.events:
+        stop = t + ev.duration
+        while True:
+            end = min(stop, (k + 1) * spec.dt)
+            if ev.kind == "delay":
+                y[2:] *= np.exp(1j * (end - t) * delta)
+            elif ev.duration == 0.0 or end > t:
+                y = _component_turn(y, *_pulse_cayley_klein(ev, delta, end - t))
+            if end == stop:
+                break
+            t, k, y = end, k + 1, mix @ y
+        t = stop
+    d, a01, b00, b11, b01 = y.sum(axis=(1, 2))
+    a, b = np.array([[1.0 + d, 2.0 * a01], [2.0 * np.conj(a01), 1.0 - d]]) / 2, np.array([[b00, b01], [b01, b11]])
+    return (_Z.conj().T @ np.block([[a, b], [b.conj(), a.conj()]]) @ _Z).real / 4
 
 
 def gram_of_operators(ops):

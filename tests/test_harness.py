@@ -548,6 +548,23 @@ def test_cli_rejects_non_finite_noise_parameters(tmp_path, capsys, noise):
     assert "must be finite" in capsys.readouterr().err
 
 
+def test_cli_sweep_names_a_non_finite_channel_in_the_row_and_exits_2(tmp_path, capsys):
+    # sigma_static 1e300 is finite, so the config loads, but the squared detunings overflow:
+    # every cell that lasts gets a row naming the non-finite Gram matrix, and `simple`, whose
+    # pulses take no time, still runs.
+    noise = dict(BASE_CONFIG["noise"], sigma_static=1e300)
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "sweep.csv"
+    cfg_path.write_text(json.dumps(dict(BASE_CONFIG, noise=noise)), encoding="utf-8")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    rows = rows_from_csv(out.read_text(encoding="utf-8"))
+    assert [(row.scheme, row.error) for row in rows] == [
+        ("simple", ""), ("simple", ""),
+        ("xy8", "the channel's Gram matrix is not finite"), ("xy8", "the channel's Gram matrix is not finite"),
+    ]
+    assert "2 of 4 cells failed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value", [
     ("noise", "ou"), ("noise", None), ("noise", [1, 2]), ("gates", "NOT"), ("schemes", "xy8"), ("tau_grid_s", 1e-5),
 ])

@@ -55,6 +55,7 @@ from helpers import (
     oracle_bath_propagator,
     ou_propagators,
     ou_trajectory,
+    reference_ou_moment,
     step_count,
     total_hamiltonian,
     trajectory,
@@ -486,6 +487,82 @@ def test_ou_moment_memory_does_not_scale_with_steps():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.05 * peaks[0], peaks
+
+
+_README_CELLS = [(g, s, tau) for g in GATES for s in SCHEMES for tau in (3e-6, 1e-5, 3e-5)]
+
+
+@pytest.mark.parametrize("sigma_static", [None, 0.0], ids=["fit", "no_static"])
+def test_ou_moment_matches_the_component_major_reference_walk(sigma_static):
+    # Every README-grid cell at epsilon = 0.01 on the 370/750 us fit, at its 32 static nodes
+    # and with sigma_static 0 (one static node): the node-major walk, with its hard-pulse
+    # matrices, cached delay phases and soft-pulse forms, against the walk it replaced.
+    spec = calibrate_to_targets(3.7e-4, 7.5e-4).params
+    if sigma_static is not None:
+        spec = dataclasses.replace(spec, sigma_static=sigma_static)
+    x, w = hermite_nodes(simulate.STATIC_NODES if spec.sigma_static else 1)
+    for gate, scheme, tau in _README_CELLS:
+        sched = apply_amplitude_error(build_schedule(gate, scheme, tau), 0.01)
+        m = ou_moment(sched, spec, spec.sigma_static * x, w)
+        assert np.max(np.abs(m - reference_ou_moment(sched, spec, spec.sigma_static * x, w))) <= 1e-14, (gate, scheme, tau)
+
+
+def test_ou_moment_matches_the_reference_walk_on_a_grid_bound_cell():
+    # The 500/500 us fit has sigma_static 0 and dt = 0.16 us, so PI8/kdd at 10 us walks 8 nodes
+    # over 19200 grid cells, and its 30 soft halves in 988 pieces.  The two walks round differently:
+    # here they part by 6e-15, and by 1.3e-14 at 3 us, while a long-double walk of the same nodes
+    # is 1.4e-14 to 3.8e-14 from either.
+    spec = calibrate_to_targets(5e-4, 5e-4).params
+    assert spec.sigma_static == 0.0
+    sched = build_schedule("PI8", "kdd", 1e-5)
+    assert sched.total_duration / spec.dt > 19000
+    x, w = hermite_nodes(1)
+    assert np.max(np.abs(ou_moment(sched, spec, 0.0 * x, w) - reference_ou_moment(sched, spec, 0.0 * x, w))) <= 1e-14
+
+
+def test_hard_turn_is_turn_at_the_pulse_at_every_node():
+    # A hard pulse acts alike at every node, so one real 10x10 matrix per event carries it.
+    rng = np.random.default_rng(23)
+    y = rng.uniform(-1.0, 1.0, size=(256, 10))
+    y[:, 1] = 0.0  # Im d
+    hard = {ev for epsilon in (0.0, 0.01) for gate, scheme, tau in _README_CELLS
+            for ev in apply_amplitude_error(build_schedule(gate, scheme, tau), epsilon).events if ev.kind == "hard_pulse"}
+    assert len(hard) == 44
+    for ev in hard:
+        turned = y @ simulate._hard_turn(ev)
+        expected = simulate._turn(y.view(complex), *_pulse_cayley_klein(ev, None, 0.0)).view(float)
+        assert np.max(np.abs(turned - expected)) <= 1e-15, ev
+        assert not turned[:, 1].any(), ev  # Im d stays exactly 0
+
+
+# dt = 1.5 us, so soft halves of tau / 2 cross grid points at every tau drawn.
+_SPLIT_NOISE = OUNoiseSpec(sigma=4.4e3, tau_c=1.5e-5, dt=1.5e-6, sigma_static=2.2e3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gate=st.sampled_from(["H", "NOT", "PI8"]), kind=st.sampled_from(sorted(DD_KINDS)), tau=st.floats(1e-6, 2e-5),
+       offset=st.floats(0.0, 1.0), pick=st.integers(0, 10**6), cut=st.floats(0.01, 0.99), soft=st.booleans())
+def test_ou_moment_is_unchanged_by_splitting_a_delay_or_a_soft_half(gate, kind, tau, offset, pick, cut, soft):
+    # A delay split at any point, or a soft half split into two of half its angle and half its
+    # duration (the same drive), is the same schedule; a leading delay of `offset` dt moves every
+    # event against the grid.  The walk must cut the pieces alike, whatever their lengths.
+    spec = _SPLIT_NOISE
+    sched = apply_amplitude_error(build_schedule(gate, kind, tau), 0.01)
+    events = (PulseEvent("delay", offset * spec.dt), *sched.events)
+    which = [i for i, ev in enumerate(events) if ev.kind == ("soft_gate_half" if soft else "delay") and ev.duration > 0]
+    i = which[pick % len(which)]
+    ev = events[i]
+    if soft:
+        half = PulseEvent(ev.kind, 0.5 * ev.duration, RotationSpec(ev.rotation.phase, 0.5 * ev.rotation.angle),
+                          ev.amplitude_scale)
+        parts = (half, half)
+    else:
+        parts = (PulseEvent("delay", cut * ev.duration), PulseEvent("delay", ev.duration - cut * ev.duration))
+    x, w = hermite_nodes(simulate.STATIC_NODES)
+    whole = ou_moment(Schedule(events, sched.target_gate, "whole"), spec, spec.sigma_static * x, w)
+    split = ou_moment(Schedule((*events[:i], *parts, *events[i + 1:]), sched.target_gate, "split"),
+                      spec, spec.sigma_static * x, w)
+    assert np.max(np.abs(split - whole)) <= 1e-13
 
 
 GATE_CELLS = st.tuples(
