@@ -124,19 +124,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .harness import emit_report, rows_to_csv, run_sweep
+    from .harness import emit_report, run_sweep
 
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     rows = run_sweep(load_config(args.config), jobs=args.jobs)
-    if args.out is None and args.summary is None:
-        sys.stdout.write(rows_to_csv(rows))
-    else:
-        emit_report(rows, csv_path=args.out, summary_path=args.summary)
-        if args.out:
-            print(f"wrote {args.out}")
-        if args.summary:
-            print(f"wrote {args.summary}")
+    csv_text, _ = emit_report(rows, summary_path=args.summary)
+    _write_or_print(csv_text, args.out)
+    for path in filter(None, (args.out, args.summary)):
+        print(f"wrote {path}", file=sys.stderr)  # stdout carries only the CSV
     return _exit_code(rows)
 
 

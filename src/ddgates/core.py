@@ -63,13 +63,3 @@ def hermitian_expm(h: np.ndarray, t: float) -> np.ndarray:
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
-
-def partial_trace_bath(rho: np.ndarray) -> np.ndarray:
-    """Reduce a system (x) bath density matrix to the 2x2 system state."""
-    rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[0]
-    if rho.shape != (dim, dim) or dim < 2 or dim & (dim - 1):
-        raise ValueError(f"dimension {rho.shape} is not a square power of two >= 2")
-    d_bath = dim // 2
-    return np.trace(rho.reshape(2, d_bath, 2, d_bath), axis1=1, axis2=3)
-

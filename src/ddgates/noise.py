@@ -1,4 +1,4 @@
-"""Dephasing noise models: the quantum spin bath, and the decay curves of either model.
+"""Dephasing noise models: the quantum spin bath and the one trace over it, and the decay curves of either model.
 
 Two families: a quantum spin bath (system-bath Ising coupling plus secular
 dipolar intra-bath flip-flops) and a classical Ornstein-Uhlenbeck frequency
@@ -107,9 +107,9 @@ def bath_frame(spec: SpinBathSpec) -> tuple[BathFrame, ...]:
     flip-flops included.  Its blocks over the system's |0>, |1> are
     H_E +- diag(omega_S / 2 + sum_k b_k S_z^k / 2).  Both conserve sum_k S_z^k
     (Abragam, The Principles of Nuclear Magnetism, 1961), so the sectors are the
-    bath basis states grouped by its diagonal, and each block is diagonalised on
-    each sector alone.  A 6-spin bath has 7 sectors of 1, 6, 15, 20, 15, 6 and 1
-    states, held as four stacks of 2, 2, 2 and 1 sectors.
+    bath basis states grouped by their number of spins down, and each block is built
+    from the states' bits and diagonalised on each sector alone.  A 6-spin bath has 7
+    sectors of 1, 6, 15, 20, 15, 6 and 1 states, held as four stacks of 2, 2, 2 and 1.
     """
     key = (spec.n_bath, spec.couplings, spec.bath_couplings.tobytes(), spec.system_offset)
     if key not in _FRAMES:
@@ -118,23 +118,20 @@ def bath_frame(spec: SpinBathSpec) -> tuple[BathFrame, ...]:
         # S_z^k is +1/2 or -1/2 as bit n - 1 - k of the basis state (spin 0 first) is 0 or 1.
         bits = [1 << (n - 1 - k) for k in range(n)]
         sz = [0.5 - ((states & bit) > 0) for bit in bits]
-        h_e = np.zeros((d, d), dtype=complex)
+        # H_E holds 2 S_z^j S_z^k on its diagonal, and the flip-flop -(S_x^j S_x^k + S_y^j S_y^k)
+        # is -1/2 between two states whose XOR is the pair's bit mask: zz by state, flip by XOR.
+        zz, flip = np.zeros(d), np.zeros(d)
         for j in range(n):
             for k in range(j + 1, n):
-                # 2 S_z^j S_z^k on the diagonal; the flip-flop -(S_x^j S_x^k + S_y^j S_y^k)
-                # is -1/2 between the two states that swap bits j and k.
-                h_e[states, states] += spec.bath_couplings[j, k] * (2 * sz[j] * sz[k])
-                swap = states[sz[j] != sz[k]]
-                h_e[swap, swap ^ (bits[j] | bits[k])] += spec.bath_couplings[j, k] * -0.5
+                zz += spec.bath_couplings[j, k] * (2 * sz[j] * sz[k])
+                flip[bits[j] | bits[k]] = spec.bath_couplings[j, k] * -0.5
         shift = 0.5 * spec.system_offset + sum(map(np.multiply, spec.couplings, sz), np.zeros(d)) / 2
-        # The diagonal of sum_k S_z^k holds exact half-integers: n / 2 - j on the comb(n, j)
-        # states with j spins down, sector j.
-        mz = sum(sz, np.zeros(d))
+        down = sum((z < 0 for z in sz), np.zeros(d, dtype=int))  # sector j: the comb(n, j) states with j spins down
         frames = []
         for size in sorted({math.comb(n, j) for j in range(n + 1)}):
-            rows = np.array([np.flatnonzero(mz == n / 2 - j) for j in range(n + 1) if math.comb(n, j) == size])
-            blocks, diag = h_e[rows[:, :, None], rows[:, None, :]], shift[rows][:, :, None] * np.eye(size)
-            w, v = np.linalg.eigh(np.stack((blocks + diag, blocks - diag)))
+            rows = np.array([np.flatnonzero(down == j) for j in range(n + 1) if math.comb(n, j) == size])
+            blocks = flip[rows[:, :, None] ^ rows[:, None, :]] + 0j  # complex frames; XOR 0 (the diagonal) has no flip
+            w, v = np.linalg.eigh(blocks + np.stack((zz + shift, zz - shift))[:, rows, None] * np.eye(size))
             frame = BathFrame(np.concatenate((w[0], w[1]), axis=1), v[0], v[1],
                               v[0].conj().swapaxes(1, 2) @ v[1], np.concatenate((rows, d + rows), axis=1))
             for a in vars(frame).values():
@@ -163,18 +160,26 @@ def default_spin_bath(
     return SpinBathSpec(n_bath, tuple(b), d, system_offset)
 
 
+def bath_average(blocks: np.ndarray) -> np.ndarray:
+    """The bath trace: sum over s, j, k of U_(aj),(bk) U*_(cj),(ek), shape (2, B, 2, B), of propagator
+    blocks U of shape (S, 2, k, B, k): S sectors of k bath states; system row a, bath row j, input
+    column b, bath column k.  Over all sectors and divided by the bath dimension d, it is the G of
+    Tr_B U (rho (x) I / d) U^dag = sum_be G_(ab),(ce) rho_be, the maximally mixed bath traced out."""
+    return np.einsum("sajbk,scjek->abce", blocks, blocks.conj())
+
+
 def _bath_coherences(spec: SpinBathSpec, delays: np.ndarray, echo: bool) -> np.ndarray:
     total = np.zeros(len(delays), dtype=complex)
     for frame in bath_frame(spec):
         # The columns |+> (x) |b> (unnormalised) over the stack's bath states b, in the frame.
         start = np.concatenate((frame.v0.conj().swapaxes(1, 2), frame.v1.conj().swapaxes(1, 2)), axis=1)
         flip = frame.pulse(rotation_unitary(0.0, math.pi))
+        s, k = frame.v0.shape[:2]
         for i, t in enumerate(delays):
             xt = frame.delay(start, t / 2.0)
             xt = flip @ xt if echo else xt
-            y0, y1 = np.split(frame.from_frame(frame.delay(xt, t / 2.0)), 2, axis=1)
-            # The bath average of <1|rho|0> is the trace over b of the two system rows.
-            total[i] += np.vdot(y1, y0)
+            # The bath average of <0|rho|1>, one input column per bath state.
+            total[i] += bath_average(frame.from_frame(frame.delay(xt, t / 2.0)).reshape(s, 2, k, 1, k))[0, 0, 1, 0]
     return np.abs(total) / 2**spec.n_bath
 
 

@@ -35,6 +35,13 @@ class OUNoiseSpec:
         # Chained comparisons are False for NaN, so these also reject NaN and inf.
         if not (0 <= self.sigma < math.inf and 0 <= self.sigma_static < math.inf):
             raise ValueError("sigma and sigma_static must be finite and non-negative")
+        # The channel's detunings sigma x + sigma_static s sit at Gauss-Hermite nodes of N(0, 1),
+        # |x|, |s| <= 10.08 (the largest of 32 nodes; 8 reach 2.93), and soft pulses square them:
+        # so (10.1 (sigma + sigma_static))^2 must be finite, sigma + sigma_static below 1.3e153 rad/s.
+        reach = 10.1 * (self.sigma + self.sigma_static)
+        if not math.isfinite(reach * reach):
+            raise ValueError(f"sigma + sigma_static must be below 1.3e153 rad/s, or the squared detunings overflow; "
+                             f"got sigma {self.sigma!r} and sigma_static {self.sigma_static!r}")
         if not 0 < self.tau_c < math.inf:
             raise ValueError("tau_c must be positive and finite")
         # dt must resolve the correlation time.

@@ -20,8 +20,8 @@ from collections import Counter
 
 import numpy as np
 
-from .core import hermitian_expm, partial_trace_bath, rotation_unitary
-from .noise import OUNoiseSpec, SpinBathSpec, bath_frame
+from .core import SIGMA_X, hermitian_expm, rotation_unitary
+from .noise import OUNoiseSpec, SpinBathSpec, bath_average, bath_frame
 
 
 def _replay(schedule, x, eye, apply):
@@ -80,12 +80,8 @@ def bath_propagator(schedule, spec: SpinBathSpec) -> np.ndarray:
 @functools.lru_cache(maxsize=96)
 def _soft_exponential(frame, angle: float, duration: float) -> np.ndarray:
     """exp(-i G t), t = duration, per sector, of the framed drift diag(w) plus the
-    phase-0 drive (angle / t) S_x (x) I, whose framed off-diagonal blocks are
-    angle / 2t times link and link^dag."""
-    m = frame.link.shape[1]
-    g = frame.w[:, :, None] * np.eye(2 * m, dtype=complex)
-    half_rate = 0.5 * angle / duration
-    g[:, :m, m:], g[:, m:, :m] = half_rate * frame.link, half_rate * frame.link.conj().swapaxes(1, 2)
+    phase-0 drive (angle / t) S_x (x) I, framed as angle / 2t times `BathFrame.pulse` of sigma_x."""
+    g = frame.w[:, :, None] * np.eye(frame.w.shape[1]) + 0.5 * angle / duration * frame.pulse(SIGMA_X)
     u = hermitian_expm(g, duration)
     u.setflags(write=False)
     return u
@@ -95,18 +91,18 @@ def _soft_exponential(frame, angle: float, duration: float) -> np.ndarray:
 # 320 hold 80 events of 59 kB over the 4 stacks, 4.7 MB at most.
 @functools.lru_cache(maxsize=320)
 def _framed_pulse(frame, ev) -> np.ndarray:
-    """A pulse event in the frame, amplitude scale applied, as one product per sector.
-    A hard pulse (duration 0) is `BathFrame.pulse` of its rotation.  A soft half is
-    P S P^dag, S the phase-0 `_soft_exponential` and P = diag(I, e^{i phase} I): the
-    drive at phase p is P (drive at 0) P^dag, and P commutes with the block-diagonal drift."""
+    """A pulse event in the frame, amplitude scale applied, as one product per sector: P X P^dag,
+    X the pulse at phase 0 and P = diag(I, e^{i phase} I), for a rotation or drive at phase p is
+    P (the same at 0) P^dag, and P commutes with the block-diagonal drift.  X is `BathFrame.pulse`
+    of the phase-0 rotation for a hard pulse (duration 0), and `_soft_exponential` for a soft half."""
     angle = ev.rotation.angle * ev.amplitude_scale
     if ev.duration == 0.0:
-        u = frame.pulse(rotation_unitary(ev.rotation.phase, angle))
+        u = frame.pulse(rotation_unitary(0.0, angle))
     else:
-        m, p = frame.link.shape[1], cmath.exp(1j * ev.rotation.phase)
         u = _soft_exponential(frame, angle, ev.duration).copy()
-        u[:, :m, m:] *= p.conjugate()
-        u[:, m:, :m] *= p
+    m, p = frame.link.shape[1], cmath.exp(1j * ev.rotation.phase)
+    u[:, :m, m:] *= p.conjugate()
+    u[:, m:, :m] *= p
     u.setflags(write=False)
     return u
 
@@ -135,8 +131,11 @@ def _soft_rotation(ev, delta: np.ndarray, length: float):
     return np.cos(turn), np.divide(np.sin(turn), rate, out=np.full_like(rate, half), where=rate != 0.0)
 
 
-# Gauss-Hermite nodes of the OU part and of the static offset.  Doubling both moves no
-# README-grid, table1 or 10 T2* cell by 1% of its 10k-realization Monte-Carlo stderr.
+# Gauss-Hermite nodes of the OU part and of the static offset.  On the README fit (370/750 us),
+# doubling both moves no README-grid, table1 or 10 T2* cell by 1% of its 10k-realization
+# Monte-Carlo stderr, for its OU part dephases long cells first.  The 32 static nodes alias
+# once sigma_static times the unrefocused time passes ~6: their E[e^{iaX}] = e^{-a^2/2} is off
+# by 1.8e-8 at a = 6, 1.2e-3 at 7.9 and 0.38 at 10, as on the 100/1000 us fit at tau = 100 us.
 OU_NODES = 8
 STATIC_NODES = 32
 
@@ -289,8 +288,8 @@ def channel_gram(schedule, noise_model) -> np.ndarray:
     K whose mean of K rho K^dag is the channel, so that output_ac = sum_be G_(ab),(ce) rho_be.
 
     None: vec U vec U^dag of the ideal propagator with amplitude scales applied.  SpinBathSpec,
-    bath maximally mixed: sum_jk U_(aj),(bk) U*_(cj),(ek) / d over the bath states of the exact
-    propagator, d = 2**n_bath.  OUNoiseSpec: W M W^dag, vec(q0 - i q.sigma) = W q, M `ou_moment`
+    bath maximally mixed: `bath_average` of the exact propagator as one block, divided by its
+    d = 2**n_bath bath states.  OUNoiseSpec: W M W^dag, vec(q0 - i q.sigma) = W q, M `ou_moment`
     at STATIC_NODES Gauss-Hermite offsets (one if sigma_static is 0).  Exact; nothing is sampled.
     A non-finite entry of G, or an eigenvalue below -1e-12, raises ValueError.
     """
@@ -302,8 +301,7 @@ def channel_gram(schedule, noise_model) -> np.ndarray:
         g = _W @ ou_moment(schedule, noise_model, noise_model.sigma_static * x, w) @ _W.conj().T
     elif isinstance(noise_model, SpinBathSpec):
         d = 2**noise_model.n_bath
-        u = bath_propagator(schedule, noise_model).reshape(2, d, 2, d)
-        g = np.einsum("ajbk,cjek->abce", u, u.conj()).reshape(4, 4) / d
+        g = bath_average(bath_propagator(schedule, noise_model).reshape(1, 2, d, 2, d)).reshape(4, 4) / d
     else:
         raise TypeError(f"unsupported noise model {type(noise_model).__name__}")
     if not np.isfinite(g).all():
@@ -315,7 +313,7 @@ def channel_gram(schedule, noise_model) -> np.ndarray:
 
 
 def bath_channel_output(u_full: np.ndarray, rho_sys: np.ndarray, n_bath: int) -> np.ndarray:
-    """System output state for a maximally mixed bath under a full-space propagator."""
-    dim_b = 2**n_bath
-    rho0 = np.kron(rho_sys, np.eye(dim_b, dtype=complex) / dim_b)
-    return partial_trace_bath(u_full @ rho0 @ u_full.conj().T)
+    """System output state for a maximally mixed bath under a full-space propagator: sum_be G_(ab),(ce) rho_be,
+    G the `bath_average` of u_full over its 2**n_bath bath states."""
+    d = 2**n_bath
+    return np.einsum("abce,be->ac", bath_average(np.reshape(u_full, (1, 2, d, 2, d))) / d, rho_sys)

@@ -1,7 +1,8 @@
 """Shared by the tests: independent constructions to check the package against, the
-operator route to a channel that its Gram matrix replaced, the component-major OU
-moment walk that the node-major one replaced, and the Monte-Carlo OU sampler that
-is the statistical oracle of the exact OU channel."""
+operator route to a channel that its Gram matrix replaced, the dense bath traces that
+`noise.bath_average` replaced, the component-major OU moment walk that the node-major
+one replaced, and the Monte-Carlo OU sampler that is the statistical oracle of the
+exact OU channel."""
 
 import functools
 import math
@@ -63,6 +64,21 @@ def oracle_bath_propagator(schedule, spec):
                 h_ctrl = omega * (math.cos(ev.rotation.phase) * sx + math.sin(ev.rotation.phase) * sy)
                 u = scipy.linalg.expm(-1j * (embed_system(h_ctrl, spec.n_bath) + h_noise) * ev.duration) @ u
     return u
+
+
+def reference_bath_channel_output(u_full, rho_sys, n_bath):
+    """Tr_B U (rho (x) I / d) U^dag, d = 2**n_bath, by kron and partial trace."""
+    d = 2**n_bath
+    rho = u_full @ np.kron(rho_sys, np.eye(d) / d) @ u_full.conj().T
+    return np.trace(rho.reshape(2, d, 2, d), axis1=1, axis2=3)
+
+
+def reference_bath_gram(u_full, n_bath):
+    """The bath channel's Gram matrix by one einsum over the dense propagator as (2, d, 2, d):
+    G_(ab),(ce) = sum_jk U_(aj),(bk) U*_(cj),(ek) / d."""
+    d = 2**n_bath
+    u = u_full.reshape(2, d, 2, d)
+    return np.einsum("ajbk,cjek->abce", u, u.conj()).reshape(4, 4) / d
 
 
 def channel_operators(schedule, noise_model):

@@ -9,7 +9,6 @@ from ddgates.core import (
     SIGMA_Z,
     embed_system,
     hermitian_expm,
-    partial_trace_bath,
     rotation_unitary,
     spin_half_operators,
 )
@@ -93,24 +92,3 @@ def test_embed_system_structure():
 def test_embed_system_rejects_oversized_bath():
     with pytest.raises(ValueError):
         embed_system(SIGMA_X, 8)
-
-
-def test_partial_trace_recovers_product_state():
-    rng = np.random.default_rng(12)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho_s = a @ a.conj().T
-    rho_s /= np.trace(rho_s)
-    b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho_b = b @ b.conj().T
-    rho_b /= np.trace(rho_b)
-    assert np.allclose(partial_trace_bath(np.kron(rho_s, rho_b)), rho_s, atol=1e-12)
-
-
-def test_partial_trace_preserves_trace():
-    rng = np.random.default_rng(13)
-    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    rho = a @ a.conj().T
-    rho /= np.trace(rho)
-    reduced = partial_trace_bath(rho)
-    assert abs(np.trace(reduced) - 1.0) < 1e-12
-    assert np.allclose(reduced, reduced.conj().T, atol=1e-12)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ddgates.harness as harness
+import ddgates.simulate as simulate
 from ddgates.cli import main as cli_main
 from ddgates.compiler import CompileError, apply_amplitude_error
 from ddgates.core import DEFAULT_MAX_SPINS
@@ -548,21 +549,34 @@ def test_cli_rejects_non_finite_noise_parameters(tmp_path, capsys, noise):
     assert "must be finite" in capsys.readouterr().err
 
 
-def test_cli_sweep_names_a_non_finite_channel_in_the_row_and_exits_2(tmp_path, capsys):
-    # sigma_static 1e300 is finite, so the config loads, but the squared detunings overflow:
-    # every cell that lasts gets a row naming the non-finite Gram matrix, and `simple`, whose
-    # pulses take no time, still runs.
-    noise = dict(BASE_CONFIG["noise"], sigma_static=1e300)
+def test_cli_sweep_names_a_non_finite_channel_in_the_row_and_exits_2(tmp_path, capsys, monkeypatch):
+    # A moment walk that ends non-finite in every cell that lasts: each such cell gets a row
+    # naming the non-finite Gram matrix, and `simple`, whose pulses take no time, still runs.
+    walk = simulate.ou_moment
+    monkeypatch.setattr(simulate, "ou_moment",
+                        lambda sched, *args: walk(sched, *args) * (math.nan if sched.total_duration else 1.0))
     cfg_path, out = tmp_path / "cfg.json", tmp_path / "sweep.csv"
-    cfg_path.write_text(json.dumps(dict(BASE_CONFIG, noise=noise)), encoding="utf-8")
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    cfg_path.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
     rows = rows_from_csv(out.read_text(encoding="utf-8"))
     assert [(row.scheme, row.error) for row in rows] == [
         ("simple", ""), ("simple", ""),
         ("xy8", "the channel's Gram matrix is not finite"), ("xy8", "the channel's Gram matrix is not finite"),
     ]
     assert "2 of 4 cells failed" in capsys.readouterr().err
+
+
+def test_cli_rejects_ou_detunings_that_would_overflow_before_any_cell_runs(tmp_path, capsys, monkeypatch):
+    # sigma_static 1e300 is finite, but the squared detuning at an outer Gauss-Hermite node is not.
+    noise = dict(BASE_CONFIG["noise"], sigma_static=1e300)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(BASE_CONFIG, noise=noise)), encoding="utf-8")
+    cells = []
+    monkeypatch.setattr(harness, "simulate_cell", lambda *cell: cells.append(cell))
+    for command in ("sweep", "table1"):
+        assert cli_main([command, "--config", str(cfg_path)]) == 1
+        assert "sigma_static" in capsys.readouterr().err
+    assert cells == []
 
 
 @pytest.mark.parametrize("field, value", [
@@ -695,6 +709,19 @@ def test_cli_simulate_and_sweep(tmp_path):
     assert report["NOT"]["reference_fidelity"] == 0.995
 
 
+def test_cli_simulate_epsilon_overrides_the_config(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")
+    cell = ["simulate", "--config", str(cfg_path), "--gate", "NOT", "--scheme", "xy8", "--tau", "1.5e-5"]
+    assert cli_main([*cell, "--epsilon", "0"]) == 0
+    override = capsys.readouterr().out
+    assert override == rows_to_csv([simulate_cell("NOT", "xy8", 1.5e-5, PINNED_NOISE, epsilon=0.0)])
+    assert cli_main(cell) == 0
+    configured = capsys.readouterr().out
+    assert configured == rows_to_csv([simulate_cell("NOT", "xy8", 1.5e-5, PINNED_NOISE, epsilon=0.01)])
+    assert rows_from_csv(override)[0].fidelity != rows_from_csv(configured)[0].fidelity
+
+
 def test_cli_sweep_runs_a_zero_spin_bath_written_as_json(tmp_path):
     # JSON writes the 0x0 bath_couplings matrix as [].
     noise = {"kind": "spin_bath", "couplings": [], "bath_couplings": default_spin_bath(0).bath_couplings.tolist(),
@@ -733,10 +760,14 @@ def test_cli_sweep_rejects_jobs_below_1_naming_the_flag(tmp_path, capsys, jobs):
 
 
 def test_cli_sweep_without_out_prints_the_csv(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
+    # With --summary too, the summary goes to its file and stdout still carries the CSV alone.
+    cfg_path, sum_path = tmp_path / "cfg.json", tmp_path / "summary.json"
     cfg_path.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")
-    assert cli_main(["sweep", "--config", str(cfg_path)]) == 0
-    assert capsys.readouterr().out == rows_to_csv(run_sweep(config_from_dict(BASE_CONFIG)))
+    rows = run_sweep(config_from_dict(BASE_CONFIG))
+    for extra in ([], ["--summary", str(sum_path)]):
+        assert cli_main(["sweep", "--config", str(cfg_path), *extra]) == 0
+        assert capsys.readouterr().out == rows_to_csv(rows)
+    assert json.loads(sum_path.read_text(encoding="utf-8")) == json.loads(json.dumps(summarize_rows(rows)))
 
 
 def test_cli_table1_writes_its_rows_and_exits_2_on_a_failed_cell(tmp_path, capsys, monkeypatch):

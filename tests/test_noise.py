@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ddgates.compiler import PulseEvent, RotationSpec, Schedule
 from ddgates.core import IDENTITY_2, SIGMA_Z, embed_system
@@ -19,8 +21,11 @@ from ddgates.noise import (
     hahn_decay_curve,
     phase_variance,
 )
-from ddgates.simulate import bath_channel_output, bath_propagator
-from helpers import bath_hamiltonians, ou_propagators, ou_trajectory, step_count, total_hamiltonian, trajectory
+from ddgates.simulate import bath_propagator
+from helpers import (
+    bath_hamiltonians, ou_propagators, ou_trajectory, reference_bath_channel_output, step_count, total_hamiltonian,
+    trajectory,
+)
 
 
 def make_ou(sigma=5000.0, tau_c=1e-4, dt=1e-5, sigma_static=0.0):
@@ -77,6 +82,15 @@ def test_noise_specs_reject_non_finite_parameters(build, value):
         build(value)
 
 
+def test_ou_spec_rejects_detunings_whose_square_overflows():
+    # The outermost of the 32 static nodes is 10.08 standard deviations out, and soft pulses
+    # square the detuning there: 1e152 rad/s runs, 1e154 would overflow.
+    OUNoiseSpec(sigma=0.0, tau_c=1.5e-4, dt=1.5e-5, sigma_static=1e152)
+    for sigma, sigma_static in ((0.0, 1e154), (1e154, 0.0), (7e152, 7e152)):
+        with pytest.raises(ValueError, match="sigma_static"):
+            OUNoiseSpec(sigma=sigma, tau_c=1.5e-4, dt=1.5e-5, sigma_static=sigma_static)
+
+
 def test_bath_hamiltonians_are_hermitian_and_dephasing():
     no_bath = SpinBathSpec(0, (), np.zeros((0, 0)), system_offset=3e3)
     for spec in (default_spin_bath(n_bath=3, seed=5, system_offset=2e3), no_bath):
@@ -105,6 +119,22 @@ def test_bath_hamiltonians_are_hermitian_and_dephasing():
                     rows, w = frame.index[sector, half * k:(half + 1) * k], frame.w[sector, half * k:(half + 1) * k]
                     block = h[np.ix_(rows, rows)]
                     assert np.allclose(v @ np.diag(w) @ v.conj().T, block, rtol=0.0, atol=tol)
+
+
+@settings(max_examples=30, deadline=None)
+@example(n_bath=6, seed=2024, system_offset=0.0)  # the benchmark's bath, perfbench/inputs/spin_bath_6.json
+@given(n_bath=st.integers(0, 5), seed=st.integers(0, 2**32 - 1), system_offset=st.floats(-1e4, 1e4))
+def test_bath_frames_are_eigh_of_the_dense_blocks(n_bath, seed, system_offset):
+    # Each stack's two blocks, sliced from the kron-built Hamiltonian at the frame's rows and
+    # diagonalised in one stacked eigh, give the frame's eigenpairs bit for bit.
+    spec = default_spin_bath(n_bath, seed, system_offset)
+    h = total_hamiltonian(spec)
+    for frame in bath_frame(spec):
+        k = frame.v0.shape[1]
+        rows = np.stack((frame.index[:, :k], frame.index[:, k:]))
+        w, v = np.linalg.eigh(h[rows[..., :, None], rows[..., None, :]])
+        assert np.array_equal(np.concatenate((w[0], w[1]), axis=1), frame.w)
+        assert np.array_equal(v[0], frame.v0) and np.array_equal(v[1], frame.v1)
 
 
 def test_six_spin_bath_frame_is_four_unpadded_stacks():
@@ -377,7 +407,7 @@ def test_bath_curves_match_the_bath_engine(echo):
     curve = (hahn_decay_curve if echo else fid_decay_curve)(spec, delays)
     for t, c in curve[1:]:
         u = bath_propagator(_decay_schedule(t, echo), spec)
-        assert c == pytest.approx(2.0 * abs(bath_channel_output(u, plus, spec.n_bath)[0, 1]), abs=1e-12)
+        assert c == pytest.approx(2.0 * abs(reference_bath_channel_output(u, plus, spec.n_bath)[0, 1]), abs=1e-12)
 
 
 def test_calibration_result_orders_decay_times():

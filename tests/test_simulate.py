@@ -55,6 +55,8 @@ from helpers import (
     oracle_bath_propagator,
     ou_propagators,
     ou_trajectory,
+    reference_bath_channel_output,
+    reference_bath_gram,
     reference_ou_moment,
     step_count,
     total_hamiltonian,
@@ -781,6 +783,39 @@ def test_bath_propagator_rejects_oversized_bath():
     with pytest.raises(ValueError):
         spec = SpinBathSpec(n_bath=n, couplings=(1.0,) * n, bath_couplings=np.zeros((n, n)))
         bath_propagator(dd_cycle(XY4, 1e-5), spec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_bath=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_bath_channel_output_matches_the_partial_trace_reference(n_bath, seed):
+    rng = np.random.default_rng(seed)
+    dim = 2 ** (n_bath + 1)
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T)
+    out = bath_channel_output(u, rho, n_bath)
+    assert np.max(np.abs(out - reference_bath_channel_output(u, rho, n_bath))) <= 1e-15
+
+
+def test_bath_gram_matches_the_dense_einsum_on_the_readme_grid():
+    # The README grid at epsilon = 0.01 on the benchmark's 6-spin bath (perfbench/inputs/spin_bath_6.json).
+    spec = default_spin_bath(6)
+    for gate, scheme, tau in _README_CELLS:
+        sched = apply_amplitude_error(build_schedule(gate, scheme, tau), 0.01)
+        g, reference = channel_gram(sched, spec), reference_bath_gram(bath_propagator(sched, spec), 6)
+        assert np.max(np.abs(g - reference)) <= 1e-15, (gate, scheme, tau)
+
+
+def test_framed_hard_pulses_are_the_phase_0_pulse_turned_to_their_phase():
+    # Every README-grid hard event, at epsilon 0 and 0.01, on each stack of the 6-spin bath.
+    hard = {ev for epsilon in (0.0, 0.01) for gate, scheme, tau in _README_CELLS
+            for ev in apply_amplitude_error(build_schedule(gate, scheme, tau), epsilon).events
+            if ev.kind == "hard_pulse"}
+    assert len(hard) == 44
+    for frame in bath_frame(default_spin_bath(6)):
+        for ev in hard:
+            expected = frame.pulse(rotation_unitary(ev.rotation.phase, ev.rotation.angle * ev.amplitude_scale))
+            assert np.max(np.abs(simulate._framed_pulse(frame, ev) - expected)) <= 1e-15, ev
 
 
 def test_bath_channel_output_reduces_correctly():

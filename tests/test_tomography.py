@@ -17,7 +17,6 @@ from ddgates.core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, rotation_unitary
 from ddgates.noise import OUNoiseSpec, SpinBathSpec
 from ddgates.simulate import (
     STATIC_NODES,
-    bath_channel_output,
     bath_propagator,
     channel_gram,
     hermite_nodes,
@@ -37,7 +36,7 @@ from ddgates.tomography import (
     process_fidelity,
     simulate_channel,
 )
-from helpers import channel_operators
+from helpers import channel_operators, reference_bath_channel_output
 
 
 def chi_of_unitary(u):
@@ -235,7 +234,7 @@ def _oracle_cases():
         bath_couplings=np.array([[0.0, 2.0e4], [2.0e4, 0.0]]), system_offset=1.0e3,
     )
     u_full = bath_propagator(not_xy8, bath)
-    yield "bath_NOT_xy8", not_xy8, bath, [bath_channel_output(u_full, rho, 2) for rho in TOMO_INPUT_STATES]
+    yield "bath_NOT_xy8", not_xy8, bath, [reference_bath_channel_output(u_full, rho, 2) for rho in TOMO_INPUT_STATES]
 
 
 @pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda c: c[0])
