@@ -5,7 +5,8 @@ dipolar intra-bath flip-flops) and a classical Ornstein-Uhlenbeck frequency
 trajectory with an optional static inhomogeneous-broadening offset.  The
 classical model, its phase variance and its calibration to measured
 free-induction and Hahn-echo 1/e times live in `ou`, which needs no numpy;
-their names are re-exported here.
+their names are re-exported here.  Nothing here propagates: the bath's decay
+curves read `simulate.channel_gram`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_MAX_SPINS, rotation_unitary
+from .core import DEFAULT_MAX_SPINS
 from .ou import (  # those noise does not use are re-exported for its callers
     CalibrationError,
     CalibrationResult,
@@ -37,6 +38,9 @@ class SpinBathSpec:
     system_offset: float = 0.0  # omega_S, rad/s
 
     def __post_init__(self):
+        if isinstance(self.n_bath, bool) or not hasattr(type(self.n_bath), "__index__"):  # numpy's integers load
+            raise ValueError(f"n_bath must be an integer, got {self.n_bath!r}")
+        object.__setattr__(self, "n_bath", int(self.n_bath))
         if not 0 <= self.n_bath < DEFAULT_MAX_SPINS:
             raise ValueError(f"n_bath must lie in [0, {DEFAULT_MAX_SPINS - 1}], got {self.n_bath}: "
                              f"the system plus bath holds at most {DEFAULT_MAX_SPINS} spins")
@@ -168,23 +172,12 @@ def bath_average(blocks: np.ndarray) -> np.ndarray:
     return np.einsum("sajbk,scjek->abce", blocks, blocks.conj())
 
 
-def _bath_coherences(spec: SpinBathSpec, delays: np.ndarray, echo: bool) -> np.ndarray:
-    total = np.zeros(len(delays), dtype=complex)
-    for frame in bath_frame(spec):
-        # The columns |+> (x) |b> (unnormalised) over the stack's bath states b, in the frame.
-        start = np.concatenate((frame.v0.conj().swapaxes(1, 2), frame.v1.conj().swapaxes(1, 2)), axis=1)
-        flip = frame.pulse(rotation_unitary(0.0, math.pi))
-        s, k = frame.v0.shape[:2]
-        for i, t in enumerate(delays):
-            xt = frame.delay(start, t / 2.0)
-            xt = flip @ xt if echo else xt
-            # The bath average of <0|rho|1>, one input column per bath state.
-            total[i] += bath_average(frame.from_frame(frame.delay(xt, t / 2.0)).reshape(s, 2, k, 1, k))[0, 0, 1, 0]
-    return np.abs(total) / 2**spec.n_bath
-
-
 def _decay_curve(noise, delays, echo: bool):
+    """(delay, 2|rho_01|) of a +x state after each delay, refocused by a pi_x at its middle if echo: OU
+    `ou_coherence`, or for the bath `simulate.channel_gram` of (t/2, t/2) or (t/2, pi_x, t/2); exact."""
     delays = np.asarray(delays, dtype=float)
+    if delays.ndim != 1:
+        raise ValueError(f"delays must be one-dimensional, got shape {delays.shape}")
     if not np.all(np.isfinite(delays)):
         raise ValueError(f"delays must be finite, got {delays[~np.isfinite(delays)][0]}")
     if delays.size == 0 or delays[0] < 0 or np.any(np.diff(delays) <= 0):
@@ -192,8 +185,12 @@ def _decay_curve(noise, delays, echo: bool):
     if isinstance(noise, OUNoiseSpec):
         coh = ou_coherence(noise, delays.tolist(), echo)
     elif isinstance(noise, SpinBathSpec):
-        # The maximally mixed bath average is exact; no sampling involved.
-        coh = _bath_coherences(noise, delays, echo).tolist()
+        from .compiler import PulseEvent, RotationSpec, Schedule  # they import simulate, which imports noise
+        from .simulate import channel_gram
+        pi_x = (PulseEvent("hard_pulse", 0.0, RotationSpec(0.0, math.pi)),) if echo else ()
+        halves = [PulseEvent("delay", t / 2) for t in delays.tolist()]
+        grams = (channel_gram(Schedule((half, *pi_x, half), np.eye(2), "decay"), noise) for half in halves)
+        coh = [float(abs(g.reshape(2, 2, 2, 2)[0, :, 1, :].sum())) for g in grams]  # 2|rho_01|, rho = G |+><+|
     else:
         raise TypeError(f"unsupported noise model {type(noise).__name__}")
     return list(zip(delays.tolist(), coh))

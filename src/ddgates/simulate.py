@@ -8,7 +8,8 @@ model's noise-averaged moments on Gauss-Hermite nodes.  The ideal and bath
 engines walk `Schedule.runs` through one interpreter, `_replay`; the OU walk is
 cut at events and `dt` grid points instead, its moments held node-major so that
 a hard pulse or a grid point is one real matmul over all nodes.  `channel_gram`
-turns any of them into the system channel's 4x4 Gram matrix.
+turns any of them into the system channel's 4x4 Gram matrix.  The bath is walked
+in one place, `_bath_blocks`, which its G and the dense `bath_propagator` read.
 """
 
 from __future__ import annotations
@@ -52,26 +53,28 @@ def ideal_propagator(schedule, honor_amplitude: bool = False) -> np.ndarray:
     return _replay(schedule, eye, eye, lambda ev, u: u if ev.kind == "delay" else rotations[ev] @ u)
 
 
-def bath_propagator(schedule, spec: SpinBathSpec) -> np.ndarray:
-    """Exact propagator on the system (x) bath space, amplitude scales applied.
+def _bath_blocks(schedule, spec: SpinBathSpec):
+    """Yield each `bath_frame` stack with its sector blocks of the exact propagator: the one bath replay.
 
-    H_noise has no term that flips the system's sigma_z, so it is block diagonal
-    over the system's |0>, |1>, and both blocks and every system pulse conserve
-    the bath's total S_z, so U is block diagonal over the bath's magnetization
-    sectors.  It is propagated one `bath_frame` stack of equal-size sectors at a
-    time, each sector in the eigenframe of its two blocks: Ut = diag(v0^dag, v1^dag) U,
-    replayed by `_replay`.  A delay multiplies the rows of Ut by e^{-i w t}, and a hard
-    pulse or a soft half multiplies Ut by one framed product, cached across calls
-    (`_framed_pulse`).  Each stack's sector blocks are scattered into the dense 2d x 2d matrix.
+    H_noise has no term that flips the system's sigma_z, and both its blocks over the system's |0>, |1> and
+    every system pulse conserve the bath's total S_z, so U is block diagonal over the bath's magnetization
+    sectors.  Each sector is replayed by `_replay` in the eigenframe of its two blocks,
+    Ut = diag(v0^dag, v1^dag) U: a delay multiplies the rows of Ut by e^{-i w t}, and a hard pulse or a soft
+    half, amplitude scale applied, multiplies Ut by one framed product, cached across calls (`_framed_pulse`).
     """
-    d = 2**spec.n_bath
-    u = np.zeros((2 * d, 2 * d), dtype=complex)
     for frame in bath_frame(spec):
         eye = np.eye(frame.w.shape[1], dtype=complex)  # broadcasts against the stack
         ut = _replay(schedule, frame.from_frame(eye).conj().swapaxes(1, 2), eye,  # from diag(v0^dag, v1^dag)
                      lambda ev, xt: frame.delay(xt, ev.duration) if ev.kind == "delay"
                      else _framed_pulse(frame, ev) @ xt)
-        u[frame.index[:, :, None], frame.index[:, None, :]] = frame.from_frame(ut)
+        yield frame, frame.from_frame(ut)
+
+
+def bath_propagator(schedule, spec: SpinBathSpec) -> np.ndarray:
+    """The exact system (x) bath propagator, amplitude scales applied: `_bath_blocks` scattered, dense."""
+    u = np.zeros((2 ** (spec.n_bath + 1),) * 2, dtype=complex)
+    for frame, blocks in _bath_blocks(schedule, spec):
+        u[frame.index[:, :, None], frame.index[:, None, :]] = blocks
     return u
 
 
@@ -287,10 +290,10 @@ def channel_gram(schedule, noise_model) -> np.ndarray:
     """The system channel's 4x4 Gram matrix G = E[vec K vec K^dag], vec row-major, over operators
     K whose mean of K rho K^dag is the channel, so that output_ac = sum_be G_(ab),(ce) rho_be.
 
-    None: vec U vec U^dag of the ideal propagator with amplitude scales applied.  SpinBathSpec,
-    bath maximally mixed: `bath_average` of the exact propagator as one block, divided by its
-    d = 2**n_bath bath states.  OUNoiseSpec: W M W^dag, vec(q0 - i q.sigma) = W q, M `ou_moment`
-    at STATIC_NODES Gauss-Hermite offsets (one if sigma_static is 0).  Exact; nothing is sampled.
+    None: vec U vec U^dag of the ideal propagator with amplitude scales applied.  SpinBathSpec, bath
+    maximally mixed: `bath_average` of each `_bath_blocks` stack, summed and divided by d = 2**n_bath; no
+    2d x 2d propagator is formed.  OUNoiseSpec: W M W^dag, vec(q0 - i q.sigma) = W q, M `ou_moment` at
+    STATIC_NODES Gauss-Hermite offsets (one if sigma_static is 0).  Exact; nothing is sampled.
     A non-finite entry of G, or an eigenvalue below -1e-12, raises ValueError.
     """
     if noise_model is None:
@@ -300,8 +303,8 @@ def channel_gram(schedule, noise_model) -> np.ndarray:
         x, w = hermite_nodes(STATIC_NODES if noise_model.sigma_static else 1)
         g = _W @ ou_moment(schedule, noise_model, noise_model.sigma_static * x, w) @ _W.conj().T
     elif isinstance(noise_model, SpinBathSpec):
-        d = 2**noise_model.n_bath
-        g = bath_average(bath_propagator(schedule, noise_model).reshape(1, 2, d, 2, d)).reshape(4, 4) / d
+        g = sum(bath_average(b.reshape(len(b), 2, b.shape[1] // 2, 2, -1))
+                for _, b in _bath_blocks(schedule, noise_model)).reshape(4, 4) / 2**noise_model.n_bath
     else:
         raise TypeError(f"unsupported noise model {type(noise_model).__name__}")
     if not np.isfinite(g).all():
@@ -313,7 +316,6 @@ def channel_gram(schedule, noise_model) -> np.ndarray:
 
 
 def bath_channel_output(u_full: np.ndarray, rho_sys: np.ndarray, n_bath: int) -> np.ndarray:
-    """System output state for a maximally mixed bath under a full-space propagator: sum_be G_(ab),(ce) rho_be,
-    G the `bath_average` of u_full over its 2**n_bath bath states."""
+    """System output state, bath maximally mixed: sum_be G_(ab),(ce) rho_be, G the `bath_average` of u_full / d."""
     d = 2**n_bath
     return np.einsum("abce,be->ac", bath_average(np.reshape(u_full, (1, 2, d, 2, d))) / d, rho_sys)

@@ -21,10 +21,9 @@ from ddgates.noise import (
     hahn_decay_curve,
     phase_variance,
 )
-from ddgates.simulate import bath_propagator
 from helpers import (
-    bath_hamiltonians, ou_propagators, ou_trajectory, reference_bath_channel_output, step_count, total_hamiltonian,
-    trajectory,
+    bath_hamiltonians, oracle_bath_propagator, ou_propagators, ou_trajectory, reference_bath_channel_output, step_count,
+    total_hamiltonian, trajectory,
 )
 
 
@@ -58,6 +57,19 @@ def test_spin_bath_spec_validation():
             SpinBathSpec(n_bath=0, couplings=(), bath_couplings=empty)
     with pytest.raises(ValueError, match="must be 1x1"):
         SpinBathSpec(n_bath=1, couplings=(1.0,), bath_couplings=np.array([]))
+
+
+@pytest.mark.parametrize("n_bath", [2.0, np.float64(2.0), True, "2", None],
+                         ids=["float", "numpy_float", "bool", "str", "none"])
+def test_spin_bath_spec_rejects_a_bath_size_that_is_not_an_integer(n_bath):
+    with pytest.raises(ValueError, match="n_bath must be an integer"):
+        SpinBathSpec(n_bath, (1e4, 1e4), np.zeros((2, 2)))
+
+
+def test_spin_bath_spec_loads_a_numpy_integer_bath_size():
+    spec = SpinBathSpec(np.int64(2), (1e4, 1e4), np.zeros((2, 2)))
+    assert type(spec.n_bath) is int and spec.n_bath == 2
+    assert [frame.w.shape for frame in bath_frame(spec)] == [(2, 2), (1, 4)]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -388,6 +400,14 @@ def test_decay_curves_reject_non_finite_delays(curve_fn, model, bad):
             curve_fn(model, delays)
 
 
+@pytest.mark.parametrize("delays", [1e-5, [[0.0, 1e-5], [2e-5, 3e-5]]], ids=["scalar", "2d"])
+@pytest.mark.parametrize("model", [make_ou(), default_spin_bath(n_bath=2, seed=19)], ids=["ou", "bath"])
+@pytest.mark.parametrize("curve_fn", [fid_decay_curve, hahn_decay_curve], ids=["fid", "hahn"])
+def test_decay_curves_reject_delays_that_are_not_one_dimensional(curve_fn, model, delays):
+    with pytest.raises(ValueError, match="delays must be one-dimensional"):
+        curve_fn(model, delays)
+
+
 def test_bath_decay_curve_is_deterministic_and_decaying():
     spec = default_spin_bath(n_bath=3, seed=19)
     grid = np.linspace(0.0, 4e-4, 25)
@@ -400,13 +420,14 @@ def test_bath_decay_curve_is_deterministic_and_decaying():
 
 @pytest.mark.parametrize("echo", [False, True], ids=["fid", "hahn"])
 def test_bath_curves_match_the_bath_engine(echo):
-    # 2|rho_01| of the +x state evolved by the schedule engine, bath traced out.
+    # 2|rho_01| of the +x state evolved by scipy's expm of the dense Hamiltonian, bath traced out:
+    # the curves read the bath engine, so they are checked against the oracle, not against it.
     spec = default_spin_bath(n_bath=3, seed=19, system_offset=2e3)
     delays = np.linspace(0.0, 4e-4, 9)
     plus = np.full((2, 2), 0.5, dtype=complex)
     curve = (hahn_decay_curve if echo else fid_decay_curve)(spec, delays)
     for t, c in curve[1:]:
-        u = bath_propagator(_decay_schedule(t, echo), spec)
+        u = oracle_bath_propagator(_decay_schedule(t, echo), spec)
         assert c == pytest.approx(2.0 * abs(reference_bath_channel_output(u, plus, spec.n_bath)[0, 1]), abs=1e-12)
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ddgates.simulate as simulate
@@ -678,8 +678,8 @@ def test_bath_propagator_of_random_protected_gates_matches_oracle(rotations, kin
 
 
 @st.composite
-def _spin_baths(draw):
-    n = draw(st.integers(0, 4))
+def _spin_baths(draw, max_spins=4):
+    n = draw(st.integers(0, max_spins))
     rate = st.floats(-8e4, 8e4)
     d = np.zeros((n, n))
     for j in range(n):
@@ -804,6 +804,29 @@ def test_bath_gram_matches_the_dense_einsum_on_the_readme_grid():
         sched = apply_amplitude_error(build_schedule(gate, scheme, tau), 0.01)
         g, reference = channel_gram(sched, spec), reference_bath_gram(bath_propagator(sched, spec), 6)
         assert np.max(np.abs(g - reference)) <= 1e-15, (gate, scheme, tau)
+
+
+@settings(max_examples=25, deadline=None)
+@example(spec=default_spin_bath(0, seed=3, system_offset=2e3), gate="H", scheme="xy4", tau=1e-5, epsilon=0.01)
+@example(spec=default_spin_bath(5, seed=3, system_offset=2e3), gate="PI8", scheme="kdd", tau=1e-5, epsilon=0.01)
+@given(spec=_spin_baths(max_spins=5), gate=st.sampled_from(("H", "NOT", "PI8")),
+       scheme=st.sampled_from(("bb1", "xy4", "kdd")), tau=st.floats(1e-6, 3e-5), epsilon=st.floats(-0.1, 0.1))
+def test_sector_wise_bath_gram_matches_the_dense_einsum(spec, gate, scheme, tau, epsilon):
+    # n_bath 0 is one sector of one state; 5 spins are three stacks, of sectors of 1, 5 and 10 states.
+    sched = apply_amplitude_error(build_schedule(gate, scheme, tau), epsilon)
+    g, reference = channel_gram(sched, spec), reference_bath_gram(bath_propagator(sched, spec), spec.n_bath)
+    assert np.max(np.abs(g - reference)) <= 1e-15
+
+
+def test_bath_gram_forms_no_dense_propagator(monkeypatch):
+    spec, sched = default_spin_bath(4), apply_amplitude_error(build_schedule("PI8", "kdd", 1e-5), 0.01)
+    reference = reference_bath_gram(bath_propagator(sched, spec), spec.n_bath)
+
+    def dense(*_):
+        raise AssertionError("channel_gram built the dense bath propagator")
+
+    monkeypatch.setattr(simulate, "bath_propagator", dense)
+    assert np.max(np.abs(channel_gram(sched, spec) - reference)) <= 1e-15
 
 
 def test_framed_hard_pulses_are_the_phase_0_pulse_turned_to_their_phase():
