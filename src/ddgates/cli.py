@@ -21,6 +21,7 @@ from .config import (
     SCHEMES,
     CompileError,
     ConfigError,
+    calibration_artifact_text,
     load_config,
     resolve_noise,  # unused here; perfbench/setup_probe.py times cli.resolve_noise
     run_calibration,
@@ -90,7 +91,10 @@ def _exit_code(rows) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    result = run_calibration(load_config(args.config), args.out)
+    cfg = load_config(args.config)
+    result = run_calibration(cfg)
+    if args.out:
+        _write_or_print(calibration_artifact_text(cfg.noise, result), args.out)
     print(f"sigma = {result.params.sigma!r} rad/s")
     print(f"tau_c = {result.params.tau_c!r} s")
     print(f"sigma_static = {result.params.sigma_static!r} rad/s")
@@ -124,13 +128,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .harness import emit_report, run_sweep
+    from .harness import rows_to_csv, run_sweep, summarize_rows
 
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     rows = run_sweep(load_config(args.config), jobs=args.jobs)
-    csv_text, _ = emit_report(rows, summary_path=args.summary)
-    _write_or_print(csv_text, args.out)
+    if args.summary:
+        _write_or_print(json.dumps(summarize_rows(rows), sort_keys=True, indent=2) + "\n", args.summary)
+    _write_or_print(rows_to_csv(rows), args.out)
     for path in filter(None, (args.out, args.summary)):
         print(f"wrote {path}", file=sys.stderr)  # stdout carries only the CSV
     return _exit_code(rows)
@@ -141,7 +146,7 @@ def cmd_table1(args) -> int:
 
     rows, report = run_table1(load_config(args.config))
     if args.csv:
-        Path(args.csv).write_text(rows_to_csv(rows), encoding="utf-8")
+        _write_or_print(rows_to_csv(rows), args.csv)
     _write_or_print(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
     return _exit_code(rows)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CompileError
+from .config import CompileError, json_value
 from .core import IDENTITY_2, SIGMA_X, rotation_unitary
 from .simulate import ideal_propagator
 from .tomography import gate_fidelity
@@ -365,28 +365,25 @@ def schedule_from_json(text: str) -> Schedule:
     """Rebuild and verify a schedule from its JSON form; every error raises CompileError."""
     try:
         doc = json.loads(text)
-        reals = doc["target_gate"]
+        reals = [json_value(v, "a number", "target_gate") for v in doc["target_gate"]]
         if len(reals) != 8:
             raise ValueError(f"target_gate must hold 8 reals, got {len(reals)}")
-        target = np.array(
-            [complex(reals[2 * i], reals[2 * i + 1]) for i in range(4)], dtype=complex
-        ).reshape(2, 2)
+        target = np.array(reals, dtype=float).view(complex).reshape(2, 2)  # (re, im) pairs, row-major
         events = []
         for i, rec in enumerate(doc["events"]):
-            if rec["index"] != i:
+            if json_value(rec["index"], "an integer", "index") != i:
                 raise ValueError(f"event indices out of order at {i}")
-            kind = rec["kind"]
-            rotation = (
-                None if kind == "delay" else RotationSpec(rec["phase_rad"], rec["angle_rad"])
+            duration, phase, angle, scale = (
+                json_value(rec[k], "a number", k) for k in ("duration_s", "phase_rad", "angle_rad", "amplitude_scale")
             )
-            events.append(
-                PulseEvent(kind, rec["duration_s"], rotation, rec["amplitude_scale"])
-            )
-        schedule = Schedule(events, target, doc["label"], doc["dd_kind"], doc["tau_s"])
-        if pulse_count(schedule) != doc["pulse_count"]:
-            raise ValueError(
-                f"pulse_count {doc['pulse_count']} does not match events ({pulse_count(schedule)})"
-            )
+            rotation = None if rec["kind"] == "delay" else RotationSpec(phase, angle)
+            events.append(PulseEvent(rec["kind"], duration, rotation, scale))
+        tau = doc["tau_s"]
+        schedule = Schedule(events, target, json_value(doc["label"], "a string", "label"), doc["dd_kind"],
+                            tau if tau is None else json_value(tau, "a number", "tau_s"))
+        count = json_value(doc["pulse_count"], "an integer", "pulse_count")
+        if pulse_count(schedule) != count:
+            raise ValueError(f"pulse_count {count} does not match events ({pulse_count(schedule)})")
         return _verified(schedule)
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise CompileError(f"malformed schedule JSON: {exc}") from exc

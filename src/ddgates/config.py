@@ -1,6 +1,6 @@
 """Experiment configs and calibration artifacts, on the standard library alone.
 
-Parses and validates the config JSON, writes and loads calibration
+Parses and validates the config JSON, renders and loads calibration
 artifacts, and resolves the configured noise to the model the engines take.
 Nothing here imports numpy except a spin-bath config, whose spec holds a
 numpy matrix, so `ddgates calibrate` starts without it.
@@ -107,11 +107,20 @@ def _reject_unknown_keys(keys, known: set, where: str) -> None:
             raise ConfigError(f"unknown key {key!r} in {where}; expected one of {sorted(known)}")
 
 
+# The Python types of each kind of JSON value; a boolean, an int to Python, is none of them.
+_JSON_KINDS = {"a number": (int, float), "an integer": int, "a string": str}
+
+
+def json_value(value, kind: str, field: str):
+    """value if it is of kind, a key of _JSON_KINDS; else a ConfigError naming field."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
+        raise ConfigError(f"{field} must be {kind}, got {value!r}")
+    return value
+
+
 def _number(value, key: str) -> float:
     """A JSON number as a float; float() would also take a boolean or a numeric string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    return float(json_value(value, "a number", key))
 
 
 def _parse_noise(d: dict):
@@ -214,18 +223,14 @@ def load_calibration(path: str) -> OUNoiseSpec:
         raise ConfigError(f"cannot load calibration artifact {path}: {exc}") from exc
 
 
-def run_calibration(cfg: ExperimentConfig, out_path: str | None = None) -> CalibrationResult:
-    """Calibrate the configured targets; persist the artifact when out_path is given.
+def run_calibration(cfg: ExperimentConfig) -> CalibrationResult:
+    """Calibrate the configured targets; `calibration_artifact_text` renders the result.
 
-    Deterministic per targets: reruns write byte-identical artifacts.
+    Deterministic per targets: reruns give byte-identical artifacts.
     """
     if not isinstance(cfg.noise, CalibrationTargets):
         raise ConfigError("run_calibration requires noise of kind 'targets'")
-    result = calibrate_to_targets(cfg.noise.t2_star_s, cfg.noise.t2_hahn_s)
-    if out_path is not None:
-        text = calibration_artifact_text(cfg.noise, result)
-        Path(out_path).write_text(text, encoding="utf-8")
-    return result
+    return calibrate_to_targets(cfg.noise.t2_star_s, cfg.noise.t2_hahn_s)
 
 
 def resolve_noise(cfg: ExperimentConfig):

@@ -4,7 +4,8 @@ Composes the compiler, noise models, simulators, and tomography into the
 headline experiments: gate compilation across protection schemes, fidelity
 sweeps versus gate time, and the reference-gate benchmark.  Results are
 deterministic CSV/JSON: every engine is exact and the sweep's rows are sorted
-by (gate, scheme, tau), so any job count gives identical bytes.  The config,
+by (gate, scheme, tau), so any job count gives identical bytes.  Nothing here
+writes a file: `cli` renders and writes what it returns.  The config,
 its noise resolution and the calibration artifacts live in `config`, which
 needs no numpy; their names are re-exported here.
 """
@@ -16,7 +17,6 @@ import ctypes
 import dataclasses
 import io
 import itertools
-import json
 import math
 import multiprocessing
 import os
@@ -235,16 +235,3 @@ def summarize_rows(rows) -> dict:
             summary[gate][scheme] = {"min": values[0], "median": median, "max": values[-1]}
     return summary
 
-
-def emit_report(rows, csv_path: str | None = None, summary_path: str | None = None):
-    """Render rows to CSV text and a JSON summary; write them when paths are given."""
-    if not rows:
-        raise ValueError("emit_report requires at least one row")
-    csv_text = rows_to_csv(rows)
-    summary = summarize_rows(rows)
-    summary_text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    if csv_path is not None:
-        Path(csv_path).write_text(csv_text, encoding="utf-8")
-    if summary_path is not None:
-        Path(summary_path).write_text(summary_text, encoding="utf-8")
-    return csv_text, summary

@@ -306,6 +306,27 @@ def test_serialization_rejects_tampering():
         schedule_from_json("{not json")
 
 
+# Each value would load at its place in NOT/simple_padded (delay, pi pulse, delay) if
+# its type went unchecked: a boolean counts as 0 or 1, and the label is kept as given.
+@pytest.mark.parametrize("event, field, value", [
+    (0, "duration_s", True),  # a 1 s delay
+    (0, "angle_rad", True),  # a delay's rotation fields are not read
+    (1, "phase_rad", False),
+    (1, "amplitude_scale", True),
+    (0, "index", False),
+    (0, "index", 0.0),
+    (None, "pulse_count", True),
+    (None, "tau_s", True),
+    (None, "label", 5),
+    (None, "target_gate", [False, False, True, False, True, False, False, False]),
+])
+def test_schedule_json_rejects_a_field_of_the_wrong_type_naming_it(event, field, value):
+    doc = json.loads(schedule_to_json(build_schedule("NOT", "simple_padded", 1e-5)))
+    (doc if event is None else doc["events"][event])[field] = value
+    with pytest.raises(CompileError, match=f"{field} must be an? (number|integer|string), got "):
+        schedule_from_json(json.dumps(doc))
+
+
 # Non-zero angles: a zero rotation compiles to bare cycles without soft halves,
 # which expected_pulse_count does not count.  Subnormal angles are excluded too:
 # the soft halves of 5e-324 round to zero.

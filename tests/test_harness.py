@@ -29,7 +29,6 @@ from ddgates.harness import (
     build_schedule,
     calibration_artifact_text,
     config_from_dict,
-    emit_report,
     load_calibration,
     load_config,
     resolve_noise,
@@ -431,18 +430,6 @@ def test_summary_skips_failed_rows():
     assert summary["H"]["xy8"]["min"] == pytest.approx(0.9)
 
 
-def test_emit_report_writes_files(tmp_path):
-    rows = [ResultRow("H", "xy8", 1e-6, 1e-3, 100, 0.9, 0.0)]
-    csv_path = tmp_path / "out.csv"
-    sum_path = tmp_path / "sum.json"
-    text, summary = emit_report(rows, str(csv_path), str(sum_path))
-    assert csv_path.read_text(encoding="utf-8") == text
-    doc = json.loads(sum_path.read_text(encoding="utf-8"))
-    assert doc == summary
-    with pytest.raises(ValueError):
-        emit_report([])
-
-
 def test_run_table1_tau_selection_and_report():
     d = dict(BASE_CONFIG)
     d["gates"] = ["NOT", "H"]
@@ -460,10 +447,10 @@ def test_run_table1_tau_selection_and_report():
         run_table1(config_from_dict(d))
 
 
-def test_run_calibration_requires_targets_kind(tmp_path):
+def test_run_calibration_requires_targets_kind():
     cfg = config_from_dict(BASE_CONFIG)
     with pytest.raises(ConfigError):
-        run_calibration(cfg, str(tmp_path / "a.json"))
+        run_calibration(cfg)
 
 
 def test_cli_compile_and_roundtrip(tmp_path, capsys):
@@ -800,11 +787,21 @@ def test_cli_exits_2_on_an_unwritable_output(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command, flag", [("calibrate", "--out"), ("sweep", "--summary"), ("table1", "--csv")])
+def test_cli_writes_each_artifact_before_it_prints(tmp_path, capsys, command, flag):
+    cfg_path = tmp_path / "cfg.json"
+    noise = _TARGETS_NOISE if command == "calibrate" else BASE_CONFIG["noise"]
+    cfg_path.write_text(json.dumps(dict(BASE_CONFIG, noise=noise)), encoding="utf-8")
+    assert cli_main([command, "--config", str(cfg_path), flag, str(tmp_path / "missing-dir" / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_targets_noise_gives_the_bytes_of_its_calibration_artifact(tmp_path):
     targets = {"kind": "targets", "t2_star_s": 3.7e-4, "t2_hahn_s": 7.5e-4}
     cfg = config_from_dict(dict(BASE_CONFIG, noise=targets))
     artifact = tmp_path / "cal.json"
-    run_calibration(cfg, str(artifact))
+    artifact.write_text(calibration_artifact_text(cfg.noise, run_calibration(cfg)), encoding="utf-8")
     via_artifact = dataclasses.replace(cfg, noise=CalibrationFileRef(str(artifact)))
     assert rows_to_csv(run_sweep(cfg)) == rows_to_csv(run_sweep(via_artifact))
 

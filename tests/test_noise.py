@@ -226,7 +226,7 @@ def test_ou_normals_of_the_static_start_and_first_innovation_steps_are_standard_
         assert abs(np.mean(steps[i] * steps[j])) < 5 / math.sqrt(rows)
 
 
-def test_ou_ensemble_memory_peak_stays_within_a_few_trajectory_arrays():
+def test_oracle_ou_trajectory_memory_peak_stays_within_a_few_trajectory_arrays():
     # The Monte-Carlo oracle's trajectory holds a few step arrays, however many steps it has.
     spec = make_ou(sigma_static=800.0)
     next(ou_trajectory(spec, 1, 3, 0))  # numpy's one-time set-up of a seed sequence is not the walk's

@@ -456,7 +456,7 @@ def test_ou_propagators_deterministic_per_seed():
     assert not np.allclose(a, c)
 
 
-def test_ou_propagators_memory_does_not_scale_with_steps_times_realizations():
+def test_oracle_ou_propagators_memory_does_not_scale_with_steps_times_realizations():
     # The Monte-Carlo oracle holds a few vectors of n complex numbers, whatever the
     # length: a 2000-step trajectory of 500 rows alone would take 8 MB.
     spec = OUNoiseSpec(sigma=4e3, tau_c=1.5e-4, dt=1.5e-5)
