@@ -9,7 +9,7 @@ free-induction and echo 1/e times match requested values.
 import numpy as np
 
 from ddgates import calibrate_to_targets, default_spin_bath, fid_decay_curve, hahn_decay_curve
-from ddgates.noise import coherence_1e_time
+from ddgates.ou import coherence_1e_time
 
 print("Quantum bath (4 spins, exact average):")
 bath = default_spin_bath(n_bath=4, seed=2024)

@@ -19,8 +19,8 @@ _SUBMODULES = {
                 "pulse_count schedule_from_json schedule_to_json verify_schedule",
     "config": "CompileError ConfigError ExperimentConfig load_config resolve_noise run_calibration",
     "core": "rotation_unitary",
-    "harness": "ResultRow build_schedule run_sweep run_table1 simulate_cell",
-    "noise": "SpinBathSpec default_spin_bath fid_decay_curve hahn_decay_curve",
+    "harness": "ResultRow build_schedule fid_decay_curve hahn_decay_curve run_sweep run_table1 simulate_cell",
+    "noise": "SpinBathSpec default_spin_bath",
     "ou": "CalibrationError CalibrationResult OUNoiseSpec calibrate_to_targets",
     "simulate": "bath_propagator ideal_propagator",
     "tomography": "ChannelSamples ChiMatrix chi_reconstruct gate_fidelity process_fidelity",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CompileError, json_value
+from .config import CompileError, _reject_unknown_keys, json_value
 from .core import IDENTITY_2, SIGMA_X, rotation_unitary
 from .simulate import ideal_propagator
 from .tomography import gate_fidelity
@@ -336,6 +336,11 @@ def _target_reals(target: np.ndarray) -> list[float]:
     return out
 
 
+# The keys schedule_to_json writes, at the top level and in each event: the only ones schedule_from_json takes.
+_SCHEDULE_KEYS = {"label", "dd_kind", "tau_s", "pulse_count", "target_gate", "events"}
+_EVENT_KEYS = {"index", "kind", "duration_s", "phase_rad", "angle_rad", "amplitude_scale"}
+
+
 def schedule_to_json(schedule: Schedule) -> str:
     """Flat JSON text: header plus one record per event."""
     records = []
@@ -362,15 +367,18 @@ def schedule_to_json(schedule: Schedule) -> str:
 
 
 def schedule_from_json(text: str) -> Schedule:
-    """Rebuild and verify a schedule from its JSON form; every error raises CompileError."""
+    """Rebuild and verify a schedule from its JSON form; every error, a key that schedule_to_json does not
+    write included, raises CompileError."""
     try:
         doc = json.loads(text)
+        _reject_unknown_keys(json_value(doc, "an object", "the schedule"), _SCHEDULE_KEYS, "the schedule")
         reals = [json_value(v, "a number", "target_gate") for v in doc["target_gate"]]
         if len(reals) != 8:
             raise ValueError(f"target_gate must hold 8 reals, got {len(reals)}")
         target = np.array(reals, dtype=float).view(complex).reshape(2, 2)  # (re, im) pairs, row-major
         events = []
         for i, rec in enumerate(doc["events"]):
+            _reject_unknown_keys(json_value(rec, "an object", f"event {i}"), _EVENT_KEYS, f"event {i}")
             if json_value(rec["index"], "an integer", "index") != i:
                 raise ValueError(f"event indices out of order at {i}")
             duration, phase, angle, scale = (

@@ -108,7 +108,7 @@ def _reject_unknown_keys(keys, known: set, where: str) -> None:
 
 
 # The Python types of each kind of JSON value; a boolean, an int to Python, is none of them.
-_JSON_KINDS = {"a number": (int, float), "an integer": int, "a string": str}
+_JSON_KINDS = {"a number": (int, float), "an integer": int, "a string": str, "an object": dict}
 
 
 def json_value(value, kind: str, field: str):
@@ -154,8 +154,7 @@ def _parse_noise(d: dict):
 def config_from_dict(d: dict) -> ExperimentConfig:
     try:
         _reject_unknown_keys((k for k in d if k not in _LEGACY_KEYS), _CONFIG_KEYS, "the config")
-        if not isinstance(d["noise"], dict):
-            raise ConfigError(f"noise must be an object, got {d['noise']!r}")
+        json_value(d["noise"], "an object", "noise")
         for key in ("gates", "schemes", "tau_grid_s"):
             if not isinstance(d[key], (list, tuple)):
                 raise ConfigError(f"{key} must be a list, got {d[key]!r}")

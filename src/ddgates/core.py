@@ -24,11 +24,6 @@ DEFAULT_MAX_SPINS = 7
 HERMITICITY_TOL = 1e-9
 
 
-def spin_half_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return the spin-1/2 operators (S_x, S_y, S_z), i.e. half Paulis."""
-    return 0.5 * SIGMA_X, 0.5 * SIGMA_Y, 0.5 * SIGMA_Z
-
-
 def rotation_unitary(phase: float, angle: float) -> np.ndarray:
     """Rotation by `angle` about the in-plane axis at azimuth `phase`.
 

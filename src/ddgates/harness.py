@@ -1,13 +1,12 @@
 """Config-driven experiment harness.
 
 Composes the compiler, noise models, simulators, and tomography into the
-headline experiments: gate compilation across protection schemes, fidelity
-sweeps versus gate time, and the reference-gate benchmark.  Results are
-deterministic CSV/JSON: every engine is exact and the sweep's rows are sorted
-by (gate, scheme, tau), so any job count gives identical bytes.  Nothing here
-writes a file: `cli` renders and writes what it returns.  The config,
-its noise resolution and the calibration artifacts live in `config`, which
-needs no numpy; their names are re-exported here.
+experiments: the exact free-induction and Hahn-echo decay curves of either
+noise model, fidelity sweeps versus gate time across protection schemes, and
+the reference-gate benchmark.  Results are deterministic CSV/JSON: every engine
+is exact and the sweep's rows are sorted by (gate, scheme, tau), so any job
+count gives identical bytes.  Nothing here writes a file: `cli` renders and
+writes what it returns.
 """
 
 from __future__ import annotations
@@ -30,6 +29,9 @@ import numpy as np
 from .compiler import (
     DD_KINDS,
     GATE_ROTATIONS,
+    PulseEvent,
+    RotationSpec,
+    Schedule,
     apply_amplitude_error,
     bb1_expand,
     check_tau,
@@ -39,22 +41,15 @@ from .compiler import (
     protected_bb1_gate,
     pulse_count,
 )
-from .config import (  # those harness does not use are re-exported for its callers
-    GATES,
-    SCHEMES,
-    CalibrationFileRef,
+from .config import SCHEMES, CompileError, ConfigError, ExperimentConfig, resolve_noise
+from .config import (  # unused here; tests/test_acceptance.py imports these from harness
     CalibrationTargets,
-    CompileError,
-    ConfigError,
-    ExperimentConfig,
     calibration_artifact_text,
-    config_from_dict,
     load_calibration,
-    load_config,
-    resolve_noise,
-    run_calibration,
 )
-from .noise import SpinBathSpec, bath_frame
+from .noise import SpinBathSpec
+from .ou import OUNoiseSpec, ou_coherence
+from .simulate import bath_frame, channel_gram
 from .tomography import process_fidelity
 
 # Published reference gate times and fidelities for the XY-8 benchmark.
@@ -124,6 +119,38 @@ def simulate_cell(gate: str, scheme: str, tau: float, noise_model, epsilon: floa
     except (CompileError, ValueError) as exc:
         return ResultRow(gate=gate, scheme=scheme, tau=tau, gate_time=math.nan, pulse_count=0,
                          fidelity=math.nan, fidelity_stderr=math.nan, error=str(exc))
+
+
+def _decay_curve(noise, delays, echo: bool):
+    """(delay, 2|rho_01|) of a +x state after each delay, refocused by a pi_x at its middle if echo: OU
+    `ou_coherence`, or for the bath `channel_gram` of (t/2, t/2) or (t/2, pi_x, t/2); exact."""
+    delays = np.asarray(delays, dtype=float)
+    if delays.ndim != 1:
+        raise ValueError(f"delays must be one-dimensional, got shape {delays.shape}")
+    if not np.all(np.isfinite(delays)):
+        raise ValueError(f"delays must be finite, got {delays[~np.isfinite(delays)][0]}")
+    if delays.size == 0 or delays[0] < 0 or np.any(np.diff(delays) <= 0):
+        raise ValueError("delays must be non-negative and increasing")
+    if isinstance(noise, OUNoiseSpec):
+        coh = ou_coherence(noise, delays.tolist(), echo)
+    elif isinstance(noise, SpinBathSpec):
+        pi_x = (PulseEvent("hard_pulse", 0.0, RotationSpec(0.0, math.pi)),) if echo else ()
+        halves = [PulseEvent("delay", t / 2) for t in delays.tolist()]
+        grams = (channel_gram(Schedule((half, *pi_x, half), np.eye(2), "decay"), noise) for half in halves)
+        coh = [float(abs(g.reshape(2, 2, 2, 2)[0, :, 1, :].sum())) for g in grams]  # 2|rho_01|, rho = G |+><+|
+    else:
+        raise TypeError(f"unsupported noise model {type(noise).__name__}")
+    return list(zip(delays.tolist(), coh))
+
+
+def fid_decay_curve(noise, delays):
+    """Exact free-induction coherence of an initial +x state at each delay."""
+    return _decay_curve(noise, delays, echo=False)
+
+
+def hahn_decay_curve(noise, delays):
+    """Exact coherence at each delay with an ideal pi_x refocusing pulse at delay/2."""
+    return _decay_curve(noise, delays, echo=True)
 
 
 def _set_blas_threads(n: int) -> int | None:

@@ -3,13 +3,13 @@
 Schedules are consumed structurally: an ordered event list where each event
 is a delay, an instantaneous hard pulse, or a finite-duration weak rotation
 during which the noise acts concurrently.  Three engines, all exact: ideal (no
-noise), quantum spin bath (by bath magnetization sector), and the classical OU
-model's noise-averaged moments on Gauss-Hermite nodes.  The ideal and bath
-engines walk `Schedule.runs` through one interpreter, `_replay`; the OU walk is
-cut at events and `dt` grid points instead, its moments held node-major so that
-a hard pulse or a grid point is one real matmul over all nodes.  `channel_gram`
-turns any of them into the system channel's 4x4 Gram matrix.  The bath is walked
-in one place, `_bath_blocks`, which its G and the dense `bath_propagator` read.
+noise), quantum spin bath, and the classical OU model's noise-averaged moments
+on Gauss-Hermite nodes.  The whole bath engine lives here: its eigenframe by
+magnetization sector (`bath_frame`), its one replay (`_bath_blocks`) and its one
+trace (`bath_average`).  The ideal and bath engines walk `Schedule.runs` through
+one interpreter, `_replay`; the OU walk is cut at events and `dt` grid points,
+its moments held node-major.  `channel_gram` turns any engine into the system
+channel's 4x4 Gram matrix.
 """
 
 from __future__ import annotations
@@ -18,11 +18,13 @@ import cmath
 import functools
 import math
 from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import SIGMA_X, hermitian_expm, rotation_unitary
-from .noise import OUNoiseSpec, SpinBathSpec, bath_average, bath_frame
+from .noise import SpinBathSpec
+from .ou import OUNoiseSpec
 
 
 def _replay(schedule, x, eye, apply):
@@ -53,18 +55,118 @@ def ideal_propagator(schedule, honor_amplitude: bool = False) -> np.ndarray:
     return _replay(schedule, eye, eye, lambda ev, u: u if ev.kind == "delay" else rotations[ev] @ u)
 
 
+@dataclass(frozen=True, eq=False)
+class BathFrame:
+    """Eigenframe of H_noise = diag(h0, h1), its blocks over the system's |0>, |1>,
+    on the bath's magnetization sectors of one size, held as one stack.
+
+    h0 and h1 conserve the bath's total S_z and system pulses act on the system
+    only, so every propagator is block diagonal over the n_bath + 1 sectors.
+    Sector s of the stack is its block s of size 2k, k the sector's size: its
+    system-|0> rows, then its system-|1> rows.  w (S, 2k): the eigenvalues of h0
+    then h1 on the sector; v0, v1 (S, k, k): their eigenvectors; link = v0^dag v1;
+    index (S, 2k): each row's index on the system (x) bath space.  An X on the
+    system (x) bath space is held as the stack Xt = diag(v0^dag, v1^dag) X of its
+    sector blocks; start is that of the identity, where every replay starts.
+    """
+
+    w: np.ndarray
+    v0: np.ndarray
+    v1: np.ndarray
+    link: np.ndarray
+    index: np.ndarray
+    start: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        eye = np.eye(self.w.shape[1], dtype=complex)
+        object.__setattr__(self, "start", self.from_frame(eye).conj().swapaxes(1, 2))  # diag(v0^dag, v1^dag)
+
+    def delay(self, xt: np.ndarray, t: float) -> np.ndarray:
+        return np.exp(-1j * t * self.w)[..., None] * xt
+
+    def pulse(self, r: np.ndarray) -> np.ndarray:
+        """r (x) I in the frame, for a 2x2 r: [[r00 I, r01 link], [r10 link^dag, r11 I]] per sector."""
+        k = self.v0.shape[1]
+        eye = np.eye(k)
+        p = np.empty((len(self.w), 2 * k, 2 * k), dtype=complex)
+        p[:, :k, :k], p[:, :k, k:] = r[0, 0] * eye, r[0, 1] * self.link
+        p[:, k:, :k], p[:, k:, k:] = r[1, 0] * self.link.conj().swapaxes(1, 2), r[1, 1] * eye
+        return p
+
+    def from_frame(self, xt: np.ndarray) -> np.ndarray:
+        k = self.v0.shape[1]
+        return np.concatenate((self.v0 @ xt[..., :k, :], self.v1 @ xt[..., k:, :]), axis=-2)
+
+
+_FRAMES: dict = {}  # the last 4 specs' frames, keyed by every SpinBathSpec field
+
+
+def bath_frame(spec: SpinBathSpec) -> tuple[BathFrame, ...]:
+    """The spec's BathFrames, one unpadded stack per sector size in increasing size,
+    from one eigh per sector and system block, built once per distinct spec.
+
+    H_noise = omega_S S_z (x) I + sum_k b_k S_z (x) S_z^k + I (x) H_E, with H_E the
+    secular dipolar coupling sum_{j<k} d_jk (2 S_z^j S_z^k - S_x^j S_x^k - S_y^j S_y^k),
+    flip-flops included.  Its blocks over the system's |0>, |1> are
+    H_E +- diag(omega_S / 2 + sum_k b_k S_z^k / 2).  Both conserve sum_k S_z^k
+    (Abragam, The Principles of Nuclear Magnetism, 1961), so the sectors are the
+    bath basis states grouped by their number of spins down, and each block is built
+    from the states' bits and diagonalised on each sector alone.  A 6-spin bath has 7
+    sectors of 1, 6, 15, 20, 15, 6 and 1 states, held as four stacks of 2, 2, 2 and 1.
+    """
+    key = (spec.n_bath, spec.couplings, spec.bath_couplings.tobytes(), spec.system_offset)
+    if key not in _FRAMES:
+        n, d = spec.n_bath, 2**spec.n_bath
+        states = np.arange(d)
+        # S_z^k is +1/2 or -1/2 as bit n - 1 - k of the basis state (spin 0 first) is 0 or 1.
+        bits = [1 << (n - 1 - k) for k in range(n)]
+        sz = [0.5 - ((states & bit) > 0) for bit in bits]
+        # H_E holds 2 S_z^j S_z^k on its diagonal, and the flip-flop -(S_x^j S_x^k + S_y^j S_y^k)
+        # is -1/2 between two states whose XOR is the pair's bit mask: zz by state, flip by XOR.
+        zz, flip = np.zeros(d), np.zeros(d)
+        for j in range(n):
+            for k in range(j + 1, n):
+                zz += spec.bath_couplings[j, k] * (2 * sz[j] * sz[k])
+                flip[bits[j] | bits[k]] = spec.bath_couplings[j, k] * -0.5
+        shift = 0.5 * spec.system_offset + sum(map(np.multiply, spec.couplings, sz), np.zeros(d)) / 2
+        down = sum((z < 0 for z in sz), np.zeros(d, dtype=int))  # sector j: the comb(n, j) states with j spins down
+        frames = []
+        for size in sorted({math.comb(n, j) for j in range(n + 1)}):
+            rows = np.array([np.flatnonzero(down == j) for j in range(n + 1) if math.comb(n, j) == size])
+            blocks = flip[rows[:, :, None] ^ rows[:, None, :]] + 0j  # complex frames; XOR 0 (the diagonal) has no flip
+            w, v = np.linalg.eigh(blocks + np.stack((zz + shift, zz - shift))[:, rows, None] * np.eye(size))
+            frame = BathFrame(np.concatenate((w[0], w[1]), axis=1), v[0], v[1],
+                              v[0].conj().swapaxes(1, 2) @ v[1], np.concatenate((rows, d + rows), axis=1))
+            for a in vars(frame).values():
+                a.setflags(write=False)
+            frames.append(frame)
+        if len(_FRAMES) == 4:
+            del _FRAMES[next(iter(_FRAMES))]
+        _FRAMES[key] = tuple(frames)
+    return _FRAMES[key]
+
+
+def bath_average(blocks: np.ndarray) -> np.ndarray:
+    """The bath trace: sum over s, j, k of U_(aj),(bk) U*_(cj),(ek), shape (2, B, 2, B), of propagator
+    blocks U of shape (S, 2, k, B, k): S sectors of k bath states; system row a, bath row j, input
+    column b, bath column k.  Over all sectors and divided by the bath dimension d, it is the G of
+    Tr_B U (rho (x) I / d) U^dag = sum_be G_(ab),(ce) rho_be, the maximally mixed bath traced out."""
+    return np.einsum("sajbk,scjek->abce", blocks, blocks.conj())
+
+
 def _bath_blocks(schedule, spec: SpinBathSpec):
     """Yield each `bath_frame` stack with its sector blocks of the exact propagator: the one bath replay.
 
     H_noise has no term that flips the system's sigma_z, and both its blocks over the system's |0>, |1> and
     every system pulse conserve the bath's total S_z, so U is block diagonal over the bath's magnetization
     sectors.  Each sector is replayed by `_replay` in the eigenframe of its two blocks,
-    Ut = diag(v0^dag, v1^dag) U: a delay multiplies the rows of Ut by e^{-i w t}, and a hard pulse or a soft
-    half, amplitude scale applied, multiplies Ut by one framed product, cached across calls (`_framed_pulse`).
+    Ut = diag(v0^dag, v1^dag) U, from `BathFrame.start`: a delay multiplies the rows of Ut by e^{-i w t}, and
+    a hard pulse or a soft half, amplitude scale applied, multiplies Ut by one framed product, cached across
+    calls (`_framed_pulse`).
     """
     for frame in bath_frame(spec):
         eye = np.eye(frame.w.shape[1], dtype=complex)  # broadcasts against the stack
-        ut = _replay(schedule, frame.from_frame(eye).conj().swapaxes(1, 2), eye,  # from diag(v0^dag, v1^dag)
+        ut = _replay(schedule, frame.start, eye,
                      lambda ev, xt: frame.delay(xt, ev.duration) if ev.kind == "delay"
                      else _framed_pulse(frame, ev) @ xt)
         yield frame, frame.from_frame(ut)
@@ -108,16 +210,6 @@ def _framed_pulse(frame, ev) -> np.ndarray:
     u[:, m:, :m] *= p
     u.setflags(write=False)
     return u
-
-
-def _pulse_cayley_klein(ev, delta: np.ndarray, length: float):
-    """(alpha, beta) of U = [[alpha, -beta*], [beta, alpha*]] for `length` of a pulse at detunings delta:
-    exp(-i length (w cos phase, w sin phase, delta) . sigma / 2), w = angle / duration.
-    A hard pulse (duration 0) is its whole rotation, whatever length and delta."""
-    if ev.duration == 0.0:
-        return rotation_unitary(ev.rotation.phase, ev.rotation.angle * ev.amplitude_scale)[:, 0]
-    a, f = _soft_rotation(ev, delta, length)
-    return a - 1j * f * delta, f * _soft_drive(ev)
 
 
 def _soft_drive(ev) -> complex:
@@ -195,7 +287,7 @@ def _real_turn(alpha, beta) -> np.ndarray:
 def _hard_turn(ev) -> np.ndarray:
     """`_real_turn` of a hard pulse, which acts alike at every node.  Its column of Im d is 0
     but for Im d's own row, so Im d stays 0."""
-    t = _real_turn(*_pulse_cayley_klein(ev, None, 0.0))
+    t = _real_turn(*rotation_unitary(ev.rotation.phase, ev.rotation.angle * ev.amplitude_scale)[:, 0])
     t.setflags(write=False)
     return t
 

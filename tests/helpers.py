@@ -1,8 +1,8 @@
 """Shared by the tests: independent constructions to check the package against, the
 operator route to a channel that its Gram matrix replaced, the dense bath traces that
-`noise.bath_average` replaced, the component-major OU moment walk that the node-major
-one replaced, and the Monte-Carlo OU sampler that is the statistical oracle of the
-exact OU channel."""
+`simulate.bath_average` replaced, the component-major OU moment walk that the node-major
+one replaced, with the per-node pulse rotation it steps by, and the Monte-Carlo OU
+sampler that is the statistical oracle of the exact OU channel."""
 
 import functools
 import math
@@ -12,12 +12,15 @@ import numpy as np
 import scipy.linalg
 
 from ddgates.compiler import DD_KINDS, GATE_ROTATIONS, cycle_pulse_count
-from ddgates.core import IDENTITY_2, SIGMA_X, SIGMA_Y, embed_system, spin_half_operators
-from ddgates.noise import OUNoiseSpec, SpinBathSpec
+from ddgates.core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, embed_system, rotation_unitary
+from ddgates.noise import SpinBathSpec
+from ddgates.ou import OUNoiseSpec
 from ddgates.simulate import (
-    OU_NODES, STATIC_NODES, _Z, _mehler, _pulse_cayley_klein, bath_propagator, hermite_nodes, ideal_propagator,
-    ou_moment,
+    OU_NODES, STATIC_NODES, _Z, _mehler, _soft_drive, _soft_rotation, bath_propagator, hermite_nodes,
+    ideal_propagator, ou_moment,
 )
+
+SPIN_HALF = (0.5 * SIGMA_X, 0.5 * SIGMA_Y, 0.5 * SIGMA_Z)  # (S_x, S_y, S_z)
 
 
 def bath_hamiltonians(spec):
@@ -29,8 +32,8 @@ def bath_hamiltonians(spec):
     n = spec.n_bath
     # site[k] = (S_x, S_y, S_z) on bath site k, identity elsewhere (bath space only).
     site = [[functools.reduce(np.kron, [c if j == k else IDENTITY_2 for j in range(n)], np.eye(1))
-             for c in spin_half_operators()] for k in range(n)]
-    sz, eye_b = spin_half_operators()[2], np.eye(2**n, dtype=complex)
+             for c in SPIN_HALF] for k in range(n)]
+    sz, eye_b = SPIN_HALF[2], np.eye(2**n, dtype=complex)
     h_se, h_e_bath = np.zeros((2 * len(eye_b),) * 2, dtype=complex), np.zeros_like(eye_b)
     for k, b in enumerate(spec.couplings):
         h_se += b * np.kron(sz, site[k][2])
@@ -48,8 +51,7 @@ def total_hamiltonian(spec):
 def oracle_bath_propagator(schedule, spec):
     """The exact system (x) bath propagator, one scipy expm of the dense Hamiltonian per event."""
     h_noise = total_hamiltonian(spec)
-    sx = SIGMA_X / 2
-    sy = SIGMA_Y / 2
+    sx, sy, _ = SPIN_HALF
     u = np.eye(h_noise.shape[0], dtype=complex)
     for ev in schedule.events:
         if ev.kind == "delay":
@@ -103,6 +105,16 @@ def channel_operators(schedule, noise_model):
     return math.sqrt(d) * blocks.transpose(1, 3, 0, 2).reshape(d * d, 2, 2)
 
 
+def pulse_cayley_klein(ev, delta: np.ndarray, length: float):
+    """(alpha, beta) of U = [[alpha, -beta*], [beta, alpha*]] for `length` of a pulse at detunings delta:
+    exp(-i length (w cos phase, w sin phase, delta) . sigma / 2), w = angle / duration.
+    A hard pulse (duration 0) is its whole rotation, whatever length and delta."""
+    if ev.duration == 0.0:
+        return rotation_unitary(ev.rotation.phase, ev.rotation.angle * ev.amplitude_scale)[:, 0]
+    a, f = _soft_rotation(ev, delta, length)
+    return a - 1j * f * delta, f * _soft_drive(ev)
+
+
 def _component_turn(y, alpha, beta):
     """The moments y = (d, A01, B00, B11, B01), component first, after a pulse [[alpha, -beta*], [beta, alpha*]]:
     z = (u, v) maps to p z + q J z*, p = alpha*, q = i beta, J = [[0, -1], [1, 0]] (see `simulate._turn`)."""
@@ -132,7 +144,7 @@ def reference_ou_moment(schedule, spec, offsets, weights):
             if ev.kind == "delay":
                 y[2:] *= np.exp(1j * (end - t) * delta)
             elif ev.duration == 0.0 or end > t:
-                y = _component_turn(y, *_pulse_cayley_klein(ev, delta, end - t))
+                y = _component_turn(y, *pulse_cayley_klein(ev, delta, end - t))
             if end == stop:
                 break
             t, k, y = end, k + 1, mix @ y
@@ -215,7 +227,7 @@ def ou_propagators(schedule, spec, n_realizations, seed):
     dt = spec.dt
     walk = ou_trajectory(spec, n_realizations, seed, step_count(schedule.total_duration, dt))
     delta, k, t = next(walk), 0, 0.0
-    hard = {ev: _pulse_cayley_klein(ev, None, 0.0) for ev in set(schedule.events) if ev.kind == "hard_pulse"}
+    hard = {ev: pulse_cayley_klein(ev, None, 0.0) for ev in set(schedule.events) if ev.kind == "hard_pulse"}
     a, b = np.ones(n_realizations, dtype=complex), np.zeros(n_realizations, dtype=complex)
     phi = np.zeros(n_realizations)
     for ev in (*schedule.events, None):
@@ -230,7 +242,7 @@ def ou_propagators(schedule, spec, n_realizations, seed):
             if ev.kind == "delay":
                 phi = phi + delta * (end - t)
             elif ev.duration == 0.0 or end > t:
-                alpha, beta = hard[ev] if ev.duration == 0.0 else _pulse_cayley_klein(ev, delta, end - t)
+                alpha, beta = hard[ev] if ev.duration == 0.0 else pulse_cayley_klein(ev, delta, end - t)
                 a, b = alpha * a - np.conj(beta) * b, beta * a + np.conj(alpha) * b
             if end == stop:
                 break

@@ -19,7 +19,6 @@ from ddgates.compiler import (
     TAU_MIN,
     XY4,
     XY8,
-    CompileError,
     PulseEvent,
     RotationSpec,
     apply_amplitude_error,
@@ -37,8 +36,9 @@ from ddgates.compiler import (
     schedule_to_json,
     verify_schedule,
 )
+from ddgates.config import SCHEMES, CompileError
 from ddgates.core import IDENTITY_2, SIGMA_X, rotation_unitary
-from ddgates.harness import SCHEMES, build_schedule
+from ddgates.harness import build_schedule
 from ddgates.simulate import ideal_propagator
 from ddgates.tomography import gate_fidelity
 from helpers import Word, expected_pulse_count
@@ -324,6 +324,32 @@ def test_schedule_json_rejects_a_field_of_the_wrong_type_naming_it(event, field,
     doc = json.loads(schedule_to_json(build_schedule("NOT", "simple_padded", 1e-5)))
     (doc if event is None else doc["events"][event])[field] = value
     with pytest.raises(CompileError, match=f"{field} must be an? (number|integer|string), got "):
+        schedule_from_json(json.dumps(doc))
+
+
+# Each key would be ignored if unknown keys were: a misspelled amplitude_scale loads the pulse at scale 1.
+@pytest.mark.parametrize("kind, key", [
+    ("hard_pulse", "amplitude_scales"),
+    ("soft_gate_half", "amplitude_scales"),
+    ("delay", "note"),
+    (None, "epsilon"),
+    (None, "realizations"),
+])
+def test_schedule_json_rejects_an_unknown_key_naming_it(kind, key):
+    doc = json.loads(schedule_to_json(build_schedule("NOT", "xy8", 1e-5)))
+    i = next(i for i, ev in enumerate(doc["events"]) if ev["kind"] == kind) if kind else None
+    (doc if kind is None else doc["events"][i])[key] = 1.5
+    where = "the schedule" if kind is None else f"event {i}"
+    with pytest.raises(CompileError, match=f"unknown key '{key}' in {where}"):
+        schedule_from_json(json.dumps(doc))
+
+
+def test_schedule_json_rejects_a_schedule_or_event_that_is_not_an_object():
+    with pytest.raises(CompileError, match=r"the schedule must be an object, got \['label'\]"):
+        schedule_from_json('["label"]')
+    doc = json.loads(schedule_to_json(build_schedule("NOT", "xy8", 1e-5)))
+    doc["events"][2] = "index"
+    with pytest.raises(CompileError, match="event 2 must be an object, got 'index'"):
         schedule_from_json(json.dumps(doc))
 
 

@@ -10,7 +10,6 @@ from ddgates.core import (
     embed_system,
     hermitian_expm,
     rotation_unitary,
-    spin_half_operators,
 )
 
 
@@ -24,12 +23,6 @@ def test_pauli_algebra():
 def test_pauli_constants_are_read_only():
     with pytest.raises(ValueError):
         SIGMA_X[0, 0] = 5.0
-
-
-def test_spin_half_operators_commutator():
-    sx, sy, sz = spin_half_operators()
-    assert np.allclose(sx @ sy - sy @ sx, 1j * sz)
-    assert np.allclose(sz, SIGMA_Z / 2)
 
 
 def test_rotation_unitary_special_values():

@@ -13,34 +13,37 @@ import pytest
 import ddgates.harness as harness
 import ddgates.simulate as simulate
 from ddgates.cli import main as cli_main
-from ddgates.compiler import CompileError, apply_amplitude_error
-from ddgates.core import DEFAULT_MAX_SPINS
-from ddgates.harness import (
-    CSV_FIELDS,
+from ddgates.compiler import apply_amplitude_error
+from ddgates.config import (
     GATES,
-    REFERENCE_FIDELITIES,
-    REFERENCE_GATE_TIMES_S,
     SCHEMES,
     CalibrationFileRef,
     CalibrationTargets,
+    CompileError,
     ConfigError,
-    ExperimentConfig,
-    ResultRow,
-    build_schedule,
     calibration_artifact_text,
     config_from_dict,
     load_calibration,
     load_config,
     resolve_noise,
+    run_calibration,
+)
+from ddgates.core import DEFAULT_MAX_SPINS
+from ddgates.harness import (
+    CSV_FIELDS,
+    REFERENCE_FIDELITIES,
+    REFERENCE_GATE_TIMES_S,
+    ResultRow,
+    build_schedule,
     rows_from_csv,
     rows_to_csv,
-    run_calibration,
     run_sweep,
     run_table1,
     simulate_cell,
     summarize_rows,
 )
-from ddgates.noise import CalibrationResult, OUNoiseSpec, SpinBathSpec, default_spin_bath
+from ddgates.noise import SpinBathSpec, default_spin_bath
+from ddgates.ou import CalibrationResult, OUNoiseSpec
 from ddgates.tomography import chi_from_operators, gate_fidelity
 from helpers import expected_pulse_count, oracle_bath_propagator
 

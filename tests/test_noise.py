@@ -8,19 +8,17 @@ from hypothesis import strategies as st
 
 from ddgates.compiler import PulseEvent, RotationSpec, Schedule
 from ddgates.core import IDENTITY_2, SIGMA_Z, embed_system
-from ddgates.noise import (
+from ddgates.harness import fid_decay_curve, hahn_decay_curve
+from ddgates.noise import SpinBathSpec, default_spin_bath
+from ddgates.ou import (
     CalibrationError,
     CalibrationResult,
     OUNoiseSpec,
-    SpinBathSpec,
-    bath_frame,
     calibrate_to_targets,
     coherence_1e_time,
-    default_spin_bath,
-    fid_decay_curve,
-    hahn_decay_curve,
     phase_variance,
 )
+from ddgates.simulate import bath_frame
 from helpers import (
     bath_hamiltonians, oracle_bath_propagator, ou_propagators, ou_trajectory, reference_bath_channel_output, step_count,
     total_hamiltonian, trajectory,

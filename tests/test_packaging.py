@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -53,3 +54,21 @@ def test_package_import_leaves_numpy_out_and_star_binds_each_submodule_object():
     # Every public name comes from its submodule on first use, so `import ddgates` loads no engine.
     proc = _run_python("-c", _STAR_SCRIPT)
     assert proc.returncode == 0, proc.stderr
+
+
+# The layers of src/ddgates, lowest first: a module imports only modules of a lower layer.
+LAYERS = (("ou", "core"), ("noise",), ("config",), ("simulate",), ("tomography",), ("compiler",), ("harness",),
+          ("cli",))
+
+
+def test_every_relative_import_points_down_the_layers():
+    rank = {module: i for i, layer in enumerate(LAYERS) for module in layer}
+    paths = [p for p in sorted((ROOT / "src" / "ddgates").glob("*.py")) if p.stem not in ("__init__", "__main__")]
+    assert sorted(p.stem for p in paths) == sorted(rank)  # a new module takes its place in LAYERS
+    upward = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):  # imports inside functions too
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module.partition(".")[0]] if node.module else [alias.name for alias in node.names]
+                upward += [f"{path.stem}:{node.lineno} imports {t}" for t in targets if rank[t] >= rank[path.stem]]
+    assert not upward

@@ -29,18 +29,13 @@ from ddgates.compiler import (
     schedule_to_json,
 )
 from ddgates.core import DEFAULT_MAX_SPINS, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, hermitian_expm, rotation_unitary
-from ddgates.harness import GATES, REFERENCE_GATE_TIMES_S, SCHEMES, ExperimentConfig, build_schedule, run_sweep, simulate_cell
-from ddgates.noise import (
-    OUNoiseSpec,
-    SpinBathSpec,
-    bath_frame,
-    calibrate_to_targets,
-    default_spin_bath,
-    phase_variance,
-)
+from ddgates.config import GATES, SCHEMES, ExperimentConfig
+from ddgates.harness import REFERENCE_GATE_TIMES_S, build_schedule, run_sweep, simulate_cell
+from ddgates.noise import SpinBathSpec, default_spin_bath
+from ddgates.ou import OUNoiseSpec, calibrate_to_targets, phase_variance
 from ddgates.simulate import (
-    _pulse_cayley_klein,
     bath_channel_output,
+    bath_frame,
     bath_propagator,
     channel_gram,
     hermite_nodes,
@@ -55,6 +50,7 @@ from helpers import (
     oracle_bath_propagator,
     ou_propagators,
     ou_trajectory,
+    pulse_cayley_klein,
     reference_bath_channel_output,
     reference_bath_gram,
     reference_ou_moment,
@@ -134,18 +130,18 @@ def test_pulse_cayley_klein_matches_expm():
         axis = math.cos(phase) * SIGMA_X + math.sin(phase) * SIGMA_Y
         # the whole half, and a piece of it at the same drive rate
         for length in (dur, 0.37 * dur):
-            alpha, beta = _pulse_cayley_klein(soft, delta, length)
+            alpha, beta = pulse_cayley_klein(soft, delta, length)
             for i, d in enumerate(delta):
                 h = 0.5 * (angle / dur * axis + d * SIGMA_Z)
                 u = np.array([[alpha[i], -np.conj(beta[i])], [beta[i], np.conj(alpha[i])]])
                 assert np.allclose(u, scipy.linalg.expm(-1j * h * length), atol=1e-11)
     # zero drive and zero detuning: the identity, exactly
     idle_drive = PulseEvent("soft_gate_half", 1e-5, RotationSpec(0.4, 0.0))
-    alpha, beta = _pulse_cayley_klein(idle_drive, np.zeros(2), 1e-5)
+    alpha, beta = pulse_cayley_klein(idle_drive, np.zeros(2), 1e-5)
     assert np.array_equal(alpha, np.ones(2)) and np.array_equal(beta, np.zeros(2))
     # a hard pulse is instantaneous: no detuning reaches it
     hard = PulseEvent("hard_pulse", 0.0, RotationSpec(0.7, math.pi), 0.98)
-    alpha, beta = _pulse_cayley_klein(hard, delta, 0.0)
+    alpha, beta = pulse_cayley_klein(hard, delta, 0.0)
     axis = math.cos(0.7) * SIGMA_X + math.sin(0.7) * SIGMA_Y
     expected = scipy.linalg.expm(-0.5j * 0.98 * math.pi * axis)
     assert np.allclose([[alpha, -np.conj(beta)], [beta, np.conj(alpha)]], expected, atol=1e-12)
@@ -532,7 +528,7 @@ def test_hard_turn_is_turn_at_the_pulse_at_every_node():
     assert len(hard) == 44
     for ev in hard:
         turned = y @ simulate._hard_turn(ev)
-        expected = simulate._turn(y.view(complex), *_pulse_cayley_klein(ev, None, 0.0)).view(float)
+        expected = simulate._turn(y.view(complex), *pulse_cayley_klein(ev, None, 0.0)).view(float)
         assert np.max(np.abs(turned - expected)) <= 1e-15, ev
         assert not turned[:, 1].any(), ev  # Im d stays exactly 0
 
@@ -728,6 +724,26 @@ def test_bath_soft_halves_exponentiate_once_per_scaled_angle(monkeypatch):
     for kind in ("xy4", "xy8", "kdd"):
         bath_propagator(apply_amplitude_error(build_schedule("PI8", kind, 1e-5), 0.01), spec)
     assert len(calls) == 10
+
+
+def test_a_bath_replay_starts_from_its_frame_without_rebuilding_it(monkeypatch):
+    # Each stack's start, diag(v0^dag, v1^dag), is built with its frame; a replay only maps its blocks back.
+    spec = default_spin_bath(n_bath=4, seed=9)
+    sched = apply_amplitude_error(build_schedule("H", "xy4", 1e-5), 0.01)
+    frame_type = type(bath_frame(spec)[0])
+    calls = []
+    from_frame = frame_type.from_frame
+    monkeypatch.setattr(frame_type, "from_frame", lambda frame, xt: calls.append(frame) or from_frame(frame, xt))
+    first = channel_gram(sched, spec)
+    calls.clear()
+    assert np.array_equal(channel_gram(sched, spec), first)
+    assert calls == list(bath_frame(spec))
+    for frame in bath_frame(spec):
+        k = frame.v0.shape[1]
+        assert not frame.start.flags.writeable
+        assert np.array_equal(frame.start[:, :k, :k], frame.v0.conj().swapaxes(1, 2))
+        assert np.array_equal(frame.start[:, k:, k:], frame.v1.conj().swapaxes(1, 2))
+        assert not frame.start[:, :k, k:].any() and not frame.start[:, k:, :k].any()
 
 
 def test_a_second_readme_bath_sweep_adds_no_cache_miss():

@@ -14,7 +14,8 @@ from ddgates.compiler import (
     protected_bb1_gate,
 )
 from ddgates.core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, rotation_unitary
-from ddgates.noise import OUNoiseSpec, SpinBathSpec
+from ddgates.noise import SpinBathSpec
+from ddgates.ou import OUNoiseSpec
 from ddgates.simulate import (
     STATIC_NODES,
     bath_propagator,
