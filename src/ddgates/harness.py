@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import dataclasses
+import functools
 import io
 import itertools
 import math
@@ -153,9 +154,10 @@ def hahn_decay_curve(noise, delays):
     return _decay_curve(noise, delays, echo=True)
 
 
-def _set_blas_threads(n: int) -> int | None:
-    """Set the thread count of the OpenBLAS bundled with numpy; return the old
-    count, or None if this numpy build exposes no thread control."""
+@functools.cache
+def _blas_thread_control():
+    """The (get, set) thread-count pair of the OpenBLAS bundled with numpy,
+    looked up once per process; None if this numpy build exposes none."""
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         try:
             lib = ctypes.CDLL(str(path))
@@ -164,21 +166,37 @@ def _set_blas_threads(n: int) -> int | None:
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
-        before = get()
-        set_(n)
-        return before
+        return get, set_
     return None
+
+
+def _set_blas_threads(n: int) -> int | None:
+    """Set OpenBLAS's thread count to n; return the old count, or None if this
+    numpy build exposes no thread control.  A count already at n is left alone:
+    setting it restarts OpenBLAS's thread server, which in a forked worker
+    adds a thread that slows the worker's numpy loops about threefold."""
+    control = _blas_thread_control()
+    if control is None:
+        return None
+    get, set_ = control
+    before = get()
+    if before != n:
+        set_(n)
+    return before
 
 
 def run_cells(cfg: ExperimentConfig, cells, jobs: int = 1) -> list[ResultRow]:
     """Simulate (gate, scheme, tau) cells under cfg's noise, one row per cell
     in cell order; any jobs gives the same rows.
 
-    Cells run with one BLAS thread, here and in every pool worker, and the
-    caller's count is restored afterwards.  This keeps jobs >= 2 from running
-    more BLAS threads than there are cores, and guards the byte contract
-    against the caller's thread setting.  No more workers start than there
-    are cores.
+    Cells run with one BLAS thread, and the caller's count is restored
+    afterwards, which guards the byte contract against the caller's thread
+    setting.  The count is set here, before the pool starts, so forked workers
+    inherit it and the initializer leaves them alone.  A forked worker that set
+    it again would restart OpenBLAS's thread server, whose spare thread made
+    the 2-core README-grid bath sweep slower at jobs 2 than at jobs 1.  On 2
+    cores that grid takes about 0.60 s (OU) and 0.52 s (bath) at jobs 1, and
+    0.53 s and 0.50 s at jobs 2.  No more workers start than there are cores.
     """
     noise_model = resolve_noise(cfg)
     tasks = [(gate, scheme, tau, noise_model, cfg.epsilon) for gate, scheme, tau in cells]

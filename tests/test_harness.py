@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -315,6 +316,51 @@ def test_run_sweep_runs_cells_on_one_blas_thread_and_restores_the_count(monkeypa
         restored = harness._set_blas_threads(before)
     assert seen == [1, 1, 1, 1]
     assert restored == 2
+
+
+def _blas_and_os_threads(*cell):
+    """Stands in for simulate_cell in a pool worker: the worker's BLAS thread count, then its OS thread count."""
+    return harness._set_blas_threads(1), len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or "fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs /proc and the fork start method")
+def test_forked_pool_workers_run_on_the_one_blas_thread_they_inherit(monkeypatch):
+    # Setting the count in a forked worker restarts OpenBLAS's thread server, whose
+    # spare thread slows every numpy loop in that worker about threefold.
+    before = harness._set_blas_threads(1)
+    if before is None:
+        pytest.skip("this numpy build exposes no OpenBLAS thread control")
+    monkeypatch.setattr(harness, "multiprocessing", multiprocessing.get_context("fork"))
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "simulate_cell", _blas_and_os_threads)
+    try:
+        seen = harness.run_cells(config_from_dict(BASE_CONFIG), [("NOT", "xy4", 1e-5)] * 4, jobs=2)
+    finally:
+        harness._set_blas_threads(before)
+    assert seen == [(1, 1)] * 4
+
+
+def test_run_cells_warns_once_looked_up_when_numpy_exposes_no_blas_thread_control(monkeypatch, capsys):
+    opened = []
+
+    def no_library(path, *args, **kwargs):
+        opened.append(path)
+        raise OSError(f"cannot load {path}")
+
+    harness._blas_thread_control.cache_clear()
+    monkeypatch.setattr(harness.ctypes, "CDLL", no_library)
+    try:
+        assert harness._set_blas_threads(1) is None
+        looked_up = list(opened)
+        rows = harness.run_cells(config_from_dict(BASE_CONFIG), [("NOT", "xy4", 1e-5)])
+        assert harness._set_blas_threads(1) is None
+    finally:
+        monkeypatch.undo()
+        harness._blas_thread_control.cache_clear()
+    assert opened == looked_up  # each library is tried once per process, not on every call
+    assert rows[0].error == "" and 0 < rows[0].fidelity <= 1
+    assert "warning: cannot set numpy's OpenBLAS thread count" in capsys.readouterr().err
 
 
 def test_run_sweep_starts_no_more_pool_workers_than_cores(monkeypatch):
