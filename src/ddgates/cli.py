@@ -63,8 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", help="write the results CSV here instead of stdout")
     sweep.add_argument("--summary", help="write a JSON fidelity summary here")
     sweep.add_argument("--jobs", type=int, default=1,
-                       help="worker processes, at most one per core; results are identical for any value. On 2 cores "
-                            "the README grid takes 0.60 s (OU) and 0.52 s (bath) at 1, 0.53 s and 0.50 s at 2")
+                       help="worker processes, at most one per usable core; results are identical for any value. On 2 "
+                            "cores the README grid takes 0.60 s (OU) and 0.52 s (bath) at 1, 0.53 s and 0.50 s at 2")
     sweep.set_defaults(func=cmd_sweep)
 
     table = sub.add_parser("table1", help="benchmark H, NOT, PI8 at their reference gate times")

@@ -196,11 +196,12 @@ def run_cells(cfg: ExperimentConfig, cells, jobs: int = 1) -> list[ResultRow]:
     it again would restart OpenBLAS's thread server, whose spare thread made
     the 2-core README-grid bath sweep slower at jobs 2 than at jobs 1.  On 2
     cores that grid takes about 0.60 s (OU) and 0.52 s (bath) at jobs 1, and
-    0.53 s and 0.50 s at jobs 2.  No more workers start than there are cores.
+    0.53 s and 0.50 s at jobs 2.  No more workers start than there are usable cores.
     """
     noise_model = resolve_noise(cfg)
     tasks = [(gate, scheme, tau, noise_model, cfg.epsilon) for gate, scheme, tau in cells]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, len(tasks), cores)
     before = _set_blas_threads(1)
     if before is None:
         print("warning: cannot set numpy's OpenBLAS thread count; cells run on its default",

@@ -35,9 +35,8 @@ class OUNoiseSpec:
         # Chained comparisons are False for NaN, so these also reject NaN and inf.
         if not (0 <= self.sigma < math.inf and 0 <= self.sigma_static < math.inf):
             raise ValueError("sigma and sigma_static must be finite and non-negative")
-        # The channel's detunings sigma x + sigma_static s sit at Gauss-Hermite nodes of N(0, 1),
-        # |x|, |s| <= 10.08 (the largest of 32 nodes; 8 reach 2.93), and soft pulses square them:
-        # so (10.1 (sigma + sigma_static))^2 must be finite, sigma + sigma_static below 1.3e153 rad/s.
+        # Soft pulses square the detunings sigma x + sigma_static s at Gauss-Hermite nodes of N(0, 1), all
+        # within |x|, |s| <= 10.08 (a test pins both node sets): so (10.1 (sigma + sigma_static))^2 must be finite.
         reach = 10.1 * (self.sigma + self.sigma_static)
         if not math.isfinite(reach * reach):
             raise ValueError(f"sigma + sigma_static must be below 1.3e153 rad/s, or the squared detunings overflow; "
@@ -100,8 +99,8 @@ def _covariance(x: float, dt: float, s: tuple[int, float], t: tuple[int, float])
 def phase_variance(spec: OUNoiseSpec, edges, weights) -> float:
     """Var of sum_j w_j (phi(t_j) - phi(t_{j-1})), t_0 = 0, for the grid model.
 
-    edges are the finite times 0 <= t_1 <= .. <= t_J, J >= 1, and weights the w_j,
-    one per edge; other input raises ValueError.  With c_j = w_j - w_{j+1}
+    edges are the finite times 0 <= t_1 <= .. <= t_J, J >= 1, and weights the finite
+    w_j, one per edge; other input raises ValueError.  With c_j = w_j - w_{j+1}
     (w_{J+1} = 0) the sum is sum_j c_j phi(t_j), and its variance is
     sigma^2 sum_ij c_i c_j C_ij + sigma_static^2 (sum_j c_j t_j)^2, C_ij the
     `_covariance` of phi(t_i) and phi(t_j): O(J^2), whatever the trajectory
@@ -109,8 +108,9 @@ def phase_variance(spec: OUNoiseSpec, edges, weights) -> float:
     al., PRB 77, 174509 (2008)).
     """
     # Chained comparisons are False for NaN, so this also rejects NaN and inf.
-    if not (len(edges) == len(weights) > 0 and all(0 <= s <= t < math.inf for s, t in zip((0, *edges), edges))):
-        raise ValueError("edges must be finite, non-negative and non-decreasing, one weight each")
+    if not (len(edges) == len(weights) > 0 and all(0 <= s <= t < math.inf for s, t in zip((0, *edges), edges))
+            and all(map(math.isfinite, weights))):
+        raise ValueError("edges must be finite, non-negative and non-decreasing, and weights finite, one per edge")
     dt, x = spec.dt, spec.dt / spec.tau_c
     points = [_grid_point(t, dt) for t in edges]
     c = [w - w_next for w, w_next in zip(weights, [*weights[1:], 0.0])]

@@ -4,12 +4,12 @@ Schedules are consumed structurally: an ordered event list where each event
 is a delay, an instantaneous hard pulse, or a finite-duration weak rotation
 during which the noise acts concurrently.  Three engines, all exact: ideal (no
 noise), quantum spin bath, and the classical OU model's noise-averaged moments
-on Gauss-Hermite nodes.  The whole bath engine lives here: its eigenframe by
+on Gauss-Hermite nodes.  Each ends in the system channel's 4x4 Gram matrix G,
+returned by `channel_gram`.  The whole bath engine lives here: its eigenframe by
 magnetization sector (`bath_frame`), its one replay (`_bath_blocks`) and its one
 trace (`bath_average`).  The ideal and bath engines walk `Schedule.runs` through
 one interpreter, `_replay`; the OU walk is cut at events and `dt` grid points,
-its moments held node-major.  `channel_gram` turns any engine into the system
-channel's 4x4 Gram matrix.
+its moments held node-major and summed straight into G.
 """
 
 from __future__ import annotations
@@ -311,14 +311,15 @@ def _soft_form(ev) -> np.ndarray:
     return f
 
 
-# w = (u, v, u*, v*) = _Z q, and _Z _Z^dag = 2 I.
-_Z = np.array([[1, 0, 0, 1j], [0, 1, 1j, 0], [1, 0, 0, -1j], [0, 1, -1j, 0]])
-# vec(q0 - i q.sigma) = _W q, row-major.
-_W = np.array([[1, 0, 0, -1j], [0, -1j, -1, 0], [0, -1j, 1, 0], [1, 0, 0, 1j]])
+def _gram_of_moments(d, a01, b00, b11, b01) -> np.ndarray:
+    """G = E[vec U vec U^dag] of the summed `_turn` moments, arranged exactly: vec U = (u*, -i v*, -i v, u)."""
+    a, b, ac, bc = (1.0 + d.real) / 2, (1.0 - d.real) / 2, np.conj(a01), np.conj(b01)
+    return np.array([[a, 1j * ac, 1j * bc, np.conj(b00)], [-1j * a01, b, np.conj(b11), -1j * bc],
+                     [-1j * b01, b11, b, -1j * ac], [b00, 1j * b01, 1j * a01, a]])
 
 
 def ou_moment(schedule, spec: OUNoiseSpec, offsets, weights) -> np.ndarray:
-    """E[q q^T] over the grid OU model, 4x4, q the unit quaternion of U = q0 - i q.sigma.
+    """G = E[vec U vec U^dag] over the grid OU model, 4x4, vec row-major (`_gram_of_moments`).
 
     The noise average is exact up to the nodes: delta = sigma x_i + s_j, x_i the
     OU_NODES Gauss-Hermite nodes of the stationary OU part (one node if sigma is 0)
@@ -373,9 +374,7 @@ def ou_moment(schedule, spec: OUNoiseSpec, offsets, weights) -> np.ndarray:
             # Assign the grid point, never add the piece: rounding could stall the walk.
             t, k, y = end, k + 1, (mix @ y.reshape(len(x), -1)).reshape(-1, 10)
         t = stop
-    d, a01, b00, b11, b01 = y.view(complex).sum(axis=0)
-    a, b = np.array([[1.0 + d, 2.0 * a01], [2.0 * np.conj(a01), 1.0 - d]]) / 2, np.array([[b00, b01], [b01, b11]])
-    return (_Z.conj().T @ np.block([[a, b], [b.conj(), a.conj()]]) @ _Z).real / 4
+    return _gram_of_moments(*y.view(complex).sum(axis=0))
 
 
 def channel_gram(schedule, noise_model) -> np.ndarray:
@@ -384,8 +383,8 @@ def channel_gram(schedule, noise_model) -> np.ndarray:
 
     None: vec U vec U^dag of the ideal propagator with amplitude scales applied.  SpinBathSpec, bath
     maximally mixed: `bath_average` of each `_bath_blocks` stack, summed and divided by d = 2**n_bath; no
-    2d x 2d propagator is formed.  OUNoiseSpec: W M W^dag, vec(q0 - i q.sigma) = W q, M `ou_moment` at
-    STATIC_NODES Gauss-Hermite offsets (one if sigma_static is 0).  Exact; nothing is sampled.
+    2d x 2d propagator is formed.  OUNoiseSpec: `ou_moment` at STATIC_NODES Gauss-Hermite offsets (one
+    if sigma_static is 0).  Exact; nothing is sampled.
     A non-finite entry of G, or an eigenvalue below -1e-12, raises ValueError.
     """
     if noise_model is None:
@@ -393,7 +392,7 @@ def channel_gram(schedule, noise_model) -> np.ndarray:
         g = np.outer(u, u.conj())
     elif isinstance(noise_model, OUNoiseSpec):
         x, w = hermite_nodes(STATIC_NODES if noise_model.sigma_static else 1)
-        g = _W @ ou_moment(schedule, noise_model, noise_model.sigma_static * x, w) @ _W.conj().T
+        g = ou_moment(schedule, noise_model, noise_model.sigma_static * x, w)
     elif isinstance(noise_model, SpinBathSpec):
         g = sum(bath_average(b.reshape(len(b), 2, b.shape[1] // 2, 2, -1))
                 for _, b in _bath_blocks(schedule, noise_model)).reshape(4, 4) / 2**noise_model.n_bath

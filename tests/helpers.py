@@ -1,8 +1,8 @@
 """Shared by the tests: independent constructions to check the package against, the
-operator route to a channel that its Gram matrix replaced, the dense bath traces that
-`simulate.bath_average` replaced, the component-major OU moment walk that the node-major
-one replaced, with the per-node pulse rotation it steps by, and the Monte-Carlo OU
-sampler that is the statistical oracle of the exact OU channel."""
+operator route to a channel that its Gram matrix replaced, with the operators of a Gram
+matrix, the dense bath traces that `simulate.bath_average` replaced, the component-major
+OU moment walk that the node-major one replaced, with the per-node pulse rotation it steps
+by, and the Monte-Carlo OU sampler that is the statistical oracle of the exact OU channel."""
 
 import functools
 import math
@@ -16,8 +16,8 @@ from ddgates.core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, embed_system, ro
 from ddgates.noise import SpinBathSpec
 from ddgates.ou import OUNoiseSpec
 from ddgates.simulate import (
-    OU_NODES, STATIC_NODES, _Z, _mehler, _soft_drive, _soft_rotation, bath_propagator, hermite_nodes,
-    ideal_propagator, ou_moment,
+    OU_NODES, STATIC_NODES, _gram_of_moments, _mehler, _soft_drive, _soft_rotation, bath_propagator,
+    hermite_nodes, ideal_propagator, ou_moment,
 )
 
 SPIN_HALF = (0.5 * SIGMA_X, 0.5 * SIGMA_Y, 0.5 * SIGMA_Z)  # (S_x, S_y, S_z)
@@ -89,16 +89,13 @@ def channel_operators(schedule, noise_model):
     noise_model None gives the ideal propagator with amplitude scales applied; a
     SpinBathSpec gives the d^2 system blocks <j|U|k> of the exact propagator times
     sqrt(d), d = 2**n_bath, which average the maximally mixed bath exactly; an
-    OUNoiseSpec gives sqrt(k lambda) U(v) over the k positive eigenpairs of `ou_moment`.
+    OUNoiseSpec gives `operators_of_gram` of `ou_moment`.
     """
     if noise_model is None:
         return ideal_propagator(schedule, honor_amplitude=True)[None]
     if isinstance(noise_model, OUNoiseSpec):
         x, w = hermite_nodes(STATIC_NODES if noise_model.sigma_static else 1)
-        lam, v = np.linalg.eigh(ou_moment(schedule, noise_model, noise_model.sigma_static * x, w))
-        keep = lam > 0.0
-        q0, q1, q2, q3 = v[:, keep] * np.sqrt(keep.sum() * lam[keep])
-        return np.stack((q0 - 1j * q3, -1j * q1 - q2, -1j * q1 + q2, q0 + 1j * q3), axis=-1).reshape(-1, 2, 2)
+        return operators_of_gram(ou_moment(schedule, noise_model, noise_model.sigma_static * x, w))
     assert isinstance(noise_model, SpinBathSpec)
     d = 2**noise_model.n_bath
     blocks = bath_propagator(schedule, noise_model).reshape(2, d, 2, d)
@@ -130,7 +127,8 @@ def _component_turn(y, alpha, beta):
 def reference_ou_moment(schedule, spec, offsets, weights):
     """`ou_moment` walked component first, (5, OU nodes, static nodes), one `_component_turn`
     per pulse piece at every node's detuning, hard pulses included: the walk that the
-    node-major one replaced, cut at the same event boundaries and dt grid points."""
+    node-major one replaced, cut at the same event boundaries and dt grid points, its own
+    summed moments arranged into G."""
     x, w = hermite_nodes(OU_NODES if spec.sigma else 1)
     delta = spec.sigma * x[:, None] + np.asarray(offsets, dtype=float)
     mix = _mehler(x, w, math.exp(-spec.dt / spec.tau_c))
@@ -149,15 +147,21 @@ def reference_ou_moment(schedule, spec, offsets, weights):
                 break
             t, k, y = end, k + 1, mix @ y
         t = stop
-    d, a01, b00, b11, b01 = y.sum(axis=(1, 2))
-    a, b = np.array([[1.0 + d, 2.0 * a01], [2.0 * np.conj(a01), 1.0 - d]]) / 2, np.array([[b00, b01], [b01, b11]])
-    return (_Z.conj().T @ np.block([[a, b], [b.conj(), a.conj()]]) @ _Z).real / 4
+    return _gram_of_moments(*y.sum(axis=(1, 2)))
 
 
 def gram_of_operators(ops):
     """E[vec K vec K^dag] over the operators, row-major vec: the Gram matrix of their channel."""
     v = np.reshape(ops, (-1, 4))
     return np.einsum("ka,kc->ac", v, v.conj()) / len(v)
+
+
+def operators_of_gram(g):
+    """sqrt(k lambda) unvec(v), shape (k, 2, 2), over the k positive eigenpairs (lambda, v) of a
+    Gram matrix, row-major unvec: the inverse of `gram_of_operators`, negative eigenvalues dropped."""
+    lam, v = np.linalg.eigh(g)
+    keep = lam > 0.0
+    return (v[:, keep] * np.sqrt(keep.sum() * lam[keep])).T.reshape(-1, 2, 2)
 
 
 class Word(tuple):

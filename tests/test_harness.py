@@ -332,6 +332,7 @@ def test_forked_pool_workers_run_on_the_one_blas_thread_they_inherit(monkeypatch
     if before is None:
         pytest.skip("this numpy build exposes no OpenBLAS thread control")
     monkeypatch.setattr(harness, "multiprocessing", multiprocessing.get_context("fork"))
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(harness, "simulate_cell", _blas_and_os_threads)
     try:
@@ -383,12 +384,35 @@ def test_run_sweep_starts_no_more_pool_workers_than_cores(monkeypatch):
             return list(itertools.starmap(fn, tasks))
 
     monkeypatch.setattr(harness.multiprocessing, "Pool", FakePool)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)  # the machine's cores, not all of them usable
     assert run_sweep(cfg, jobs=64) == serial
     assert started == [3]
+    monkeypatch.delattr(harness.os, "sched_getaffinity")  # an OS that reports no affinity: the machine's count
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    assert run_sweep(cfg, jobs=64) == serial
+    assert started == [3, 2]
     monkeypatch.setattr(harness.os, "cpu_count", lambda: None)  # unknown: run serially
     assert run_sweep(cfg, jobs=64) == serial
-    assert started == [3]
+    assert started == [3, 2]
+
+
+def test_run_sweep_on_one_usable_core_starts_no_pool(monkeypatch):
+    # Under `taskset -c 0` on a 2-core machine, os.cpu_count() is 2 but the process may use one core,
+    # so jobs 4 must run the cells serially.
+    cfg = config_from_dict(BASE_CONFIG)
+    serial = run_sweep(cfg)
+    started = []
+
+    def pool(*args, **kwargs):
+        started.append(args)
+        raise AssertionError("a pool started on one usable core")
+
+    monkeypatch.setattr(harness.multiprocessing, "Pool", pool)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    assert run_sweep(cfg, jobs=4) == serial
+    assert started == []
 
 
 def test_bath_sweep_bytes_do_not_depend_on_blas_threads_or_jobs(tmp_path):

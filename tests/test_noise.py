@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from ddgates.ou import (
     coherence_1e_time,
     phase_variance,
 )
-from ddgates.simulate import bath_frame
+from ddgates.simulate import OU_NODES, STATIC_NODES, bath_frame, hermite_nodes
 from helpers import (
     bath_hamiltonians, oracle_bath_propagator, ou_propagators, ou_trajectory, reference_bath_channel_output, step_count,
     total_hamiltonian, trajectory,
@@ -99,6 +100,18 @@ def test_ou_spec_rejects_detunings_whose_square_overflows():
     for sigma, sigma_static in ((0.0, 1e154), (1e154, 0.0), (7e152, 7e152)):
         with pytest.raises(ValueError, match="sigma_static"):
             OUNoiseSpec(sigma=sigma, tau_c=1.5e-4, dt=1.5e-5, sigma_static=sigma_static)
+
+
+@pytest.mark.parametrize("n", [STATIC_NODES, OU_NODES], ids=["static", "ou"])
+def test_ou_spec_overflow_guard_covers_the_nodes_the_channel_uses(n):
+    # The guard squares 10.1 (sigma + sigma_static), so 10.1 must cover the outermost node of
+    # each set: then every sum it accepts squares to a finite detuning at every node.
+    reach = float(np.max(np.abs(hermite_nodes(n)[0])))
+    assert reach <= 10.1
+    total = math.sqrt(sys.float_info.max) / reach * (1.0 + 1e-12)  # the outermost node's square overflows
+    assert math.isinf((reach * total) * (reach * total))
+    with pytest.raises(ValueError, match="overflow"):
+        OUNoiseSpec(sigma=total / 2, tau_c=1.5e-4, dt=1.5e-5, sigma_static=total / 2)
 
 
 def test_bath_hamiltonians_are_hermitian_and_dephasing():
@@ -368,6 +381,17 @@ def test_phase_variance_rejects_invalid_edges(edges, weights):
     # Unchecked, a negative or decreasing edge gives a wrong variance silently, and the rest
     # fail inside the sums with unrelated errors.
     with pytest.raises(ValueError, match="edges must be"):
+        phase_variance(make_ou(sigma=400.0, tau_c=1.5e-4, dt=1.5e-5), edges, weights)
+
+
+@pytest.mark.parametrize(
+    "edges, weights",
+    [((1e-4,), (math.nan,)), ((1e-4,), (math.inf,)), ((1e-4, 2e-4), (1.0, -math.inf))],
+    ids=["nan", "inf", "second_minus_inf"],
+)
+def test_phase_variance_rejects_non_finite_weights(edges, weights):
+    # Unchecked, a NaN weight gives a NaN variance and an infinite one an infinite variance, silently.
+    with pytest.raises(ValueError, match="weights"):
         phase_variance(make_ou(sigma=400.0, tau_c=1.5e-4, dt=1.5e-5), edges, weights)
 
 

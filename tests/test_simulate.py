@@ -42,7 +42,7 @@ from ddgates.simulate import (
     ideal_propagator,
     ou_moment,
 )
-from ddgates.tomography import chi_from_gram, chi_from_operators, gate_fidelity
+from ddgates.tomography import CHI_BASIS, chi_from_gram, chi_from_operators, gate_fidelity
 from helpers import (
     Word,
     channel_operators,
@@ -229,14 +229,17 @@ def _moment(sched, spec=_PHASE_NOISE):
 
 @_GRID_EDGES
 def test_ou_delay_moment_matches_the_gaussian_phase_at_the_grid_edges(t0, t1):
-    # A delay turns q to (cos phi/2, 0, 0, sin phi/2), so M00 - M33 = E[cos phi] =
-    # exp(-Var(phi) / 2), Var from the closed-form `phase_variance`, and M03 = E[sin phi] / 2 = 0.
+    # A delay turns U to diag(e^{-i phi/2}, e^{i phi/2}), so vec U = (e^{-i phi/2}, 0, 0, e^{i phi/2}):
+    # G03 = E[e^{-i phi}], whose real part E[cos phi] is exp(-Var(phi) / 2), Var from the closed-form
+    # `phase_variance`, and whose imaginary part -E[sin phi] is 0; G00 = G33 = 1, and the rest is 0.
     t0, t1 = t0 * _PHASE_DT, t1 * _PHASE_DT
-    m = _moment(_delays(t0, t1 - t0))
+    g = _moment(_delays(t0, t1 - t0))
     coherence = math.exp(-0.5 * phase_variance(_PHASE_NOISE, (t1,), (1.0,)))
-    assert m[0, 0] - m[3, 3] == pytest.approx(coherence, rel=0.0, abs=1e-14)
-    assert np.allclose(m - np.diag(np.diag(m)), 0.0, atol=1e-14)
-    assert np.trace(m) == pytest.approx(1.0, rel=0.0, abs=1e-14)
+    assert g[0, 3].real == pytest.approx(coherence, rel=0.0, abs=1e-14)
+    assert g[0, 3].imag == pytest.approx(0.0, rel=0.0, abs=1e-14)
+    rest = g.copy()
+    rest[0, 3] = rest[3, 0] = 0.0
+    assert np.allclose(rest, np.diag([1.0, 0.0, 0.0, 1.0]), rtol=0.0, atol=1e-14)
 
 
 def test_ou_phase_is_additive_over_split_intervals():
@@ -330,11 +333,9 @@ def test_ou_channel_equals_the_uncoupled_bath_over_its_static_offsets():
     quiet = OUNoiseSpec(sigma=0.0, tau_c=1.5e-4, dt=1.5e-5)
     for gate, scheme, tau in (("H", "xy4", 7e-6), ("NOT", "kdd", 3e-6), ("PI8", "simple_padded", 2e-6), ("NOOP", "xy8", 1e-5)):
         sched = apply_amplitude_error(build_schedule(gate, scheme, tau), 0.02)
-        lam, v = np.linalg.eigh(ou_moment(sched, quiet, offsets, np.full(32, 1 / 32)))
-        ops = np.stack([np.sqrt(4 * max(weight, 0.0)) * (q0 * IDENTITY_2 - 1j * (q1 * SIGMA_X + q2 * SIGMA_Y + q3 * SIGMA_Z))
-                        for weight, (q0, q1, q2, q3) in zip(lam, v.T)])
+        walk = chi_from_gram(ou_moment(sched, quiet, offsets, np.full(32, 1 / 32))).entries
         chi = chi_from_gram(channel_gram(sched, bath)).entries
-        assert np.allclose(chi_from_operators(ops).entries, chi, rtol=0.0, atol=1e-12), (gate, scheme)
+        assert np.allclose(walk, chi, rtol=0.0, atol=1e-12), (gate, scheme)
 
 
 _TEN_T2_STAR = [(gate, scheme, 3.7e-3 / (len(GATE_ROTATIONS[gate]) * 5 * (
@@ -378,16 +379,17 @@ def test_ou_channel_of_zero_noise_is_the_ideal_gate():
         assert np.allclose(chi, ideal, rtol=0.0, atol=1e-14), scheme
 
 
-def _moment_of(monkeypatch, m):
-    monkeypatch.setattr(simulate, "ou_moment", lambda *args: np.array(m, dtype=float))
+def _moment_of(monkeypatch, g):
+    monkeypatch.setattr(simulate, "ou_moment", lambda *args: np.array(g, dtype=complex))
     return channel_gram(dd_cycle(XY4, 1e-5), _PHASE_NOISE)
 
 
 def test_ou_moment_eigenvalues_negative_by_rounding_pass_into_chi_unclipped(monkeypatch):
-    # NOOP/xy4/3 us has shown an eigenvalue of -6.2e-20.  A diagonal moment is a diagonal
-    # chi: the basis coefficients of q0 - i q.sigma are (q0, -i q1, -q2, -i q3).
-    g = _moment_of(monkeypatch, np.diag([0.75, 0.25, -1e-13, 0.0]))
-    assert np.allclose(chi_from_gram(g).entries, np.diag([0.75, 0.25, -1e-13, 0.0]), rtol=0.0, atol=1e-15)
+    # NOOP/xy4/3 us has shown an eigenvalue of -6.2e-20.  A sum of lambda_m vec B_m vec B_m^dag over
+    # the chi basis B_m is the diagonal chi diag(lambda), for T vec B_m = 2 e_m (`chi_from_gram`).
+    lam = [0.75, 0.25, -1e-13, 0.0]
+    g = _moment_of(monkeypatch, sum(l * np.outer(b.reshape(-1), b.conj().reshape(-1)) for l, b in zip(lam, CHI_BASIS)))
+    assert np.allclose(chi_from_gram(g).entries, np.diag(lam), rtol=0.0, atol=1e-15)
 
 
 def test_ou_moment_with_a_negative_eigenvalue_fails_the_cell(monkeypatch):
@@ -516,6 +518,30 @@ def test_ou_moment_matches_the_reference_walk_on_a_grid_bound_cell():
     assert sched.total_duration / spec.dt > 19000
     x, w = hermite_nodes(1)
     assert np.max(np.abs(ou_moment(sched, spec, 0.0 * x, w) - reference_ou_moment(sched, spec, 0.0 * x, w))) <= 1e-14
+
+
+def test_gram_of_moments_is_the_mean_of_vec_u_vec_u_dagger():
+    # Mixtures of 1 to 8 random unit quaternions q of random weights: the moments of z = (u, v) =
+    # (q0 + i q3, q1 + i q2), arranged into G, against vec U vec U^dag of each U = q0 - i q.sigma.
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        q = rng.normal(size=(rng.integers(1, 9), 4))
+        q /= np.linalg.norm(q, axis=1)[:, None]
+        w = rng.dirichlet(np.ones(len(q)))
+        u, v = q[:, 0] + 1j * q[:, 3], q[:, 1] + 1j * q[:, 2]
+        moments = [w @ m for m in (abs(u) ** 2 - abs(v) ** 2, u * v.conj(), u * u, v * v, u * v)]
+        ops = [q0 * IDENTITY_2 - 1j * (q1 * SIGMA_X + q2 * SIGMA_Y + q3 * SIGMA_Z) for q0, q1, q2, q3 in q]
+        expected = sum(wk * np.outer(k.reshape(-1), k.conj().reshape(-1)) for wk, k in zip(w, ops))
+        assert np.max(np.abs(simulate._gram_of_moments(*moments) - expected)) <= 1e-15
+
+
+def test_ou_channel_without_noise_is_the_ideal_gram_on_the_readme_grid():
+    # sigma = sigma_static = 0: one node at zero detuning, so the walk is the ideal propagator's
+    # vec U vec U^dag, soft halves and Mehler mixes included.
+    quiet = OUNoiseSpec(sigma=0.0, tau_c=1.5e-4, dt=1.5e-5, sigma_static=0.0)
+    for gate, scheme, tau in _README_CELLS:
+        sched = apply_amplitude_error(build_schedule(gate, scheme, tau), 0.01)
+        assert np.max(np.abs(channel_gram(sched, quiet) - channel_gram(sched, None))) <= 1e-12, (gate, scheme, tau)
 
 
 def test_hard_turn_is_turn_at_the_pulse_at_every_node():

@@ -37,7 +37,7 @@ from ddgates.tomography import (
     process_fidelity,
     simulate_channel,
 )
-from helpers import channel_operators, reference_bath_channel_output
+from helpers import channel_operators, operators_of_gram, reference_bath_channel_output
 
 
 def chi_of_unitary(u):
@@ -222,13 +222,12 @@ def _oracle_cases():
     u = ideal_propagator(h, honor_amplitude=True)
     yield "noiseless_H", h, None, [u @ rho @ u.conj().T for rho in TOMO_INPUT_STATES]
 
-    # The OU channel is sum_k lambda_k U(v_k) rho U(v_k)^dag over the eigenpairs of its moment.
+    # The OU channel is the mean of K rho K^dag over the operators of the eigenpairs of its Gram matrix.
     ou = OUNoiseSpec(sigma=4e3, tau_c=1.5e-4, dt=1.5e-5, sigma_static=2e3)
     not_xy8 = apply_amplitude_error(protected_bb1_gate(decompose_gate("NOT"), XY8, 1.5e-5), 0.01)
     x, w = hermite_nodes(STATIC_NODES)
-    lam, v = np.linalg.eigh(ou_moment(not_xy8, ou, ou.sigma_static * x, w))
-    ks = [q0 * IDENTITY_2 - 1j * (q1 * SIGMA_X + q2 * SIGMA_Y + q3 * SIGMA_Z) for q0, q1, q2, q3 in v.T]
-    yield "ou_NOT_xy8", not_xy8, ou, [sum(lk * k @ rho @ k.conj().T for lk, k in zip(lam, ks)) for rho in TOMO_INPUT_STATES]
+    ks = operators_of_gram(ou_moment(not_xy8, ou, ou.sigma_static * x, w))
+    yield "ou_NOT_xy8", not_xy8, ou, [sum(k @ rho @ k.conj().T for k in ks) / len(ks) for rho in TOMO_INPUT_STATES]
 
     bath = SpinBathSpec(
         n_bath=2, couplings=(2.5e4, 1.5e4),
@@ -248,7 +247,7 @@ def test_chi_from_operators_matches_linear_inversion(case):
 
 @pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda c: c[0])
 def test_simulate_channel_outputs_match_the_oracle_outputs(case):
-    # The bath against its dense propagator's partial trace, OU against the moment's eigenpairs.
+    # The bath against its dense propagator's partial trace, OU against its Gram matrix's eigenpairs.
     _, sched, noise, outputs = case
     for got, want in zip(simulate_channel(sched, noise).outputs, outputs):
         assert np.max(np.abs(got - want)) <= 1e-12
