@@ -7,7 +7,11 @@ Everything here is also reachable from the command line:
     ddgates table1 --config cfg.json --out report.json
 """
 
-import numpy as np
+import os
+
+# As the `ddgates` command does: set before numpy loads, so that the jobs=2
+# sweep's forked workers each run on one BLAS thread.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from ddgates import ExperimentConfig, OUNoiseSpec, run_sweep, run_table1
 from ddgates.harness import rows_to_csv, summarize_rows

@@ -5,7 +5,8 @@ Subcommands: calibrate, compile, simulate, sweep, table1.  Exit codes:
 failure (calibration targets out of reach, failed cell, unwritable output).
 `calibrate` runs on the standard library alone: this module imports only the
 config layer, and the other commands import the compiler and the engines,
-and with them numpy, when they run.
+and with them numpy, when they run.  `main` sets OPENBLAS_NUM_THREADS=1
+first, so numpy starts on one BLAS thread: only the CLI sets process state.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -63,8 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", help="write the results CSV here instead of stdout")
     sweep.add_argument("--summary", help="write a JSON fidelity summary here")
     sweep.add_argument("--jobs", type=int, default=1,
-                       help="worker processes, at most one per usable core; results are identical for any value. On 2 "
-                            "cores the README grid takes 0.60 s (OU) and 0.52 s (bath) at 1, 0.53 s and 0.50 s at 2")
+                       help="worker processes, at most one per usable core; results are identical for any value")
     sweep.set_defaults(func=cmd_sweep)
 
     table = sub.add_parser("table1", help="benchmark H, NOT, PI8 at their reference gate times")
@@ -154,6 +155,8 @@ def cmd_table1(args) -> int:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:  # OpenBLAS reads it once, as numpy loads; a host that loaded numpy keeps its count
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"  # so no thread server starts, here or in a forked --jobs worker
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -37,6 +37,7 @@ def rotation_unitary(phase: float, angle: float) -> np.ndarray:
     return np.array([[c, off], [-1j * s * np.exp(1j * phase), c]])
 
 
+# Unused in src/; kept for tests/test_acceptance.py, whose criterion 04 imports it.
 def embed_system(op: np.ndarray, n_bath: int) -> np.ndarray:
     """Lift a 2x2 system operator to the system (x) bath space: op (x) I."""
     op = np.asarray(op, dtype=complex)

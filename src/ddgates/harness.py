@@ -12,18 +12,14 @@ writes what it returns.
 from __future__ import annotations
 
 import csv
-import ctypes
 import dataclasses
-import functools
 import io
 import itertools
 import math
 import multiprocessing
 import os
-import sys
 import typing
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -154,68 +150,23 @@ def hahn_decay_curve(noise, delays):
     return _decay_curve(noise, delays, echo=True)
 
 
-@functools.cache
-def _blas_thread_control():
-    """The (get, set) thread-count pair of the OpenBLAS bundled with numpy,
-    looked up once per process; None if this numpy build exposes none."""
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
-
-
-def _set_blas_threads(n: int) -> int | None:
-    """Set OpenBLAS's thread count to n; return the old count, or None if this
-    numpy build exposes no thread control.  A count already at n is left alone:
-    setting it restarts OpenBLAS's thread server, which in a forked worker
-    adds a thread that slows the worker's numpy loops about threefold."""
-    control = _blas_thread_control()
-    if control is None:
-        return None
-    get, set_ = control
-    before = get()
-    if before != n:
-        set_(n)
-    return before
-
-
 def run_cells(cfg: ExperimentConfig, cells, jobs: int = 1) -> list[ResultRow]:
     """Simulate (gate, scheme, tau) cells under cfg's noise, one row per cell
     in cell order; any jobs gives the same rows.
 
-    Cells run with one BLAS thread, and the caller's count is restored
-    afterwards, which guards the byte contract against the caller's thread
-    setting.  The count is set here, before the pool starts, so forked workers
-    inherit it and the initializer leaves them alone.  A forked worker that set
-    it again would restart OpenBLAS's thread server, whose spare thread made
-    the 2-core README-grid bath sweep slower at jobs 2 than at jobs 1.  On 2
-    cores that grid takes about 0.60 s (OU) and 0.52 s (bath) at jobs 1, and
-    0.53 s and 0.50 s at jobs 2.  No more workers start than there are usable cores.
+    No more workers start than there are usable cores.  Forked workers run on
+    the BLAS threads this process has: `cli.main` starts numpy on one.
     """
     noise_model = resolve_noise(cfg)
     tasks = [(gate, scheme, tau, noise_model, cfg.epsilon) for gate, scheme, tau in cells]
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(jobs, len(tasks), cores)
-    before = _set_blas_threads(1)
-    if before is None:
-        print("warning: cannot set numpy's OpenBLAS thread count; cells run on its default",
-              file=sys.stderr)
-    try:
-        if isinstance(noise_model, SpinBathSpec):
-            bath_frame(noise_model)  # built once here, at one BLAS thread, so that forked workers inherit it
-        if workers <= 1:
-            return list(itertools.starmap(simulate_cell, tasks))
-        with multiprocessing.Pool(workers, initializer=_set_blas_threads, initargs=(1,)) as pool:
-            return pool.starmap(simulate_cell, tasks, chunksize=1)
-    finally:
-        if before is not None:
-            _set_blas_threads(before)
+    if isinstance(noise_model, SpinBathSpec):
+        bath_frame(noise_model)  # built once here, so that forked workers inherit it
+    if workers <= 1:
+        return list(itertools.starmap(simulate_cell, tasks))
+    with multiprocessing.Pool(workers) as pool:
+        return pool.starmap(simulate_cell, tasks, chunksize=1)
 
 
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:

@@ -406,6 +406,7 @@ def channel_gram(schedule, noise_model) -> np.ndarray:
     return g
 
 
+# Unused in src/; kept for tests/test_acceptance.py, whose criterion 05 imports it.
 def bath_channel_output(u_full: np.ndarray, rho_sys: np.ndarray, n_bath: int) -> np.ndarray:
     """System output state, bath maximally mixed: sum_be G_(ab),(ce) rho_be, G the `bath_average` of u_full / d."""
     d = 2**n_bath

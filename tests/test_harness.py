@@ -306,62 +306,85 @@ def test_run_sweep_parallel_equals_serial():
     assert run_sweep(cfg, jobs=1) == run_sweep(cfg, jobs=3)
 
 
-def test_run_sweep_runs_cells_on_one_blas_thread_and_restores_the_count(monkeypatch):
-    before = harness._set_blas_threads(2)
-    seen = []  # each cell reads the count by setting it to 1 again
-    monkeypatch.setattr(harness, "simulate_cell", lambda *cell: seen.append(harness._set_blas_threads(1)))
-    try:
-        run_sweep(config_from_dict(BASE_CONFIG), jobs=1)
-    finally:
-        restored = harness._set_blas_threads(before)
-    assert seen == [1, 1, 1, 1]
-    assert restored == 2
+# The thread count of the OpenBLAS bundled with numpy, read through its own getter; src/ keeps no such handle.
+_BLAS_THREADS = """
+def blas_threads():
+    import ctypes, pathlib, numpy
+    for path in sorted((pathlib.Path(numpy.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            get = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        return get()
+    return None
+"""
 
 
-def _blas_and_os_threads(*cell):
-    """Stands in for simulate_cell in a pool worker: the worker's BLAS thread count, then its OS thread count."""
-    return harness._set_blas_threads(1), len(os.listdir("/proc/self/task"))
+def _run_python(code: str, *args, **env) -> str:
+    """stdout of a fresh interpreter that runs code with args, importing ddgates from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))), **env)
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
+def test_cli_main_starts_numpy_on_one_blas_thread_whatever_the_environment_asks(tmp_path):
+    code = _BLAS_THREADS + """
+import os, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+from ddgates.cli import main
+assert main(["compile", "--gate", "NOT", "--scheme", "xy4", "--out", sys.argv[2]]) == 0  # loads numpy
+print(blas_threads(), os.environ["OPENBLAS_NUM_THREADS"])
+"""
+    cli_first = _run_python(code, "cli-first", tmp_path / "a.json", OPENBLAS_NUM_THREADS="4").split()
+    numpy_first = _run_python(code, "numpy-first", tmp_path / "b.json", OPENBLAS_NUM_THREADS="4").split()
+    if cli_first[0] == "None":
+        pytest.skip("this numpy build exposes no OpenBLAS thread getter")
+    assert cli_first == ["1", "1"]
+    # A host that loaded numpy first keeps its thread count and its environment.
+    assert numpy_first[1] == "4"
+    if len(os.sched_getaffinity(0)) > 1:
+        assert int(numpy_first[0]) > 1
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or "fork" not in multiprocessing.get_all_start_methods(),
                     reason="needs /proc and the fork start method")
-def test_forked_pool_workers_run_on_the_one_blas_thread_they_inherit(monkeypatch):
-    # Setting the count in a forked worker restarts OpenBLAS's thread server, whose
-    # spare thread slows every numpy loop in that worker about threefold.
-    before = harness._set_blas_threads(1)
-    if before is None:
-        pytest.skip("this numpy build exposes no OpenBLAS thread control")
-    monkeypatch.setattr(harness, "multiprocessing", multiprocessing.get_context("fork"))
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(harness, "simulate_cell", _blas_and_os_threads)
-    try:
-        seen = harness.run_cells(config_from_dict(BASE_CONFIG), [("NOT", "xy4", 1e-5)] * 4, jobs=2)
-    finally:
-        harness._set_blas_threads(before)
-    assert seen == [(1, 1)] * 4
+def test_forked_jobs_workers_hold_one_os_thread_after_cli_main(tmp_path):
+    # A worker that held a spare OpenBLAS thread ran a plain numpy loop about three times slower.
+    cfg_path, log = tmp_path / "cfg.json", tmp_path / "threads.log"
+    cfg_path.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")  # 4 cells
+    # The script loads no numpy before cli.main, so it installs its stand-in for simulate_cell in each forked worker.
+    code = """
+import multiprocessing, os, sys
+from ddgates import cli
 
+def log_threads_after(simulate_cell):
+    def simulate_then_log_threads(*cell):
+        row = simulate_cell(*cell)
+        with open(sys.argv[2], "a", encoding="utf-8") as log:
+            log.write(f"{os.getpid()} {len(os.listdir('/proc/self/task'))}\\n")
+        return row
+    return simulate_then_log_threads
 
-def test_run_cells_warns_once_looked_up_when_numpy_exposes_no_blas_thread_control(monkeypatch, capsys):
-    opened = []
+def patch_worker():
+    harness = sys.modules["ddgates.harness"]
+    harness.simulate_cell = log_threads_after(harness.simulate_cell)
 
-    def no_library(path, *args, **kwargs):
-        opened.append(path)
-        raise OSError(f"cannot load {path}")
-
-    harness._blas_thread_control.cache_clear()
-    monkeypatch.setattr(harness.ctypes, "CDLL", no_library)
-    try:
-        assert harness._set_blas_threads(1) is None
-        looked_up = list(opened)
-        rows = harness.run_cells(config_from_dict(BASE_CONFIG), [("NOT", "xy4", 1e-5)])
-        assert harness._set_blas_threads(1) is None
-    finally:
-        monkeypatch.undo()
-        harness._blas_thread_control.cache_clear()
-    assert opened == looked_up  # each library is tried once per process, not on every call
-    assert rows[0].error == "" and 0 < rows[0].fidelity <= 1
-    assert "warning: cannot set numpy's OpenBLAS thread count" in capsys.readouterr().err
+os.register_at_fork(after_in_child=patch_worker)
+multiprocessing.set_start_method("fork")
+os.sched_getaffinity = lambda pid: {0, 1}  # two usable cores, so --jobs 2 starts two workers
+assert cli.main(["sweep", "--config", sys.argv[1], "--jobs", "2", "--out", sys.argv[3]]) == 0
+assert os.environ["OPENBLAS_NUM_THREADS"] == "1"  # cli.main found no numpy loaded
+print(os.getpid(), len(os.listdir("/proc/self/task")))
+"""
+    parent_pid, parent_threads = _run_python(code, cfg_path, log, tmp_path / "out.csv",
+                                             OPENBLAS_NUM_THREADS="2").split()
+    workers = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+    assert len(workers) == 4 and all(pid != parent_pid for pid, _ in workers)
+    assert [threads for _, threads in workers] == ["1"] * 4
+    assert parent_threads == "1"
 
 
 def test_run_sweep_starts_no_more_pool_workers_than_cores(monkeypatch):
@@ -370,9 +393,8 @@ def test_run_sweep_starts_no_more_pool_workers_than_cores(monkeypatch):
     started = []
 
     class FakePool:  # runs the tasks in this process, so no worker starts
-        def __init__(self, processes, initializer, initargs):
+        def __init__(self, processes):
             started.append(processes)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -422,14 +444,20 @@ def test_bath_sweep_bytes_do_not_depend_on_blas_threads_or_jobs(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(dict(BASE_CONFIG, noise=noise, gates=["NOOP", "PI8"], schemes=["kdd"],
                                         tau_grid_s=[1e-5])), encoding="utf-8")
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    # numpy loads before cli.main, so the cells run on the BLAS threads the environment asks for.
+    code = _BLAS_THREADS + """
+import sys
+import numpy
+from ddgates.cli import main
+assert main(sys.argv[1:]) == 0
+print(blas_threads())
+"""
     outputs = set()
     for threads, jobs in itertools.product(("1", "2"), ("1", "2")):
         out = tmp_path / f"t{threads}-j{jobs}.csv"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        subprocess.run([sys.executable, "-m", "ddgates", "sweep", "--config", str(cfg_path), "--out", str(out),
-                        "--jobs", jobs], env=env, check=True, capture_output=True, timeout=120)
+        blas = _run_python(code, "sweep", "--config", cfg_path, "--out", out, "--jobs", jobs,
+                           OPENBLAS_NUM_THREADS=threads).split()[-1]
+        assert blas in (threads, "None") or len(os.sched_getaffinity(0)) < int(threads)
         outputs.add(out.read_bytes())
     assert len(outputs) == 1
 
