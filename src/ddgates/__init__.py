@@ -15,11 +15,11 @@ __version__ = "0.1.0"
 # The submodule that defines each public name.
 _SUBMODULES = {
     "compiler": "DD_KINDS KDD XY4 XY8 DDKind PulseEvent RotationSpec Schedule apply_amplitude_error bb1_expand "
-                "dd_cycle decompose_gate gate_target hard_pulse_schedule protected_bb1_gate protected_rotation "
-                "pulse_count schedule_from_json schedule_to_json verify_schedule",
+                "build_schedule dd_cycle decompose_gate gate_target hard_pulse_schedule protected_bb1_gate pulse_count "
+                "schedule_from_json schedule_to_json verify_schedule",
     "config": "CompileError ConfigError ExperimentConfig load_config resolve_noise run_calibration",
     "core": "rotation_unitary",
-    "harness": "ResultRow build_schedule fid_decay_curve hahn_decay_curve run_sweep run_table1 simulate_cell",
+    "harness": "ResultRow fid_decay_curve hahn_decay_curve run_sweep run_table1 simulate_cell",
     "noise": "SpinBathSpec default_spin_bath",
     "ou": "CalibrationError CalibrationResult OUNoiseSpec calibrate_to_targets",
     "simulate": "bath_propagator ideal_propagator",

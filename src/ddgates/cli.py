@@ -109,8 +109,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    from .compiler import apply_amplitude_error, schedule_to_json
-    from .harness import build_schedule
+    from .compiler import apply_amplitude_error, build_schedule, schedule_to_json
 
     schedule = build_schedule(args.gate, args.scheme, args.tau)
     if args.epsilon:

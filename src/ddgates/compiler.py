@@ -3,9 +3,11 @@
 Named gates decompose into in-plane rotations; each rotation can be expanded
 into a five-component composite pulse robust to amplitude miscalibration, and
 each component can be wrapped in a decoupling cycle whose first and last free
-periods carry the two gate halves as weak finite-duration rotations.  Every
-schedule, whether compiled or loaded from JSON, is checked once against its
-target by a zero-noise simulation.
+periods carry the two gate halves as weak finite-duration rotations.  This is
+the one module that builds schedules: `build_schedule` turns (gate, scheme,
+tau) into one, and `protected_gate_time` is the protected gate's duration.
+Every schedule, whether compiled or loaded from JSON, is checked once against
+its target by a zero-noise simulation.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CompileError, _reject_unknown_keys, json_value
+from .config import SCHEMES, CompileError, _reject_unknown_keys, json_value
 from .core import IDENTITY_2, SIGMA_X, rotation_unitary
 from .simulate import ideal_propagator
 from .tomography import gate_fidelity
@@ -269,19 +271,6 @@ def dd_cycle(kind: DDKind, tau: float) -> Schedule:
     ))
 
 
-def protected_rotation(r: RotationSpec, kind: DDKind, tau: float) -> Schedule:
-    """A rotation split into two soft halves hosted by one decoupling cycle.
-
-    Total duration equals the bare cycle duration.
-    """
-    if r.angle == 0.0:
-        return dd_cycle(kind, tau)
-    label = f"protected:{kind.name}:phase={r.phase:.6g}:angle={r.angle:.6g}:tau={tau:.6g}"
-    return _verified(Schedule(
-        _cycle_events(kind, tau, r), rotation_unitary(r.phase, r.angle), label, kind.name, tau
-    ))
-
-
 def protected_bb1_gate(rotations, kind: DDKind, tau: float) -> Schedule:
     """Composite-pulse expansion of a gate with every component cycle-protected.
 
@@ -306,6 +295,33 @@ def hard_pulse_schedule(rotations, target_gate, label: str, pad_to: float = 0.0)
     if pad_to:
         events.append(PulseEvent("delay", pad_to / 2))
     return _verified(Schedule(events, target_gate, label))
+
+
+def protected_gate_time(gate: str, kind: DDKind, tau: float) -> float:
+    """Duration of a gate protected by kind at tau: one cycle per BB1 component, 5 per rotation (one bare
+    cycle for NOOP), each the kind's pulse count times tau."""
+    return (5 * len(decompose_gate(gate)) or 1) * cycle_pulse_count(kind) * tau
+
+
+def build_schedule(gate: str, scheme: str, tau: float) -> Schedule:
+    """Compile one (gate, scheme) cell at inter-pulse delay tau."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    if not 0 < tau < math.inf:  # every scheme writes tau into its label
+        raise CompileError(f"tau must be positive and finite, got {tau!r}")
+    rotations = decompose_gate(gate)
+    target = gate_target(gate)
+    label = f"{gate}:{scheme}:tau={tau:.6g}"
+    if scheme == "simple":
+        return hard_pulse_schedule(rotations, target, label)
+    if scheme == "simple_padded":
+        # Pad to the XY-8 protected duration so gate times compare like for like;
+        # tau sets that duration, so it gets the decoupling schemes' range check.
+        check_tau(tau)
+        return hard_pulse_schedule(rotations, target, label, pad_to=protected_gate_time(gate, XY8, tau))
+    if scheme == "bb1":
+        return hard_pulse_schedule([c for r in rotations for c in bb1_expand(r)], target, label)
+    return dataclasses.replace(protected_bb1_gate(rotations, DD_KINDS[scheme], tau), label=label)
 
 
 def apply_amplitude_error(schedule: Schedule, epsilon: float) -> Schedule:

@@ -1,12 +1,13 @@
 """Config-driven experiment harness.
 
-Composes the compiler, noise models, simulators, and tomography into the
-experiments: the exact free-induction and Hahn-echo decay curves of either
-noise model, fidelity sweeps versus gate time across protection schemes, and
-the reference-gate benchmark.  Results are deterministic CSV/JSON: every engine
-is exact and the sweep's rows are sorted by (gate, scheme, tau), so any job
-count gives identical bytes.  Nothing here writes a file: `cli` renders and
-writes what it returns.
+Runs the experiments on the compiler's schedules, the noise models, the
+simulators and tomography: the exact free-induction and Hahn-echo decay curves
+of either noise model, fidelity sweeps versus gate time across protection
+schemes, and the reference-gate benchmark.  It builds no schedule: `compiler`
+turns each cell, and each decay-curve delay, into one.  Results are
+deterministic CSV/JSON: every engine is exact and the sweep's rows are sorted
+by (gate, scheme, tau), so any job count gives identical bytes.  Nothing here
+writes a file: `cli` renders and writes what it returns.
 """
 
 from __future__ import annotations
@@ -23,22 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compiler import (
-    DD_KINDS,
-    GATE_ROTATIONS,
-    PulseEvent,
-    RotationSpec,
-    Schedule,
+from .compiler import (  # simulate_cell calls build_schedule and apply_amplitude_error by these bindings
+    XY8,
     apply_amplitude_error,
-    bb1_expand,
-    check_tau,
+    build_schedule,
     decompose_gate,
     gate_target,
     hard_pulse_schedule,
-    protected_bb1_gate,
+    protected_gate_time,
     pulse_count,
 )
-from .config import SCHEMES, CompileError, ConfigError, ExperimentConfig, resolve_noise
+from .config import CompileError, ConfigError, ExperimentConfig, resolve_noise
 from .config import (  # unused here; tests/test_acceptance.py imports these from harness
     CalibrationTargets,
     calibration_artifact_text,
@@ -75,30 +71,6 @@ CSV_FIELDS = tuple(
 )
 
 
-def build_schedule(gate: str, scheme: str, tau: float):
-    """Compile one (gate, scheme) cell at inter-pulse delay tau."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if not 0 < tau < math.inf:  # every scheme writes tau into its label
-        raise CompileError(f"tau must be positive and finite, got {tau!r}")
-    rotations = decompose_gate(gate)
-    target = gate_target(gate)
-    label = f"{gate}:{scheme}:tau={tau:.6g}"
-    if scheme == "simple":
-        return hard_pulse_schedule(rotations, target, label)
-    if scheme == "simple_padded":
-        # Pad to the XY-8 protected duration so gate times compare like for like;
-        # tau sets that duration, so it gets the decoupling schemes' range check.
-        check_tau(tau)
-        pad_to = len(rotations) * 5 * 8 * tau if rotations else 8 * tau
-        return hard_pulse_schedule(rotations, target, label, pad_to=pad_to)
-    if scheme == "bb1":
-        expanded = [c for r in rotations for c in bb1_expand(r)]
-        return hard_pulse_schedule(expanded, target, label)
-    schedule = protected_bb1_gate(rotations, DD_KINDS[scheme], tau)
-    return dataclasses.replace(schedule, label=label)
-
-
 def simulate_cell(gate: str, scheme: str, tau: float, noise_model, epsilon: float) -> ResultRow:
     """Compile, inject the amplitude error, simulate, and score one cell.
 
@@ -131,9 +103,9 @@ def _decay_curve(noise, delays, echo: bool):
     if isinstance(noise, OUNoiseSpec):
         coh = ou_coherence(noise, delays.tolist(), echo)
     elif isinstance(noise, SpinBathSpec):
-        pi_x = (PulseEvent("hard_pulse", 0.0, RotationSpec(0.0, math.pi)),) if echo else ()
-        halves = [PulseEvent("delay", t / 2) for t in delays.tolist()]
-        grams = (channel_gram(Schedule((half, *pi_x, half), np.eye(2), "decay"), noise) for half in halves)
+        gate = "NOT" if echo else "NOOP"  # a pi_x at the middle of each delay, or nothing
+        grams = (channel_gram(hard_pulse_schedule(decompose_gate(gate), gate_target(gate), "decay", pad_to=t), noise)
+                 for t in delays.tolist())
         coh = [float(abs(g.reshape(2, 2, 2, 2)[0, :, 1, :].sum())) for g in grams]  # 2|rho_01|, rho = G |+><+|
     else:
         raise TypeError(f"unsupported noise model {type(noise).__name__}")
@@ -179,15 +151,14 @@ def run_table1(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
     """Benchmark the rotation gates at their reference times with XY-8.
 
     tau is chosen so the protected schedule duration equals the reference gate
-    time: tau = duration / (rotations * 5 * 8).  Returns the rows plus a report
+    time, by `protected_gate_time`.  Returns the rows plus a report
     placing simulated fidelities beside the reference values.
     """
     gates = [g for g in sorted(dict.fromkeys(cfg.gates)) if g in REFERENCE_GATE_TIMES_S]
     if not gates:
         raise ConfigError("run_table1 requires at least one of H, NOT, PI8 in gates")
-    rows = run_cells(cfg, [
-        (gate, "xy8", REFERENCE_GATE_TIMES_S[gate] / (len(GATE_ROTATIONS[gate]) * 5 * 8)) for gate in gates
-    ])
+    rows = run_cells(cfg, [(gate, "xy8", REFERENCE_GATE_TIMES_S[gate] / protected_gate_time(gate, XY8, 1.0))
+                           for gate in gates])
     report = {}
     for row in rows:
         entry = dict(zip(CSV_FIELDS, dataclasses.astuple(row)))

@@ -327,8 +327,9 @@ def ou_moment(schedule, spec: OUNoiseSpec, offsets, weights) -> np.ndarray:
     chain, so its average is a discrete-variable representation (Light, Hamilton &
     Lill, JCP 82, 1400 (1985)) of Kubo's stochastic Liouville equation (J. Math.
     Phys. 4, 174 (1963)): the node-weighted moments of z (`_turn`) are walked in time,
-    cut at every event boundary and `dt` grid point.  They are held node-major, one
-    row of 10 reals (5 complex) per node, so that each step is one or two numpy calls:
+    cut at every event boundary and `dt` grid point, each piece measured from its
+    event's start.  They are held node-major, one row of 10 reals (5 complex) per node,
+    so that each step is one or two numpy calls:
     a hard pulse is one matmul by its `_hard_turn`; a delay piece of length t turns B
     by e^{i delta t} in place, and a whole delay event or grid cell by its phase at
     its nominal length, duration or dt, cached for this call; a soft piece is
@@ -353,6 +354,8 @@ def ou_moment(schedule, spec: OUNoiseSpec, offsets, weights) -> np.ndarray:
         start, stop = t, t + ev.duration
         while True:
             end = min(stop, (k + 1) * spec.dt)
+            # From the event's start, the last piece ending at its duration: end - t has the absolute rounding.
+            length = (ev.duration if end == stop else end - start) - (t - start)
             if ev.kind == "delay":
                 whole = t == start and end == stop
                 if whole or (t != start and end != stop):  # the whole event, or a whole grid cell
@@ -361,11 +364,11 @@ def ou_moment(schedule, spec: OUNoiseSpec, offsets, weights) -> np.ndarray:
                         phases[key] = delay_phase(ev.duration if whole else spec.dt)
                     y.view(complex)[...] *= phases[key]
                 else:
-                    y.view(complex)[...] *= delay_phase(end - t, cut)
+                    y.view(complex)[...] *= delay_phase(length, cut)
             elif ev.duration == 0.0:
                 y = y @ _hard_turn(ev)
             elif end > t:
-                a, f = _soft_rotation(ev, delta, end - t)
+                a, f = _soft_rotation(ev, delta, length)
                 v = np.array((a, f * delta, f))
                 node_turns = ((v[_SQUARES[0]] * v[_SQUARES[1]]).T @ _soft_form(ev)).reshape(-1, 10, 10)
                 y = np.matmul(y[:, None, :], node_turns)[:, 0]

@@ -127,8 +127,8 @@ def _component_turn(y, alpha, beta):
 def reference_ou_moment(schedule, spec, offsets, weights):
     """`ou_moment` walked component first, (5, OU nodes, static nodes), one `_component_turn`
     per pulse piece at every node's detuning, hard pulses included: the walk that the
-    node-major one replaced, cut at the same event boundaries and dt grid points, its own
-    summed moments arranged into G."""
+    node-major one replaced, cut at the same event boundaries and dt grid points, each piece's
+    length measured alike from its event's start, its own summed moments arranged into G."""
     x, w = hermite_nodes(OU_NODES if spec.sigma else 1)
     delta = spec.sigma * x[:, None] + np.asarray(offsets, dtype=float)
     mix = _mehler(x, w, math.exp(-spec.dt / spec.tau_c))
@@ -136,13 +136,14 @@ def reference_ou_moment(schedule, spec, offsets, weights):
     y[0] = y[2] = w[:, None] * np.asarray(weights, dtype=float)  # q = (1, 0, 0, 0)
     t, k = 0.0, 0  # on grid cell k, [k dt, (k + 1) dt)
     for ev in schedule.events:
-        stop = t + ev.duration
+        start, stop = t, t + ev.duration
         while True:
             end = min(stop, (k + 1) * spec.dt)
+            length = (ev.duration if end == stop else end - start) - (t - start)  # measured from the event's start
             if ev.kind == "delay":
-                y[2:] *= np.exp(1j * (end - t) * delta)
+                y[2:] *= np.exp(1j * length * delta)
             elif ev.duration == 0.0 or end > t:
-                y = _component_turn(y, *pulse_cayley_klein(ev, delta, end - t))
+                y = _component_turn(y, *pulse_cayley_klein(ev, delta, length))
             if end == stop:
                 break
             t, k, y = end, k + 1, mix @ y

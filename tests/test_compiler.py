@@ -21,15 +21,18 @@ from ddgates.compiler import (
     XY8,
     PulseEvent,
     RotationSpec,
+    Schedule,
+    _cycle_events,
     apply_amplitude_error,
     bb1_expand,
+    build_schedule,
     cycle_pulse_count,
     dd_cycle,
     decompose_gate,
     gate_target,
     hard_pulse_schedule,
     protected_bb1_gate,
-    protected_rotation,
+    protected_gate_time,
     pulse_count,
     rotation_product,
     schedule_from_json,
@@ -38,7 +41,6 @@ from ddgates.compiler import (
 )
 from ddgates.config import SCHEMES, CompileError
 from ddgates.core import IDENTITY_2, SIGMA_X, rotation_unitary
-from ddgates.harness import build_schedule
 from ddgates.simulate import ideal_propagator
 from ddgates.tomography import gate_fidelity
 from helpers import Word, expected_pulse_count
@@ -75,7 +77,7 @@ def test_hard_pulses_are_instantaneous_and_soft_halves_take_time():
     doc["events"][1]["duration_s"] = 2e-6
     with pytest.raises(CompileError):
         schedule_from_json(json.dumps(doc))
-    doc = json.loads(schedule_to_json(protected_rotation(RotationSpec(0.0, 1.0), XY4, 1e-5)))
+    doc = json.loads(schedule_to_json(protected_bb1_gate([RotationSpec(0.0, 1.0)], XY4, 1e-5)))
     assert doc["events"][0]["kind"] == "soft_gate_half"
     doc["events"][0]["duration_s"] = 0.0
     with pytest.raises(CompileError):
@@ -182,24 +184,42 @@ def test_dd_cycle_rejects_out_of_range_tau():
     dd_cycle(XY4, TAU_MAX)
 
 
-def test_protected_rotation_structure():
+def test_cycle_events_host_a_rotation_in_two_soft_halves():
     tau = 1e-5
     r = RotationSpec(0.3, math.pi / 2)
-    sched = protected_rotation(r, XY4, tau)
-    first, last = sched.events[0], sched.events[-1]
+    events = _cycle_events(XY4, tau, r)
+    first, last = events[0], events[-1]
     assert first.kind == "soft_gate_half" and last.kind == "soft_gate_half"
     assert first.duration == pytest.approx(tau / 2)
     assert first.rotation.angle == pytest.approx(r.angle / 2)
     assert first.rotation.phase == r.phase
-    assert sched.events[1:-1] == dd_cycle(XY4, tau).events[1:-1]
-    assert sched.cycle_time == pytest.approx(4 * tau)
+    assert events[1:-1] == dd_cycle(XY4, tau).events[1:-1]
+    sched = Schedule(events, rotation_unitary(r.phase, r.angle), "hosted", "xy4", tau)
+    assert sched.total_duration == pytest.approx(sched.cycle_time) and sched.cycle_time == pytest.approx(4 * tau)
     assert verify_schedule(sched) > 1 - 1e-9
-    assert gate_fidelity(sched.target_gate, rotation_unitary(r.phase, r.angle)) > 1 - 1e-12
 
 
-def test_protected_rotation_zero_angle_is_plain_cycle():
-    sched = protected_rotation(RotationSpec(0.0, 0.0), XY8, 1e-5)
-    assert sched.events == dd_cycle(XY8, 1e-5).events
+def test_cycle_events_of_a_zero_angle_are_the_bare_cycle():
+    assert _cycle_events(XY8, 1e-5, RotationSpec(0.0, 0.0)) == dd_cycle(XY8, 1e-5).events
+
+
+def test_protected_gate_time_is_the_duration_of_every_protected_cell_and_the_padded_window():
+    # 5 cycles per rotation, one for NOOP, each pulses * tau: the NOT, H, PI8 and NOOP cells.
+    cycles = {"NOT": 5, "H": 10, "PI8": 15, "NOOP": 1}
+    for gate, kind, tau in [(g, k, t) for g in ALL_GATES for k in DD_KINDS.values() for t in (TAU_MIN, 1e-5, 3e-5)]:
+        assert protected_gate_time(gate, kind, tau) == cycles[gate] * cycle_pulse_count(kind) * tau
+        assert build_schedule(gate, kind.name, tau).total_duration == pytest.approx(
+            protected_gate_time(gate, kind, tau), rel=1e-12)
+        window = build_schedule(gate, "simple_padded", tau).events
+        assert window[0].duration + window[-1].duration == protected_gate_time(gate, XY8, tau)
+
+
+def test_harness_runs_the_compilers_build_schedule():
+    import ddgates
+    import ddgates.compiler as compiler
+    import ddgates.harness as harness
+
+    assert harness.build_schedule is compiler.build_schedule is ddgates.build_schedule
 
 
 def test_protected_gate_counts_and_targets():
@@ -377,7 +397,7 @@ def test_protected_bb1_gate_of_random_rotations(rotations, kind, tau):
     gate = ("NOT", "H", "PI8")[len(rotations) - 1]
     assert pulse_count(sched) == expected_pulse_count(gate, kind.name)
     assert sched.events == tuple(
-        ev for r in rotations for c in bb1_expand(r) for ev in protected_rotation(c, kind, tau).events
+        ev for r in rotations for c in bb1_expand(r) for ev in _cycle_events(kind, tau, c)
     )
 
 
@@ -415,8 +435,7 @@ def test_compile_builds_and_checks_each_distinct_event_once(monkeypatch):
 
 _EVENTS_SCRIPT = """
 import pickle, sys
-from ddgates.compiler import apply_amplitude_error
-from ddgates.harness import build_schedule
+from ddgates.compiler import apply_amplitude_error, build_schedule
 events = apply_amplitude_error(build_schedule("H", "kdd", 1e-5), 0.01).events
 if sys.argv[1] == "dump":
     sys.stdout.buffer.write(pickle.dumps(events))

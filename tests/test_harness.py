@@ -14,7 +14,7 @@ import pytest
 import ddgates.harness as harness
 import ddgates.simulate as simulate
 from ddgates.cli import main as cli_main
-from ddgates.compiler import apply_amplitude_error
+from ddgates.compiler import apply_amplitude_error, build_schedule
 from ddgates.config import (
     GATES,
     SCHEMES,
@@ -35,7 +35,6 @@ from ddgates.harness import (
     REFERENCE_FIDELITIES,
     REFERENCE_GATE_TIMES_S,
     ResultRow,
-    build_schedule,
     rows_from_csv,
     rows_to_csv,
     run_sweep,
@@ -357,7 +356,7 @@ def test_forked_jobs_workers_hold_one_os_thread_after_cli_main(tmp_path):
     cfg_path.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")  # 4 cells
     # The script loads no numpy before cli.main, so it installs its stand-in for simulate_cell in each forked worker.
     code = """
-import multiprocessing, os, sys
+import multiprocessing, os, sys, time
 from ddgates import cli
 
 def log_threads_after(simulate_cell):
@@ -377,6 +376,10 @@ multiprocessing.set_start_method("fork")
 os.sched_getaffinity = lambda pid: {0, 1}  # two usable cores, so --jobs 2 starts two workers
 assert cli.main(["sweep", "--config", sys.argv[1], "--jobs", "2", "--out", sys.argv[3]]) == 0
 assert os.environ["OPENBLAS_NUM_THREADS"] == "1"  # cli.main found no numpy loaded
+# The pool joined its handler threads, but /proc may list one for some milliseconds more; a BLAS thread stays.
+deadline = time.monotonic() + 10.0
+while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
+    time.sleep(0.01)
 print(os.getpid(), len(os.listdir("/proc/self/task")))
 """
     parent_pid, parent_threads = _run_python(code, cfg_path, log, tmp_path / "out.csv",
