@@ -136,7 +136,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     rows = run_sweep(load_config(args.config), jobs=args.jobs)
     if args.summary:
-        _write_or_print(json.dumps(summarize_rows(rows), sort_keys=True, indent=2) + "\n", args.summary)
+        summary = json.dumps(summarize_rows(rows), sort_keys=True, indent=2, allow_nan=False)
+        _write_or_print(summary + "\n", args.summary)
     _write_or_print(rows_to_csv(rows), args.out)
     for path in filter(None, (args.out, args.summary)):
         print(f"wrote {path}", file=sys.stderr)  # stdout carries only the CSV
@@ -149,7 +150,7 @@ def cmd_table1(args) -> int:
     rows, report = run_table1(load_config(args.config))
     if args.csv:
         _write_or_print(rows_to_csv(rows), args.csv)
-    _write_or_print(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
+    _write_or_print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n", args.out)
     return _exit_code(rows)
 
 

@@ -118,6 +118,8 @@ class Schedule:
             raise ValueError(f"target_gate must be 2x2, got {target.shape}")
         target.setflags(write=False)
         object.__setattr__(self, "target_gate", target)
+        if self.tau is not None and not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
         if self.dd_kind is not None:
             if self.dd_kind not in _CYCLE_PHASES or self.tau is None:
                 raise ValueError(f"dd_kind {self.dd_kind!r} must be one of {sorted(_CYCLE_PHASES)}, with a tau")
@@ -379,7 +381,7 @@ def schedule_to_json(schedule: Schedule) -> str:
         "target_gate": _target_reals(schedule.target_gate),
         "events": records,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def schedule_from_json(text: str) -> Schedule:

@@ -206,7 +206,7 @@ def calibration_artifact_text(targets: CalibrationTargets, result: CalibrationRe
             "t2_hahn_s": result.fitted_t2_hahn,
         },
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def load_calibration(path: str) -> OUNoiseSpec:

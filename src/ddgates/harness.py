@@ -42,7 +42,7 @@ from .config import (  # unused here; tests/test_acceptance.py imports these fro
 )
 from .noise import SpinBathSpec
 from .ou import OUNoiseSpec, ou_coherence
-from .simulate import bath_frame, channel_gram
+from .simulate import bath_frame, channel_gram, channel_output
 from .tomography import process_fidelity
 
 # Published reference gate times and fidelities for the XY-8 benchmark.
@@ -92,7 +92,7 @@ def simulate_cell(gate: str, scheme: str, tau: float, noise_model, epsilon: floa
 
 def _decay_curve(noise, delays, echo: bool):
     """(delay, 2|rho_01|) of a +x state after each delay, refocused by a pi_x at its middle if echo: OU
-    `ou_coherence`, or for the bath `channel_gram` of (t/2, t/2) or (t/2, pi_x, t/2); exact."""
+    `ou_coherence`, or for the bath `channel_output` of (t/2, t/2) or (t/2, pi_x, t/2); exact."""
     delays = np.asarray(delays, dtype=float)
     if delays.ndim != 1:
         raise ValueError(f"delays must be one-dimensional, got shape {delays.shape}")
@@ -104,9 +104,10 @@ def _decay_curve(noise, delays, echo: bool):
         coh = ou_coherence(noise, delays.tolist(), echo)
     elif isinstance(noise, SpinBathSpec):
         gate = "NOT" if echo else "NOOP"  # a pi_x at the middle of each delay, or nothing
-        grams = (channel_gram(hard_pulse_schedule(decompose_gate(gate), gate_target(gate), "decay", pad_to=t), noise)
-                 for t in delays.tolist())
-        coh = [float(abs(g.reshape(2, 2, 2, 2)[0, :, 1, :].sum())) for g in grams]  # 2|rho_01|, rho = G |+><+|
+        plus = np.full((2, 2), 0.5)  # |+><+|, exactly
+        scheds = (hard_pulse_schedule(decompose_gate(gate), gate_target(gate), "decay", pad_to=t)
+                  for t in delays.tolist())
+        coh = [2 * float(abs(channel_output(channel_gram(s, noise), plus)[0, 1])) for s in scheds]  # 2|rho_01|
     else:
         raise TypeError(f"unsupported noise model {type(noise).__name__}")
     return list(zip(delays.tolist(), coh))
@@ -161,7 +162,9 @@ def run_table1(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
                            for gate in gates])
     report = {}
     for row in rows:
-        entry = dict(zip(CSV_FIELDS, dataclasses.astuple(row)))
+        # JSON has no NaN: a failed cell's NaN sentinels are written as null.
+        entry = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                 for k, v in zip(CSV_FIELDS, dataclasses.astuple(row))}
         del entry["gate"], entry["scheme"]  # keyed by gate; the scheme is xy8
         entry["reference_gate_time_s"] = REFERENCE_GATE_TIMES_S[row.gate]
         entry["reference_fidelity"] = REFERENCE_FIDELITIES[row.gate]
@@ -173,17 +176,9 @@ def rows_to_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
-    # str() of a float is its shortest round-trip repr, so rows_from_csv is exact.
+    # str() of a float is its shortest round-trip repr, so parsing each column back is exact.
     writer.writerows([str(t(v)) for t, v in zip(_COLUMN_TYPES, dataclasses.astuple(row))] for row in rows)
     return buf.getvalue()
-
-
-def rows_from_csv(text: str) -> list[ResultRow]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != CSV_FIELDS:
-        raise ValueError(f"unexpected CSV header {header}")
-    return [ResultRow(*(t(v) for t, v in zip(_COLUMN_TYPES, rec))) for rec in reader]
 
 
 def summarize_rows(rows) -> dict:

@@ -382,7 +382,7 @@ def ou_moment(schedule, spec: OUNoiseSpec, offsets, weights) -> np.ndarray:
 
 def channel_gram(schedule, noise_model) -> np.ndarray:
     """The system channel's 4x4 Gram matrix G = E[vec K vec K^dag], vec row-major, over operators
-    K whose mean of K rho K^dag is the channel, so that output_ac = sum_be G_(ab),(ce) rho_be.
+    K whose mean of K rho K^dag is the channel, so that output_ac = sum_be G_(ab),(ce) rho_be (`channel_output`).
 
     None: vec U vec U^dag of the ideal propagator with amplitude scales applied.  SpinBathSpec, bath
     maximally mixed: `bath_average` of each `_bath_blocks` stack, summed and divided by d = 2**n_bath; no
@@ -409,8 +409,13 @@ def channel_gram(schedule, noise_model) -> np.ndarray:
     return g
 
 
+def channel_output(g: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The output state of the channel of Gram matrix g on the 2x2 state rho: sum_be G_(ab),(ce) rho_be."""
+    return np.einsum("abce,be->ac", g.reshape(2, 2, 2, 2), rho)
+
+
 # Unused in src/; kept for tests/test_acceptance.py, whose criterion 05 imports it.
 def bath_channel_output(u_full: np.ndarray, rho_sys: np.ndarray, n_bath: int) -> np.ndarray:
-    """System output state, bath maximally mixed: sum_be G_(ab),(ce) rho_be, G the `bath_average` of u_full / d."""
+    """System output state, bath maximally mixed: `channel_output` of the `bath_average` of u_full / d."""
     d = 2**n_bath
-    return np.einsum("abce,be->ac", bath_average(np.reshape(u_full, (1, 2, d, 2, d))) / d, rho_sys)
+    return channel_output(bath_average(np.reshape(u_full, (1, 2, d, 2, d))) / d, rho_sys)

@@ -1,8 +1,9 @@
 """Single-qubit process tomography and the propagator/process fidelity metric.
 
 Chi matrices are expanded in the operator basis (I, sigma_x, i*sigma_y,
-sigma_z).  A simulated channel is held as its Gram matrix G (`channel_gram`),
-and its chi is one fixed change of basis of G.  Measured output states on the
+sigma_z).  A simulated channel is held as its Gram matrix G (`channel_gram`):
+its output states and its score read G, and its chi is one fixed change of
+basis of G, `chi_from_gram`, the one route to chi.  Measured output states on the
 four inputs |0>, |1>, |+>, |+i> are reconstructed by plain linear inversion of
 the resulting 16x16 system, which also serves as the independent check of the
 direct route.  No positivity projection is applied; defects of a
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
-from .simulate import channel_gram
+from .simulate import channel_gram, channel_output
 
 CHI_BASIS: tuple[np.ndarray, ...] = (IDENTITY_2, SIGMA_X, 1j * SIGMA_Y, SIGMA_Z)
 
@@ -114,14 +115,6 @@ def chi_from_gram(g: np.ndarray) -> ChiMatrix:
     return ChiMatrix(_T @ g @ _T.conj().T / 4)
 
 
-def chi_from_operators(ops: np.ndarray) -> ChiMatrix:
-    """Chi matrix of the channel rho -> mean over k of K_k rho K_k^dag, ops shape (n, 2, 2)."""
-    v = np.reshape(ops, (-1, 4))
-    if len(v) == 0:
-        raise ValueError("a channel needs at least one operator")
-    return chi_from_gram(v.T @ v.conj() / len(v))
-
-
 def _as_matrix(x) -> np.ndarray:
     if isinstance(x, ChiMatrix):
         return x.entries
@@ -152,11 +145,13 @@ def ideal_channel_samples(target: np.ndarray) -> ChannelSamples:
 def simulate_channel(schedule, noise_model) -> ChannelSamples:
     """Output states on the tomography inputs of the schedule's channel under a `channel_gram`
     noise model; amplitude scales stored on the schedule are part of the simulated physics."""
-    g = channel_gram(schedule, noise_model).reshape(2, 2, 2, 2)
-    return ChannelSamples(tuple(np.einsum("abce,be->ac", g, rho) for rho in TOMO_INPUT_STATES))
+    g = channel_gram(schedule, noise_model)
+    return ChannelSamples(tuple(channel_output(g, rho) for rho in TOMO_INPUT_STATES))
 
 
 def process_fidelity(schedule, noise_model) -> float:
-    """Fidelity between the chi of the simulated channel and that of its target gate."""
-    chi_actual = chi_from_gram(channel_gram(schedule, noise_model))
-    return gate_fidelity(chi_actual, chi_from_operators(schedule.target_gate[None]))
+    """The normalised overlap `gate_fidelity` of the channel's G with the target's vec U_t vec U_t^dag, not
+    Tr(chi_ideal chi): ~0.999997 for the README quickstart cell.  The overlap of the two chis is the same, as
+    chi = V G V^dag / 2 with V = T / sqrt(2) unitary, so no chi is built.  ROADMAP item 5 renames it."""
+    u = schedule.target_gate.reshape(-1)
+    return gate_fidelity(channel_gram(schedule, noise_model), np.outer(u, u.conj()))

@@ -2,10 +2,14 @@
 operator route to a channel that its Gram matrix replaced, with the operators of a Gram
 matrix, the dense bath traces that `simulate.bath_average` replaced, the component-major
 OU moment walk that the node-major one replaced, with the per-node pulse rotation it steps
-by, and the Monte-Carlo OU sampler that is the statistical oracle of the exact OU channel."""
+by, the Monte-Carlo OU sampler that is the statistical oracle of the exact OU channel, and
+the reader of the result CSV that `harness.rows_to_csv` writes."""
 
+import csv
 import functools
+import io
 import math
+import typing
 from itertools import islice
 
 import numpy as np
@@ -13,6 +17,7 @@ import scipy.linalg
 
 from ddgates.compiler import DD_KINDS, GATE_ROTATIONS, cycle_pulse_count
 from ddgates.core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, embed_system, rotation_unitary
+from ddgates.harness import CSV_FIELDS, ResultRow
 from ddgates.noise import SpinBathSpec
 from ddgates.ou import OUNoiseSpec
 from ddgates.simulate import (
@@ -254,3 +259,13 @@ def ou_propagators(schedule, spec, n_realizations, seed):
             t, k, delta = end, k + 1, next(walk)
         t = stop
     return np.stack((a, -b.conj(), b, a.conj()), axis=-1).reshape(n_realizations, 2, 2)
+
+
+def rows_from_csv(text: str) -> list[ResultRow]:
+    """The rows of a result CSV, each column parsed by its `ResultRow` field's type."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    if tuple(header) != CSV_FIELDS:
+        raise ValueError(f"unexpected CSV header {header}")
+    types = typing.get_type_hints(ResultRow).values()
+    return [ResultRow(*(t(v) for t, v in zip(types, rec))) for rec in reader]

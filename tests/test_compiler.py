@@ -347,6 +347,16 @@ def test_schedule_json_rejects_a_field_of_the_wrong_type_naming_it(event, field,
         schedule_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("tau", [math.inf, math.nan, -1.0, 0], ids=["inf", "nan", "negative", "zero"])
+def test_schedule_json_rejects_a_tau_that_is_not_positive_and_finite_without_a_cycle(tau):
+    # schedule_to_json would write Infinity or NaN back, which is not JSON.
+    doc = json.loads(schedule_to_json(build_schedule("NOT", "simple_padded", 1e-5)))
+    assert doc["dd_kind"] is None
+    doc["tau_s"] = tau
+    with pytest.raises(CompileError, match="tau must be positive and finite"):
+        schedule_from_json(json.dumps(doc))
+
+
 # Each key would be ignored if unknown keys were: a misspelled amplitude_scale loads the pulse at scale 1.
 @pytest.mark.parametrize("kind, key", [
     ("hard_pulse", "amplitude_scales"),

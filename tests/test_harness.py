@@ -35,7 +35,6 @@ from ddgates.harness import (
     REFERENCE_FIDELITIES,
     REFERENCE_GATE_TIMES_S,
     ResultRow,
-    rows_from_csv,
     rows_to_csv,
     run_sweep,
     run_table1,
@@ -44,8 +43,8 @@ from ddgates.harness import (
 )
 from ddgates.noise import SpinBathSpec, default_spin_bath
 from ddgates.ou import CalibrationResult, OUNoiseSpec
-from ddgates.tomography import chi_from_operators, gate_fidelity
-from helpers import expected_pulse_count, oracle_bath_propagator
+from ddgates.tomography import gate_fidelity
+from helpers import expected_pulse_count, gram_of_operators, oracle_bath_propagator, rows_from_csv
 
 PINNED_NOISE = OUNoiseSpec(sigma=4335.354, tau_c=1.5e-4, dt=1.5e-5, sigma_static=2361.947)
 
@@ -825,8 +824,8 @@ def test_cli_sweep_runs_a_zero_spin_bath_written_as_json(tmp_path):
     assert len(rows) == 4
     for row in rows:
         sched = apply_amplitude_error(build_schedule(row.gate, row.scheme, row.tau), BASE_CONFIG["epsilon"])
-        chi = chi_from_operators(oracle_bath_propagator(sched, spec)[None])
-        assert row.fidelity == pytest.approx(gate_fidelity(chi, chi_from_operators(sched.target_gate[None])), abs=1e-9)
+        g = gram_of_operators(oracle_bath_propagator(sched, spec))
+        assert row.fidelity == pytest.approx(gate_fidelity(g, gram_of_operators(sched.target_gate)), abs=1e-9)
 
 
 def test_cli_rejects_an_oversized_spin_bath_before_any_cell_runs(tmp_path, capsys, monkeypatch):
@@ -873,15 +872,22 @@ def test_cli_table1_writes_its_rows_and_exits_2_on_a_failed_cell(tmp_path, capsy
 
     simulate = harness.simulate_cell
 
-    def failing_h(gate, *rest):
+    def failing_h(gate, *rest):  # the NaN sentinels of a cell that failed in simulate_cell
         row = simulate(gate, *rest)
-        return dataclasses.replace(row, fidelity=math.nan, error="boom") if gate == "H" else row
+        return dataclasses.replace(row, gate_time=math.nan, pulse_count=0, fidelity=math.nan,
+                                   fidelity_stderr=math.nan, error="boom") if gate == "H" else row
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
 
     monkeypatch.setattr(harness, "simulate_cell", failing_h)
     capsys.readouterr()
     assert cli_main(argv) == 2
     assert [row.error for row in rows_from_csv(rows_csv.read_text(encoding="utf-8"))] == ["boom", ""]
-    assert json.loads(report_json.read_text(encoding="utf-8"))["H"]["error"] == "boom"
+    report = json.loads(report_json.read_text(encoding="utf-8"), parse_constant=reject)  # strict, as RFC 8259
+    assert report["H"]["error"] == "boom"
+    assert [report["H"][k] for k in ("gate_time_s", "fidelity", "fidelity_stderr")] == [None, None, None]
+    assert math.isfinite(report["NOT"]["fidelity"])
     assert "1 of 2 cells failed" in capsys.readouterr().err
 
 

@@ -35,15 +35,17 @@ from ddgates.harness import REFERENCE_GATE_TIMES_S, run_sweep, simulate_cell
 from ddgates.noise import SpinBathSpec, default_spin_bath
 from ddgates.ou import OUNoiseSpec, calibrate_to_targets, phase_variance
 from ddgates.simulate import (
+    bath_average,
     bath_channel_output,
     bath_frame,
     bath_propagator,
     channel_gram,
+    channel_output,
     hermite_nodes,
     ideal_propagator,
     ou_moment,
 )
-from ddgates.tomography import CHI_BASIS, chi_from_gram, chi_from_operators, gate_fidelity
+from ddgates.tomography import CHI_BASIS, TOMO_INPUT_STATES, chi_from_gram, gate_fidelity, simulate_channel
 from helpers import (
     Word,
     channel_operators,
@@ -278,9 +280,9 @@ def test_ou_propagators_match_stepwise_oracle():
 
 
 def _process_fidelity(sched, spec):
-    """Tr(chi_ideal chi) of the exact OU channel."""
-    chi = chi_from_gram(channel_gram(sched, spec)).entries
-    return float(np.trace(chi_from_operators(sched.target_gate[None]).entries @ chi).real)
+    """Tr(chi_ideal chi) of the exact OU channel: vec(U_t)^dag G vec(U_t) / 4, for chi = V G V^dag / 2, V unitary."""
+    u = sched.target_gate.reshape(-1)
+    return float((u.conj() @ channel_gram(sched, spec) @ u).real / 4)
 
 
 @pytest.mark.parametrize("tau", [3e-6, 1e-5, 3e-5], ids=["3us", "10us", "30us"])
@@ -346,8 +348,9 @@ _TEN_T2_STAR = [(gate, scheme, 3.7e-3 / (len(GATE_ROTATIONS[gate]) * 5 * (
 
 def _batch_stderr(sched, spec, n=10_000, seed=1):
     """The Monte-Carlo overlap's stderr over 10 batches of n / 10 realizations, the sampler's old estimate."""
-    ideal = chi_from_operators(sched.target_gate[None])
-    f = [gate_fidelity(chi_from_operators(b), ideal) for b in np.array_split(ou_propagators(sched, spec, n, seed), 10)]
+    ideal = gram_of_operators(sched.target_gate)
+    batches = np.array_split(ou_propagators(sched, spec, n, seed), 10)
+    f = [gate_fidelity(gram_of_operators(b), ideal) for b in batches]
     return float(np.std(np.subtract(f, f[0]), ddof=1) / math.sqrt(10))
 
 
@@ -361,12 +364,12 @@ def test_doubling_the_nodes_moves_no_cell_by_a_percent_of_its_monte_carlo_stderr
     nodes = simulate.OU_NODES, simulate.STATIC_NODES
     for gate, scheme, tau in cells + _TEN_T2_STAR:
         sched = apply_amplitude_error(build_schedule(gate, scheme, tau), 0.01)
-        ideal = chi_from_operators(sched.target_gate[None])
+        ideal = gram_of_operators(sched.target_gate)
         overlaps = []
         for ou_nodes, static_nodes in (nodes, (2 * nodes[0], 2 * nodes[1])):
             monkeypatch.setattr(simulate, "OU_NODES", ou_nodes)
             monkeypatch.setattr(simulate, "STATIC_NODES", static_nodes)
-            overlaps.append(gate_fidelity(chi_from_gram(channel_gram(sched, spec)), ideal))
+            overlaps.append(gate_fidelity(channel_gram(sched, spec), ideal))
         bound = 0.01 * _batch_stderr(sched, spec) if sched.total_duration else 0.0
         assert abs(overlaps[1] - overlaps[0]) <= bound + 1e-13, (gate, scheme, tau, overlaps, bound)
 
@@ -376,7 +379,7 @@ def test_ou_channel_of_zero_noise_is_the_ideal_gate():
     for scheme in ("xy4", "kdd"):
         sched = apply_amplitude_error(build_schedule("H", scheme, 1.3e-5), 0.02)
         chi = chi_from_gram(channel_gram(sched, spec)).entries
-        ideal = chi_from_operators(ideal_propagator(sched, honor_amplitude=True)[None]).entries
+        ideal = chi_from_gram(gram_of_operators(ideal_propagator(sched, honor_amplitude=True))).entries
         assert np.allclose(chi, ideal, rtol=0.0, atol=1e-14), scheme
 
 
@@ -612,7 +615,7 @@ def test_ou_chi_is_trace_preserving_and_exact_without_duration(cell):
     assert chi.trace_preservation_residual() <= 1e-12
     assert chi.hermiticity_defect() <= 1e-12 and chi.min_eigenvalue() >= -1e-12
     if sched.total_duration == 0:
-        ideal = chi_from_operators(ideal_propagator(sched, honor_amplitude=True)[None])
+        ideal = chi_from_gram(gram_of_operators(ideal_propagator(sched, honor_amplitude=True)))
         assert np.allclose(chi.entries, ideal.entries, rtol=0.0, atol=1e-14)
 
 
@@ -840,6 +843,31 @@ def test_bath_channel_output_matches_the_partial_trace_reference(n_bath, seed):
     rho = a @ a.conj().T / np.trace(a @ a.conj().T)
     out = bath_channel_output(u, rho, n_bath)
     assert np.max(np.abs(out - reference_bath_channel_output(u, rho, n_bath))) <= 1e-15
+
+
+def test_channel_output_is_the_output_of_simulate_channel_and_bath_channel_output():
+    # Both apply the one rule output_ac = sum_be G_(ab),(ce) rho_be: the same bytes for each input state.
+    bath = _two_spin_bath()
+    sched = apply_amplitude_error(build_schedule("H", "xy4", 1e-5), 0.01)
+    for model in (None, calibrate_to_targets(3.7e-4, 7.5e-4).params, bath):
+        g = channel_gram(sched, model)
+        for got, rho in zip(simulate_channel(sched, model).outputs, TOMO_INPUT_STATES, strict=True):
+            assert np.array_equal(got, channel_output(g, rho)), type(model).__name__
+    u = bath_propagator(sched, bath)
+    g = bath_average(u.reshape(1, 2, 4, 2, 4)) / 4
+    for rho in (*TOMO_INPUT_STATES, np.full((2, 2), 0.5)):
+        assert np.array_equal(bath_channel_output(u, rho, 2), channel_output(g, rho))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_ops=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_channel_output_of_an_operator_gram_is_the_mean_of_k_rho_k_dag(n_ops, seed):
+    rng = np.random.default_rng(seed)
+    ks = rng.normal(size=(n_ops, 2, 2)) + 1j * rng.normal(size=(n_ops, 2, 2))
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T)
+    want = sum(k @ rho @ k.conj().T for k in ks) / n_ops
+    assert np.max(np.abs(channel_output(gram_of_operators(ks), rho) - want)) <= 1e-14
 
 
 def test_bath_gram_matches_the_dense_einsum_on_the_readme_grid():

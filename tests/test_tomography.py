@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 from ddgates.compiler import (
     XY8,
     apply_amplitude_error,
+    build_schedule,
     decompose_gate,
     gate_target,
     hard_pulse_schedule,
     protected_bb1_gate,
 )
 from ddgates.core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, rotation_unitary
-from ddgates.noise import SpinBathSpec
-from ddgates.ou import OUNoiseSpec
+from ddgates.config import GATES, SCHEMES
+from ddgates.noise import SpinBathSpec, default_spin_bath
+from ddgates.ou import OUNoiseSpec, calibrate_to_targets
 from ddgates.simulate import (
     STATIC_NODES,
     bath_propagator,
@@ -30,14 +32,13 @@ from ddgates.tomography import (
     ChannelSamples,
     ChiMatrix,
     chi_from_gram,
-    chi_from_operators,
     chi_reconstruct,
     gate_fidelity,
     ideal_channel_samples,
     process_fidelity,
     simulate_channel,
 )
-from helpers import channel_operators, operators_of_gram, reference_bath_channel_output
+from helpers import channel_operators, gram_of_operators, operators_of_gram, reference_bath_channel_output
 
 
 def chi_of_unitary(u):
@@ -149,8 +150,8 @@ _NAN_COHERENCE = np.array([[0.5, np.nan], [np.nan, 0.5]])
     (lambda: ChannelSamples((np.diag([np.inf, 0.0]),) + ideal_channel_samples(IDENTITY_2).outputs[1:]), "non-finite"),
     (lambda: gate_fidelity(_NAN, IDENTITY_2), "non-finite"),
     (lambda: gate_fidelity(IDENTITY_2, np.diag([np.inf, 1.0])), "non-finite"),
-    (lambda: chi_from_operators(np.zeros((0, 2, 2))), "at least one operator"),
-], ids=["nan_output", "nan_coherence", "inf_output", "nan_gate", "inf_gate", "no_operator"])
+    (lambda: gate_fidelity(np.zeros((0, 0)), np.zeros((0, 0))), "zero-norm"),
+], ids=["nan_output", "nan_coherence", "inf_output", "nan_gate", "inf_gate", "empty_gate"])
 def test_tomography_rejects_non_finite_or_empty_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -197,6 +198,22 @@ def test_process_fidelity_noiseless_matches_propagator_overlap():
     assert f_proc == pytest.approx(f_prop, abs=1e-6)
 
 
+def test_process_fidelity_of_the_gram_matrix_is_the_overlap_of_the_chis_on_the_readme_grid():
+    # chi = V G V^dag / 2 with V = T / sqrt(2) unitary, and the overlap is invariant under a common
+    # unitary similarity and under scale: scoring G directly moves each cell by rounding alone.
+    models = (None, calibrate_to_targets(3.7e-4, 7.5e-4).params, default_spin_bath(6))
+    for gate in GATES:
+        for scheme in SCHEMES:
+            for tau in (3e-6, 1e-5, 3e-5):
+                sched = apply_amplitude_error(build_schedule(gate, scheme, tau), 0.01)
+                u = sched.target_gate.reshape(-1)
+                ideal = chi_from_gram(np.outer(u, u.conj()))
+                for model in models:
+                    via_chi = gate_fidelity(chi_from_gram(channel_gram(sched, model)), ideal)
+                    cell = (gate, scheme, tau, type(model).__name__)
+                    assert abs(process_fidelity(sched, model) - via_chi) <= 4.4e-16, cell
+
+
 def test_chi_fidelity_is_squared_propagator_overlap():
     # for unitary-vs-unitary comparisons the chi metric squares the overlap
     sched = apply_amplitude_error(
@@ -239,10 +256,12 @@ def _oracle_cases():
 
 @pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda c: c[0])
 def test_chi_from_operators_matches_linear_inversion(case):
+    # The chi of G, and the chi of the operators the engines returned before G, via their Gram matrix.
     _, sched, noise, outputs = case
     oracle = chi_reconstruct(ChannelSamples(tuple(outputs)))
     assert np.max(np.abs(chi_from_gram(channel_gram(sched, noise)).entries - oracle.entries)) < 1e-12
-    assert np.max(np.abs(chi_from_operators(channel_operators(sched, noise)).entries - oracle.entries)) < 1e-12
+    chi = chi_from_gram(gram_of_operators(channel_operators(sched, noise)))
+    assert np.max(np.abs(chi.entries - oracle.entries)) < 1e-12
 
 
 @pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda c: c[0])
@@ -265,7 +284,8 @@ _ANGLE = st.floats(-math.pi, math.pi, allow_nan=False)
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(_ANGLE, _ANGLE, _ANGLE, _ANGLE), min_size=1, max_size=50))
 def test_chi_from_operators_is_a_channel_for_any_unitary_ensemble(params):
-    chi = chi_from_operators(np.array([_u2(*p) for p in params]))
+    # chi_from_gram of the Gram matrix of any mixture of unitaries.
+    chi = chi_from_gram(gram_of_operators(np.array([_u2(*p) for p in params])))
     assert chi.hermiticity_defect() <= 1e-12
     assert chi.trace_preservation_residual() <= 1e-12
     assert chi.min_eigenvalue() >= -1e-12
