@@ -16,10 +16,11 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2):
     _m.setflags(write=False)
 
-# Largest register (dim 128, a 6-spin bath in 7 magnetization sectors of at most 20
-# states, held unpadded as four stacks of equal-size sectors): its frame takes ~2 ms once, then
-# its heaviest cell (PI8/kdd, 615 events) ~15 ms cold and ~5 ms warm on one core of a 2-core Xeon.
-DEFAULT_MAX_SPINS = 7
+# Largest register (dim 2048, a 10-spin bath in 11 magnetization sectors of at most 252
+# states, held unpadded as six stacks of equal-size sectors): its frame takes ~0.2 s once, then
+# its heaviest cell (PI8/kdd, 615 events) ~6 s cold or warm on one core of a 2-core Xeon, for its
+# phase-0 pulses outgrow `simulate.PULSE_CACHE_BYTES`; a sweep at --jobs 1 peaks under 200 MiB RSS.
+DEFAULT_MAX_SPINS = 11
 
 HERMITICITY_TOL = 1e-9
 

@@ -11,6 +11,7 @@ measured 1/e times, are scalar `math`.  Nothing here imports numpy, so
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 ONE_OVER_E = 1.0 / math.e
@@ -123,27 +124,31 @@ def phase_variance(spec: OUNoiseSpec, edges, weights) -> float:
     return spec.sigma**2 * var_ou + spec.sigma_static**2 * (area * area)
 
 
-def ou_coherence(spec: OUNoiseSpec, delays, echo: bool) -> list[float]:
-    """Exact coherence exp(-Var(phi) / 2) at each delay, of free induction or of a Hahn echo.
+def ou_coherence(spec: OUNoiseSpec, delays, echo: bool) -> Iterator[float]:
+    """Exact coherence exp(-Var(phi) / 2) at each delay, of free induction or of a Hahn echo, each
+    computed as it is read.
 
     The trajectory is Gaussian, so each phase is too (Klauder & Anderson,
     Phys. Rev. 125, 912 (1962)).
     """
     if echo:
-        return [math.exp(-0.5 * phase_variance(spec, (t / 2.0, t), (1.0, -1.0))) for t in delays]
-    return [math.exp(-0.5 * phase_variance(spec, (t,), (1.0,))) for t in delays]
+        return (math.exp(-0.5 * phase_variance(spec, (t / 2.0, t), (1.0, -1.0))) for t in delays)
+    return (math.exp(-0.5 * phase_variance(spec, (t,), (1.0,))) for t in delays)
 
 
 def coherence_1e_time(curve) -> float:
-    """First 1/e crossing of a (delay, coherence) curve, linearly interpolated."""
-    i = next((i for i, (_, c) in enumerate(curve) if c < ONE_OVER_E), None)
-    if i is None:
-        raise ValueError("coherence never crosses 1/e within the delay grid")
-    if i == 0:
-        raise ValueError("coherence starts below 1/e; extend the grid toward 0")
-    (t0, c0), (t1, c1) = curve[i - 1], curve[i]
-    f = (c0 - ONE_OVER_E) / (c0 - c1)
-    return float(t0 + f * (t1 - t0))
+    """First 1/e crossing of a curve, any iterable of (delay, coherence), linearly interpolated;
+    the curve is read up to its first point below 1/e and no further."""
+    previous = None
+    for t1, c1 in curve:
+        if c1 < ONE_OVER_E:
+            if previous is None:
+                raise ValueError("coherence starts below 1/e; extend the grid toward 0")
+            t0, c0 = previous
+            f = (c0 - ONE_OVER_E) / (c0 - c1)
+            return float(t0 + f * (t1 - t0))
+        previous = t1, c1
+    raise ValueError("coherence never crosses 1/e within the delay grid")
 
 
 def _solved(value: float, lo: float, hi: float, what: str) -> float:
@@ -165,7 +170,8 @@ def calibrate_to_targets(target_t2_star: float, target_t2_hahn: float) -> Calibr
     rad/s or a sigma_static outside [10^0.5, 10^6.5] rad/s raises
     CalibrationError.  The fit is deterministic and needs no seed; the fitted
     times it reports are the linear read-outs of 181-point curves over
-    [0, 3 T2], which land within a few 1e-4 (relative) of the exact targets.
+    [0, 3 T2], each computed only up to its 1/e crossing, which land within a
+    few 1e-4 (relative) of the exact targets.
     """
     if not 0 < target_t2_star <= target_t2_hahn < math.inf:
         raise ValueError("targets must satisfy 0 < target_t2_star <= target_t2_hahn < inf")
@@ -195,5 +201,5 @@ def calibrate_to_targets(target_t2_star: float, target_t2_hahn: float) -> Calibr
     # np.linspace(0, 3 T2, 181): i times the step, and the end point exact.
     step = 3.0 * target_t2_hahn / 180
     delays = [i * step for i in range(180)] + [3.0 * target_t2_hahn]
-    return CalibrationResult(coherence_1e_time(list(zip(delays, ou_coherence(params, delays, False)))),
-                             coherence_1e_time(list(zip(delays, ou_coherence(params, delays, True)))), params)
+    return CalibrationResult(coherence_1e_time(zip(delays, ou_coherence(params, delays, False))),
+                             coherence_1e_time(zip(delays, ou_coherence(params, delays, True))), params)

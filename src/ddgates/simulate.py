@@ -81,9 +81,6 @@ class BathFrame:
         eye = np.eye(self.w.shape[1], dtype=complex)
         object.__setattr__(self, "start", self.from_frame(eye).conj().swapaxes(1, 2))  # diag(v0^dag, v1^dag)
 
-    def delay(self, xt: np.ndarray, t: float) -> np.ndarray:
-        return np.exp(-1j * t * self.w)[..., None] * xt
-
     def pulse(self, r: np.ndarray) -> np.ndarray:
         """r (x) I in the frame, for a 2x2 r: [[r00 I, r01 link], [r10 link^dag, r11 I]] per sector."""
         k = self.v0.shape[1]
@@ -140,8 +137,10 @@ def bath_frame(spec: SpinBathSpec) -> tuple[BathFrame, ...]:
             for a in vars(frame).values():
                 a.setflags(write=False)
             frames.append(frame)
-        if len(_FRAMES) == 4:
-            del _FRAMES[next(iter(_FRAMES))]
+        if len(_FRAMES) == 4:  # the oldest spec's frames leave, and their pulses with them
+            gone = _FRAMES.pop(next(iter(_FRAMES)))
+            for stale in [k for k in _PULSES if k[0] in gone]:
+                del _PULSES[stale]
         _FRAMES[key] = tuple(frames)
     return _FRAMES[key]
 
@@ -160,15 +159,21 @@ def _bath_blocks(schedule, spec: SpinBathSpec):
     H_noise has no term that flips the system's sigma_z, and both its blocks over the system's |0>, |1> and
     every system pulse conserve the bath's total S_z, so U is block diagonal over the bath's magnetization
     sectors.  Each sector is replayed by `_replay` in the eigenframe of its two blocks,
-    Ut = diag(v0^dag, v1^dag) U, from `BathFrame.start`: a delay multiplies the rows of Ut by e^{-i w t}, and
-    a hard pulse or a soft half, amplitude scale applied, multiplies Ut by one framed product, cached across
-    calls (`_framed_pulse`).
+    Ut = diag(v0^dag, v1^dag) U, from `BathFrame.start`.  Each distinct event's operator is built once per
+    stack and cell: a delay's factor e^{-i w t}, which multiplies the rows of Ut, and a hard pulse's or a soft
+    half's `_framed_pulse`, amplitude scale applied, which multiplies Ut.  The pulses are built in order of
+    their phase-0 key, so each key is read from `_phase0_pulse` once per stack and cell.
     """
+    events = dict.fromkeys(schedule.events)  # one per distinct event
+    pulses = sorted((ev for ev in events if ev.kind != "delay"), key=_pulse_key)
+    delays = [ev for ev in events if ev.kind == "delay"]
     for frame in bath_frame(spec):
+        ops = {ev: np.exp(-1j * ev.duration * frame.w)[..., None] for ev in delays}
+        ops.update((ev, _framed_pulse(frame, ev)) for ev in pulses)
         eye = np.eye(frame.w.shape[1], dtype=complex)  # broadcasts against the stack
         ut = _replay(schedule, frame.start, eye,
-                     lambda ev, xt: frame.delay(xt, ev.duration) if ev.kind == "delay"
-                     else _framed_pulse(frame, ev) @ xt)
+                     lambda ev, xt: ops[ev] * xt if ev.kind == "delay" else ops[ev] @ xt)
+        ops.clear()  # one stack's table at a time
         yield frame, frame.from_frame(ut)
 
 
@@ -180,36 +185,48 @@ def bath_propagator(schedule, spec: SpinBathSpec) -> np.ndarray:
     return u
 
 
-# The README grid on a 6-spin bath needs 18 (scaled angle, duration) keys x its 4 stacks = 72 entries;
-# 96 hold 24 keys of 59 kB over the 4 stacks, 1.4 MB at most.
-@functools.lru_cache(maxsize=96)
-def _soft_exponential(frame, angle: float, duration: float) -> np.ndarray:
-    """exp(-i G t), t = duration, per sector, of the framed drift diag(w) plus the
-    phase-0 drive (angle / t) S_x (x) I, framed as angle / 2t times `BathFrame.pulse` of sigma_x."""
-    g = frame.w[:, :, None] * np.eye(frame.w.shape[1]) + 0.5 * angle / duration * frame.pulse(SIGMA_X)
-    u = hermitian_expm(g, duration)
-    u.setflags(write=False)
+# The bytes of phase-0 pulses `_phase0_pulse` keeps.  A key of a 6-spin bath takes 58 KiB over its 4
+# stacks, so the README bath grid (25 keys, 1.4 MiB) and a 360-cell gate-time curve over it (184 keys,
+# 10.4 MiB) stay whole.  A key of a 10-spin bath takes 11.3 MiB over its 6 stacks: there the cache adds
+# 16 MiB to the 20 MiB frame and to one stack's table of a cell's distinct pulses (at most 14 of
+# 5.4 MiB), and a sweep at --jobs 1 peaks under 200 MiB RSS.
+PULSE_CACHE_BYTES = 16 * 2**20
+_PULSES: dict = {}  # (frame, scaled angle, duration): the phase-0 pulse, least recently used first
+
+
+def _pulse_key(ev) -> tuple[float, float]:
+    return ev.rotation.angle * ev.amplitude_scale, ev.duration
+
+
+def _phase0_pulse(frame, angle: float, duration: float) -> np.ndarray:
+    """A pulse of the scaled angle at phase 0 in the frame, kept while `_PULSES` holds at most
+    PULSE_CACHE_BYTES (the newest always): `BathFrame.pulse` of the rotation for a hard pulse
+    (duration 0), and for a soft half exp(-i G t), t = duration, per sector, of the framed drift
+    diag(w) plus the drive (angle / t) S_x (x) I, framed as angle / 2t times `BathFrame.pulse` of sigma_x."""
+    key = (frame, angle, duration)
+    u = _PULSES.pop(key, None)
+    if u is None:
+        if duration == 0.0:
+            u = frame.pulse(rotation_unitary(0.0, angle))
+        else:
+            u = hermitian_expm(frame.w[:, :, None] * np.eye(frame.w.shape[1])
+                               + 0.5 * angle / duration * frame.pulse(SIGMA_X), duration)
+        u.setflags(write=False)
+        while _PULSES and sum(x.nbytes for x in _PULSES.values()) + u.nbytes > PULSE_CACHE_BYTES:
+            del _PULSES[next(iter(_PULSES))]
+    _PULSES[key] = u
     return u
 
 
-# The README grid on a 6-spin bath needs 67 distinct pulse events x its 4 stacks = 268 entries;
-# 320 hold 80 events of 59 kB over the 4 stacks, 4.7 MB at most.
-@functools.lru_cache(maxsize=320)
 def _framed_pulse(frame, ev) -> np.ndarray:
     """A pulse event in the frame, amplitude scale applied, as one product per sector: P X P^dag,
-    X the pulse at phase 0 and P = diag(I, e^{i phase} I), for a rotation or drive at phase p is
-    P (the same at 0) P^dag, and P commutes with the block-diagonal drift.  X is `BathFrame.pulse`
-    of the phase-0 rotation for a hard pulse (duration 0), and `_soft_exponential` for a soft half."""
-    angle = ev.rotation.angle * ev.amplitude_scale
-    if ev.duration == 0.0:
-        u = frame.pulse(rotation_unitary(0.0, angle))
-    else:
-        u = _soft_exponential(frame, angle, ev.duration).copy()
+    X its `_phase0_pulse` and P = diag(I, e^{i phase} I), for a rotation or drive at phase p is
+    P (the same at 0) P^dag, and P commutes with the block-diagonal drift.  P X P^dag is X times
+    the mask of e^{-i phase} on the upper right blocks, e^{i phase} on the lower left and 1 elsewhere."""
     m, p = frame.link.shape[1], cmath.exp(1j * ev.rotation.phase)
-    u[:, :m, m:] *= p.conjugate()
-    u[:, m:, :m] *= p
-    u.setflags(write=False)
-    return u
+    mask = np.ones((2 * m, 2 * m), dtype=complex)
+    mask[:m, m:], mask[m:, :m] = p.conjugate(), p
+    return _phase0_pulse(frame, *_pulse_key(ev)) * mask
 
 
 def _soft_drive(ev) -> complex:

@@ -47,9 +47,7 @@ def _transfer_matrix() -> np.ndarray:
     return a
 
 
-_TRANSFER = _transfer_matrix()
-# The fixed input set is informationally complete; a singular system would be a bug.
-assert np.linalg.matrix_rank(_TRANSFER) == 16
+_TRANSFER = _transfer_matrix()  # of full rank: the fixed input set is informationally complete (a test holds it)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from ddgates.core import (
+    DEFAULT_MAX_SPINS,
     IDENTITY_2,
     SIGMA_X,
     SIGMA_Y,
@@ -84,4 +85,4 @@ def test_embed_system_structure():
 
 def test_embed_system_rejects_oversized_bath():
     with pytest.raises(ValueError):
-        embed_system(SIGMA_X, 8)
+        embed_system(SIGMA_X, DEFAULT_MAX_SPINS)  # one spin over the limit, counting the system

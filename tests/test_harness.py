@@ -841,6 +841,32 @@ def test_cli_rejects_an_oversized_spin_bath_before_any_cell_runs(tmp_path, capsy
     assert cells == []
 
 
+def test_a_ten_spin_bath_sweep_peaks_under_200_mib(tmp_path):
+    # The largest bath the validators accept, 10 spins, at --jobs 1 in a fresh process: H, NOT and PI8 x
+    # simple and bb1 at two amplitude errors, 14 phase-0 pulses of 11.3 MiB each over the bath's 6 stacks.
+    # The byte budget holds 16 MiB of them, so the process peaks near 140 MiB, under the README's 200 MiB
+    # bound for 10-spin sweeps; without the budget the cache alone would keep all 158 MiB.
+    spec = default_spin_bath(10)
+    noise = {"kind": "spin_bath", "couplings": list(spec.couplings), "bath_couplings": spec.bath_couplings.tolist()}
+    paths = []
+    for epsilon in (0.01, -0.02):
+        paths.append(tmp_path / f"cfg{epsilon}.json")
+        paths[-1].write_text(json.dumps({"noise": noise, "gates": ["H", "NOT", "PI8"], "schemes": ["simple", "bb1"],
+                                         "tau_grid_s": [1e-5], "epsilon": epsilon}), encoding="utf-8")
+    code = """
+import resource, sys
+from ddgates.cli import main
+for path in sys.argv[1:]:
+    assert main(["sweep", "--config", path, "--out", path + ".csv", "--jobs", "1"]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)  # KiB
+"""
+    peak_kib = int(_run_python(code, *paths).split()[-1])
+    for path in paths:
+        rows = rows_from_csv(Path(f"{path}.csv").read_text(encoding="utf-8"))
+        assert len(rows) == 6 and all(not row.error and 0.0 < row.fidelity <= 1.0 for row in rows)
+    assert peak_kib < 200 * 1024
+
+
 @pytest.mark.parametrize("jobs", ["0", "-5"])
 def test_cli_sweep_rejects_jobs_below_1_naming_the_flag(tmp_path, capsys, jobs):
     cfg_path = tmp_path / "cfg.json"

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ddgates.ou as ou
+
 from ddgates.compiler import PulseEvent, RotationSpec, Schedule
 from ddgates.core import IDENTITY_2, SIGMA_Z, embed_system
 from ddgates.harness import fid_decay_curve, hahn_decay_curve
@@ -290,6 +292,29 @@ def test_coherence_time_interpolates_exponential():
     assert abs(coherence_1e_time(curve) - t2) / t2 < 0.01
     with pytest.raises(ValueError):
         coherence_1e_time([(t, math.exp(-t / t2)) for t in grid[:3]])
+
+
+def test_coherence_time_reads_a_curve_only_up_to_its_crossing(monkeypatch):
+    t2 = 3.3e-4
+    grid = np.linspace(0.0, 1.5e-3, 40)
+
+    def curve():  # raises if read one point past its first point below 1/e
+        for t in grid:
+            yield t, math.exp(-t / t2)
+            if math.exp(-t / t2) < 1.0 / math.e:
+                raise AssertionError("read past the 1/e crossing")
+
+    assert coherence_1e_time(curve()) == coherence_1e_time([(t, math.exp(-t / t2)) for t in grid])
+    # The fit's two read-outs stop at their crossings: far fewer than the 2 x 181 points of their grids.
+    calls = []
+    variance = ou.phase_variance
+    monkeypatch.setattr(ou, "phase_variance", lambda *args: calls.append(args) or variance(*args))
+    fit = calibrate_to_targets(3.7e-4, 7.5e-4)
+    assert len(calls) < 181
+    step = 3 * 7.5e-4 / 180  # the fit's grid, read whole
+    delays = [i * step for i in range(180)] + [3 * 7.5e-4]
+    for echo, fitted in ((False, fit.fitted_t2_star), (True, fit.fitted_t2_hahn)):
+        assert fitted == coherence_1e_time(list(zip(delays, ou.ou_coherence(fit.params, delays, echo))))
 
 
 def _decay_schedule(t, echo):

@@ -739,8 +739,7 @@ def test_bath_soft_halves_exponentiate_once_per_scaled_angle(monkeypatch):
         calls.append(t)
         return hermitian_expm(h, t)
 
-    simulate._soft_exponential.cache_clear()
-    simulate._framed_pulse.cache_clear()
+    simulate._PULSES.clear()
     monkeypatch.setattr(simulate, "hermitian_expm", counting_expm)
     spec = default_spin_bath(n_bath=3, seed=5)
     angles = set()
@@ -778,15 +777,48 @@ def test_a_bath_replay_starts_from_its_frame_without_rebuilding_it(monkeypatch):
         assert not frame.start[:, :k, k:].any() and not frame.start[:, k:, :k].any()
 
 
+def _cache_kept_its_pulses(run):
+    """How many phase-0 pulses the emptied cache holds after run(), asserting that a second run() builds
+    none: the cache keeps the same arrays under the same keys."""
+    simulate._PULSES.clear()
+    run()
+    kept = dict(simulate._PULSES)
+    run()
+    assert simulate._PULSES.keys() == kept.keys()
+    assert all(simulate._PULSES[key] is pulse for key, pulse in kept.items())
+    return len(kept)
+
+
 def test_a_second_readme_bath_sweep_adds_no_cache_miss():
-    # The README grid on the benchmark's 6-spin bath needs 268 framed pulses and 72 soft
-    # exponentials; both caches hold them, so a second sweep in the same process builds none.
+    # The README grid on the benchmark's 6-spin bath needs 25 phase-0 pulses, 7 hard scaled angles and
+    # 18 soft (angle, duration) pairs, on each of its 4 stacks; the cache holds all 100, so a second
+    # sweep in the same process builds none.
     cfg = ExperimentConfig(default_spin_bath(6), GATES, SCHEMES, (3e-6, 1e-5, 3e-5), epsilon=0.01)
-    caches = (simulate._framed_pulse, simulate._soft_exponential)
-    run_sweep(cfg)
-    misses = [cache.cache_info().misses for cache in caches]
-    run_sweep(cfg)
-    assert [cache.cache_info().misses for cache in caches] == misses
+    assert _cache_kept_its_pulses(lambda: run_sweep(cfg)) == 100
+
+
+def test_a_second_pass_of_a_bath_gate_time_curve_adds_no_cache_miss():
+    # NOT, H and PI8 x simple_padded, xy4, xy8 and kdd x 30 tau from 1 to 100 us on the 6-spin bath:
+    # 184 phase-0 keys on each of the 4 stacks, 10.4 MiB, which the byte budget holds whole.
+    spec = default_spin_bath(6)
+    cells = [apply_amplitude_error(build_schedule(gate, scheme, float(tau)), 0.01) for gate in ("NOT", "H", "PI8")
+             for scheme in ("simple_padded", "xy4", "xy8", "kdd") for tau in np.linspace(1e-6, 1e-4, 30)]
+    assert _cache_kept_its_pulses(lambda: [channel_gram(sched, spec) for sched in cells]) == 4 * 184
+    assert sum(pulse.nbytes for pulse in simulate._PULSES.values()) <= simulate.PULSE_CACHE_BYTES
+
+
+def test_the_bath_gram_keeps_its_bytes_when_the_pulse_cache_holds_one_pulse(monkeypatch):
+    # A budget below one pulse keeps only the newest: every other key is rebuilt, with the same bytes.
+    spec = default_spin_bath(4)
+    cells = [apply_amplitude_error(build_schedule(gate, scheme, 1e-5), 0.01)
+             for gate in ("H", "PI8") for scheme in ("bb1", "xy4", "kdd")]
+    simulate._PULSES.clear()
+    grams = [channel_gram(sched, spec) for sched in cells]
+    monkeypatch.setattr(simulate, "PULSE_CACHE_BYTES", 1)
+    simulate._PULSES.clear()
+    for sched, g in zip(cells, grams, strict=True):
+        assert np.array_equal(channel_gram(sched, spec), g)
+        assert len(simulate._PULSES) == 1
 
 
 def test_bath_repeated_runs_differing_in_one_amplitude_scale_stay_apart():

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from ddgates.simulate import (
     ideal_propagator,
     ou_moment,
 )
+import ddgates.tomography as tomography
 from ddgates.tomography import (
     CHI_BASIS,
     TOMO_INPUT_STATES,
@@ -63,6 +68,21 @@ def test_input_states_are_informationally_complete_densities():
         assert np.linalg.eigvalsh(rho).min() > -1e-14
     mats = np.array([r.reshape(4) for r in TOMO_INPUT_STATES])
     assert np.linalg.matrix_rank(mats) == 4
+
+
+def test_the_tomography_transfer_matrix_is_invertible_and_importing_runs_no_lapack():
+    # The fixed input set is informationally complete, so linear inversion has one solution.
+    assert np.linalg.matrix_rank(tomography._TRANSFER) == 16
+    # Importing the package builds the matrix but factors nothing: no LAPACK call at import.
+    code = ("import numpy.linalg as la\n"
+            "def refuse(*_, **__):\n"
+            "    raise AssertionError('LAPACK at import')\n"
+            "for name in ('matrix_rank', 'svd', 'solve', 'eigh', 'eigvalsh', 'inv', 'qr'):\n"
+            "    setattr(la, name, refuse)\n"
+            "import ddgates.cli, ddgates.harness, ddgates.tomography\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 def test_chi_basis_operators_match_labels():
