@@ -22,7 +22,8 @@ Config JSON schema (all times in seconds)::
     }
 
 Any other key, at the top level or in "noise", raises ConfigError naming it,
-and so does a numeric field given as a boolean or a string.  The one
+and so does a numeric field given as a boolean or a string, or a string
+field ("path") given as anything but a string.  The one
 exception is the Monte-Carlo "realizations" and "seed" of earlier versions:
 they are accepted at the top level and ignored, so those configs still load.
 """
@@ -147,7 +148,7 @@ def _parse_noise(d: dict):
     if kind == "targets":
         return CalibrationTargets(_number(d["t2_star_s"], "t2_star_s"), _number(d["t2_hahn_s"], "t2_hahn_s"))
     if kind == "calibration":
-        return CalibrationFileRef(str(d["path"]))
+        return CalibrationFileRef(json_value(d["path"], "a string", "path"))
     raise ConfigError(f"unknown noise kind {kind!r}")
 
 

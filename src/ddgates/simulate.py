@@ -229,18 +229,16 @@ def _framed_pulse(frame, ev) -> np.ndarray:
     return _phase0_pulse(frame, *_pulse_key(ev)) * mask
 
 
-def _soft_drive(ev) -> complex:
-    """beta / f of a soft pulse: -i w e^{i phase}, w = angle / duration."""
-    return -1j * (ev.rotation.angle * ev.amplitude_scale / ev.duration) * cmath.exp(1j * ev.rotation.phase)
-
-
-def _soft_rotation(ev, delta: np.ndarray, length: float):
-    """(cos(h rate), sin(h rate) / rate), h = length / 2 and rate = sqrt(w^2 + delta^2), of a soft pulse
-    piece; the second is h where rate is 0."""
+def _soft_rotation(ev, delta: np.ndarray, length: float) -> np.ndarray:
+    """v = (Re alpha, Im alpha, Re beta, Im beta), shape (4, n), of a soft pulse piece at detunings delta:
+    alpha = a - i f delta and beta = -i f w e^{i phase}, w = angle / duration, a = cos(h rate) and
+    f = sin(h rate) / rate, h = length / 2 and rate = sqrt(w^2 + delta^2); f is h where rate is 0."""
     half, omega = 0.5 * length, ev.rotation.angle * ev.amplitude_scale / ev.duration
     rate = np.sqrt(omega**2 + delta**2)
     turn = half * rate
-    return np.cos(turn), np.divide(np.sin(turn), rate, out=np.full_like(rate, half), where=rate != 0.0)
+    f = np.divide(np.sin(turn), rate, out=np.full_like(rate, half), where=rate != 0.0)
+    return np.array((np.cos(turn), -f * delta, f * (omega * math.sin(ev.rotation.phase)),
+                     f * (-omega * math.cos(ev.rotation.phase))))
 
 
 # Gauss-Hermite nodes of the OU part and of the static offset.  On the README fit (370/750 us),
@@ -292,40 +290,28 @@ def _turn(y: np.ndarray, alpha, beta) -> np.ndarray:
                      pp * b01 - qq * np.conj(b01) + pq * d), axis=-1)
 
 
-def _real_turn(alpha, beta) -> np.ndarray:
-    """`_turn` at (alpha, beta) as the 10x10 real matrix T with y' = y @ T on the float view
-    (..., 10) of node-major moments: row j is the image of the j-th real unit moment.
-    alpha and beta of shape (n, 1) give n matrices."""
-    return _turn(np.eye(10).view(complex), alpha, beta).view(float)
+# The ten monomials v_k v_l, k <= l, of v = (Re alpha, Im alpha, Re beta, Im beta).
+_PAIRS = np.array([(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]).T
 
 
-# The README grid has 22 distinct hard events; 64 matrices of 800 B hold 51 kB.
-@functools.lru_cache(maxsize=64)
-def _hard_turn(ev) -> np.ndarray:
-    """`_real_turn` of a hard pulse, which acts alike at every node.  Its column of Im d is 0
-    but for Im d's own row, so Im d stays 0."""
-    t = _real_turn(*rotation_unitary(ev.rotation.phase, ev.rotation.angle * ev.amplitude_scale)[:, 0])
-    t.setflags(write=False)
-    return t
-
-
-# The monomials of v = (a, b, c) that a quadratic form in v sums over.
-_SQUARES = np.array([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]).T
-
-
-# The README grid has 45 distinct soft events; 64 forms of 4.8 kB hold 307 kB.
-@functools.lru_cache(maxsize=64)
-def _soft_form(ev) -> np.ndarray:
-    """F, shape (6, 100), with `_real_turn` of a piece of the soft pulse ev at one node equal to
-    (mu @ F).reshape(10, 10), mu the `_SQUARES` of v = (a, f delta, f), `_soft_rotation` (a, f):
-    alpha = a - i f delta and beta = f `_soft_drive` are linear in v, so `_real_turn` is a real
-    quadratic form in v, and F is its polarization."""
-    units = np.array([(1, 0), (-1j, 0), (0, _soft_drive(ev))])  # (alpha, beta) at v = e_k
-    k, l = _SQUARES
-    t = _real_turn(*np.concatenate((units[k] + units[l], units[k] - units[l])).T[..., None])
+@functools.cache
+def _turn_form() -> np.ndarray:
+    """F, shape (10, 100): `_turn` of the 10 real unit moments is a real quadratic form in v, and F is
+    its polarization, so that `_turns` of any pulse is one matmul of v's `_PAIRS` monomials by F."""
+    units = np.array([(1, 0), (1j, 0), (0, 1), (0, 1j)])  # (alpha, beta) at v = e_k
+    k, l = _PAIRS
+    alpha, beta = np.concatenate((units[k] + units[l], units[k] - units[l])).T[..., None]
+    t = _turn(np.eye(10).view(complex), alpha, beta).view(float)
     f = ((t[:len(k)] - t[len(k):]) / np.where(k == l, 4.0, 2.0)[:, None, None]).reshape(len(k), 100)
     f.setflags(write=False)
     return f
+
+
+def _turns(v: np.ndarray) -> np.ndarray:
+    """`_turn` at each column of v (4, n) as the 10x10 real matrix T, y' = y @ T on the float view
+    (..., 10) of node-major moments, shape (n, 10, 10): row j is the image of the j-th real unit
+    moment.  T's column of Im d is 0 but for Im d's own row, so Im d stays 0."""
+    return ((v[_PAIRS[0]] * v[_PAIRS[1]]).T @ _turn_form()).reshape(-1, 10, 10)
 
 
 def _gram_of_moments(d, a01, b00, b11, b01) -> np.ndarray:
@@ -347,12 +333,13 @@ def ou_moment(schedule, spec: OUNoiseSpec, offsets, weights) -> np.ndarray:
     cut at every event boundary and `dt` grid point, each piece measured from its
     event's start.  They are held node-major, one row of 10 reals (5 complex) per node,
     so that each step is one or two numpy calls:
-    a hard pulse is one matmul by its `_hard_turn`; a delay piece of length t turns B
-    by e^{i delta t} in place, and a whole delay event or grid cell by its phase at
-    its nominal length, duration or dt, cached for this call; a soft piece is
-    every node's `_real_turn`, built from its `_soft_form`, applied as one batched
-    matmul; and each grid point is one real matmul that mixes the OU nodes by Mehler's
-    kernel (`_mehler`, a = exp(-dt / tau_c)).
+    a hard pulse is one matmul by its `_turns` matrix, the same at every node and built
+    once per distinct event in the call; a delay piece of length t turns B by
+    e^{i delta t} in place, and a whole delay event or grid cell by its phase at its
+    nominal length, duration or dt, cached for this call; a soft piece is every node's
+    `_turns` matrix at its `_soft_rotation`, applied as one batched matmul; and each
+    grid point is one real matmul that mixes the OU nodes by Mehler's kernel (`_mehler`,
+    a = exp(-dt / tau_c)).  Every pulse's matrices come from the one form `_turn_form`.
     """
     x, w = hermite_nodes(OU_NODES if spec.sigma else 1)
     delta = (spec.sigma * x[:, None] + np.asarray(offsets, dtype=float)).reshape(-1)
@@ -365,7 +352,7 @@ def ou_moment(schedule, spec: OUNoiseSpec, offsets, weights) -> np.ndarray:
         p[:, 2:] = np.exp(1j * length * delta)[:, None]
         return p
 
-    cut, phases = delay_phase(0.0), {}  # phases by delay event, and None for a whole grid cell
+    cut, phases, hard = delay_phase(0.0), {}, {}  # phases by delay event (None: a whole grid cell); hard turns by event
     t, k = 0.0, 0  # on grid cell k, [k dt, (k + 1) dt)
     for ev in schedule.events:
         start, stop = t, t + ev.duration
@@ -383,12 +370,12 @@ def ou_moment(schedule, spec: OUNoiseSpec, offsets, weights) -> np.ndarray:
                 else:
                     y.view(complex)[...] *= delay_phase(length, cut)
             elif ev.duration == 0.0:
-                y = y @ _hard_turn(ev)
+                if ev not in hard:  # alpha, beta: the first column of the rotation
+                    u = rotation_unitary(ev.rotation.phase, ev.rotation.angle * ev.amplitude_scale)
+                    hard[ev] = _turns(u[:, :1].view(float).reshape(4, 1))[0]
+                y = y @ hard[ev]
             elif end > t:
-                a, f = _soft_rotation(ev, delta, length)
-                v = np.array((a, f * delta, f))
-                node_turns = ((v[_SQUARES[0]] * v[_SQUARES[1]]).T @ _soft_form(ev)).reshape(-1, 10, 10)
-                y = np.matmul(y[:, None, :], node_turns)[:, 0]
+                y = np.matmul(y[:, None, :], _turns(_soft_rotation(ev, delta, length)))[:, 0]
             if end == stop:
                 break
             # Assign the grid point, never add the piece: rounding could stall the walk.

@@ -21,7 +21,7 @@ from ddgates.harness import CSV_FIELDS, ResultRow
 from ddgates.noise import SpinBathSpec
 from ddgates.ou import OUNoiseSpec
 from ddgates.simulate import (
-    OU_NODES, STATIC_NODES, _gram_of_moments, _mehler, _soft_drive, _soft_rotation, bath_propagator,
+    OU_NODES, STATIC_NODES, _gram_of_moments, _mehler, bath_propagator,
     hermite_nodes, ideal_propagator, ou_moment,
 )
 
@@ -109,12 +109,16 @@ def channel_operators(schedule, noise_model):
 
 def pulse_cayley_klein(ev, delta: np.ndarray, length: float):
     """(alpha, beta) of U = [[alpha, -beta*], [beta, alpha*]] for `length` of a pulse at detunings delta:
-    exp(-i length (w cos phase, w sin phase, delta) . sigma / 2), w = angle / duration.
-    A hard pulse (duration 0) is its whole rotation, whatever length and delta."""
+    U = exp(-i h n . sigma) = cos(h |n|) - i (sin(h |n|) / |n|) n . sigma, h = length / 2, about the
+    rotation axis n = (w cos phase, w sin phase, delta), w = angle / duration; sin(h |n|) / |n| is h at
+    |n| = 0.  A hard pulse (duration 0) is its whole rotation, whatever length and delta."""
     if ev.duration == 0.0:
         return rotation_unitary(ev.rotation.phase, ev.rotation.angle * ev.amplitude_scale)[:, 0]
-    a, f = _soft_rotation(ev, delta, length)
-    return a - 1j * f * delta, f * _soft_drive(ev)
+    omega, half, nz = ev.rotation.angle * ev.amplitude_scale / ev.duration, 0.5 * length, np.asarray(delta, dtype=float)
+    nx, ny = omega * math.cos(ev.rotation.phase), omega * math.sin(ev.rotation.phase)
+    norm = np.sqrt(nx**2 + ny**2 + nz**2)
+    s = np.divide(np.sin(half * norm), norm, out=np.full_like(norm, half), where=norm != 0.0)
+    return np.cos(half * norm) - 1j * s * nz, -1j * s * (nx + 1j * ny)
 
 
 def _component_turn(y, alpha, beta):

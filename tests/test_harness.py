@@ -721,15 +721,20 @@ _TARGETS_NOISE = {"kind": "targets", "t2_star_s": 3.7e-4, "t2_hahn_s": 7.5e-4}
     (dict(BASE_CONFIG, tau_grid_s=[7.5e-6, "1.5e-5"]), "tau_grid_s"),
     (dict(BASE_CONFIG, epsilon=False), "epsilon"),
     (dict(BASE_CONFIG, epsilon="0.01"), "epsilon"),
+    *((dict(BASE_CONFIG, noise={"kind": "calibration", "path": path}), "path") for path in (None, True, 5, ["a"])),
 ], ids=["sigma_bool", "sigma_str", "tau_c_str", "dt_bool", "sigma_static_bool", "couplings_bool", "bath_couplings_str",
         "system_offset_str", "t2_star_str", "t2_hahn_bool", "tau_grid_bool", "tau_grid_str", "epsilon_bool",
-        "epsilon_str"])
-def test_config_rejects_a_boolean_or_string_number_naming_its_key(tmp_path, config, key):
-    # float() takes both: "sigma": true would simulate 1 rad/s and "epsilon": false no error.
+        "epsilon_str", "path_null", "path_bool", "path_int", "path_list"])
+def test_config_rejects_a_boolean_or_string_number_naming_its_key(tmp_path, capsys, config, key):
+    # float() takes both: "sigma": true would simulate 1 rad/s and "epsilon": false no error.  A string
+    # field is read alike: str() would take "path": null and load a file named None.
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
-    with pytest.raises(ConfigError, match=f"^{key} must be a number"):
+    kind = "a string" if key == "path" else "a number"
+    with pytest.raises(ConfigError, match=f"^{key} must be {kind}"):
         load_config(str(cfg_path))
+    assert cli_main(["sweep", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be {kind}")
     if key in config["noise"] and config["noise"]["kind"] == "ou":  # an artifact's params load by the same rule
         artifact = tmp_path / "calibration.json"
         artifact.write_text(json.dumps({"schema": 2, "params": config["noise"]}), encoding="utf-8")

@@ -549,7 +549,7 @@ def test_ou_channel_without_noise_is_the_ideal_gram_on_the_readme_grid():
 
 
 def test_hard_turn_is_turn_at_the_pulse_at_every_node():
-    # A hard pulse acts alike at every node, so one real 10x10 matrix per event carries it.
+    # A hard pulse acts alike at every node, so one real 10x10 matrix of the form per event carries it.
     rng = np.random.default_rng(23)
     y = rng.uniform(-1.0, 1.0, size=(256, 10))
     y[:, 1] = 0.0  # Im d
@@ -557,10 +557,27 @@ def test_hard_turn_is_turn_at_the_pulse_at_every_node():
             for ev in apply_amplitude_error(build_schedule(gate, scheme, tau), epsilon).events if ev.kind == "hard_pulse"}
     assert len(hard) == 44
     for ev in hard:
-        turned = y @ simulate._hard_turn(ev)
-        expected = simulate._turn(y.view(complex), *pulse_cayley_klein(ev, None, 0.0)).view(float)
+        alpha, beta = pulse_cayley_klein(ev, None, 0.0)
+        turned = y @ simulate._turns(np.array([[alpha.real], [alpha.imag], [beta.real], [beta.imag]]))[0]
+        expected = simulate._turn(y.view(complex), alpha, beta).view(float)
         assert np.max(np.abs(turned - expected)) <= 1e-15, ev
         assert not turned[:, 1].any(), ev  # Im d stays exactly 0
+
+
+def test_turn_form_is_turn_of_the_unit_moments_at_any_pulse():
+    # `_turn` is a real quadratic form in v = (Re alpha, Im alpha, Re beta, Im beta), so the one form gives
+    # it at any unit (alpha, beta), and at every soft piece's `_soft_rotation`, whatever its detuning.
+    rng = np.random.default_rng(34)
+    v = rng.normal(size=(4, 200))
+    v /= np.linalg.norm(v, axis=0)
+    cells = [apply_amplitude_error(build_schedule(gate, scheme, tau), 0.01) for gate, scheme, tau in _README_CELLS]
+    soft = dict.fromkeys(ev for sched in cells for ev in sched.events if ev.kind == "soft_gate_half")
+    assert len(soft) == 45
+    delta = np.concatenate((rng.normal(scale=2e4, size=32), [0.0]))
+    pieces = [simulate._soft_rotation(ev, delta, rng.uniform(0.0, 1.0) * ev.duration) for ev in soft]
+    v = np.concatenate([v, *pieces], axis=1)
+    expected = simulate._turn(np.eye(10).view(complex), (v[0] + 1j * v[1])[:, None], (v[2] + 1j * v[3])[:, None])
+    assert np.max(np.abs(simulate._turns(v) - expected.view(float))) <= 1e-15
 
 
 # dt = 1.5 us, so soft halves of tau / 2 cross grid points at every tau drawn.
