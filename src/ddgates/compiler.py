@@ -247,29 +247,28 @@ def _verified(schedule: Schedule) -> Schedule:
     return schedule
 
 
-@functools.lru_cache(maxsize=256)  # the README grid builds 144 distinct cycles
-def _cycle_events(kind: DDKind, tau: float, rotation: RotationSpec | None = None) -> tuple[PulseEvent, ...]:
-    """Events of one decoupling cycle: pi pulses tau apart, tau/2 free at both ends.
+def _cycle_events(kind: DDKind, tau: float, components) -> list[tuple[PulseEvent, ...]]:
+    """One decoupling cycle per component, None for a bare one: pi pulses tau apart, tau/2 free at both ends.
 
-    Given a non-zero rotation, the two end periods become soft halves of
-    angle/2 each, so the gate accumulates while the drift is refocused.
+    A component of non-zero angle turns both end periods into soft halves of angle/2 each, so the
+    gate accumulates while the drift is refocused.  Each distinct event is built once, and every
+    cycle shares it.
     """
     check_tau(tau)
-    if rotation is None or rotation.angle == 0.0:
-        end = PulseEvent("delay", tau / 2)
-    else:
-        end = PulseEvent("soft_gate_half", tau / 2, RotationSpec(rotation.phase, rotation.angle / 2))
-    events = [end]
-    for p in _CYCLE_PHASES[kind.name]:
-        events += [PulseEvent("hard_pulse", 0.0, RotationSpec(p, _PI)), PulseEvent("delay", tau)]
-    events[-1] = end
-    return tuple(events)
+    table, delay = _CYCLE_PHASES[kind.name], PulseEvent("delay", tau)
+    pulses = {p: PulseEvent("hard_pulse", 0.0, RotationSpec(p, _PI)) for p in dict.fromkeys(table)}
+    middle = tuple(ev for p in table for ev in (pulses[p], delay))[:-1]
+    components = [None if c is None or c.angle == 0.0 else c for c in components]
+    ends = {c: PulseEvent("delay", tau / 2) if c is None
+            else PulseEvent("soft_gate_half", tau / 2, RotationSpec(c.phase, c.angle / 2))
+            for c in dict.fromkeys(components)}
+    return [(ends[c], *middle, ends[c]) for c in components]
 
 
 def dd_cycle(kind: DDKind, tau: float) -> Schedule:
     """One decoupling cycle of pi pulses with identity target; its duration is pulses * tau."""
     return _verified(Schedule(
-        _cycle_events(kind, tau), IDENTITY_2, f"dd:{kind.name}:tau={tau:.6g}", kind.name, tau
+        _cycle_events(kind, tau, [None])[0], IDENTITY_2, f"dd:{kind.name}:tau={tau:.6g}", kind.name, tau
     ))
 
 
@@ -281,7 +280,8 @@ def protected_bb1_gate(rotations, kind: DDKind, tau: float) -> Schedule:
     rotations = list(rotations)
     if not rotations:
         return dd_cycle(kind, tau)
-    events = [ev for r in rotations for c in bb1_expand(r) for ev in _cycle_events(kind, tau, c)]
+    components = [c for r in rotations for c in bb1_expand(r)]
+    events = [ev for cycle in _cycle_events(kind, tau, components) for ev in cycle]
     label = f"protected-bb1:{kind.name}:components={5 * len(rotations)}:tau={tau:.6g}"
     return _verified(Schedule(events, rotation_product(rotations), label, kind.name, tau))
 
@@ -347,13 +347,6 @@ def verify_schedule(schedule: Schedule) -> float:
     return gate_fidelity(ideal_propagator(schedule, honor_amplitude=False), schedule.target_gate)
 
 
-def _target_reals(target: np.ndarray) -> list[float]:
-    out: list[float] = []
-    for value in np.asarray(target, dtype=complex).reshape(-1):
-        out.extend((float(value.real), float(value.imag)))
-    return out
-
-
 # The keys schedule_to_json writes, at the top level and in each event: the only ones schedule_from_json takes.
 _SCHEDULE_KEYS = {"label", "dd_kind", "tau_s", "pulse_count", "target_gate", "events"}
 _EVENT_KEYS = {"index", "kind", "duration_s", "phase_rad", "angle_rad", "amplitude_scale"}
@@ -378,7 +371,7 @@ def schedule_to_json(schedule: Schedule) -> str:
         "dd_kind": schedule.dd_kind,
         "tau_s": schedule.tau,
         "pulse_count": pulse_count(schedule),
-        "target_gate": _target_reals(schedule.target_gate),
+        "target_gate": schedule.target_gate.reshape(-1).view(float).tolist(),  # (re, im) pairs, row-major
         "events": records,
     }
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"

@@ -241,11 +241,11 @@ def _soft_rotation(ev, delta: np.ndarray, length: float) -> np.ndarray:
                      f * (-omega * math.cos(ev.rotation.phase))))
 
 
-# Gauss-Hermite nodes of the OU part and of the static offset.  On the README fit (370/750 us),
-# doubling both moves no README-grid, table1 or 10 T2* cell by 1% of its 10k-realization
-# Monte-Carlo stderr, for its OU part dephases long cells first.  The 32 static nodes alias
-# once sigma_static times the unrefocused time passes ~6: their E[e^{iaX}] = e^{-a^2/2} is off
-# by 1.8e-8 at a = 6, 1.2e-3 at 7.9 and 0.38 at 10, as on the 100/1000 us fit at tau = 100 us.
+# Gauss-Hermite nodes of the OU part and of the static offset.  On perfbench's 370/750 us fit at
+# epsilon 0.01, doubling both to 16 x 64 moves no README-grid or table1 cell's fidelity by more
+# than 2.5e-7 (PI8/simple_padded, tau 30 us).  The 32 static nodes alias once sigma_static times
+# the unrefocused time passes ~6: their E[e^{iaX}] = e^{-a^2/2} is off by 1.8e-8 at a = 6,
+# 1.2e-3 at 7.9 and 0.38 at 10, as on the 100/1000 us fit at tau = 100 us.
 OU_NODES = 8
 STATIC_NODES = 32
 

@@ -187,7 +187,7 @@ def test_dd_cycle_rejects_out_of_range_tau():
 def test_cycle_events_host_a_rotation_in_two_soft_halves():
     tau = 1e-5
     r = RotationSpec(0.3, math.pi / 2)
-    events = _cycle_events(XY4, tau, r)
+    (events,) = _cycle_events(XY4, tau, [r])
     first, last = events[0], events[-1]
     assert first.kind == "soft_gate_half" and last.kind == "soft_gate_half"
     assert first.duration == pytest.approx(tau / 2)
@@ -200,7 +200,7 @@ def test_cycle_events_host_a_rotation_in_two_soft_halves():
 
 
 def test_cycle_events_of_a_zero_angle_are_the_bare_cycle():
-    assert _cycle_events(XY8, 1e-5, RotationSpec(0.0, 0.0)) == dd_cycle(XY8, 1e-5).events
+    assert _cycle_events(XY8, 1e-5, [RotationSpec(0.0, 0.0)]) == [dd_cycle(XY8, 1e-5).events]
 
 
 def test_protected_gate_time_is_the_duration_of_every_protected_cell_and_the_padded_window():
@@ -406,9 +406,9 @@ def test_protected_bb1_gate_of_random_rotations(rotations, kind, tau):
     # expected_pulse_count depends only on the rotation count: NOT, H, PI8 have 1, 2, 3.
     gate = ("NOT", "H", "PI8")[len(rotations) - 1]
     assert pulse_count(sched) == expected_pulse_count(gate, kind.name)
-    assert sched.events == tuple(
-        ev for r in rotations for c in bb1_expand(r) for ev in _cycle_events(kind, tau, c)
-    )
+    components = [c for r in rotations for c in bb1_expand(r)]
+    assert sched.events == tuple(ev for cycle in _cycle_events(kind, tau, components) for ev in cycle)
+    assert sched.events == tuple(ev for c in components for ev in _cycle_events(kind, tau, [c])[0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -425,15 +425,16 @@ def test_schedule_runs_replay_the_events_and_are_distinct(gate, scheme, tau, eps
 
 
 def test_compile_builds_and_checks_each_distinct_event_once(monkeypatch):
-    # The decoupled cells repeat about ten distinct events hundreds of times.
-    cells = [(gate, kind, 1e-5) for gate in ALL_GATES for kind in DD_KINDS]
-    for cell in cells:
-        build_schedule(*cell)
+    # The decoupled cells repeat about ten distinct events hundreds of times: each build makes each
+    # once and shares that one object, and a repeated build makes them again, as no cache is kept.
     built, post_init = [], PulseEvent.__post_init__
     monkeypatch.setattr(PulseEvent, "__post_init__", lambda ev: (built.append(ev), post_init(ev))[1])
-    for cell in cells:
-        build_schedule(*cell)
-    assert built == []
+    for gate, kind, _ in [(g, k, b) for g in ALL_GATES for k in DD_KINDS for b in range(2)]:  # a first and a repeat
+        built.clear()
+        sched = build_schedule(gate, kind, 1e-5)
+        distinct = len(set(sched.events))
+        assert len(built) == distinct
+        assert len({id(ev) for ev in sched.events}) == distinct
     monkeypatch.undo()
 
     sched, calls = build_schedule("PI8", "kdd", 1e-5), []
