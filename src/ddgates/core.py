@@ -17,12 +17,10 @@ for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2):
     _m.setflags(write=False)
 
 # Largest register (dim 2048, a 10-spin bath in 11 magnetization sectors of at most 252
-# states, held unpadded as six stacks of equal-size sectors): its frame takes ~0.2 s once, then
-# its heaviest cell (PI8/kdd, 615 events) ~6 s cold or warm on one core of a 2-core Xeon, for its
-# phase-0 pulses outgrow `simulate.PULSE_CACHE_BYTES`; a sweep at --jobs 1 peaks under 200 MiB RSS.
+# states, held unpadded as six real stacks of equal-size sectors, 9.9 MiB): its frame takes ~0.07 s
+# once, then its heaviest cell (PI8/kdd, 615 events) ~3 s cold or warm on one core of a 2-core Xeon,
+# for its phase-0 pulses outgrow `simulate.PULSE_CACHE_BYTES`; a sweep at --jobs 1 peaks under 200 MiB RSS.
 DEFAULT_MAX_SPINS = 11
-
-HERMITICITY_TOL = 1e-9
 
 
 def rotation_unitary(phase: float, angle: float) -> np.ndarray:
@@ -49,14 +47,3 @@ def embed_system(op: np.ndarray, n_bath: int) -> np.ndarray:
     if 1 + n_bath > DEFAULT_MAX_SPINS:
         raise ValueError(f"{1 + n_bath} total spins exceeds the maximum of {DEFAULT_MAX_SPINS}")
     return np.kron(op, np.eye(2**n_bath, dtype=complex))
-
-
-def hermitian_expm(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i*h*t) for Hermitian h, or for each matrix of a stack h, via eigendecomposition."""
-    h = np.asarray(h, dtype=complex)
-    asym = np.max(np.abs(h - h.conj().swapaxes(-1, -2)))
-    if asym > HERMITICITY_TOL:
-        raise ValueError(f"generator is not Hermitian (asymmetry {asym:.3g})")
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-

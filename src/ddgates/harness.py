@@ -17,7 +17,6 @@ import dataclasses
 import io
 import itertools
 import math
-import multiprocessing
 import os
 import typing
 from dataclasses import dataclass
@@ -138,6 +137,8 @@ def run_cells(cfg: ExperimentConfig, cells, jobs: int = 1) -> list[ResultRow]:
         bath_frame(noise_model)  # built once here, so that forked workers inherit it
     if workers <= 1:
         return list(itertools.starmap(simulate_cell, tasks))
+    import multiprocessing  # loaded only where a pool starts
+
     with multiprocessing.Pool(workers) as pool:
         return pool.starmap(simulate_cell, tasks, chunksize=1)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SIGMA_X, hermitian_expm, rotation_unitary
+from .core import SIGMA_X, rotation_unitary
 from .noise import SpinBathSpec
 from .ou import OUNoiseSpec
 
@@ -58,16 +58,16 @@ def ideal_propagator(schedule, honor_amplitude: bool = False) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class BathFrame:
     """Eigenframe of H_noise = diag(h0, h1), its blocks over the system's |0>, |1>,
-    on the bath's magnetization sectors of one size, held as one stack.
+    on the bath's magnetization sectors of one size, held as one real stack.
 
     h0 and h1 conserve the bath's total S_z and system pulses act on the system
     only, so every propagator is block diagonal over the n_bath + 1 sectors.
     Sector s of the stack is its block s of size 2k, k the sector's size: its
-    system-|0> rows, then its system-|1> rows.  w (S, 2k): the eigenvalues of h0
-    then h1 on the sector; v0, v1 (S, k, k): their eigenvectors; link = v0^dag v1;
-    index (S, 2k): each row's index on the system (x) bath space.  An X on the
-    system (x) bath space is held as the stack Xt = diag(v0^dag, v1^dag) X of its
-    sector blocks; start is that of the identity, where every replay starts.
+    system-|0> rows, then its system-|1> rows.  w (S, 2k): the eigenvalues of h0 then h1 on the
+    sector; v0, v1 (S, k, k): their eigenvectors; link: the orthogonal polar factor of v0^T v1; index
+    (S, 2k): each row's index on the system (x) bath space.  An X on the system (x) bath space is held
+    as the stack Xt = diag(v0^T, v1^T) X of its sector blocks; start is that of the identity, where
+    every replay starts.  The blocks are real symmetric, so every array but index is float64.
     """
 
     w: np.ndarray
@@ -78,29 +78,33 @@ class BathFrame:
     start: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        eye = np.eye(self.w.shape[1], dtype=complex)
-        object.__setattr__(self, "start", self.from_frame(eye).conj().swapaxes(1, 2))  # diag(v0^dag, v1^dag)
+        k = self.v0.shape[1]
+        start = np.zeros((len(self.w), 2 * k, 2 * k))
+        start[:, :k, :k], start[:, k:, k:] = self.v0.swapaxes(1, 2), self.v1.swapaxes(1, 2)
+        object.__setattr__(self, "start", start)
 
     def pulse(self, r: np.ndarray) -> np.ndarray:
-        """r (x) I in the frame, for a 2x2 r: [[r00 I, r01 link], [r10 link^dag, r11 I]] per sector."""
+        """r (x) I in the frame, for a 2x2 r: [[r00 I, r01 link], [r10 link^T, r11 I]] per sector, of r's dtype."""
         k = self.v0.shape[1]
         eye = np.eye(k)
-        p = np.empty((len(self.w), 2 * k, 2 * k), dtype=complex)
+        p = np.empty((len(self.w), 2 * k, 2 * k), dtype=r.dtype)
         p[:, :k, :k], p[:, :k, k:] = r[0, 0] * eye, r[0, 1] * self.link
-        p[:, k:, :k], p[:, k:, k:] = r[1, 0] * self.link.conj().swapaxes(1, 2), r[1, 1] * eye
+        p[:, k:, :k], p[:, k:, k:] = r[1, 0] * self.link.swapaxes(1, 2), r[1, 1] * eye
         return p
 
     def from_frame(self, xt: np.ndarray) -> np.ndarray:
-        k = self.v0.shape[1]
-        return np.concatenate((self.v0 @ xt[..., :k, :], self.v1 @ xt[..., k:, :]), axis=-2)
+        """X of its stack Xt: diag(v0, v1) Xt, each real factor applied to the float view of its rows of Xt."""
+        k, xt = self.v0.shape[1], np.asarray(xt, dtype=complex)
+        return np.concatenate(((self.v0 @ xt[..., :k, :].view(float)).view(complex),
+                               (self.v1 @ xt[..., k:, :].view(float)).view(complex)), axis=-2)
 
 
 _FRAMES: dict = {}  # the last 4 specs' frames, keyed by every SpinBathSpec field
 
 
 def bath_frame(spec: SpinBathSpec) -> tuple[BathFrame, ...]:
-    """The spec's BathFrames, one unpadded stack per sector size in increasing size,
-    from one eigh per sector and system block, built once per distinct spec.
+    """The spec's real BathFrames, one unpadded stack per sector size in increasing size,
+    from one real eigh per sector and system block, built once per distinct spec.
 
     H_noise = omega_S S_z (x) I + sum_k b_k S_z (x) S_z^k + I (x) H_E, with H_E the
     secular dipolar coupling sum_{j<k} d_jk (2 S_z^j S_z^k - S_x^j S_x^k - S_y^j S_y^k),
@@ -130,10 +134,12 @@ def bath_frame(spec: SpinBathSpec) -> tuple[BathFrame, ...]:
         frames = []
         for size in sorted({math.comb(n, j) for j in range(n + 1)}):
             rows = np.array([np.flatnonzero(down == j) for j in range(n + 1) if math.comb(n, j) == size])
-            blocks = flip[rows[:, :, None] ^ rows[:, None, :]] + 0j  # complex frames; XOR 0 (the diagonal) has no flip
+            blocks = flip[rows[:, :, None] ^ rows[:, None, :]]  # real; XOR 0 (the diagonal) has no flip
             w, v = np.linalg.eigh(blocks + np.stack((zz + shift, zz - shift))[:, rows, None] * np.eye(size))
-            frame = BathFrame(np.concatenate((w[0], w[1]), axis=1), v[0], v[1],
-                              v[0].conj().swapaxes(1, 2) @ v[1], np.concatenate((rows, d + rows), axis=1))
+            # v0^T v1 is orthogonal but for rounding that 300 hard pulses compound: take its polar factor.
+            u, _, vt = np.linalg.svd(v[0].swapaxes(1, 2) @ v[1])
+            frame = BathFrame(np.concatenate((w[0], w[1]), axis=1), v[0], v[1], u @ vt,
+                              np.concatenate((rows, d + rows), axis=1))
             for a in vars(frame).values():
                 a.setflags(write=False)
             frames.append(frame)
@@ -159,7 +165,7 @@ def _bath_blocks(schedule, spec: SpinBathSpec):
     H_noise has no term that flips the system's sigma_z, and both its blocks over the system's |0>, |1> and
     every system pulse conserve the bath's total S_z, so U is block diagonal over the bath's magnetization
     sectors.  Each sector is replayed by `_replay` in the eigenframe of its two blocks,
-    Ut = diag(v0^dag, v1^dag) U, from `BathFrame.start`.  Each distinct event's operator is built once per
+    Ut = diag(v0^T, v1^T) U, from `BathFrame.start`.  Each distinct event's operator is built once per
     stack and cell: a delay's factor e^{-i w t}, which multiplies the rows of Ut, and a hard pulse's or a soft
     half's `_framed_pulse`, amplitude scale applied, which multiplies Ut.  The pulses are built in order of
     their phase-0 key, so each key is read from `_phase0_pulse` once per stack and cell.
@@ -188,7 +194,7 @@ def bath_propagator(schedule, spec: SpinBathSpec) -> np.ndarray:
 # The bytes of phase-0 pulses `_phase0_pulse` keeps.  A key of a 6-spin bath takes 58 KiB over its 4
 # stacks, so the README bath grid (25 keys, 1.4 MiB) and a 360-cell gate-time curve over it (184 keys,
 # 10.4 MiB) stay whole.  A key of a 10-spin bath takes 11.3 MiB over its 6 stacks: there the cache adds
-# 16 MiB to the 20 MiB frame and to one stack's table of a cell's distinct pulses (at most 14 of
+# 16 MiB to the 9.9 MiB real frame and to one stack's table of a cell's distinct pulses (at most 14 of
 # 5.4 MiB), and a sweep at --jobs 1 peaks under 200 MiB RSS.
 PULSE_CACHE_BYTES = 16 * 2**20
 _PULSES: dict = {}  # (frame, scaled angle, duration): the phase-0 pulse, least recently used first
@@ -202,15 +208,18 @@ def _phase0_pulse(frame, angle: float, duration: float) -> np.ndarray:
     """A pulse of the scaled angle at phase 0 in the frame, kept while `_PULSES` holds at most
     PULSE_CACHE_BYTES (the newest always): `BathFrame.pulse` of the rotation for a hard pulse
     (duration 0), and for a soft half exp(-i G t), t = duration, per sector, of the framed drift
-    diag(w) plus the drive (angle / t) S_x (x) I, framed as angle / 2t times `BathFrame.pulse` of sigma_x."""
+    diag(w) plus the drive (angle / t) S_x (x) I, framed as angle / 2t times `BathFrame.pulse` of sigma_x:
+    G is real, so from one real eigh G = V diag(l) V^T it is V cos(l t) V^T - i V sin(l t) V^T."""
     key = (frame, angle, duration)
     u = _PULSES.pop(key, None)
     if u is None:
         if duration == 0.0:
             u = frame.pulse(rotation_unitary(0.0, angle))
         else:
-            u = hermitian_expm(frame.w[:, :, None] * np.eye(frame.w.shape[1])
-                               + 0.5 * angle / duration * frame.pulse(SIGMA_X), duration)
+            lam, v = np.linalg.eigh(frame.w[:, :, None] * np.eye(frame.w.shape[1])
+                                    + 0.5 * angle / duration * frame.pulse(SIGMA_X.real))
+            u, vt, turn = np.empty(v.shape, dtype=complex), v.swapaxes(1, 2), lam[:, None, :] * duration
+            u.real, u.imag = (v * np.cos(turn)) @ vt, (v * -np.sin(turn)) @ vt
         u.setflags(write=False)
         while _PULSES and sum(x.nbytes for x in _PULSES.values()) + u.nbytes > PULSE_CACHE_BYTES:
             del _PULSES[next(iter(_PULSES))]

@@ -9,7 +9,6 @@ from ddgates.core import (
     SIGMA_Y,
     SIGMA_Z,
     embed_system,
-    hermitian_expm,
     rotation_unitary,
 )
 
@@ -54,24 +53,6 @@ def test_rotation_composition_same_axis():
     u1 = rotation_unitary(0.7, 0.4)
     u2 = rotation_unitary(0.7, 1.1)
     assert np.allclose(u2 @ u1, rotation_unitary(0.7, 1.5), atol=1e-14)
-
-
-def test_hermitian_expm_matches_scipy():
-    rng = np.random.default_rng(9)
-    for dim in (2, 4, 8):
-        # A stack of three generators, exponentiated together and one at a time.
-        a = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
-        h = (a + a.conj().swapaxes(1, 2)) / 2
-        t = rng.uniform(0.1, 2.0)
-        expected = np.array([scipy.linalg.expm(-1j * x * t) for x in h])
-        assert np.allclose(hermitian_expm(h, t), expected, atol=1e-11)
-        assert np.allclose(hermitian_expm(h[0], t), expected[0], atol=1e-11)
-
-
-def test_hermitian_expm_rejects_non_hermitian():
-    h = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(ValueError):
-        hermitian_expm(h, 1.0)
 
 
 def test_embed_system_structure():

@@ -407,7 +407,7 @@ def test_run_sweep_starts_no_more_pool_workers_than_cores(monkeypatch):
         def starmap(self, fn, tasks, chunksize):
             return list(itertools.starmap(fn, tasks))
 
-    monkeypatch.setattr(harness.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)  # the machine's cores, not all of them usable
     assert run_sweep(cfg, jobs=64) == serial
@@ -432,7 +432,7 @@ def test_run_sweep_on_one_usable_core_starts_no_pool(monkeypatch):
         started.append(args)
         raise AssertionError("a pool started on one usable core")
 
-    monkeypatch.setattr(harness.multiprocessing, "Pool", pool)
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     assert run_sweep(cfg, jobs=4) == serial
@@ -757,6 +757,16 @@ def test_cli_sweep_imports_numpy_only(tmp_path, noise, command, absent):
     code = ("import sys; from ddgates.cli import main; code = main(sys.argv[2:]); "
             "assert not set(sys.argv[1].split()) & set(sys.modules), sys.argv[1]; sys.exit(code)")
     subprocess.run([sys.executable, "-c", code, absent, *command, "--config", str(cfg_path), "--out", "out"],
+                   env=_env_with_src(), cwd=tmp_path, check=True, timeout=120)
+
+
+def test_cli_sweep_at_one_job_loads_no_pool_module(tmp_path):
+    # multiprocessing costs a process that has numpy about 8 ms and 0.7 MB of RSS, and a serial run starts no pool.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")
+    code = ("import sys; from ddgates.cli import main; code = main(sys.argv[1:]); "
+            "assert 'multiprocessing' not in sys.modules; sys.exit(code)")
+    subprocess.run([sys.executable, "-c", code, "sweep", "--jobs", "1", "--config", str(cfg_path), "--out", "out"],
                    env=_env_with_src(), cwd=tmp_path, check=True, timeout=120)
 
 

@@ -150,16 +150,30 @@ def test_bath_hamiltonians_are_hermitian_and_dephasing():
 @example(n_bath=6, seed=2024, system_offset=0.0)  # the benchmark's bath, perfbench/inputs/spin_bath_6.json
 @given(n_bath=st.integers(0, 5), seed=st.integers(0, 2**32 - 1), system_offset=st.floats(-1e4, 1e4))
 def test_bath_frames_are_eigh_of_the_dense_blocks(n_bath, seed, system_offset):
-    # Each stack's two blocks, sliced from the kron-built Hamiltonian at the frame's rows and
-    # diagonalised in one stacked eigh, give the frame's eigenpairs bit for bit.
+    # Each stack's two blocks, sliced from the kron-built Hamiltonian at the frame's rows, are real,
+    # and one stacked real eigh of them gives the frame's eigenpairs bit for bit.  link is orthogonal
+    # and is v0^T v1 but for rounding.
     spec = default_spin_bath(n_bath, seed, system_offset)
     h = total_hamiltonian(spec)
     for frame in bath_frame(spec):
         k = frame.v0.shape[1]
         rows = np.stack((frame.index[:, :k], frame.index[:, k:]))
-        w, v = np.linalg.eigh(h[rows[..., :, None], rows[..., None, :]])
+        blocks = h[rows[..., :, None], rows[..., None, :]]
+        assert not blocks.imag.any()
+        w, v = np.linalg.eigh(blocks.real)
         assert np.array_equal(np.concatenate((w[0], w[1]), axis=1), frame.w)
         assert np.array_equal(v[0], frame.v0) and np.array_equal(v[1], frame.v1)
+        assert np.max(np.abs(frame.link.swapaxes(1, 2) @ frame.link - np.eye(k))) <= 1e-14
+        assert np.max(np.abs(frame.link - v[0].swapaxes(1, 2) @ v[1])) <= 1e-14
+
+
+def test_every_bath_frame_array_is_real():
+    # Every bath generator is real symmetric, so the frame holds no complex array.
+    real = np.dtype(np.float64)
+    for n_bath in (0, 3, 6):
+        for frame in bath_frame(default_spin_bath(n_bath=n_bath, seed=7)):
+            dtypes = {name: a.dtype for name, a in vars(frame).items()}
+            assert dtypes == dict(w=real, v0=real, v1=real, link=real, index=np.dtype(np.intp), start=real)
 
 
 def test_six_spin_bath_frame_is_four_unpadded_stacks():

@@ -13,23 +13,23 @@ import ddgates.simulate as simulate
 
 from ddgates.compiler import (
     DD_KINDS,
-    GATE_ROTATIONS,
     XY4,
+    XY8,
     PulseEvent,
     RotationSpec,
     Schedule,
     apply_amplitude_error,
     build_schedule,
-    cycle_pulse_count,
     dd_cycle,
     decompose_gate,
     gate_target,
     hard_pulse_schedule,
     protected_bb1_gate,
+    protected_gate_time,
     schedule_from_json,
     schedule_to_json,
 )
-from ddgates.core import DEFAULT_MAX_SPINS, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, hermitian_expm, rotation_unitary
+from ddgates.core import DEFAULT_MAX_SPINS, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, rotation_unitary
 from ddgates.config import GATES, SCHEMES, ExperimentConfig
 from ddgates.harness import REFERENCE_GATE_TIMES_S, run_sweep, simulate_cell
 from ddgates.noise import SpinBathSpec, default_spin_bath
@@ -341,9 +341,9 @@ def test_ou_channel_equals_the_uncoupled_bath_over_its_static_offsets():
         assert np.allclose(walk, chi, rtol=0.0, atol=1e-12), (gate, scheme)
 
 
-_TEN_T2_STAR = [(gate, scheme, 3.7e-3 / (len(GATE_ROTATIONS[gate]) * 5 * (
-    8 if scheme == "simple_padded" else cycle_pulse_count(DD_KINDS[scheme]))))
-    for gate in ("H", "NOT", "PI8") for scheme in ("simple_padded", "xy4", "xy8", "kdd")]
+# simple_padded's window is the XY-8 gate time.
+_TEN_T2_STAR = [(gate, scheme, 3.7e-3 / protected_gate_time(gate, DD_KINDS.get(scheme, XY8), 1.0))
+                for gate in ("H", "NOT", "PI8") for scheme in ("simple_padded", "xy4", "xy8", "kdd")]
 
 
 def _batch_stderr(sched, spec, n=10_000, seed=1):
@@ -360,7 +360,7 @@ def test_doubling_the_nodes_moves_no_cell_by_a_percent_of_its_monte_carlo_stderr
     # cell's 10k-realization stderr.  Measured at 8 x 32 against 16 x 64: at most 2e-5 of a stderr.
     spec = calibrate_to_targets(3.7e-4, 7.5e-4).params
     cells = [(g, s, tau) for g in GATES for s in SCHEMES for tau in (3e-6, 1e-5, 3e-5)]
-    cells += [(g, "xy8", REFERENCE_GATE_TIMES_S[g] / (len(GATE_ROTATIONS[g]) * 5 * 8)) for g in ("H", "NOT", "PI8")]
+    cells += [(g, "xy8", REFERENCE_GATE_TIMES_S[g] / protected_gate_time(g, XY8, 1.0)) for g in ("H", "NOT", "PI8")]
     nodes = simulate.OU_NODES, simulate.STATIC_NODES
     for gate, scheme, tau in cells + _TEN_T2_STAR:
         sched = apply_amplitude_error(build_schedule(gate, scheme, tau), 0.01)
@@ -750,15 +750,16 @@ def test_bath_propagator_conserves_the_bath_magnetization(spec, gate, kind, tau,
 
 
 def test_bath_soft_halves_exponentiate_once_per_scaled_angle(monkeypatch):
-    calls = []
+    calls, eigh = [], np.linalg.eigh
 
-    def counting_expm(h, t):
-        calls.append(t)
-        return hermitian_expm(h, t)
+    def counting_eigh(a):
+        calls.append(a.dtype)
+        return eigh(a)
 
     simulate._PULSES.clear()
-    monkeypatch.setattr(simulate, "hermitian_expm", counting_expm)
     spec = default_spin_bath(n_bath=3, seed=5)
+    bath_frame(spec)  # the frame's own eigh calls come before the count
+    monkeypatch.setattr(simulate.np.linalg, "eigh", counting_eigh)
     angles = set()
     for kind in ("xy4", "xy8", "kdd"):
         sched = apply_amplitude_error(build_schedule("PI8", kind, 1e-5), 0.01)
@@ -768,14 +769,29 @@ def test_bath_soft_halves_exponentiate_once_per_scaled_angle(monkeypatch):
     # shared by the three cycle kinds; one exponential per angle and stack, the sectors of sizes 1 and 3.
     assert len(angles) == 5
     assert len(bath_frame(spec)) == 2
-    assert len(calls) == 10
+    assert calls == [np.float64] * 10  # each from one real eigh of its framed generator
     for kind in ("xy4", "xy8", "kdd"):
         bath_propagator(apply_amplitude_error(build_schedule("PI8", kind, 1e-5), 0.01), spec)
     assert len(calls) == 10
 
 
+def test_bath_soft_half_pulses_are_the_exponentials_of_their_framed_generators():
+    # exp(-i G t) by scipy, per sector, of G = diag(w) + (angle / 2t) [[0, link], [link^T, 0]], built
+    # here from the frame's arrays alone, for every soft half of PI8/kdd at epsilon 0.01.
+    sched = apply_amplitude_error(build_schedule("PI8", "kdd", 1e-5), 0.01)
+    keys = {simulate._pulse_key(ev) for ev in sched.events if ev.kind == "soft_gate_half"}
+    for n_bath in (3, 6):
+        for frame in bath_frame(default_spin_bath(n_bath=n_bath, seed=2024)):
+            zero = np.zeros_like(frame.link[0])
+            for angle, t in keys:
+                pulses = simulate._phase0_pulse(frame, angle, t)
+                for s, (w, link) in enumerate(zip(frame.w, frame.link)):
+                    g = np.diag(w) + 0.5 * angle / t * np.block([[zero, link], [link.T, zero]])
+                    assert np.max(np.abs(pulses[s] - scipy.linalg.expm(-1j * t * g))) <= 1e-13, (n_bath, s, angle)
+
+
 def test_a_bath_replay_starts_from_its_frame_without_rebuilding_it(monkeypatch):
-    # Each stack's start, diag(v0^dag, v1^dag), is built with its frame; a replay only maps its blocks back.
+    # Each stack's start, diag(v0^T, v1^T), is built with its frame; a replay only maps its blocks back.
     spec = default_spin_bath(n_bath=4, seed=9)
     sched = apply_amplitude_error(build_schedule("H", "xy4", 1e-5), 0.01)
     frame_type = type(bath_frame(spec)[0])
@@ -789,8 +805,8 @@ def test_a_bath_replay_starts_from_its_frame_without_rebuilding_it(monkeypatch):
     for frame in bath_frame(spec):
         k = frame.v0.shape[1]
         assert not frame.start.flags.writeable
-        assert np.array_equal(frame.start[:, :k, :k], frame.v0.conj().swapaxes(1, 2))
-        assert np.array_equal(frame.start[:, k:, k:], frame.v1.conj().swapaxes(1, 2))
+        assert np.array_equal(frame.start[:, :k, :k], frame.v0.swapaxes(1, 2))
+        assert np.array_equal(frame.start[:, k:, k:], frame.v1.swapaxes(1, 2))
         assert not frame.start[:, :k, k:].any() and not frame.start[:, k:, :k].any()
 
 
