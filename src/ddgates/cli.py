@@ -3,10 +3,12 @@
 Subcommands: calibrate, compile, simulate, sweep, table1.  Exit codes:
 0 on success, 1 on invalid arguments or configuration, 2 on a runtime
 failure (calibration targets out of reach, failed cell, unwritable output).
-`calibrate` runs on the standard library alone: this module imports only the
-config layer, and the other commands import the compiler and the engines,
-and with them numpy, when they run.  `main` sets OPENBLAS_NUM_THREADS=1
-first, so numpy starts on one BLAS thread: only the CLI sets process state.
+A command that reads a config loads it on the standard library alone: this
+module imports only the config layer, so a bad config fails before numpy
+loads, and `calibrate` never loads it.  The other commands import the compiler
+and the engines, and with them numpy, once their config has loaded.  `main`
+sets OPENBLAS_NUM_THREADS=1 first, so numpy starts on one BLAS thread: only
+the CLI sets process state.
 """
 
 from __future__ import annotations
@@ -119,22 +121,23 @@ def cmd_compile(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .harness import rows_to_csv, run_cells
-
     cfg = load_config(args.config)
     if args.epsilon is not None:
         cfg = dataclasses.replace(cfg, epsilon=args.epsilon)
+    from .harness import rows_to_csv, run_cells
+
     rows = run_cells(cfg, [(args.gate, args.scheme, args.tau)])
     _write_or_print(rows_to_csv(rows), args.out)
     return _exit_code(rows)
 
 
 def cmd_sweep(args) -> int:
-    from .harness import rows_to_csv, run_sweep, summarize_rows
-
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    rows = run_sweep(load_config(args.config), jobs=args.jobs)
+    cfg = load_config(args.config)
+    from .harness import rows_to_csv, run_sweep, summarize_rows
+
+    rows = run_sweep(cfg, jobs=args.jobs)
     if args.summary:
         summary = json.dumps(summarize_rows(rows), sort_keys=True, indent=2, allow_nan=False)
         _write_or_print(summary + "\n", args.summary)
@@ -145,9 +148,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_table1(args) -> int:
+    cfg = load_config(args.config)
     from .harness import rows_to_csv, run_table1
 
-    rows, report = run_table1(load_config(args.config))
+    rows, report = run_table1(cfg)
     if args.csv:
         _write_or_print(rows_to_csv(rows), args.csv)
     _write_or_print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n", args.out)

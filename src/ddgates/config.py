@@ -2,8 +2,8 @@
 
 Parses and validates the config JSON, renders and loads calibration
 artifacts, and resolves the configured noise to the model the engines take.
-Nothing here imports numpy except a spin-bath config, whose spec holds a
-numpy matrix, so `ddgates calibrate` starts without it.
+Nothing here imports numpy, so every command parses and resolves its config
+without it, and `ddgates calibrate` runs without it.
 
 Config JSON schema (all times in seconds)::
 
@@ -136,7 +136,7 @@ def _parse_noise(d: dict):
             sigma_static=_number(d.get("sigma_static", 0.0), "sigma_static"),
         )
     if kind == "spin_bath":
-        from .noise import SpinBathSpec  # numpy: the spec holds a matrix
+        from .noise import SpinBathSpec  # here, so that calibrate and OU configs load no bath module
 
         couplings = tuple(_number(b, "couplings") for b in d["couplings"])
         return SpinBathSpec(

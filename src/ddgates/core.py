@@ -7,7 +7,10 @@ optionally tensored with a register of bath spins (system factor first).
 from __future__ import annotations
 
 import math
+
 import numpy as np
+
+from .noise import DEFAULT_MAX_SPINS
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -15,12 +18,6 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2):
     _m.setflags(write=False)
-
-# Largest register (dim 2048, a 10-spin bath in 11 magnetization sectors of at most 252
-# states, held unpadded as six real stacks of equal-size sectors, 9.9 MiB): its frame takes ~0.07 s
-# once, then its heaviest cell (PI8/kdd, 615 events) ~3 s cold or warm on one core of a 2-core Xeon,
-# for its phase-0 pulses outgrow `simulate.PULSE_CACHE_BYTES`; a sweep at --jobs 1 peaks under 200 MiB RSS.
-DEFAULT_MAX_SPINS = 11
 
 
 def rotation_unitary(phase: float, angle: float) -> np.ndarray:

@@ -99,7 +99,7 @@ class BathFrame:
                                (self.v1 @ xt[..., k:, :].view(float)).view(complex)), axis=-2)
 
 
-_FRAMES: dict = {}  # the last 4 specs' frames, keyed by every SpinBathSpec field
+_FRAMES: dict = {}  # the last 4 specs' frames, keyed by the spec, a value
 
 
 def bath_frame(spec: SpinBathSpec) -> tuple[BathFrame, ...]:
@@ -115,8 +115,7 @@ def bath_frame(spec: SpinBathSpec) -> tuple[BathFrame, ...]:
     from the states' bits and diagonalised on each sector alone.  A 6-spin bath has 7
     sectors of 1, 6, 15, 20, 15, 6 and 1 states, held as four stacks of 2, 2, 2 and 1.
     """
-    key = (spec.n_bath, spec.couplings, spec.bath_couplings.tobytes(), spec.system_offset)
-    if key not in _FRAMES:
+    if spec not in _FRAMES:
         n, d = spec.n_bath, 2**spec.n_bath
         states = np.arange(d)
         # S_z^k is +1/2 or -1/2 as bit n - 1 - k of the basis state (spin 0 first) is 0 or 1.
@@ -127,8 +126,8 @@ def bath_frame(spec: SpinBathSpec) -> tuple[BathFrame, ...]:
         zz, flip = np.zeros(d), np.zeros(d)
         for j in range(n):
             for k in range(j + 1, n):
-                zz += spec.bath_couplings[j, k] * (2 * sz[j] * sz[k])
-                flip[bits[j] | bits[k]] = spec.bath_couplings[j, k] * -0.5
+                zz += spec.bath_couplings[j][k] * (2 * sz[j] * sz[k])
+                flip[bits[j] | bits[k]] = spec.bath_couplings[j][k] * -0.5
         shift = 0.5 * spec.system_offset + sum(map(np.multiply, spec.couplings, sz), np.zeros(d)) / 2
         down = sum((z < 0 for z in sz), np.zeros(d, dtype=int))  # sector j: the comb(n, j) states with j spins down
         frames = []
@@ -147,8 +146,8 @@ def bath_frame(spec: SpinBathSpec) -> tuple[BathFrame, ...]:
             gone = _FRAMES.pop(next(iter(_FRAMES)))
             for stale in [k for k in _PULSES if k[0] in gone]:
                 del _PULSES[stale]
-        _FRAMES[key] = tuple(frames)
-    return _FRAMES[key]
+        _FRAMES[spec] = tuple(frames)
+    return _FRAMES[spec]
 
 
 def bath_average(blocks: np.ndarray) -> np.ndarray:
@@ -230,12 +229,15 @@ def _phase0_pulse(frame, angle: float, duration: float) -> np.ndarray:
 def _framed_pulse(frame, ev) -> np.ndarray:
     """A pulse event in the frame, amplitude scale applied, as one product per sector: P X P^dag,
     X its `_phase0_pulse` and P = diag(I, e^{i phase} I), for a rotation or drive at phase p is
-    P (the same at 0) P^dag, and P commutes with the block-diagonal drift.  P X P^dag is X times
-    the mask of e^{-i phase} on the upper right blocks, e^{i phase} on the lower left and 1 elsewhere."""
-    m, p = frame.link.shape[1], cmath.exp(1j * ev.rotation.phase)
-    mask = np.ones((2 * m, 2 * m), dtype=complex)
-    mask[:m, m:], mask[m:, :m] = p.conjugate(), p
-    return _phase0_pulse(frame, *_pulse_key(ev)) * mask
+    P (the same at 0) P^dag, and P commutes with the block-diagonal drift.  P X P^dag is X with its
+    upper right blocks times e^{-i phase} and its lower left times e^{i phase}: the cached X itself at phase 0."""
+    x = _phase0_pulse(frame, *_pulse_key(ev))
+    if ev.rotation.phase == 0.0:
+        return x
+    m, p, x = frame.link.shape[1], cmath.exp(1j * ev.rotation.phase), x.copy()
+    x[:, :m, m:] *= p.conjugate()
+    x[:, m:, :m] *= p
+    return x
 
 
 def _soft_rotation(ev, delta: np.ndarray, length: float) -> np.ndarray:

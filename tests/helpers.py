@@ -45,7 +45,7 @@ def bath_hamiltonians(spec):
     for j in range(n):
         for k in range(j + 1, n):
             (xj, yj, zj), (xk, yk, zk) = site[j], site[k]
-            h_e_bath += spec.bath_couplings[j, k] * (2 * zj @ zk - xj @ xk - yj @ yk)
+            h_e_bath += spec.bath_couplings[j][k] * (2 * zj @ zk - xj @ xk - yj @ yk)
     return spec.system_offset * np.kron(sz, eye_b), h_se, np.kron(IDENTITY_2, h_e_bath)
 
 

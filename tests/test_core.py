@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg
 
 from ddgates.core import (
-    DEFAULT_MAX_SPINS,
     IDENTITY_2,
     SIGMA_X,
     SIGMA_Y,
@@ -11,6 +10,7 @@ from ddgates.core import (
     embed_system,
     rotation_unitary,
 )
+from ddgates.noise import DEFAULT_MAX_SPINS
 
 
 def test_pauli_algebra():

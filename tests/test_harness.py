@@ -29,7 +29,6 @@ from ddgates.config import (
     resolve_noise,
     run_calibration,
 )
-from ddgates.core import DEFAULT_MAX_SPINS
 from ddgates.harness import (
     CSV_FIELDS,
     REFERENCE_FIDELITIES,
@@ -41,7 +40,7 @@ from ddgates.harness import (
     simulate_cell,
     summarize_rows,
 )
-from ddgates.noise import SpinBathSpec, default_spin_bath
+from ddgates.noise import DEFAULT_MAX_SPINS, SpinBathSpec, default_spin_bath
 from ddgates.ou import CalibrationResult, OUNoiseSpec
 from ddgates.tomography import gate_fidelity
 from helpers import expected_pulse_count, gram_of_operators, oracle_bath_propagator, rows_from_csv
@@ -758,6 +757,31 @@ def test_cli_sweep_imports_numpy_only(tmp_path, noise, command, absent):
             "assert not set(sys.argv[1].split()) & set(sys.modules), sys.argv[1]; sys.exit(code)")
     subprocess.run([sys.executable, "-c", code, absent, *command, "--config", str(cfg_path), "--out", "out"],
                    env=_env_with_src(), cwd=tmp_path, check=True, timeout=120)
+
+
+@pytest.mark.parametrize("noise, model", [
+    (BASE_CONFIG["noise"], "OUNoiseSpec"), (_BATH_NOISE, "SpinBathSpec"), (_TARGETS_NOISE, "OUNoiseSpec"),
+    ({"kind": "calibration", "path": "calibration.json"}, "OUNoiseSpec"),
+], ids=["ou", "spin_bath", "targets", "calibration"])
+def test_loading_and_resolving_a_config_imports_no_numpy(tmp_path, noise, model):
+    # numpy costs a fresh process 65-100 ms; every kind of noise parses and resolves on the standard library.
+    (tmp_path / "calibration.json").write_text(
+        json.dumps({"schema": 2, "params": BASE_CONFIG["noise"]}), encoding="utf-8")
+    (tmp_path / "cfg.json").write_text(json.dumps(dict(BASE_CONFIG, noise=noise)), encoding="utf-8")
+    code = ("import sys; from ddgates import cli; noise = cli.resolve_noise(cli.load_config('cfg.json')); "
+            f"assert type(noise).__name__ == {model!r}; "
+            "assert 'numpy' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], env=_env_with_src(), cwd=tmp_path, check=True, timeout=120)
+
+
+def test_cli_sweep_of_an_asymmetric_bath_exits_1_without_numpy(tmp_path):
+    noise = dict(_BATH_NOISE, bath_couplings=[[0.0, 5e3], [4e3, 0.0]])
+    (tmp_path / "cfg.json").write_text(json.dumps(dict(BASE_CONFIG, noise=noise)), encoding="utf-8")
+    code = "import sys; from ddgates.cli import main; code = main(sys.argv[1:]); print('numpy' in sys.modules); sys.exit(code)"
+    done = subprocess.run([sys.executable, "-c", code, "sweep", "--config", "cfg.json"], env=_env_with_src(),
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (1, "False\n"), done.stderr
+    assert done.stderr.startswith("error: ") and "bath_couplings must be symmetric with zero diagonal" in done.stderr
 
 
 def test_cli_sweep_at_one_job_loads_no_pool_module(tmp_path):

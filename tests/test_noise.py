@@ -1,6 +1,8 @@
+import json
 import math
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 import ddgates.ou as ou
 
 from ddgates.compiler import PulseEvent, RotationSpec, Schedule
+from ddgates.config import config_from_dict
 from ddgates.core import IDENTITY_2, SIGMA_Z, embed_system
 from ddgates.harness import fid_decay_curve, hahn_decay_curve
 from ddgates.noise import SpinBathSpec, default_spin_bath
@@ -51,13 +54,25 @@ def test_spin_bath_spec_validation():
         SpinBathSpec(n_bath=2, couplings=(1.0, 2.0), bath_couplings=np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(ValueError):
         SpinBathSpec(n_bath=2, couplings=(1.0, 2.0), bath_couplings=np.eye(2))
-    # An empty array is the 0x0 matrix, and no other shape passes for it.
-    assert SpinBathSpec(n_bath=0, couplings=(), bath_couplings=np.array([])).bath_couplings.shape == (0, 0)
-    for empty in (np.zeros((0, 1)), np.zeros((1, 0)), np.array([[]])):
+    # An array is held as a tuple of float rows, and a nested list alike.
+    held = SpinBathSpec(n_bath=2, couplings=(1.0, 2.0), bath_couplings=good).bath_couplings
+    assert held == ((0.0, 1.0), (1.0, 0.0)) and all(type(v) is float for row in held for v in row)
+    assert SpinBathSpec(n_bath=2, couplings=(1.0, 2.0), bath_couplings=good.tolist()).bath_couplings == held
+    for bad in ([[0.0, 1.0], [2.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]):
+        with pytest.raises(ValueError, match="symmetric with zero diagonal"):
+            SpinBathSpec(n_bath=2, couplings=(1.0, 2.0), bath_couplings=bad)
+    for ragged in ([[0.0, 1.0], [1.0]], [[0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]):
+        with pytest.raises(ValueError, match="must be 2x2"):
+            SpinBathSpec(n_bath=2, couplings=(1.0, 2.0), bath_couplings=ragged)
+    # An empty array or list is the 0x0 matrix, and no other shape passes for it.
+    for empty in (np.array([]), [], np.zeros((0, 0))):
+        assert SpinBathSpec(n_bath=0, couplings=(), bath_couplings=empty).bath_couplings == ()
+    for empty in (np.zeros((0, 1)), np.zeros((1, 0)), np.array([[]]), [[]]):
         with pytest.raises(ValueError, match="must be 0x0"):
             SpinBathSpec(n_bath=0, couplings=(), bath_couplings=empty)
-    with pytest.raises(ValueError, match="must be 1x1"):
-        SpinBathSpec(n_bath=1, couplings=(1.0,), bath_couplings=np.array([]))
+    for empty in (np.array([]), []):
+        with pytest.raises(ValueError, match="must be 1x1"):
+            SpinBathSpec(n_bath=1, couplings=(1.0,), bath_couplings=empty)
 
 
 @pytest.mark.parametrize("n_bath", [2.0, np.float64(2.0), True, "2", None],
@@ -71,6 +86,19 @@ def test_spin_bath_spec_loads_a_numpy_integer_bath_size():
     spec = SpinBathSpec(np.int64(2), (1e4, 1e4), np.zeros((2, 2)))
     assert type(spec.n_bath) is int and spec.n_bath == 2
     assert [frame.w.shape for frame in bath_frame(spec)] == [(2, 2), (1, 4)]
+
+
+def test_spin_bath_specs_of_equal_fields_are_one_value():
+    # Two loads of one bath config are equal, hash alike and share one frame; the generator's
+    # draws equal the JSON the benchmark's bath was written to.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "spin_bath_6.json"
+    noise = json.loads(path.read_text(encoding="utf-8"))
+    config = dict(noise=noise, gates=["NOT"], schemes=["xy8"], tau_grid_s=[1e-5])
+    first, second = (config_from_dict(config).noise for _ in range(2))
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert bath_frame(first) is bath_frame(second)
+    assert default_spin_bath(6) == first and default_spin_bath(6).bath_couplings.tolist() == noise["bath_couplings"]
+    assert default_spin_bath(6) != default_spin_bath(6, system_offset=1.0) != default_spin_bath(6, seed=1)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -57,7 +57,7 @@ def test_package_import_leaves_numpy_out_and_star_binds_each_submodule_object():
 
 
 # The layers of src/ddgates, lowest first: a module imports only modules of a lower layer.
-LAYERS = (("ou", "core"), ("noise",), ("config",), ("simulate",), ("tomography",), ("compiler",), ("harness",),
+LAYERS = (("ou",), ("noise",), ("core",), ("config",), ("simulate",), ("tomography",), ("compiler",), ("harness",),
           ("cli",))
 
 
