@@ -288,8 +288,8 @@ def protected_bb1_gate(rotations, kind: DDKind, tau: float) -> Schedule:
 
 def hard_pulse_schedule(rotations, target_gate, label: str, pad_to: float = 0.0) -> Schedule:
     """Instantaneous rotations, optionally padded symmetrically to pad_to seconds."""
-    if pad_to < 0:
-        raise CompileError("pad_to must be non-negative")
+    if not math.isfinite(pad_to) or pad_to < 0:
+        raise CompileError("pad_to must be finite and non-negative")
     events: list[PulseEvent] = []
     if pad_to:
         events.append(PulseEvent("delay", pad_to / 2))

@@ -99,12 +99,13 @@ class BathFrame:
                                (self.v1 @ xt[..., k:, :].view(float)).view(complex)), axis=-2)
 
 
-_FRAMES: dict = {}  # the last 4 specs' frames, keyed by the spec, a value
+_FRAMES: dict = {}  # the frames of the spec in use, keyed by the spec, a value
 
 
 def bath_frame(spec: SpinBathSpec) -> tuple[BathFrame, ...]:
     """The spec's real BathFrames, one unpadded stack per sector size in increasing size,
-    from one real eigh per sector and system block, built once per distinct spec.
+    from one real eigh per sector and system block, built when the spec in use changes: the
+    previous spec's frames leave, and `_PULSES` is emptied of their pulses.
 
     H_noise = omega_S S_z (x) I + sum_k b_k S_z (x) S_z^k + I (x) H_E, with H_E the
     secular dipolar coupling sum_{j<k} d_jk (2 S_z^j S_z^k - S_x^j S_x^k - S_y^j S_y^k),
@@ -142,10 +143,8 @@ def bath_frame(spec: SpinBathSpec) -> tuple[BathFrame, ...]:
             for a in vars(frame).values():
                 a.setflags(write=False)
             frames.append(frame)
-        if len(_FRAMES) == 4:  # the oldest spec's frames leave, and their pulses with them
-            gone = _FRAMES.pop(next(iter(_FRAMES)))
-            for stale in [k for k in _PULSES if k[0] in gone]:
-                del _PULSES[stale]
+        _FRAMES.clear()
+        _PULSES.clear()
         _FRAMES[spec] = tuple(frames)
     return _FRAMES[spec]
 
@@ -345,25 +344,22 @@ def ou_moment(schedule, spec: OUNoiseSpec, offsets, weights) -> np.ndarray:
     event's start.  They are held node-major, one row of 10 reals (5 complex) per node,
     so that each step is one or two numpy calls:
     a hard pulse is one matmul by its `_turns` matrix, the same at every node and built
-    once per distinct event in the call; a delay piece of length t turns B by
-    e^{i delta t} in place, and a whole delay event or grid cell by its phase at its
-    nominal length, duration or dt, cached for this call; a soft piece is every node's
-    `_turns` matrix at its `_soft_rotation`, applied as one batched matmul; and each
-    grid point is one real matmul that mixes the OU nodes by Mehler's kernel (`_mehler`,
-    a = exp(-dt / tau_c)).  Every pulse's matrices come from the one form `_turn_form`.
+    up front once per distinct event; a delay piece of length t turns B by e^{i delta t}
+    in place, a factor built once per distinct length in the call, a whole grid cell's
+    length being dt; a soft piece is every node's `_turns` matrix at its `_soft_rotation`,
+    applied as one batched matmul; and each grid point is one real matmul that mixes the
+    OU nodes by Mehler's kernel (`_mehler`, a = exp(-dt / tau_c)).  Every pulse's matrices
+    come from the one form `_turn_form`.
     """
     x, w = hermite_nodes(OU_NODES if spec.sigma else 1)
     delta = (spec.sigma * x[:, None] + np.asarray(offsets, dtype=float)).reshape(-1)
     mix = _mehler(x, w, math.exp(-spec.dt / spec.tau_c))
     y = np.zeros((len(delta), 10))  # node (i, j) at row i * len(offsets) + j
     y[:, 0] = y[:, 4] = (w[:, None] * np.asarray(weights, dtype=float)).reshape(-1)  # q = (1, 0, 0, 0)
-
-    def delay_phase(length, p=None):  # a delay's factor: 1 on d and A01, e^{i delta length} on B
-        p = np.ones((len(delta), 5), dtype=complex) if p is None else p
-        p[:, 2:] = np.exp(1j * length * delta)[:, None]
-        return p
-
-    cut, phases, hard = delay_phase(0.0), {}, {}  # phases by delay event (None: a whole grid cell); hard turns by event
+    phases = {}  # delay factors by piece length
+    hard = {ev: _turns(rotation_unitary(ev.rotation.phase, ev.rotation.angle * ev.amplitude_scale)[:, :1]
+                       .view(float).reshape(4, 1))[0]  # alpha, beta: the first column of the rotation
+            for ev in dict.fromkeys(schedule.events) if ev.kind == "hard_pulse"}  # one per distinct event
     t, k = 0.0, 0  # on grid cell k, [k dt, (k + 1) dt)
     for ev in schedule.events:
         start, stop = t, t + ev.duration
@@ -372,18 +368,13 @@ def ou_moment(schedule, spec: OUNoiseSpec, offsets, weights) -> np.ndarray:
             # From the event's start, the last piece ending at its duration: end - t has the absolute rounding.
             length = (ev.duration if end == stop else end - start) - (t - start)
             if ev.kind == "delay":
-                whole = t == start and end == stop
-                if whole or (t != start and end != stop):  # the whole event, or a whole grid cell
-                    key = ev if whole else None
-                    if key not in phases:
-                        phases[key] = delay_phase(ev.duration if whole else spec.dt)
-                    y.view(complex)[...] *= phases[key]
-                else:
-                    y.view(complex)[...] *= delay_phase(length, cut)
-            elif ev.duration == 0.0:
-                if ev not in hard:  # alpha, beta: the first column of the rotation
-                    u = rotation_unitary(ev.rotation.phase, ev.rotation.angle * ev.amplitude_scale)
-                    hard[ev] = _turns(u[:, :1].view(float).reshape(4, 1))[0]
+                if t != start and end != stop:  # a whole grid cell
+                    length = spec.dt
+                if length not in phases:  # 1 on d and A01, e^{i delta length} on B
+                    phases[length] = np.ones((len(delta), 5), dtype=complex)
+                    phases[length][:, 2:] = np.exp(1j * length * delta)[:, None]
+                y.view(complex)[...] *= phases[length]
+            elif ev.kind == "hard_pulse":
                 y = y @ hard[ev]
             elif end > t:
                 y = np.matmul(y[:, None, :], _turns(_soft_rotation(ev, delta, length)))[:, 0]

@@ -252,6 +252,12 @@ def test_hard_pulse_schedule_padding():
     assert [ev.kind for ev in padded.events] == ["delay", "hard_pulse", "hard_pulse", "delay"]
 
 
+@pytest.mark.parametrize("pad_to", [-1e-6, math.nan, math.inf])
+def test_hard_pulse_schedule_rejects_a_pad_to_that_is_negative_or_not_finite(pad_to):
+    with pytest.raises(CompileError, match="pad_to"):
+        hard_pulse_schedule(decompose_gate("H"), gate_target("H"), "h", pad_to=pad_to)
+
+
 def test_apply_amplitude_error_scales_pulses_only():
     sched = protected_bb1_gate(decompose_gate("NOT"), XY4, 1e-5)
     scaled = apply_amplitude_error(sched, 0.02)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from ddgates.compiler import (
     schedule_to_json,
 )
 from ddgates.core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, rotation_unitary
-from ddgates.config import GATES, SCHEMES, ExperimentConfig
+from ddgates.config import GATES, SCHEMES, ExperimentConfig, load_calibration
 from ddgates.harness import REFERENCE_GATE_TIMES_S, run_sweep, simulate_cell
 from ddgates.noise import DEFAULT_MAX_SPINS, SpinBathSpec, default_spin_bath
 from ddgates.ou import OUNoiseSpec, calibrate_to_targets, phase_variance
@@ -519,6 +520,31 @@ def test_ou_moment_matches_the_reference_walk_on_a_grid_bound_cell():
     assert np.max(np.abs(ou_moment(sched, spec, 0.0 * x, w) - reference_ou_moment(sched, spec, 0.0 * x, w))) <= 1e-14
 
 
+def test_ou_moment_builds_one_delay_factor_per_distinct_piece_length(monkeypatch):
+    # PI8/kdd at tau = 30 us on the benchmark's 370/750 us fit, whose dt is 15 us: the walk cuts the delays
+    # at the grid points into 854 pieces of 145 distinct lengths, each measured from its event's start, a
+    # whole grid cell's being dt.  Only the factors' np.exp calls are node-sized; rotation_unitary's are not.
+    spec = load_calibration(str(Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+                                / "calibration_370_750_seed1.json"))
+    sched = build_schedule("PI8", "kdd", 3e-5)
+    t, k, lengths = 0.0, 0, set()
+    for ev in sched.events:
+        start, stop = t, t + ev.duration
+        while True:
+            end = min(stop, (k + 1) * spec.dt)
+            if ev.kind == "delay":
+                lengths.add(spec.dt if t != start and end != stop else
+                            (ev.duration if end == stop else end - start) - (t - start))
+            if end == stop:
+                break
+            t, k = end, k + 1
+        t = stop
+    calls, exp = [], np.exp
+    monkeypatch.setattr(np, "exp", lambda a, *args, **kw: calls.append(np.size(a)) or exp(a, *args, **kw))
+    channel_gram(sched, spec)
+    assert 0 < calls.count(simulate.OU_NODES * simulate.STATIC_NODES) <= len(lengths)
+
+
 def test_gram_of_moments_is_the_mean_of_vec_u_vec_u_dagger():
     # Mixtures of 1 to 8 random unit quaternions q of random weights: the moments of z = (u, v) =
     # (q0 + i q3, q1 + i q2), arranged into G, against vec U vec U^dag of each U = q0 - i q.sigma.
@@ -847,6 +873,21 @@ def test_the_bath_gram_keeps_its_bytes_when_the_pulse_cache_holds_one_pulse(monk
     for sched, g in zip(cells, grams, strict=True):
         assert np.array_equal(channel_gram(sched, spec), g)
         assert len(simulate._PULSES) == 1
+
+
+def test_the_frame_cache_holds_the_spec_in_use_and_none_of_the_last_specs_pulses():
+    # A new spec's frames replace the last one's, whose pulses leave the cache with them; a spec that
+    # returns is rebuilt, with the same bytes.
+    a, b = default_spin_bath(3, seed=1), default_spin_bath(3, seed=2)
+    sched = apply_amplitude_error(build_schedule("H", "xy4", 1e-5), 0.01)
+    first = channel_gram(sched, a)
+    gone = bath_frame(a)
+    assert any(key[0] in gone for key in simulate._PULSES)
+    channel_gram(sched, b)
+    assert list(simulate._FRAMES) == [b]
+    assert simulate._PULSES and not any(key[0] in gone for key in simulate._PULSES)
+    assert np.array_equal(channel_gram(sched, a), first)
+    assert list(simulate._FRAMES) == [a]
 
 
 def test_bath_repeated_runs_differing_in_one_amplitude_scale_stay_apart():
