@@ -2,7 +2,8 @@
 
 Subcommands: calibrate, compile, simulate, sweep, table1.  Exit codes:
 0 on success, 1 on invalid arguments or configuration, 2 on a runtime
-failure (calibration targets out of reach, failed cell, unwritable output).
+failure (calibration targets out of reach, failed cell, a `--jobs` worker that
+died, unwritable output).
 A command that reads a config loads it on the standard library alone: this
 module imports only the config layer, so a bad config fails before numpy
 loads, and `calibrate` never loads it.  The other commands import the compiler
@@ -67,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", help="write the results CSV here instead of stdout")
     sweep.add_argument("--summary", help="write a JSON fidelity summary here")
     sweep.add_argument("--jobs", type=int, default=1,
-                       help="worker processes, at most one per usable core; results are identical for any value")
+                       help="worker processes, forked on Linux (elsewhere the cells run serially), at most one "
+                            "per usable core; results are identical for any value")
     sweep.set_defaults(func=cmd_sweep)
 
     table = sub.add_parser("table1", help="benchmark H, NOT, PI8 at their reference gate times")

@@ -6,8 +6,9 @@ of either noise model, fidelity sweeps versus gate time across protection
 schemes, and the reference-gate benchmark.  It builds no schedule: `compiler`
 turns each cell, and each decay-curve delay, into one.  Results are
 deterministic CSV/JSON: every engine is exact and the sweep's rows are sorted
-by (gate, scheme, tau), so any job count gives identical bytes.  Nothing here
-writes a file: `cli` renders and writes what it returns.
+by (gate, scheme, tau), so any job count gives identical bytes.  Above one job,
+`run_cells` forks its workers on Linux and runs serially elsewhere.  Nothing
+here writes a file: `cli` renders and writes what it returns.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import io
 import itertools
 import math
 import os
+import pickle
+import sys
 import typing
 from dataclasses import dataclass
 
@@ -126,8 +129,10 @@ def run_cells(cfg: ExperimentConfig, cells, jobs: int = 1) -> list[ResultRow]:
     """Simulate (gate, scheme, tau) cells under cfg's noise, one row per cell
     in cell order; any jobs gives the same rows.
 
-    No more workers start than there are usable cores.  Forked workers run on
-    the BLAS threads this process has: `cli.main` starts numpy on one.
+    Above one job, on Linux, `_fork_cells` runs them on forked workers, no more
+    than there are usable cores; elsewhere they run here, serially, as fork is
+    not safe under macOS's system libraries.  Workers run on the BLAS threads
+    this process has: `cli.main` starts numpy on one.
     """
     noise_model = resolve_noise(cfg)
     tasks = [(gate, scheme, tau, noise_model, cfg.epsilon) for gate, scheme, tau in cells]
@@ -135,12 +140,94 @@ def run_cells(cfg: ExperimentConfig, cells, jobs: int = 1) -> list[ResultRow]:
     workers = min(jobs, len(tasks), cores)
     if isinstance(noise_model, SpinBathSpec):
         bath_frame(noise_model)  # built once here, so that forked workers inherit it
-    if workers <= 1:
+    if workers <= 1 or sys.platform != "linux":
         return list(itertools.starmap(simulate_cell, tasks))
-    import multiprocessing  # loaded only where a pool starts
+    return _fork_cells(tasks, workers)
 
-    with multiprocessing.Pool(workers) as pool:
-        return pool.starmap(simulate_cell, tasks, chunksize=1)
+
+def _fork_cells(tasks, workers: int) -> list[ResultRow]:
+    """simulate_cell(*task) for each task on `workers` forked children; this process computes no cell.
+
+    A child takes the next index from one shared pipe when it finishes a cell, and writes each
+    (index, row) frame on its own pipe.  One index is dealt per row that comes in, so the shared
+    pipe never fills.  An exception simulate_cell raises in a child is raised here; a child that
+    ends without reporting raises ChildProcessError naming its exit status or signal.  Every child
+    is killed and reaped before this returns or raises.
+    """
+    import select  # these two load only where workers fork, so a serial run's process does not grow
+    import signal
+
+    rows: list = [None] * len(tasks)
+    deal_r, deal_w = os.pipe()
+    fds = [deal_r, deal_w]
+    children = {}  # the read end of each child's result pipe -> its pid
+    poller = select.poll()
+    try:
+        for _ in range(workers):
+            result_r, result_w = os.pipe()
+            fds += (result_r, result_w)
+            pid = os.fork()
+            if pid == 0:
+                _work(tasks, deal_r, deal_w, result_w)
+            os.close(fds.pop())  # result_w: the child's alone, so its pipe ends when the child does
+            children[result_r] = pid
+            poller.register(result_r, select.POLLIN)
+        for index in range(workers):  # a 4-byte write is atomic, so a child reads whole indices
+            os.write(deal_w, index.to_bytes(4, "little"))
+        for received in range(len(tasks)):
+            fd = poller.poll()[0][0]
+            try:
+                index, row = pickle.loads(_read(fd, int.from_bytes(_read(fd, 4), "little")))
+            except EOFError:  # the child's end closed before its frame did: it died
+                code = os.waitstatus_to_exitcode(os.waitpid(children.pop(fd), 0)[1])
+                how = (f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0
+                       else f"exited with status {code}")
+                raise ChildProcessError(f"a --jobs worker {how} without reporting its cell") from None
+            if isinstance(row, BaseException):
+                raise row
+            rows[index] = row
+            if workers + received < len(tasks):
+                os.write(deal_w, (workers + received).to_bytes(4, "little"))
+    finally:
+        for pid in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+    return rows
+
+
+def _work(tasks, deal_r: int, deal_w: int, out: int) -> typing.NoReturn:
+    """A forked child's loop: simulate each task whose index it reads from deal_r, and write its
+    (index, row or exception) frame on out.  It leaves by os._exit, so it never returns into the
+    caller's code and never flushes the caller's buffered output."""
+    status = 1
+    try:
+        os.close(deal_w)  # so that deal_r reads end of file once the parent is gone
+        with open(out, "wb") as frames:
+            while record := os.read(deal_r, 4):
+                index = int.from_bytes(record, "little")
+                try:
+                    row = simulate_cell(*tasks[index])
+                except Exception as exc:  # raised again by the parent, as at one job
+                    row = exc
+                frame = pickle.dumps((index, row))
+                frames.write(len(frame).to_bytes(4, "little") + frame)
+                frames.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read(fd: int, size: int) -> bytes:
+    """size bytes from fd; EOFError if its write end closes first."""
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            raise EOFError
+        data += chunk
+    return data
 
 
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:

@@ -464,7 +464,7 @@ else:
 
 
 def test_equal_events_hash_equal_after_a_pickle_round_trip_into_another_hash_seed():
-    # An event hashes once and a pickled copy carries that hash, as into a pool worker; str
+    # An event hashes once and a pickled copy carries that hash, as into a spawned process; str
     # hashes are salted per process, so the event kind must enter the hash as its index.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))

@@ -2,10 +2,10 @@ import dataclasses
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -346,15 +346,15 @@ print(blas_threads(), os.environ["OPENBLAS_NUM_THREADS"])
         assert int(numpy_first[0]) > 1
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or "fork" not in multiprocessing.get_all_start_methods(),
-                    reason="needs /proc and the fork start method")
+@pytest.mark.skipif(sys.platform != "linux" or not os.path.isdir("/proc/self/task"),
+                    reason="--jobs forks only on Linux, and this reads /proc")
 def test_forked_jobs_workers_hold_one_os_thread_after_cli_main(tmp_path):
     # A worker that held a spare OpenBLAS thread ran a plain numpy loop about three times slower.
     cfg_path, log = tmp_path / "cfg.json", tmp_path / "threads.log"
     cfg_path.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")  # 4 cells
     # The script loads no numpy before cli.main, so it installs its stand-in for simulate_cell in each forked worker.
     code = """
-import multiprocessing, os, sys, time
+import os, sys
 from ddgates import cli
 
 def log_threads_after(simulate_cell):
@@ -370,14 +370,9 @@ def patch_worker():
     harness.simulate_cell = log_threads_after(harness.simulate_cell)
 
 os.register_at_fork(after_in_child=patch_worker)
-multiprocessing.set_start_method("fork")
 os.sched_getaffinity = lambda pid: {0, 1}  # two usable cores, so --jobs 2 starts two workers
 assert cli.main(["sweep", "--config", sys.argv[1], "--jobs", "2", "--out", sys.argv[3]]) == 0
 assert os.environ["OPENBLAS_NUM_THREADS"] == "1"  # cli.main found no numpy loaded
-# The pool joined its handler threads, but /proc may list one for some milliseconds more; a BLAS thread stays.
-deadline = time.monotonic() + 10.0
-while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
-    time.sleep(0.01)
 print(os.getpid(), len(os.listdir("/proc/self/task")))
 """
     parent_pid, parent_threads = _run_python(code, cfg_path, log, tmp_path / "out.csv",
@@ -388,54 +383,119 @@ print(os.getpid(), len(os.listdir("/proc/self/task")))
     assert parent_threads == "1"
 
 
-def test_run_sweep_starts_no_more_pool_workers_than_cores(monkeypatch):
+def test_run_sweep_forks_no_more_workers_than_cores(monkeypatch):
     cfg = config_from_dict(BASE_CONFIG)  # 4 cells
     serial = run_sweep(cfg)
-    started = []
+    forks = []
 
-    class FakePool:  # runs the tasks in this process, so no worker starts
-        def __init__(self, processes):
-            started.append(processes)
+    def counted_fork(fork=os.fork):
+        forks.append(None)  # before the fork, so in this process
+        return fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, fn, tasks, chunksize):
-            return list(itertools.starmap(fn, tasks))
-
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(harness.os, "fork", counted_fork)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)  # the machine's cores, not all of them usable
     assert run_sweep(cfg, jobs=64) == serial
-    assert started == [3]
+    assert len(forks) == 3
     monkeypatch.delattr(harness.os, "sched_getaffinity")  # an OS that reports no affinity: the machine's count
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     assert run_sweep(cfg, jobs=64) == serial
-    assert started == [3, 2]
+    assert len(forks) == 3 + 2
     monkeypatch.setattr(harness.os, "cpu_count", lambda: None)  # unknown: run serially
     assert run_sweep(cfg, jobs=64) == serial
-    assert started == [3, 2]
+    assert len(forks) == 3 + 2
 
 
-def test_run_sweep_on_one_usable_core_starts_no_pool(monkeypatch):
+def test_run_sweep_forks_no_worker_on_one_usable_core_or_off_linux(monkeypatch):
     # Under `taskset -c 0` on a 2-core machine, os.cpu_count() is 2 but the process may use one core,
     # so jobs 4 must run the cells serially.
     cfg = config_from_dict(BASE_CONFIG)
     serial = run_sweep(cfg)
-    started = []
 
-    def pool(*args, **kwargs):
-        started.append(args)
-        raise AssertionError("a pool started on one usable core")
+    def fork():
+        raise AssertionError("a worker forked")
 
-    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    monkeypatch.setattr(harness.os, "fork", fork)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     assert run_sweep(cfg, jobs=4) == serial
-    assert started == []
+    # macOS's system libraries are not fork-safe, so off Linux the cells run serially on any core count.
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(harness.sys, "platform", "darwin")
+    assert run_sweep(cfg, jobs=4) == serial
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="--jobs forks only on Linux")
+def test_a_jobs_worker_takes_the_next_cell_when_it_finishes_one(tmp_path, monkeypatch):
+    # The first cell waits until the last one has run, so the other worker must run cells 1 to 3;
+    # dealing by stride would give cell 2 to the waiting worker.
+    cfg = config_from_dict(BASE_CONFIG)  # 4 cells
+    cells = [(r.gate, r.scheme, r.tau) for r in run_sweep(cfg)]
+    log, done = tmp_path / "cells.log", tmp_path / "last-cell-ran"
+    real = harness.simulate_cell
+
+    def logged_cell(gate, scheme, tau, noise, epsilon):
+        index = cells.index((gate, scheme, tau))
+        for _ in range(3000 if index == 0 else 0):
+            if done.exists():
+                break
+            time.sleep(0.01)
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{index} {os.getpid()}\n")
+        if index == len(cells) - 1:
+            done.touch()
+        return real(gate, scheme, tau, noise, epsilon)
+
+    monkeypatch.setattr(harness, "simulate_cell", logged_cell)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    rows = run_sweep(cfg, jobs=2)
+    assert [(r.gate, r.scheme, r.tau) for r in rows] == cells
+    pid = dict(line.split() for line in log.read_text(encoding="utf-8").splitlines())
+    assert pid["1"] == pid["2"] == pid["3"] != pid["0"] != str(os.getpid())
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_an_unexpected_error_in_a_cell_reaches_the_caller_with_its_type_and_message(monkeypatch, jobs):
+    real = harness.simulate_cell
+
+    def failing_cell(gate, scheme, tau, noise, epsilon):
+        if (scheme, tau) == ("xy8", 1.5e-5):
+            raise RuntimeError(f"unexpected failure in {gate}/{scheme}")
+        return real(gate, scheme, tau, noise, epsilon)
+
+    monkeypatch.setattr(harness, "simulate_cell", failing_cell)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(RuntimeError, match=r"^unexpected failure in NOT/xy8$"):
+        run_sweep(config_from_dict(BASE_CONFIG), jobs=jobs)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="--jobs forks only on Linux")
+def test_a_killed_jobs_worker_makes_the_sweep_exit_2_and_leaves_no_process(tmp_path):
+    # As the OOM killer ends a worker: the sweep must fail in bounded time, not wait for its row.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")
+    code = """
+import os, signal, sys
+from ddgates.cli import main
+
+def kill_self(*cell):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+# Installed in each forked worker only, so the sweep's own process never runs it.
+os.register_at_fork(after_in_child=lambda: setattr(sys.modules["ddgates.harness"], "simulate_cell", kill_self))
+os.sched_getaffinity = lambda pid: {0, 1}  # two usable cores, so --jobs 2 forks two workers
+code = main(["sweep", "--config", sys.argv[1], "--jobs", "2", "--out", sys.argv[2]])
+try:
+    print("a child is left:", os.waitpid(-1, os.WNOHANG))
+except ChildProcessError:
+    print("no child left")
+sys.exit(code)
+"""
+    done = subprocess.run([sys.executable, "-c", code, str(cfg_path), str(tmp_path / "out.csv")],
+                          env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "no child left\n"), done.stderr
+    assert done.stderr.startswith("error: ") and "killed by signal 9" in done.stderr
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_bath_sweep_bytes_do_not_depend_on_blas_threads_or_jobs(tmp_path):
@@ -784,13 +844,14 @@ def test_cli_sweep_of_an_asymmetric_bath_exits_1_without_numpy(tmp_path):
     assert done.stderr.startswith("error: ") and "bath_couplings must be symmetric with zero diagonal" in done.stderr
 
 
-def test_cli_sweep_at_one_job_loads_no_pool_module(tmp_path):
-    # multiprocessing costs a process that has numpy about 8 ms and 0.7 MB of RSS, and a serial run starts no pool.
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_sweep_loads_no_multiprocessing_module(tmp_path, jobs):
+    # multiprocessing costs a process that has numpy about 8 ms and 0.7 MB of RSS; --jobs forks with os.fork.
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")
-    code = ("import sys; from ddgates.cli import main; code = main(sys.argv[1:]); "
-            "assert 'multiprocessing' not in sys.modules; sys.exit(code)")
-    subprocess.run([sys.executable, "-c", code, "sweep", "--jobs", "1", "--config", str(cfg_path), "--out", "out"],
+    code = ("import os, sys; from ddgates.cli import main; os.sched_getaffinity = lambda pid: {0, 1}; "
+            "code = main(sys.argv[1:]); assert 'multiprocessing' not in sys.modules; sys.exit(code)")
+    subprocess.run([sys.executable, "-c", code, "sweep", "--jobs", jobs, "--config", str(cfg_path), "--out", "out"],
                    env=_env_with_src(), cwd=tmp_path, check=True, timeout=120)
 
 
