@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 # The submodule that defines each public name.
 _SUBMODULES = {
-    "compiler": "DD_KINDS KDD XY4 XY8 DDKind PulseEvent RotationSpec Schedule apply_amplitude_error bb1_expand "
+    "compiler": "DD_KINDS KDD XY4 XY8 PulseEvent RotationSpec Schedule apply_amplitude_error bb1_expand "
                 "build_schedule dd_cycle decompose_gate gate_target hard_pulse_schedule protected_bb1_gate pulse_count "
                 "schedule_from_json schedule_to_json verify_schedule",
     "config": "CompileError ConfigError ExperimentConfig load_config resolve_noise run_calibration",

@@ -6,6 +6,7 @@ each component can be wrapped in a decoupling cycle whose first and last free
 periods carry the two gate halves as weak finite-duration rotations.  This is
 the one module that builds schedules: `build_schedule` turns (gate, scheme,
 tau) into one, and `protected_gate_time` is the protected gate's duration.
+A decoupling kind is its name, "xy4", "xy8" or "kdd"; an unknown one raises ValueError.
 Every schedule, whether compiled or loaded from JSON, is checked once against
 its target by a zero-noise simulation.
 """
@@ -36,14 +37,23 @@ _PI = math.pi
 _HALF_PI = math.pi / 2
 _FOUR_PI = 4 * math.pi
 
-# Pi-pulse phases of one cycle of each decoupling kind.  XY-8 is XY-4 and its
-# mirror; KDD replaces each XY-4 pulse by a five-pulse composite.
+# Pi-pulse phases of one cycle of each decoupling kind, keyed by the kind's name.  XY-8 is XY-4
+# and its mirror; KDD replaces each XY-4 pulse by a five-pulse composite.
 _XY4 = (0.0, _HALF_PI, 0.0, _HALF_PI)
 _CYCLE_PHASES: dict[str, tuple[float, ...]] = {
     "xy4": _XY4,
     "xy8": _XY4 + _XY4[::-1],
     "kdd": tuple(skel + chi for skel in _XY4 for chi in (_PI / 6, 0.0, _HALF_PI, 0.0, _PI / 6)),
 }
+DD_KINDS = {name: name for name in _CYCLE_PHASES}  # a kind is its name, so DD_KINDS[scheme] is scheme
+XY4, XY8, KDD = "xy4", "xy8", "kdd"
+
+
+def _cycle_phases(kind: str) -> tuple[float, ...]:
+    """The pi-pulse phases of one cycle of the decoupling kind named kind."""
+    if kind not in _CYCLE_PHASES:
+        raise ValueError(f"unknown DD kind {kind!r}; expected one of {sorted(_CYCLE_PHASES)}")
+    return _CYCLE_PHASES[kind]
 
 
 @dataclass(frozen=True)
@@ -121,10 +131,10 @@ class Schedule:
         if self.tau is not None and not 0 < self.tau < math.inf:
             raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
         if self.dd_kind is not None:
-            if self.dd_kind not in _CYCLE_PHASES or self.tau is None:
-                raise ValueError(f"dd_kind {self.dd_kind!r} must be one of {sorted(_CYCLE_PHASES)}, with a tau")
+            table = _cycle_phases(self.dd_kind)
+            if self.tau is None:
+                raise ValueError(f"dd_kind {self.dd_kind!r} needs a tau")
             # The events must be whole cycles of that kind and tau.
-            table = _CYCLE_PHASES[self.dd_kind]
             phases = tuple(ev.rotation.phase for ev in self.events if ev.kind == "hard_pulse")
             cycles = len(phases) // len(table)
             if not cycles or phases != table * cycles or not math.isclose(
@@ -135,7 +145,7 @@ class Schedule:
     @property
     def cycle_time(self) -> float:
         """Duration of one decoupling cycle; 0 for a schedule without one."""
-        return len(_CYCLE_PHASES[self.dd_kind]) * self.tau if self.dd_kind else 0.0
+        return cycle_pulse_count(self.dd_kind) * self.tau if self.dd_kind else 0.0
 
     @property
     def total_duration(self) -> float:
@@ -154,20 +164,6 @@ class Schedule:
             run = []
         return tuple(numbers), tuple(steps)
 
-
-@dataclass(frozen=True)
-class DDKind:
-    """Decoupling cycle family: xy4, xy8 or kdd."""
-
-    name: str
-
-    def __post_init__(self):
-        if self.name not in _CYCLE_PHASES:
-            raise ValueError(f"unknown DD kind {self.name!r}")
-
-
-DD_KINDS = {name: DDKind(name) for name in _CYCLE_PHASES}
-XY4, XY8, KDD = DD_KINDS["xy4"], DD_KINDS["xy8"], DD_KINDS["kdd"]
 
 GATE_ROTATIONS: dict[str, tuple[RotationSpec, ...]] = {
     "H": (RotationSpec(_HALF_PI, _HALF_PI), RotationSpec(0.0, _PI)),
@@ -234,8 +230,8 @@ def check_tau(tau: float) -> None:
         raise CompileError(f"tau {tau:.3g} s outside the supported range [{TAU_MIN}, {TAU_MAX}] s")
 
 
-def cycle_pulse_count(kind: DDKind) -> int:
-    return len(_CYCLE_PHASES[kind.name])
+def cycle_pulse_count(kind: str) -> int:
+    return len(_cycle_phases(kind))
 
 
 def _verified(schedule: Schedule) -> Schedule:
@@ -247,7 +243,7 @@ def _verified(schedule: Schedule) -> Schedule:
     return schedule
 
 
-def _cycle_events(kind: DDKind, tau: float, components) -> list[tuple[PulseEvent, ...]]:
+def _cycle_events(kind: str, tau: float, components) -> list[tuple[PulseEvent, ...]]:
     """One decoupling cycle per component, None for a bare one: pi pulses tau apart, tau/2 free at both ends.
 
     A component of non-zero angle turns both end periods into soft halves of angle/2 each, so the
@@ -255,7 +251,7 @@ def _cycle_events(kind: DDKind, tau: float, components) -> list[tuple[PulseEvent
     cycle shares it.
     """
     check_tau(tau)
-    table, delay = _CYCLE_PHASES[kind.name], PulseEvent("delay", tau)
+    table, delay = _cycle_phases(kind), PulseEvent("delay", tau)
     pulses = {p: PulseEvent("hard_pulse", 0.0, RotationSpec(p, _PI)) for p in dict.fromkeys(table)}
     middle = tuple(ev for p in table for ev in (pulses[p], delay))[:-1]
     components = [None if c is None or c.angle == 0.0 else c for c in components]
@@ -265,14 +261,14 @@ def _cycle_events(kind: DDKind, tau: float, components) -> list[tuple[PulseEvent
     return [(ends[c], *middle, ends[c]) for c in components]
 
 
-def dd_cycle(kind: DDKind, tau: float) -> Schedule:
+def dd_cycle(kind: str, tau: float) -> Schedule:
     """One decoupling cycle of pi pulses with identity target; its duration is pulses * tau."""
     return _verified(Schedule(
-        _cycle_events(kind, tau, [None])[0], IDENTITY_2, f"dd:{kind.name}:tau={tau:.6g}", kind.name, tau
+        _cycle_events(kind, tau, [None])[0], IDENTITY_2, f"dd:{kind}:tau={tau:.6g}", kind, tau
     ))
 
 
-def protected_bb1_gate(rotations, kind: DDKind, tau: float) -> Schedule:
+def protected_bb1_gate(rotations, kind: str, tau: float) -> Schedule:
     """Composite-pulse expansion of a gate with every component cycle-protected.
 
     No rotations means the identity gate: a single bare decoupling cycle.
@@ -282,8 +278,8 @@ def protected_bb1_gate(rotations, kind: DDKind, tau: float) -> Schedule:
         return dd_cycle(kind, tau)
     components = [c for r in rotations for c in bb1_expand(r)]
     events = [ev for cycle in _cycle_events(kind, tau, components) for ev in cycle]
-    label = f"protected-bb1:{kind.name}:components={5 * len(rotations)}:tau={tau:.6g}"
-    return _verified(Schedule(events, rotation_product(rotations), label, kind.name, tau))
+    label = f"protected-bb1:{kind}:components={5 * len(rotations)}:tau={tau:.6g}"
+    return _verified(Schedule(events, rotation_product(rotations), label, kind, tau))
 
 
 def hard_pulse_schedule(rotations, target_gate, label: str, pad_to: float = 0.0) -> Schedule:
@@ -299,7 +295,7 @@ def hard_pulse_schedule(rotations, target_gate, label: str, pad_to: float = 0.0)
     return _verified(Schedule(events, target_gate, label))
 
 
-def protected_gate_time(gate: str, kind: DDKind, tau: float) -> float:
+def protected_gate_time(gate: str, kind: str, tau: float) -> float:
     """Duration of a gate protected by kind at tau: one cycle per BB1 component, 5 per rotation (one bare
     cycle for NOOP), each the kind's pulse count times tau."""
     return (5 * len(decompose_gate(gate)) or 1) * cycle_pulse_count(kind) * tau
@@ -320,10 +316,10 @@ def build_schedule(gate: str, scheme: str, tau: float) -> Schedule:
         # Pad to the XY-8 protected duration so gate times compare like for like;
         # tau sets that duration, so it gets the decoupling schemes' range check.
         check_tau(tau)
-        return hard_pulse_schedule(rotations, target, label, pad_to=protected_gate_time(gate, XY8, tau))
+        return hard_pulse_schedule(rotations, target, label, pad_to=protected_gate_time(gate, "xy8", tau))
     if scheme == "bb1":
         return hard_pulse_schedule([c for r in rotations for c in bb1_expand(r)], target, label)
-    return dataclasses.replace(protected_bb1_gate(rotations, DD_KINDS[scheme], tau), label=label)
+    return dataclasses.replace(protected_bb1_gate(rotations, scheme, tau), label=label)
 
 
 def apply_amplitude_error(schedule: Schedule, epsilon: float) -> Schedule:

@@ -2,6 +2,8 @@
 
 Parses and validates the config JSON, renders and loads calibration
 artifacts, and resolves the configured noise to the model the engines take.
+A calibration artifact that the noise names loads with the config, so the
+config holds its OUNoiseSpec, and a missing or malformed one fails there.
 Nothing here imports numpy, so every command parses and resolves its config
 without it, and `ddgates calibrate` runs without it.
 
@@ -55,13 +57,6 @@ class CalibrationTargets:
 
     t2_star_s: float
     t2_hahn_s: float
-
-
-@dataclass(frozen=True)
-class CalibrationFileRef:
-    """Noise given as the path of a persisted calibration artifact."""
-
-    path: str
 
 
 @dataclass(frozen=True)
@@ -148,7 +143,7 @@ def _parse_noise(d: dict):
     if kind == "targets":
         return CalibrationTargets(_number(d["t2_star_s"], "t2_star_s"), _number(d["t2_hahn_s"], "t2_hahn_s"))
     if kind == "calibration":
-        return CalibrationFileRef(json_value(d["path"], "a string", "path"))
+        return load_calibration(json_value(d["path"], "a string", "path"))
     raise ConfigError(f"unknown noise kind {kind!r}")
 
 
@@ -234,9 +229,7 @@ def run_calibration(cfg: ExperimentConfig) -> CalibrationResult:
 
 
 def resolve_noise(cfg: ExperimentConfig):
-    """Turn the configured noise into a concrete simulator model: an OUNoiseSpec or a SpinBathSpec."""
+    """The configured noise as an OUNoiseSpec or a SpinBathSpec: targets are calibrated, the rest is as loaded."""
     if isinstance(cfg.noise, CalibrationTargets):
         return calibrate_to_targets(cfg.noise.t2_star_s, cfg.noise.t2_hahn_s).params
-    if isinstance(cfg.noise, CalibrationFileRef):
-        return load_calibration(cfg.noise.path)
     return cfg.noise

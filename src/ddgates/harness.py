@@ -7,8 +7,9 @@ schemes, and the reference-gate benchmark.  It builds no schedule: `compiler`
 turns each cell, and each decay-curve delay, into one.  Results are
 deterministic CSV/JSON: every engine is exact and the sweep's rows are sorted
 by (gate, scheme, tau), so any job count gives identical bytes.  Above one job,
-`run_cells` forks its workers on Linux and runs serially elsewhere.  Nothing
-here writes a file: `cli` renders and writes what it returns.
+`run_cells` forks its workers on Linux and runs serially elsewhere; an error a
+worker's cell raises reaches the caller as at one job, from the worker's
+traceback.  Nothing here writes a file: `cli` renders and writes what it returns.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compiler import (  # simulate_cell calls build_schedule and apply_amplitude_error by these bindings
-    XY8,
     apply_amplitude_error,
     build_schedule,
     decompose_gate,
@@ -67,7 +67,6 @@ class ResultRow:
     error: str = ""
 
 
-_COLUMN_TYPES = tuple(typing.get_type_hints(ResultRow).values())
 CSV_FIELDS = tuple(
     f"{f.name}_{f.metadata['unit']}" if f.metadata else f.name for f in dataclasses.fields(ResultRow)
 )
@@ -149,10 +148,11 @@ def _fork_cells(tasks, workers: int) -> list[ResultRow]:
     """simulate_cell(*task) for each task on `workers` forked children; this process computes no cell.
 
     A child takes the next index from one shared pipe when it finishes a cell, and writes each
-    (index, row) frame on its own pipe.  One index is dealt per row that comes in, so the shared
-    pipe never fills.  An exception simulate_cell raises in a child is raised here; a child that
-    ends without reporting raises ChildProcessError naming its exit status or signal.  Every child
-    is killed and reaped before this returns or raises.
+    (index, row, None) frame on its own pipe.  One index is dealt per row that comes in, so the
+    shared pipe never fills.  An exception simulate_cell raises in a child is raised here, from an
+    exception whose text is the child's traceback (one this process could not rebuild arrives as a
+    RuntimeError naming it); a child that ends without reporting raises ChildProcessError naming
+    its exit status or signal.  Every child is killed and reaped before this returns or raises.
     """
     import select  # these two load only where workers fork, so a serial run's process does not grow
     import signal
@@ -177,14 +177,14 @@ def _fork_cells(tasks, workers: int) -> list[ResultRow]:
         for received in range(len(tasks)):
             fd = poller.poll()[0][0]
             try:
-                index, row = pickle.loads(_read(fd, int.from_bytes(_read(fd, 4), "little")))
+                index, row, trace = pickle.loads(_read(fd, int.from_bytes(_read(fd, 4), "little")))
             except EOFError:  # the child's end closed before its frame did: it died
                 code = os.waitstatus_to_exitcode(os.waitpid(children.pop(fd), 0)[1])
                 how = (f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0
                        else f"exited with status {code}")
                 raise ChildProcessError(f"a --jobs worker {how} without reporting its cell") from None
-            if isinstance(row, BaseException):
-                raise row
+            if trace is not None:
+                raise row from Exception(trace)
             rows[index] = row
             if workers + received < len(tasks):
                 os.write(deal_w, (workers + received).to_bytes(4, "little"))
@@ -199,8 +199,8 @@ def _fork_cells(tasks, workers: int) -> list[ResultRow]:
 
 def _work(tasks, deal_r: int, deal_w: int, out: int) -> typing.NoReturn:
     """A forked child's loop: simulate each task whose index it reads from deal_r, and write its
-    (index, row or exception) frame on out.  It leaves by os._exit, so it never returns into the
-    caller's code and never flushes the caller's buffered output."""
+    (index, row, None) or (index, exception, traceback) frame on out.  It leaves by os._exit, so it
+    never returns into the caller's code and never flushes the caller's buffered output."""
     status = 1
     try:
         os.close(deal_w)  # so that deal_r reads end of file once the parent is gone
@@ -208,15 +208,27 @@ def _work(tasks, deal_r: int, deal_w: int, out: int) -> typing.NoReturn:
             while record := os.read(deal_r, 4):
                 index = int.from_bytes(record, "little")
                 try:
-                    row = simulate_cell(*tasks[index])
+                    frame = pickle.dumps((index, simulate_cell(*tasks[index]), None))
                 except Exception as exc:  # raised again by the parent, as at one job
-                    row = exc
-                frame = pickle.dumps((index, row))
+                    frame = pickle.dumps((index, *_portable(exc)))
                 frames.write(len(frame).to_bytes(4, "little") + frame)
                 frames.flush()
         status = 0
     finally:
         os._exit(status)
+
+
+def _portable(exc: Exception) -> tuple[Exception, str]:
+    """(exc, its formatted traceback), exc replaced by a RuntimeError naming its type and message
+    if it does not survive a pickle round trip, as the parent could not rebuild it."""
+    import traceback  # loads only in a worker whose cell raised
+
+    trace = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        exc = RuntimeError("".join(traceback.format_exception_only(type(exc), exc)).strip())
+    return exc, trace
 
 
 def _read(fd: int, size: int) -> bytes:
@@ -246,7 +258,7 @@ def run_table1(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
     gates = [g for g in sorted(dict.fromkeys(cfg.gates)) if g in REFERENCE_GATE_TIMES_S]
     if not gates:
         raise ConfigError("run_table1 requires at least one of H, NOT, PI8 in gates")
-    rows = run_cells(cfg, [(gate, "xy8", REFERENCE_GATE_TIMES_S[gate] / protected_gate_time(gate, XY8, 1.0))
+    rows = run_cells(cfg, [(gate, "xy8", REFERENCE_GATE_TIMES_S[gate] / protected_gate_time(gate, "xy8", 1.0))
                            for gate in gates])
     report = {}
     for row in rows:
@@ -264,8 +276,8 @@ def rows_to_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
-    # str() of a float is its shortest round-trip repr, so parsing each column back is exact.
-    writer.writerows([str(t(v)) for t, v in zip(_COLUMN_TYPES, dataclasses.astuple(row))] for row in rows)
+    # csv writes a float, numpy's included, as its shortest round-trip repr, so parsing back is exact.
+    writer.writerows(dataclasses.astuple(row) for row in rows)
     return buf.getvalue()
 
 

@@ -208,7 +208,7 @@ def test_protected_gate_time_is_the_duration_of_every_protected_cell_and_the_pad
     cycles = {"NOT": 5, "H": 10, "PI8": 15, "NOOP": 1}
     for gate, kind, tau in [(g, k, t) for g in ALL_GATES for k in DD_KINDS.values() for t in (TAU_MIN, 1e-5, 3e-5)]:
         assert protected_gate_time(gate, kind, tau) == cycles[gate] * cycle_pulse_count(kind) * tau
-        assert build_schedule(gate, kind.name, tau).total_duration == pytest.approx(
+        assert build_schedule(gate, kind, tau).total_duration == pytest.approx(
             protected_gate_time(gate, kind, tau), rel=1e-12)
         window = build_schedule(gate, "simple_padded", tau).events
         assert window[0].duration + window[-1].duration == protected_gate_time(gate, XY8, tau)
@@ -237,6 +237,23 @@ def test_protected_gate_counts_and_targets():
 def test_protected_gate_empty_rotations_is_cycle():
     sched = protected_bb1_gate([], XY4, 1e-5)
     assert sched.events == dd_cycle(XY4, 1e-5).events
+
+
+_UNKNOWN_KIND = r"^unknown DD kind {!r}; expected one of \['kdd', 'xy4', 'xy8'\]$"
+
+
+@pytest.mark.parametrize("call", [
+    lambda kind: dd_cycle(kind, 1e-5),
+    lambda kind: protected_bb1_gate(decompose_gate("NOT"), kind, 1e-5),
+    lambda kind: protected_bb1_gate([], kind, 1e-5),
+    lambda kind: protected_gate_time("H", kind, 1e-5),
+    cycle_pulse_count,
+], ids=["dd_cycle", "protected_bb1_gate", "protected_bb1_gate_noop", "protected_gate_time", "cycle_pulse_count"])
+@pytest.mark.parametrize("kind", ["xy16", "XY8", "simple", ""])
+def test_an_unknown_dd_kind_raises_value_error_naming_the_known_kinds(call, kind):
+    # A kind is its name; the one lookup of its cycle rejects any other string.
+    with pytest.raises(ValueError, match=_UNKNOWN_KIND.format(kind)):
+        call(kind)
 
 
 def test_hard_pulse_schedule_padding():
@@ -313,10 +330,13 @@ def test_serialization_rejects_tampering():
     doc["events"][0]["index"] = 99
     with pytest.raises(CompileError):
         schedule_from_json(json.dumps(doc))
-    doc = json.loads(text)
-    doc["dd_kind"] = "zz99"
-    with pytest.raises(CompileError):
-        schedule_from_json(json.dumps(doc))
+    for kind in ("zz99", "XY4", 4, ["xy4"]):  # a kind is one of the names xy4, xy8 and kdd
+        doc = json.loads(text)
+        doc["dd_kind"] = kind
+        with pytest.raises(CompileError, match="^malformed schedule JSON: "):
+            schedule_from_json(json.dumps(doc))
+    with pytest.raises(CompileError, match=_UNKNOWN_KIND.format("XY4")[1:]):
+        schedule_from_json(json.dumps(dict(doc, dd_kind="XY4")))
     doc = json.loads(text)
     doc["events"][1]["angle_rad"] = 1.0  # one pi pulse of the cycle, now off target
     with pytest.raises(CompileError):
@@ -411,7 +431,7 @@ def test_protected_bb1_gate_of_random_rotations(rotations, kind, tau):
     assert gate_fidelity(sched.target_gate, rotation_product(rotations)) > 1 - 1e-12
     # expected_pulse_count depends only on the rotation count: NOT, H, PI8 have 1, 2, 3.
     gate = ("NOT", "H", "PI8")[len(rotations) - 1]
-    assert pulse_count(sched) == expected_pulse_count(gate, kind.name)
+    assert pulse_count(sched) == expected_pulse_count(gate, kind)
     components = [c for r in rotations for c in bb1_expand(r)]
     assert sched.events == tuple(ev for cycle in _cycle_events(kind, tau, components) for ev in cycle)
     assert sched.events == tuple(ev for c in components for ev in _cycle_events(kind, tau, [c])[0])

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -18,7 +19,6 @@ from ddgates.compiler import apply_amplitude_error, build_schedule
 from ddgates.config import (
     GATES,
     SCHEMES,
-    CalibrationFileRef,
     CalibrationTargets,
     CompileError,
     ConfigError,
@@ -63,7 +63,7 @@ def _env_with_src() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
-def test_config_from_dict_parses_every_noise_kind():
+def test_config_from_dict_parses_every_noise_kind(tmp_path):
     cfg = config_from_dict(BASE_CONFIG)
     assert isinstance(cfg.noise, OUNoiseSpec)
     assert cfg.gates == ("NOT",)
@@ -78,8 +78,12 @@ def test_config_from_dict_parses_every_noise_kind():
     noise = config_from_dict(d).noise
     assert noise == CalibrationTargets(3.7e-4, 7.5e-4)
 
-    d["noise"] = {"kind": "calibration", "path": "x.json"}
-    assert config_from_dict(d).noise == CalibrationFileRef("x.json")
+    # A calibration artifact loads with its config: the config holds the artifact's OU spec.
+    artifact = tmp_path / "x.json"
+    artifact.write_text(calibration_artifact_text(noise, CalibrationResult(3.6e-4, 7.4e-4, PINNED_NOISE)),
+                        encoding="utf-8")
+    d["noise"] = {"kind": "calibration", "path": str(artifact)}
+    assert config_from_dict(d).noise == PINNED_NOISE
 
 
 @pytest.mark.parametrize(
@@ -131,8 +135,8 @@ def test_resolve_noise_passthrough_and_artifact(tmp_path):
     d["noise"] = {"kind": "calibration", "path": str(path)}
     assert resolve_noise(config_from_dict(d)) == PINNED_NOISE
     d["noise"] = {"kind": "calibration", "path": str(tmp_path / "nope.json")}
-    with pytest.raises(ConfigError):
-        resolve_noise(config_from_dict(d))
+    with pytest.raises(ConfigError):  # the artifact loads with the config, before resolve_noise
+        config_from_dict(d)
 
 
 SCHEMA_1_ARTIFACT = {
@@ -469,6 +473,53 @@ def test_an_unexpected_error_in_a_cell_reaches_the_caller_with_its_type_and_mess
         run_sweep(config_from_dict(BASE_CONFIG), jobs=jobs)
 
 
+class _Odd(Exception):
+    """An exception whose __init__ does not take back its args, so unpickling it fails."""
+
+    def __init__(self, a, b):
+        super().__init__(f"odd {a} {b}")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="--jobs forks only on Linux")
+@pytest.mark.parametrize("error", [lambda: RuntimeError("unexpected failure"), lambda: _Odd(1, 2)],
+                         ids=["runtime_error", "not_rebuildable"])
+def test_a_jobs_worker_error_reaches_the_caller_as_at_one_job_from_the_worker_traceback(monkeypatch, error):
+    real = harness.simulate_cell
+
+    def failing_cell(gate, scheme, tau, noise, epsilon):
+        if (scheme, tau) == ("xy8", 1.5e-5):
+            raise error()
+        return real(gate, scheme, tau, noise, epsilon)
+
+    children = []
+
+    def recorded_fork(fork=os.fork):
+        pid = fork()
+        children.append(pid)  # 0 in a child, whose list this process never reads
+        return pid
+
+    monkeypatch.setattr(harness, "simulate_cell", failing_cell)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(harness.os, "fork", recorded_fork)
+    cfg = config_from_dict(BASE_CONFIG)
+    with pytest.raises(Exception) as serial:
+        run_sweep(cfg, jobs=1)
+    with pytest.raises(Exception) as forked:
+        run_sweep(cfg, jobs=2)
+    if isinstance(serial.value, _Odd):  # the parent could not unpickle it: a RuntimeError names it instead
+        assert type(forked.value) is RuntimeError
+        assert str(forked.value) == f"{_Odd.__module__}._Odd: {serial.value}" and str(serial.value) == "odd 1 2"
+    else:
+        assert (type(forked.value), str(forked.value)) == (type(serial.value), str(serial.value))
+    trace = str(forked.value.__cause__)
+    assert trace.startswith("Traceback (most recent call last):\n") and "in failing_cell\n    raise error()" in trace
+    assert trace.endswith(f"{type(serial.value).__qualname__}: {serial.value}\n")
+    assert len(children) == 2
+    for pid in children:  # every worker was reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="--jobs forks only on Linux")
 def test_a_killed_jobs_worker_makes_the_sweep_exit_2_and_leaves_no_process(tmp_path):
     # As the OOM killer ends a worker: the sweep must fail in bounded time, not wait for its row.
@@ -565,6 +616,12 @@ def test_rows_csv_round_trip_is_exact():
     parsed = rows_from_csv(text)
     assert parsed == rows
     assert rows_to_csv(parsed) == text
+    # A row whose fields are numpy scalars writes the bytes of its Python values, NaN included.
+    values = ("H", "xy8", 1.5e-5, 0.1 + 0.2, 60, 1 / 3, math.nan)
+    scalars = (*values[:2], np.float64(values[2]), np.float64(values[3]), np.int64(values[4]),
+               np.float64(values[5]), np.float64(values[6]))
+    assert rows_to_csv([ResultRow(*scalars, error="e")]) == rows_to_csv([ResultRow(*values, error="e")])
+    assert rows_to_csv([ResultRow(*values)]).splitlines()[1] == "H,xy8,1.5e-05,0.30000000000000004,60,0.3333333333333333,nan,"
 
 
 def test_rows_from_csv_rejects_wrong_header():
@@ -834,6 +891,31 @@ def test_loading_and_resolving_a_config_imports_no_numpy(tmp_path, noise, model)
     subprocess.run([sys.executable, "-c", code], env=_env_with_src(), cwd=tmp_path, check=True, timeout=120)
 
 
+@pytest.mark.parametrize("text", [
+    None,
+    "{",
+    "[]",
+    json.dumps(dict(SCHEMA_1_ARTIFACT, schema=3)),
+    json.dumps(dict(SCHEMA_1_ARTIFACT, params=dict(SCHEMA_1_ARTIFACT["params"], sigma="4000"))),
+], ids=["missing", "not_json", "not_an_object", "unknown_schema", "string_sigma"])
+def test_a_missing_or_malformed_calibration_artifact_fails_load_config_and_the_sweep_exits_1_without_numpy(
+        tmp_path, text):
+    # The artifact loads with its config, so a bad one fails before any engine, or numpy, loads.
+    artifact = tmp_path / "calibration.json"
+    if text is not None:
+        artifact.write_text(text, encoding="utf-8")
+    noise = {"kind": "calibration", "path": str(artifact)}
+    (tmp_path / "cfg.json").write_text(json.dumps(dict(BASE_CONFIG, noise=noise)), encoding="utf-8")
+    message = f"cannot load calibration artifact {artifact}: "
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        load_config(str(tmp_path / "cfg.json"))
+    code = "import sys; from ddgates.cli import main; code = main(sys.argv[1:]); print('numpy' in sys.modules); sys.exit(code)"
+    done = subprocess.run([sys.executable, "-c", code, "sweep", "--config", "cfg.json"], env=_env_with_src(),
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (1, "False\n"), done.stderr
+    assert done.stderr.startswith("error: " + message)
+
+
 def test_cli_sweep_of_an_asymmetric_bath_exits_1_without_numpy(tmp_path):
     noise = dict(_BATH_NOISE, bath_couplings=[[0.0, 5e3], [4e3, 0.0]])
     (tmp_path / "cfg.json").write_text(json.dumps(dict(BASE_CONFIG, noise=noise)), encoding="utf-8")
@@ -1038,7 +1120,7 @@ def test_targets_noise_gives_the_bytes_of_its_calibration_artifact(tmp_path):
     cfg = config_from_dict(dict(BASE_CONFIG, noise=targets))
     artifact = tmp_path / "cal.json"
     artifact.write_text(calibration_artifact_text(cfg.noise, run_calibration(cfg)), encoding="utf-8")
-    via_artifact = dataclasses.replace(cfg, noise=CalibrationFileRef(str(artifact)))
+    via_artifact = config_from_dict(dict(BASE_CONFIG, noise={"kind": "calibration", "path": str(artifact)}))
     assert rows_to_csv(run_sweep(cfg)) == rows_to_csv(run_sweep(via_artifact))
 
 

@@ -62,7 +62,7 @@ def _static_offset(delta):
 
 def test_bare_cycles_refocus_a_static_offset_and_protected_gates_leak_it_at_second_order():
     for kind in DD_KINDS.values():
-        assert abs(_infidelity(dd_cycle(kind, TAU), _static_offset(2e3))) <= 1e-14, kind.name
+        assert abs(_infidelity(dd_cycle(kind, TAU), _static_offset(2e3))) <= 1e-14, kind
     # The soft halves at a cycle's two ends share a toggling frame, so their offset terms add:
     # the infidelity grows as delta^2 (order 1.995-2.000 measured between 2e3/3 and 2e3 rad/s).
     for gate, kind in [(g, k) for g in ("NOT", "H", "PI8") for k in DD_KINDS]:
